@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Any, Callable
 
@@ -27,7 +26,7 @@ from .enumerator import (
     embed,
     enumerate_maps,
 )
-from .fpgroup import DEFAULT_MAX_COSETS, STRATEGIES
+from .fpgroup import DEFAULT_MAX_COSETS
 from .invariants import InvariantError, branch_stats, chern
 from .pipeline import PipelineError, decide
 from .relations import (
@@ -88,17 +87,10 @@ def _build_parser() -> _Parser:
         help=f"coset table budget (default: {DEFAULT_MAX_COSETS})",
     )
     p_an.add_argument(
-        "--strategy",
-        choices=STRATEGIES,
-        default="relator-first",
-        help="enumeration strategy (default: relator-first)",
-    )
-    p_an.add_argument(
         "--no-hints",
         action="store_true",
         help="lemmas only; consistency check relaxes to non-contradiction",
     )
-    p_an.add_argument("--jobs", type=int, default=1, help="worker threads for --all")
     p_an.add_argument(
         "--verbose", "-v", action="store_true", help="include derivation steps"
     )
@@ -168,14 +160,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print("degen: error: pass exactly one of a selector or --all", file=sys.stderr)
         return EXIT_ERROR
     if args.all:
-        catalog = open_catalog()
-        records = list(catalog)
-        run = lambda rec: _analyze_record(rec, args)
-        if args.jobs > 1:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                reports = list(pool.map(run, records))
-        else:
-            reports = [run(rec) for rec in records]
+        reports = [_analyze_record(rec, args) for rec in open_catalog()]
     elif _looks_like_path(args.selector):
         reports = [_analyze_file(args.selector, args)]
     else:
@@ -235,7 +220,6 @@ def _analysis_body(name: str, complex_: PlanarComplex, source, args) -> dict[str
         source,
         use_hints=not args.no_hints,
         max_cosets=args.max_cosets,
-        strategy=args.strategy,
     )
     stats = branch_stats(complex_)
     data = chern(stats)

@@ -3,34 +3,33 @@
 Two independent tools live here.  `todd_coxeter` runs coset enumeration on a
 presentation and either completes with the group order or overflows a coset
 budget; running out of room is a normal, reportable outcome, not an error.
-`kernel_abelianization` computes the abelianized kernel of a permutation
-representation by rewriting relators along a Schreier tree, which gives an
-independent check on enumeration results.
+It is a single HLT (relator-first) enumerator: a generator whose square is a
+relator gets one table column shared with its inverse, every other generator
+gets two, and coincidence processing keeps every table entry pointing at a
+live coset.  `kernel_abelianization` computes the abelianized kernel of a
+permutation representation by rewriting relators along a Schreier tree,
+which gives an independent check on enumeration results.
 """
 
 from __future__ import annotations
 
-from array import array
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .relations import Presentation, Word, free_reduce
 
-STRATEGIES = ("relator-first", "coincidence-first")
-
 DEFAULT_MAX_COSETS = 1_000_000
 
 
 class EnumerationError(ValueError):
-    """Invalid enumeration input (bad strategy, budget, or presentation)."""
+    """Invalid enumeration input (bad budget or presentation)."""
 
 
 @dataclass(frozen=True)
 class EnumerationStats:
     """Bookkeeping totals from one enumeration run."""
 
-    strategy: str
     cosets_defined: int
     live_cosets: int
     coincidences: int
@@ -55,15 +54,45 @@ class Overflow:
 EnumerationOutcome = Completed | Overflow
 
 
-def _letters(w: Word, ngens: int) -> tuple[int, ...]:
-    """Encode a word as column indices: 2(g-1) for g, 2(g-1)+1 for g^-1."""
-    out = []
-    for g, e in free_reduce(w):
-        if not 1 <= g <= ngens:
-            raise EnumerationError(f"generator {g} outside 1..{ngens}")
-        out.append(2 * (g - 1) + (0 if e > 0 else 1))
+def _columns(presentation: Presentation) -> tuple[dict[tuple[int, int], int], list[int]]:
+    """Column of each letter and the inverse of each column.
+
+    A generator g is involutory when g^2 is a relator; then g and g^-1 share
+    one column (`inv[x] == x`).  Every other generator gets two columns.
+    """
+    involutory = set()
+    for w in presentation.relators:
+        w = free_reduce(w)
+        if len(w) == 2 and w[0] == w[1]:
+            involutory.add(w[0][0])
+    col: dict[tuple[int, int], int] = {}
+    inv: list[int] = []
+    for g in presentation.generators:
+        x = len(inv)
+        if g in involutory:
+            col[g, 1] = col[g, -1] = x
+            inv.append(x)
+        else:
+            col[g, 1], col[g, -1] = x, x + 1
+            inv += [x + 1, x]
+    return col, inv
+
+
+def _letters(
+    w: Word, col: Mapping[tuple[int, int], int], inv: Sequence[int]
+) -> tuple[int, ...]:
+    """Encode a word as columns, freely and cyclically reduced in that alphabet."""
+    out: list[int] = []
+    for g, e in w:
+        x = col.get((g, 1 if e > 0 else -1))
+        if x is None:
+            raise EnumerationError(f"generator {g} is not in the presentation")
+        if out and out[-1] == inv[x]:
+            out.pop()
+        else:
+            out.append(x)
     # conjugates are equal as relators, so cyclic reduction is safe
-    while len(out) >= 2 and out[0] == out[-1] ^ 1:
+    while len(out) >= 2 and out[0] == inv[out[-1]]:
         out = out[1:-1]
     return tuple(out)
 
@@ -72,199 +101,144 @@ class _Overrun(Exception):
     pass
 
 
-class _Table:
-    """Coset table with union-find coincidence tracking.
+def _hlt(
+    inv: Sequence[int],
+    relators: Sequence[tuple[int, ...]],
+    subgroup: Sequence[tuple[int, ...]],
+    limit: int,
+) -> tuple[bool, EnumerationStats]:
+    """HLT enumeration; returns (completed, stats).
 
-    Rows are stored flat in an `array` so a run that approaches the default
-    budget stays within ordinary memory.  Entry 0 means undefined; cosets are
-    numbered from 1 and coset 1 (the subgroup itself) can never die because
-    merges always keep the smaller number.
+    The table is a flat list, one row of `len(inv)` columns per coset.
+    Cosets are numbered from 1; coset 1 (the subgroup itself) never dies
+    because merges keep the smaller number, and `p[c] == c` marks a live
+    coset.  An entry holds the row offset `d * ncols` of the coset d it names,
+    so a scan step is one list index; 0 (the unused coset 0) is undefined.
+    The coincidence routine clears the back-pointer of every entry it moves
+    (Holt, Eick & O'Brien, Handbook of Computational Group Theory, 5.1), so
+    outside it every entry names a live coset and scans need no union-find
+    lookups.  The budget counts every coset ever defined, including ones
+    later merged away.
     """
+    ncols = len(inv)
+    zero_row = [0] * ncols
+    tab = zero_row * 2
+    p = [0, 1]
+    defined = live = 1
+    coincidences = 0
 
-    def __init__(self, ncols: int, limit: int) -> None:
-        self.ncols = ncols
-        self.limit = limit
-        self._zero = array("i", [0] * ncols)
-        self.tab = array("i", self._zero)
-        self.p = array("i", [0])
-        self.defined = 0
-        self.coincidences = 0
-        self.dead: deque[int] = deque()
-        self.deductions: list[tuple[int, int]] = []
-
-    def define(self) -> int:
-        if self.defined >= self.limit:
+    def define(r: int, x: int) -> None:
+        nonlocal defined, live
+        if defined >= limit:
             raise _Overrun
-        self.tab.extend(self._zero)
-        self.p.append(len(self.p))
-        self.defined += 1
-        return len(self.p) - 1
+        defined += 1
+        live += 1
+        d = len(p)
+        p.append(d)
+        tab.extend(zero_row)
+        tab[r + x] = d * ncols
+        tab[d * ncols + inv[x]] = r
 
-    def rep(self, c: int) -> int:
-        p = self.p
+    def rep(c: int) -> int:
         r = c
         while p[r] != r:
             r = p[r]
         while p[c] != r:
-            nxt = p[c]
-            p[c] = r
-            c = nxt
+            p[c], c = r, p[c]
         return r
 
-    def get(self, c: int, x: int) -> int:
-        d = self.tab[c * self.ncols + x]
-        return self.rep(d) if d else 0
+    def merge(ra: int, rb: int, queue: list[int]) -> None:
+        nonlocal live, coincidences
+        a, b = rep(ra // ncols), rep(rb // ncols)
+        if a != b:
+            if a > b:
+                a, b = b, a
+            p[b] = a
+            live -= 1
+            coincidences += 1
+            queue.append(b)
 
-    def set(self, c: int, x: int, d: int) -> None:
-        self.tab[c * self.ncols + x] = d
-
-    def link(self, c: int, x: int, d: int) -> None:
-        self.set(c, x, d)
-        self.set(d, x ^ 1, c)
-        self.deductions.append((c, x))
-
-    def merge(self, a: int, b: int) -> None:
-        a = self.rep(a)
-        b = self.rep(b)
-        if a == b:
-            return
-        if a > b:
-            a, b = b, a
-        self.p[b] = a
-        self.coincidences += 1
-        self.dead.append(b)
-
-    def process_coincidences(self) -> None:
-        while self.dead:
-            e = self.dead.popleft()
-            base = e * self.ncols
-            for x in range(self.ncols):
-                d = self.tab[base + x]
+    def coincidence(fa: int, fb: int) -> None:
+        queue: list[int] = []
+        merge(fa, fb, queue)
+        for dead in queue:  # merge appends while this runs
+            base = dead * ncols
+            for x in range(ncols):
+                d = tab[base + x]
                 if not d:
                     continue
-                self.tab[base + x] = 0
-                self.tab[d * self.ncols + (x ^ 1)] = 0
-                mu = self.rep(e)
-                nu = self.rep(d)
-                existing = self.get(mu, x)
-                if existing:
-                    self.merge(nu, existing)
+                xi = inv[x]
+                tab[d + xi] = 0
+                mu, nu = rep(dead) * ncols, rep(d // ncols) * ncols
+                e = tab[mu + x]
+                if e:
+                    merge(nu, e, queue)
+                    continue
+                e = tab[nu + xi]
+                if e:
+                    merge(mu, e, queue)
                 else:
-                    back = self.get(nu, x ^ 1)
-                    if back:
-                        self.merge(mu, back)
-                    else:
-                        self.link(mu, x, nu)
+                    tab[mu + x] = nu
+                    tab[nu + xi] = mu
 
-    def live_count(self) -> int:
-        return sum(1 for c in range(1, len(self.p)) if self.p[c] == c)
+    def scan(a: int, w: tuple[int, ...], wi: tuple[int, ...]) -> None:
+        """Trace w from row a both ways, defining cosets until it closes."""
+        f = b = a
+        i, j = 0, len(w) - 1
+        while True:
+            while i <= j:
+                d = tab[f + w[i]]
+                if not d:
+                    break
+                f = d
+                i += 1
+            if i > j:
+                if f != b:
+                    coincidence(f, b)
+                return
+            while j >= i:
+                d = tab[b + wi[j]]
+                if not d:
+                    break
+                b = d
+                j -= 1
+            if j < i:
+                coincidence(f, b)
+                return
+            if j == i:
+                tab[f + w[i]] = b
+                tab[b + wi[i]] = f
+                return
+            define(f, w[i])
 
-
-def _scan(t: _Table, alpha: int, w: Sequence[int], fill: bool) -> None:
-    """Trace relator w from coset alpha, filling or deducing as allowed."""
-    f = alpha
-    i = 0
-    b = alpha
-    j = len(w) - 1
-    while True:
-        while i <= j:
-            d = t.get(f, w[i])
-            if not d:
-                break
-            f = d
-            i += 1
-        if i > j:
-            if f != b:
-                t.merge(f, b)
-                t.process_coincidences()
-            return
-        while j >= i:
-            d = t.get(b, w[j] ^ 1)
-            if not d:
-                break
-            b = d
-            j -= 1
-        if j < i:
-            t.merge(f, b)
-            t.process_coincidences()
-            return
-        if j == i:
-            t.link(f, w[i], b)
-            return
-        if not fill:
-            return
-        t.link(f, w[i], t.define())
-
-
-def _run_relator_first(
-    t: _Table, relators: Sequence[Sequence[int]], subgroup: Sequence[Sequence[int]]
-) -> None:
-    t.define()
-    for w in subgroup:
-        _scan(t, 1, w, fill=True)
-    alpha = 1
-    while alpha < len(t.p):
-        if t.rep(alpha) != alpha:
+    rels = [(w, tuple(inv[x] for x in w)) for w in relators]
+    try:
+        for w in subgroup:  # from coset 1, whose row starts at ncols
+            scan(ncols, w, tuple(inv[x] for x in w))
+        alpha = 1
+        while alpha < len(p):
+            if p[alpha] == alpha:
+                a = alpha * ncols
+                for w, wi in rels:
+                    # most traces close without a gap: skip the call for them
+                    f = a
+                    for x in w:
+                        f = tab[f + x]
+                        if not f:
+                            break
+                    if f == a:
+                        continue
+                    scan(a, w, wi)
+                    if p[alpha] != alpha:
+                        break
+                else:
+                    for x in range(ncols):
+                        if not tab[a + x]:
+                            define(a, x)
             alpha += 1
-            continue
-        for w in relators:
-            _scan(t, alpha, w, fill=True)
-            if t.rep(alpha) != alpha:
-                break
-        if t.rep(alpha) == alpha:
-            for x in range(t.ncols):
-                if not t.get(alpha, x):
-                    t.link(alpha, x, t.define())
-        alpha += 1
-
-
-def _conjugate_index(
-    relators: Sequence[Sequence[int]], ncols: int
-) -> list[list[tuple[int, ...]]]:
-    """Cyclic conjugates of each relator and its inverse, keyed by first letter."""
-    index: list[set[tuple[int, ...]]] = [set() for _ in range(ncols)]
-    for w in relators:
-        winv = tuple(x ^ 1 for x in reversed(w))
-        for base in (w, winv):
-            for k in range(len(base)):
-                rot = base[k:] + base[:k]
-                index[rot[0]].add(rot)
-    return [sorted(s) for s in index]
-
-
-def _run_coincidence_first(
-    t: _Table, relators: Sequence[Sequence[int]], subgroup: Sequence[Sequence[int]]
-) -> None:
-    index = _conjugate_index(relators, t.ncols)
-
-    def drain() -> None:
-        while t.deductions:
-            c, x = t.deductions.pop()
-            gamma = t.rep(c)
-            delta = t.get(gamma, x)
-            for w in index[x]:
-                _scan(t, gamma, w, fill=False)
-            if delta:
-                delta = t.rep(delta)
-                for w in index[x ^ 1]:
-                    _scan(t, delta, w, fill=False)
-
-    t.define()
-    for w in subgroup:
-        _scan(t, 1, w, fill=True)
-        drain()
-    alpha = 1
-    while alpha < len(t.p):
-        if t.rep(alpha) != alpha:
-            alpha += 1
-            continue
-        x = 0
-        while x < t.ncols and t.rep(alpha) == alpha:
-            if not t.get(alpha, x):
-                t.link(alpha, x, t.define())
-                drain()
-            x += 1
-        alpha += 1
+    except _Overrun:
+        return False, EnumerationStats(defined, live, coincidences)
+    return True, EnumerationStats(defined, live, coincidences)
 
 
 def todd_coxeter(
@@ -272,33 +246,25 @@ def todd_coxeter(
     subgroup: Iterable[Word] = (),
     *,
     max_cosets: int = DEFAULT_MAX_COSETS,
-    strategy: str = "relator-first",
 ) -> EnumerationOutcome:
     """Enumerate cosets of the subgroup generated by `subgroup` words.
 
     With an empty subgroup the completed order is the group order.  The
     budget counts every coset ever defined, including ones later merged
-    away, so runs are reproducible across strategies of the same name.
+    away.
     """
-    if strategy not in STRATEGIES:
-        raise EnumerationError(f"unknown strategy {strategy!r}; use {STRATEGIES}")
     if max_cosets < 1:
         raise EnumerationError("max_cosets must be positive")
     gens = presentation.generators
     if tuple(gens) != tuple(range(1, len(gens) + 1)):
         raise EnumerationError("generators must be numbered 1..n contiguously")
-    ngens = len(gens)
-    relators = [r for r in (_letters(w, ngens) for w in presentation.relators) if r]
-    subgroup_words = [w for w in (_letters(v, ngens) for v in subgroup) if w]
-    t = _Table(2 * ngens, max_cosets)
-    run = _run_relator_first if strategy == "relator-first" else _run_coincidence_first
-    try:
-        run(t, relators, subgroup_words)
-    except _Overrun:
-        stats = EnumerationStats(strategy, t.defined, t.live_count(), t.coincidences)
-        return Overflow(max_cosets, stats)
-    stats = EnumerationStats(strategy, t.defined, t.live_count(), t.coincidences)
-    return Completed(stats.live_cosets, stats)
+    col, inv = _columns(presentation)
+    relators = [r for r in (_letters(w, col, inv) for w in presentation.relators) if r]
+    subgroup_words = [w for w in (_letters(v, col, inv) for v in subgroup) if w]
+    completed, stats = _hlt(inv, relators, subgroup_words, max_cosets)
+    if completed:
+        return Completed(stats.live_cosets, stats)
+    return Overflow(max_cosets, stats)
 
 
 # ----------------------------------------------------------------------
@@ -307,8 +273,16 @@ def todd_coxeter(
 
 
 def line_transpositions(complex_) -> dict[int, tuple[int, int]]:
-    """Each line swaps the two planes it bounds; the standard symmetric image."""
-    return {i: ln.planes for i, ln in complex_.interior_lines().items()}
+    """Each line swaps the two planes it bounds; the standard symmetric image.
+
+    Planes are numbered 1..n by rank of their ids, so the images lie in S_n
+    whatever ids the complex uses.
+    """
+    rank = {p: k for k, p in enumerate(sorted(complex_.triangles), 1)}
+    return {
+        i: (rank[ln.planes[0]], rank[ln.planes[1]])
+        for i, ln in complex_.interior_lines().items()
+    }
 
 
 def transposition_images(
@@ -341,14 +315,22 @@ def word_permutation(
     return tuple(v + 1 for v in perm)
 
 
+def first_broken_relator(
+    presentation: Presentation, images: Mapping[int, Sequence[int]], degree: int
+) -> int | None:
+    """Index of the first relator not mapped to the identity, or None."""
+    identity = tuple(range(1, degree + 1))
+    for k, w in enumerate(presentation.relators):
+        if word_permutation(w, images, degree) != identity:
+            return k
+    return None
+
+
 def relators_hold(
     presentation: Presentation, images: Mapping[int, Sequence[int]], degree: int
 ) -> bool:
     """Whether every relator maps to the identity permutation."""
-    identity = tuple(range(1, degree + 1))
-    return all(
-        word_permutation(w, images, degree) == identity for w in presentation.relators
-    )
+    return first_broken_relator(presentation, images, degree) is None
 
 
 @dataclass(frozen=True)
@@ -491,10 +473,10 @@ def kernel_abelianization(
     """
     if set(images) != set(presentation.generators):
         raise EnumerationError("images must cover exactly the generators")
-    identity = tuple(range(1, degree + 1))
-    for w in presentation.relators:
-        if word_permutation(w, images, degree) != identity:
-            raise EnumerationError(f"relator {w} does not map to the identity")
+    broken = first_broken_relator(presentation, images, degree)
+    if broken is not None:
+        w = presentation.relators[broken]
+        raise EnumerationError(f"relator {w} does not map to the identity")
 
     zero = {g: tuple(v - 1 for v in images[g]) for g in images}
     inv = {}

@@ -27,9 +27,18 @@ from .fpgroup import (
     Completed,
     EnumerationStats,
     Overflow,
+    first_broken_relator,
+    line_transpositions,
     todd_coxeter,
+    transposition_images,
 )
-from .relations import Word, reduced_presentation
+from .relations import (
+    UnsupportedCaseError,
+    Word,
+    inner_point_relators,
+    reduced_presentation,
+    word_text,
+)
 
 ENGINE_MODES = ("lemmas-only", "with-hints")
 
@@ -274,7 +283,6 @@ class Verdict:
         if self.enumeration is not None:
             s = self.enumeration
             out["enumeration"] = {
-                "strategy": s.strategy,
                 "cosets_defined": s.cosets_defined,
                 "live_cosets": s.live_cosets,
                 "coincidences": s.coincidences,
@@ -327,14 +335,15 @@ def decide(
     *,
     use_hints: bool = True,
     max_cosets: int = DEFAULT_MAX_COSETS,
-    strategy: str = "relator-first",
 ) -> Verdict:
     """Run the full pipeline on a complex or a catalog record.
 
     `source` is either a `PlanarComplex` or any object carrying `.complex`,
     `.hints`, and `.extra_inner_relators` attributes (a catalog record).
     With `use_hints=False` the catalogued hints are ignored, which reports
-    what the local rules alone can settle.
+    what the local rules alone can settle.  A line numbering under which
+    some relator fails in the symmetric image is refused with
+    `UnsupportedCaseError` before any coset is enumerated.
     """
     complex_ = getattr(source, "complex", source)
     if not isinstance(complex_, PlanarComplex):
@@ -372,8 +381,22 @@ def decide(
     pres = reduced_presentation(
         complex_, include_forks=True, inner6_relators=extra
     )
-    outcome = todd_coxeter(pres, max_cosets=max_cosets, strategy=strategy)
-    expected = math.factorial(len(complex_.triangles))
+    n = len(complex_.triangles)
+    images = transposition_images(line_transpositions(complex_), n)
+    broken = first_broken_relator(pres, images, n)
+    if broken is not None:
+        tag = pres.annotations[broken]
+        where = ""
+        if tag == "inner-point":
+            nth = pres.annotations[:broken].count(tag)
+            where = f" at vertex {inner_point_relators(points, extra)[nth][1]}"
+        raise UnsupportedCaseError(
+            f"line numbering breaks the {tag} relator"
+            f" {word_text(pres.relators[broken])}{where}:"
+            f" it is not the identity in S_{n}"
+        )
+    outcome = todd_coxeter(pres, max_cosets=max_cosets)
+    expected = math.factorial(n)
     return enumeration_verdict(
         outcome, expected, engine_mode=engine_mode, equalities=facts
     )

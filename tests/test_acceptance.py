@@ -20,7 +20,6 @@ from degen.enumerator import (
 )
 from degen.fpgroup import (
     Completed,
-    STRATEGIES,
     kernel_abelianization,
     line_transpositions,
     todd_coxeter,
@@ -111,19 +110,16 @@ def test_criterion_2_decisions_with_hints(records):
 
 
 def test_criterion_3_coset_enumeration_orders(records):
-    """Trivial cases enumerate to order 720 under both strategies; the
-    symmetric-group sanity presentations give 6 and 720."""
-    for strategy in STRATEGIES:
-        assert todd_coxeter(_coxeter_symmetric(3), strategy=strategy).order == 6
-        assert todd_coxeter(_coxeter_symmetric(6), strategy=strategy).order == 720
+    """Trivial cases enumerate to order 720; the symmetric-group sanity
+    presentations give 6 and 720."""
+    assert todd_coxeter(_coxeter_symmetric(3)).order == 6
+    assert todd_coxeter(_coxeter_symmetric(6)).order == 720
     for rec in records:
         if rec.expected.pi1 != "trivial":
             continue
-        pres = _presentation(rec)
-        for strategy in STRATEGIES:
-            out = todd_coxeter(pres, strategy=strategy)
-            assert isinstance(out, Completed), (rec.name, strategy)
-            assert out.order == 720, (rec.name, strategy)
+        out = todd_coxeter(_presentation(rec))
+        assert isinstance(out, Completed), rec.name
+        assert out.order == out.stats.live_cosets == 720, rec.name
     print("criterion 3: PASS")
 
 
@@ -188,8 +184,9 @@ def test_criterion_5_enumeration_bijection(records):
 
 def test_criterion_6_property_suites(records):
     """Structural invariants hold across the catalog: degree handshake,
-    line-pair partition, Euler bounds, strategy independence, canonical-form
-    relabeling invariance, and kernel abelianizations."""
+    line-pair partition, Euler bounds, canonical-form relabeling invariance,
+    and kernel abelianizations, whose index (a BFS over permutations) must
+    equal every enumerated order."""
     rng = random.Random(160729)
     for rec in records:
         pc = rec.complex
@@ -213,9 +210,6 @@ def test_criterion_6_property_suites(records):
         a = cd.chi / Fraction(-FACTORIAL_SIX, 3)
         assert a.denominator == 1 and 1 <= a <= 7, rec.name
 
-        outcomes = {decide(rec, strategy=s).outcome for s in STRATEGIES}
-        assert len(outcomes) == 1, rec.name
-
         base = canonical_form(CombinatorialMap.from_complex(pc))
         vertices = sorted(pc.vertices)
         for _ in range(1000):
@@ -234,6 +228,11 @@ def test_criterion_6_property_suites(records):
         images = transposition_images(line_transpositions(rec.complex), degree=6)
         ka = kernel_abelianization(_presentation(rec), images, degree=6)
         assert ka.index == 720, rec.name
+        verdict = decide(rec)
+        if verdict.enumeration is not None:
+            assert verdict.certificate.order == ka.index, rec.name
+            if ka.is_trivial:
+                assert verdict.certificate.order == FACTORIAL_SIX, rec.name
         if rec.expected.pi1 == "trivial":
             assert (ka.rank, ka.torsion) == (0, ()), rec.name
         else:

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -5,7 +7,6 @@ from degen.fpgroup import (
     Completed,
     EnumerationError,
     Overflow,
-    STRATEGIES,
     kernel_abelianization,
     line_transpositions,
     relators_hold,
@@ -38,25 +39,46 @@ def coxeter_symmetric(n):
     return Presentation(gens, tuple(relators), tuple(annotations))
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
-def test_symmetric_group_three(strategy):
-    out = todd_coxeter(coxeter_symmetric(3), strategy=strategy)
+def completed_order(out):
+    """The order of a closed table, whose live cosets are exactly its rows."""
     assert isinstance(out, Completed)
-    assert out.order == 6
+    assert out.stats.live_cosets == out.order
+    assert out.stats.cosets_defined == out.order + out.stats.coincidences
+    return out.order
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
-def test_symmetric_group_six(strategy):
-    out = todd_coxeter(coxeter_symmetric(6), strategy=strategy)
-    assert isinstance(out, Completed)
-    assert out.order == 720
-    assert out.stats.strategy == strategy
-    assert out.stats.live_cosets == 720
+@pytest.mark.parametrize("n", range(3, 8))
+def test_coxeter_symmetric_group_order(n):
+    assert completed_order(todd_coxeter(coxeter_symmetric(n))) == math.factorial(n)
+
+
+def test_cyclic_group_of_order_five():
+    cyclic = Presentation((1,), (word(1, 1, 1, 1, 1),), ("power",))
+    assert completed_order(todd_coxeter(cyclic)) == 5
+
+
+def test_mixed_involutory_and_two_column_generators():
+    s3 = Presentation(
+        (1, 2),
+        (word(1, 1, 1), word(2, 2), word(1, 2, 1, 2)),
+        ("power", "involution", "dihedral"),
+    )
+    assert completed_order(todd_coxeter(s3)) == 6
+    assert completed_order(todd_coxeter(s3, subgroup=(word(2),))) == 3
+
+
+def test_inverse_involution_relator_also_shares_a_column():
+    braid = word(1, 2, 1, 2, 1, 2)
+    squares = Presentation((1, 2), (word(1, 1), word(2, 2), braid), ("", "", ""))
+    inverse = Presentation((1, 2), (word(-1, -1), word(2, 2), braid), ("", "", ""))
+    out = todd_coxeter(inverse)
+    assert completed_order(out) == 6
+    assert out.stats == todd_coxeter(squares).stats
 
 
 def test_cosets_relative_to_subgroup():
     out = todd_coxeter(coxeter_symmetric(6), subgroup=(word(1),))
-    assert out.order == 360
+    assert completed_order(out) == 360
 
 
 def test_overflow_reports_limit_and_stats():
@@ -65,6 +87,16 @@ def test_overflow_reports_limit_and_stats():
     assert out.limit == 50
     assert out.stats.cosets_defined <= 50
     assert 0 < out.stats.live_cosets <= out.stats.cosets_defined
+
+
+def test_budget_counts_every_coset_defined():
+    full = todd_coxeter(coxeter_symmetric(5))
+    needed = full.stats.cosets_defined
+    assert needed > completed_order(full)
+    assert completed_order(todd_coxeter(coxeter_symmetric(5), max_cosets=needed)) == 120
+    short = todd_coxeter(coxeter_symmetric(5), max_cosets=needed - 1)
+    assert isinstance(short, Overflow)
+    assert short.stats.cosets_defined == needed - 1
 
 
 def test_generator_outside_alphabet_rejected():
@@ -78,17 +110,20 @@ def test_nonpositive_coset_limit_rejected():
         todd_coxeter(coxeter_symmetric(3), max_cosets=0)
 
 
-def test_strategies_agree_on_catalog_cases(records):
+def test_orders_match_kernel_index_on_catalog_cases(records):
+    """The kernel's index comes from a BFS over permutations, not from TC."""
     for rec in records[:3]:
         if rec.expected.pi1 != "trivial":
             continue
         pres = reduced_presentation(
             rec.complex, inner6_relators=rec.extra_inner_relators or None
         )
-        orders = {
-            s: todd_coxeter(pres, strategy=s).order for s in STRATEGIES
-        }
-        assert len(set(orders.values())) == 1, rec.name
+        images = transposition_images(line_transpositions(rec.complex), degree=6)
+        ka = kernel_abelianization(pres, images, degree=6)
+        order = completed_order(todd_coxeter(pres))
+        assert order == ka.index, rec.name
+        if ka.is_trivial:
+            assert order == 720, rec.name
 
 
 def test_smith_normal_form_oracles():

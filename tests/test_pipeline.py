@@ -1,6 +1,14 @@
 import pytest
 
-from degen.fpgroup import Completed, EnumerationStats, Overflow
+from degen.enumerator import embed, enumerate_maps
+from degen.fpgroup import (
+    Completed,
+    EnumerationStats,
+    Overflow,
+    kernel_abelianization,
+    line_transpositions,
+    transposition_images,
+)
 from degen.pipeline import (
     CaseHint,
     PipelineError,
@@ -9,6 +17,7 @@ from degen.pipeline import (
     enumeration_verdict,
     propagate_equalities,
 )
+from degen.relations import UnsupportedCaseError, reduced_presentation
 
 NONTRIVIAL = frozenset(
     {
@@ -111,9 +120,7 @@ def test_hints_unlock_derivations(by_name):
 
 
 def _stats():
-    return EnumerationStats(
-        strategy="relator-first", cosets_defined=900, live_cosets=720, coincidences=3
-    )
+    return EnumerationStats(cosets_defined=900, live_cosets=720, coincidences=3)
 
 
 def _facts(by_name):
@@ -178,11 +185,38 @@ def test_verdict_json_shape(records):
         )
 
 
-def test_strategy_choice_never_changes_outcome(records):
-    for rec in records:
-        a = decide(rec, strategy="relator-first").outcome
-        b = decide(rec, strategy="coincidence-first").outcome
-        assert a == b, rec.name
+def test_enumerated_orders_match_kernel_index(records):
+    """The kernel's index comes from a BFS over permutations, not from TC."""
+    verdicts = [(r, decide(r)) for r in records]
+    enumerated = [(r, v) for r, v in verdicts if v.enumeration is not None]
+    assert len(enumerated) == 20
+    for rec, verdict in enumerated[:5]:
+        pres = reduced_presentation(
+            rec.complex,
+            include_forks=True,
+            inner6_relators=rec.extra_inner_relators or None,
+        )
+        images = transposition_images(line_transpositions(rec.complex), degree=6)
+        ka = kernel_abelianization(pres, images, degree=6)
+        assert verdict.certificate.order == ka.index, rec.name
+        assert verdict.enumeration.live_cosets == ka.index, rec.name
+        if ka.is_trivial:
+            assert verdict.outcome == "trivial", rec.name
+
+
+@pytest.mark.parametrize("triangles", [6, 7])
+def test_enumerated_disks_never_fail_after_enumerating(triangles):
+    refusals = []
+    for map_ in enumerate_maps(triangles):
+        try:
+            verdict = decide(embed(map_), use_hints=False)
+        except UnsupportedCaseError as exc:
+            refusals.append(str(exc))
+            continue
+        assert verdict.outcome in ("trivial", "nontrivial", "undecided")
+    broken = [r for r in refusals if r.startswith("line numbering breaks")]
+    assert len(broken) == {6: 0, 7: 2}[triangles], refusals
+    assert all("inner-point relator" in r and "at vertex" in r for r in broken)
 
 
 def test_decide_accepts_bare_complex(by_name):
