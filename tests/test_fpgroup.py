@@ -52,6 +52,38 @@ def test_coxeter_symmetric_group_order(n):
     assert completed_order(todd_coxeter(coxeter_symmetric(n))) == math.factorial(n)
 
 
+def reorder(presentation, order):
+    """The presentation with its relators as written or reversed."""
+    if order == "relator-first":
+        return presentation
+    return Presentation(
+        presentation.generators,
+        presentation.relators[::-1],
+        presentation.annotations[::-1],
+    )
+
+
+# The ids are the names of the two strategies these cases once ran under.
+# Each now names a relator order for the one engine: as written (squares
+# first), or reversed, so the long braid relators are scanned first and
+# coincidences come sooner.  Neither order may change the group.
+RELATOR_ORDERS = ("relator-first", "coincidence-first")
+
+
+@pytest.mark.parametrize("order", RELATOR_ORDERS)
+def test_symmetric_group_three(order):
+    out = todd_coxeter(reorder(coxeter_symmetric(3), order))
+    assert completed_order(out) == 6
+
+
+@pytest.mark.parametrize("order", RELATOR_ORDERS)
+def test_symmetric_group_six(order):
+    out = todd_coxeter(reorder(coxeter_symmetric(6), order))
+    assert completed_order(out) == 720
+    assert out.stats.live_cosets == 720
+    assert out.stats.coincidences > 0
+
+
 def test_cyclic_group_of_order_five():
     cyclic = Presentation((1,), (word(1, 1, 1, 1, 1),), ("power",))
     assert completed_order(todd_coxeter(cyclic)) == 5
