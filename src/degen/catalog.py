@@ -20,7 +20,6 @@ from typing import Iterator, Mapping, Sequence
 
 from .complexes import PlanarComplex
 from .invariants import branch_stats, chern
-from .pipeline import CaseHint
 from .relations import Word, word_from_json
 
 ENV_CATALOG_DIR = "DEGEN_CATALOG_DIR"
@@ -86,6 +85,34 @@ class ExpectedResults:
             forks=pairs("forks"),
             forks_complete=bool(data["forks_complete"]),
         )
+
+
+@dataclass(frozen=True)
+class CaseHint:
+    """A catalogued equality with the conditions under which it applies.
+
+    `citation` names the printed derivation the equality is lifted from so a
+    verdict can always be traced back to its source.
+    """
+
+    line: int
+    preconditions: frozenset[int]
+    citation: str
+
+    @classmethod
+    def from_json(cls, data: Mapping) -> "CaseHint":
+        return cls(
+            line=int(data["line"]),
+            preconditions=frozenset(int(x) for x in data["preconditions"]),
+            citation=str(data["citation"]),
+        )
+
+    def to_json(self) -> dict:
+        return {
+            "line": self.line,
+            "preconditions": sorted(self.preconditions),
+            "citation": self.citation,
+        }
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from functools import cached_property
+from typing import Mapping
 
 from .geometry import Point, ccw_direction_key, orient, point_in_triangle, segments_conflict
 
@@ -81,12 +82,6 @@ class DualGraph:
     nodes: tuple[int, ...]
     edges: tuple[tuple[int, int, int], ...]  # (line index, plane, plane)
 
-    def degree(self, node: int) -> int:
-        return sum(1 for _, a, b in self.edges if node in (a, b))
-
-    def incident_lines(self, node: int) -> tuple[int, ...]:
-        return tuple(sorted(line for line, a, b in self.edges if node in (a, b)))
-
     def is_connected(self) -> bool:
         if not self.nodes:
             return True
@@ -115,7 +110,13 @@ class ValidationReport:
 
 
 class PlanarComplex:
-    """An immutable planar triangle complex with numbered interior edges."""
+    """An immutable planar triangle complex with numbered interior edges.
+
+    Derived incidence (the edge-to-planes map, the neighbours of each vertex,
+    the triangle set and the vertex classification) is computed once per
+    instance, on first use.  So ``vertices``, ``triangles`` and
+    ``line_numbering`` must not be mutated after construction.
+    """
 
     def __init__(
         self,
@@ -144,9 +145,25 @@ class PlanarComplex:
                 out.setdefault(e, []).append(plane)
         return out
 
+    @cached_property
+    def _edge_planes(self) -> dict[frozenset[int], list[int]]:
+        return self.edge_planes()
+
+    @cached_property
+    def _neighbours(self) -> dict[int, set[int]]:
+        out: dict[int, set[int]] = {}
+        for e in self._edge_planes:
+            for v in e:
+                out.setdefault(v, set()).update(e - {v})
+        return out
+
+    @cached_property
+    def _triangle_set(self) -> frozenset[frozenset[int]]:
+        return frozenset(frozenset(t) for t in self.triangles.values())
+
     def interior_lines(self) -> dict[int, Line]:
         """The numbered lines, each with its two incident planes."""
-        ep = self.edge_planes()
+        ep = self._edge_planes
         lines: dict[int, Line] = {}
         for index in sorted(self.line_numbering):
             pair = self.line_numbering[index]
@@ -159,13 +176,11 @@ class PlanarComplex:
         return lines
 
     def boundary_edges(self) -> set[frozenset[int]]:
-        return {e for e, ps in self.edge_planes().items() if len(ps) == 1}
+        return {e for e, ps in self._edge_planes.items() if len(ps) == 1}
 
     def _rotation(self, v: int) -> list[int]:
         """Neighbouring vertices of ``v`` sorted counterclockwise."""
-        nbrs = sorted(
-            {w for e in self.edge_planes() if v in e for w in e if w != v}
-        )
+        nbrs = sorted(self._neighbours.get(v, ()))
         pv = self.vertices[v]
         dirs = {w: (self.vertices[w][0] - pv[0], self.vertices[w][1] - pv[1]) for w in nbrs}
         key = ccw_direction_key(list(dirs.values()))
@@ -174,7 +189,7 @@ class PlanarComplex:
     def _fan_gaps(self, v: int) -> tuple[list[int], list[int]]:
         """Rotation order at ``v`` and the positions after which no triangle sits."""
         rot = self._rotation(v)
-        tris = {frozenset(t) for t in self.triangles.values()}
+        tris = self._triangle_set
         gaps = [
             i
             for i in range(len(rot))
@@ -195,6 +210,9 @@ class PlanarComplex:
             seen_pts[p] = v
         seen_tris: dict[frozenset[int], int] = {}
         for plane, tri in sorted(self.triangles.items()):
+            if len(tri) != 3:
+                errors.append(f"plane {plane} has {len(tri)} vertices, expected 3")
+                continue
             missing = [v for v in tri if v not in self.vertices]
             if missing:
                 errors.append(f"plane {plane} references unknown vertices {missing}")
@@ -213,7 +231,7 @@ class PlanarComplex:
         if errors:
             return ValidationReport(tuple(errors), ())
 
-        ep = self.edge_planes()
+        ep = self._edge_planes
         for e, ps in sorted(ep.items(), key=lambda kv: sorted(kv[0])):
             if len(ps) > 2:
                 errors.append(f"edge {sorted(e)} lies in {len(ps)} planes: {ps}")
@@ -294,8 +312,12 @@ class PlanarComplex:
                     out.append(f"vertex {v} lies inside plane {plane}")
         return out
 
-    def classify_vertices(self) -> list[SingularPoint]:
-        """One ``SingularPoint`` per vertex met by at least one line."""
+    def classify_vertices(self) -> tuple[SingularPoint, ...]:
+        """One ``SingularPoint`` per vertex met by at least one line (computed once)."""
+        return self._classification
+
+    @cached_property
+    def _classification(self) -> tuple[SingularPoint, ...]:
         line_of = {frozenset(p): i for i, p in self.line_numbering.items()}
         points: list[SingularPoint] = []
         for v in sorted(self.vertices):
@@ -326,7 +348,7 @@ class PlanarComplex:
                     raise ComplexError(f"vertex {v}: boundary/line pattern is inconsistent")
                 if fan:
                     points.append(SingularPoint(v, "outer", len(fan), tuple(fan)))
-        return points
+        return tuple(points)
 
     def dual_graph(self) -> DualGraph:
         edges = tuple(
@@ -398,11 +420,3 @@ class PlanarComplex:
         except json.JSONDecodeError as exc:
             raise ComplexError(f"invalid JSON: {exc}") from exc
         return cls.from_json(data)
-
-
-def tangent_line_pairs(points: Iterable[SingularPoint]) -> tuple[tuple[int, int], ...]:
-    """All unordered line pairs that are rotation-adjacent at some vertex."""
-    pairs: set[tuple[int, int]] = set()
-    for pt in points:
-        pairs.update(pt.tangent_pairs())
-    return tuple(sorted(pairs))

@@ -22,7 +22,6 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .complexes import PlanarComplex
-from .catalog import CaseRecord
 
 MAX_TRIANGLES_GUARD = 8
 
@@ -446,9 +445,9 @@ class MatchReport:
 
 
 def match_catalog(
-    maps: Sequence[CombinatorialMap], records: Iterable[CaseRecord]
+    maps: Sequence[CombinatorialMap], records: Iterable
 ) -> MatchReport:
-    """Pair maps with records; duplicates on either side break the pairing."""
+    """Pair maps with catalog records; duplicates on either side break the pairing."""
     by_form: dict[tuple[int, ...], list[int]] = {}
     for i, m in enumerate(maps):
         by_form.setdefault(canonical_form(m), []).append(i)

@@ -326,13 +326,6 @@ def first_broken_relator(
     return None
 
 
-def relators_hold(
-    presentation: Presentation, images: Mapping[int, Sequence[int]], degree: int
-) -> bool:
-    """Whether every relator maps to the identity permutation."""
-    return first_broken_relator(presentation, images, degree) is None
-
-
 @dataclass(frozen=True)
 class KernelAbelianization:
     """Abelianization of the kernel of the permutation representation."""

@@ -56,9 +56,6 @@ class BranchStats:
     d: int
     rho: int
 
-    def as_tuple(self) -> tuple[int, int, int, int, int]:
-        return (self.n, self.m, self.mu, self.d, self.rho)
-
 
 @dataclass(frozen=True)
 class ChernData:
@@ -205,10 +202,3 @@ def _solve_exact(rows: list[list[Fraction]], ncols: int, comp: int) -> list[Frac
     for i, c in enumerate(pivots):
         out[c] = rows[i][ncols]
     return out
-
-
-def contributions_as_fractions() -> dict[tuple[str, int], tuple[Fraction, Fraction, Fraction]]:
-    return {
-        k: tuple(Fraction(x) for x in v)  # type: ignore[return-value]
-        for k, v in CONTRIBUTIONS.items()
-    }

@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+from .catalog import CaseHint
 from .complexes import PlanarComplex, SingularPoint
 from .fpgroup import (
     DEFAULT_MAX_COSETS,
@@ -40,39 +41,9 @@ from .relations import (
     word_text,
 )
 
-ENGINE_MODES = ("lemmas-only", "with-hints")
-
 
 class PipelineError(ValueError):
     """Inconsistent pipeline state (for example an impossible coset count)."""
-
-
-@dataclass(frozen=True)
-class CaseHint:
-    """A catalogued equality with the conditions under which it applies.
-
-    `citation` names the printed derivation the equality is lifted from so a
-    verdict can always be traced back to its source.
-    """
-
-    line: int
-    preconditions: frozenset[int]
-    citation: str
-
-    @classmethod
-    def from_json(cls, data: dict) -> "CaseHint":
-        return cls(
-            line=int(data["line"]),
-            preconditions=frozenset(int(x) for x in data["preconditions"]),
-            citation=str(data["citation"]),
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "line": self.line,
-            "preconditions": sorted(self.preconditions),
-            "citation": self.citation,
-        }
 
 
 @dataclass(frozen=True)
@@ -230,7 +201,7 @@ def fork_certificate(complex_: PlanarComplex) -> ForkVertex | None:
         incident[p].append(line)
         incident[q].append(line)
     for node in sorted(dual.nodes):
-        if dual.degree(node) < 3:
+        if len(incident[node]) < 3:
             continue
         neigh = sorted(adj[node])
         if _touches_cycle(node, neigh, adj):

@@ -1,6 +1,9 @@
+from collections import Counter
+
 import pytest
 
 from degen.catalog import load_all
+from degen.complexes import PlanarComplex
 
 
 @pytest.fixture(scope="session")
@@ -11,3 +14,17 @@ def records():
 @pytest.fixture(scope="session")
 def by_name(records):
     return {rec.name: rec for rec in records}
+
+
+@pytest.fixture
+def fan_gap_calls(monkeypatch):
+    """Count `PlanarComplex._fan_gaps` calls per vertex while a test runs."""
+    calls: Counter = Counter()
+    original = PlanarComplex._fan_gaps
+
+    def counted(self, v):
+        calls[v] += 1
+        return original(self, v)
+
+    monkeypatch.setattr(PlanarComplex, "_fan_gaps", counted)
+    return calls

@@ -103,6 +103,25 @@ def test_analyze_accepts_complex_file(capsys, tmp_path):
     assert "expected_pi1" not in data or data["expected_pi1"] is None
 
 
+def test_analyze_case_classifies_each_vertex_once(capsys, fan_gap_calls):
+    vertices = degen.catalog.load_case("U_{0,6,1}").complex.vertices
+    rc, _, _ = run(capsys, "analyze", "U_{0,6,1}", "--format", "json")
+    assert rc == 0
+    assert fan_gap_calls == {v: 1 for v in vertices}
+
+
+def test_analyze_file_validates_and_classifies_each_vertex_once(
+    capsys, tmp_path, fan_gap_calls
+):
+    case = json.loads((DATA_DIR / "cases" / "u-0-6-1.json").read_text())
+    target = tmp_path / "standalone.json"
+    target.write_text(json.dumps(case["complex"]))
+    rc, _, _ = run(capsys, "analyze", str(target), "--format", "json")
+    assert rc == 0
+    assert set(fan_gap_calls) == {v for v, _ in case["complex"]["vertices"]}
+    assert max(fan_gap_calls.values()) <= 2
+
+
 def test_analyze_missing_file_fails_cleanly(capsys, tmp_path):
     rc, _, err = run(capsys, "analyze", str(tmp_path / "absent.json"))
     assert rc == 1

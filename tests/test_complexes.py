@@ -4,7 +4,8 @@ from itertools import combinations
 
 import pytest
 
-from degen.complexes import ComplexError, PlanarComplex, tangent_line_pairs
+from degen.complexes import ComplexError, PlanarComplex
+from degen.relations import tangent_pairs
 
 
 def square_strip():
@@ -60,6 +61,23 @@ def test_overlapping_triangles_are_rejected():
     assert not pc.validate().ok
 
 
+@pytest.mark.parametrize("tri", [(1, 2), (1, 2, 3, 4)])
+def test_plane_without_three_vertices_is_named(tri):
+    pc = PlanarComplex(
+        vertices={1: (0, 0), 2: (1, 0), 3: (1, 1), 4: (0, 1)},
+        triangles={1: tri},
+        line_numbering={},
+    )
+    assert pc.validate().errors == (f"plane 1 has {len(tri)} vertices, expected 3",)
+
+
+def test_classification_is_computed_once(by_name, fan_gap_calls):
+    pc = PlanarComplex.from_json(by_name["U_{0,6,1}"].complex.to_json())
+    points = pc.classify_vertices()
+    assert pc.classify_vertices() is points
+    assert fan_gap_calls == {v: 1 for v in pc.vertices}
+
+
 def test_handshake_sum_of_multiplicities(records):
     for rec in records:
         pts = rec.complex.classify_vertices()
@@ -72,7 +90,7 @@ def test_line_pair_partition(records):
         pc = rec.complex
         lines = sorted(pc.interior_lines())
         every = {frozenset(p) for p in combinations(lines, 2)}
-        tangent = {frozenset(p) for p in tangent_line_pairs(pc.classify_vertices())}
+        tangent = {frozenset(p) for p in tangent_pairs(pc.classify_vertices())}
         disjoint = {frozenset(p) for p in pc.disjoint_line_pairs()}
         assert tangent <= every and disjoint <= every
         assert not tangent & disjoint

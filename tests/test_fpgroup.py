@@ -7,9 +7,9 @@ from degen.fpgroup import (
     Completed,
     EnumerationError,
     Overflow,
+    first_broken_relator,
     kernel_abelianization,
     line_transpositions,
-    relators_hold,
     smith_normal_form,
     todd_coxeter,
     transposition_images,
@@ -233,8 +233,8 @@ def test_word_permutation_applies_left_to_right():
 
 def test_relators_hold_detects_violation():
     pres = Presentation((1,), (word(1, 1),), ("involution",))
-    assert relators_hold(pres, {1: (2, 1, 3)}, degree=3)
-    assert not relators_hold(pres, {1: (2, 3, 1)}, degree=3)
+    assert first_broken_relator(pres, {1: (2, 1, 3)}, degree=3) is None
+    assert first_broken_relator(pres, {1: (2, 3, 1)}, degree=3) == 0
 
 
 def test_line_images_are_transpositions(by_name):

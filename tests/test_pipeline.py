@@ -1,5 +1,6 @@
 import pytest
 
+from degen.catalog import CaseHint
 from degen.enumerator import embed, enumerate_maps
 from degen.fpgroup import (
     Completed,
@@ -10,7 +11,6 @@ from degen.fpgroup import (
     transposition_images,
 )
 from degen.pipeline import (
-    CaseHint,
     PipelineError,
     Verdict,
     decide,

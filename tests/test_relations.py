@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from degen.fpgroup import (
+    first_broken_relator,
     line_transpositions,
-    relators_hold,
     transposition_images,
 )
 from degen.relations import (
@@ -78,7 +78,7 @@ def test_all_relators_die_in_symmetric_group(records):
             inner6_relators=rec.extra_inner_relators or None,
         )
         images = transposition_images(line_transpositions(pc), degree=6)
-        assert relators_hold(pres, images, degree=6), rec.name
+        assert first_broken_relator(pres, images, degree=6) is None, rec.name
 
 
 def test_inner_six_point_needs_catalogue_relators(by_name):
