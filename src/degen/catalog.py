@@ -167,6 +167,8 @@ class Catalog:
             raise CatalogError(
                 f"unsupported manifest format {manifest.get('format')!r}"
             )
+        if not isinstance(manifest.get("cases"), list):
+            raise CatalogError(f"manifest {manifest_path} has no list of cases")
         self.entries: list[dict] = list(manifest["cases"])
         self._by_key: dict[str, dict] = {}
         for entry in self.entries:
@@ -191,7 +193,12 @@ class Catalog:
                 raise CatalogError(
                     f"checksum mismatch for {entry['name']} ({path.name})"
                 )
-        record = CaseRecord.from_json(json.loads(blob.decode("utf-8")))
+        try:
+            record = CaseRecord.from_json(json.loads(blob.decode("utf-8")))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CatalogError(
+                f"malformed case {entry['name']} ({path.name}): {exc!r}"
+            ) from exc
         for alias in record.aliases:
             self._register(alias, entry)
         return record

@@ -7,7 +7,9 @@ boundary corner with a triangle on two adjacent boundary edges (the corner
 vertex becomes interior).  Isomorphs are pruned with a canonical form over
 rooted rotation-system codes, minimized across boundary root darts and
 reflection, so mirror images count once, matching the published total of
-29 for six triangles.
+29 for six triangles.  The outer face is traced once per map, from the
+open vertex fans, and stored as its boundary walk; the mirror image's outer
+face is that walk reversed, so canonical forms trace no face orbits.
 
 Generated maps are purely combinatorial; `embed` synthesizes exact rational
 coordinates (boundary on a circle, interior vertices at neighbor averages)
@@ -70,8 +72,12 @@ class CombinatorialMap:
             if len(t) != 3:
                 raise EnumeratorError(f"not a triangle: {sorted(t)}")
         oriented = _orient(tris)
-        rot = _rotations_from_oriented(oriented)
-        boundary = _boundary_walk(rot, {tuple(sorted(t)) for t in tris})
+        rot, open_fans = _rotations_from_oriented(oriented)
+        if len(oriented) == 1:
+            # a lone triangle's walk runs either way round; keep its orientation
+            boundary = oriented[0]
+        else:
+            boundary = _boundary_walk(rot, open_fans)
         return cls(
             rotations=tuple(sorted((v, tuple(ring)) for v, ring in rot.items())),
             boundary=boundary,
@@ -128,8 +134,11 @@ def _edges_of(t: Triangle) -> list[frozenset]:
 
 def _rotations_from_oriented(
     oriented: Sequence[tuple[int, int, int]]
-) -> dict[int, list[int]]:
-    """Chain each vertex's triangle wedges into one fan, closed cyclically."""
+) -> tuple[dict[int, list[int]], set[int]]:
+    """Chain each vertex's triangle wedges into one fan, closed cyclically.
+
+    Also returns the vertices whose fan is open: the boundary vertices.
+    """
     succ: dict[int, dict[int, int]] = {}
     for a, b, c in oriented:
         for v, x, y in ((a, b, c), (b, c, a), (c, a, b)):
@@ -138,6 +147,7 @@ def _rotations_from_oriented(
                 raise EnumeratorError(f"pinched vertex {v}")
             wedges[x] = y
     rot: dict[int, list[int]] = {}
+    open_fans: set[int] = set()
     for v, wedges in succ.items():
         targets = set(wedges.values())
         starts = [x for x in wedges if x not in targets]
@@ -145,6 +155,7 @@ def _rotations_from_oriented(
             start = next(iter(wedges))
         elif len(starts) == 1:
             start = starts[0]
+            open_fans.add(v)
         else:
             raise EnumeratorError(f"pinched vertex {v}")
         ring = [start]
@@ -158,50 +169,30 @@ def _rotations_from_oriented(
         if len(ring) != expected:
             raise EnumeratorError(f"pinched vertex {v}")
         rot[v] = ring
-    return rot
-
-
-def _face_orbits(rot: Mapping[int, Sequence[int]]) -> list[list[tuple[int, int]]]:
-    index = {
-        (v, w): k for v, ring in rot.items() for k, w in enumerate(ring)
-    }
-    seen: set[tuple[int, int]] = set()
-    orbits = []
-    for start in sorted(index):
-        if start in seen:
-            continue
-        orbit = []
-        dart = start
-        while dart not in seen:
-            seen.add(dart)
-            orbit.append(dart)
-            u, v = dart
-            ring = rot[v]
-            dart = (v, ring[(index[(v, u)] - 1) % len(ring)])
-        orbits.append(orbit)
-    return orbits
+    return rot, open_fans
 
 
 def _boundary_walk(
-    rot: Mapping[int, Sequence[int]], triangles: set[tuple[int, int, int]]
+    rot: Mapping[int, Sequence[int]], open_fans: set[int]
 ) -> tuple[int, ...]:
-    outer = _outer_orbits(rot, triangles)
-    if len(outer) == 1 or (len(triangles) == 1 and len(outer) == 2):
-        # a lone triangle has two mirror-equivalent walks; either will do
-        return tuple(u for u, _v in outer[0])
-    raise EnumeratorError(f"expected one outer face, found {len(outer)}")
+    """Trace the outer face from the smallest boundary vertex.
 
-
-def _outer_orbits(
-    rot: Mapping[int, Sequence[int]], triangles: set[tuple[int, int, int]]
-) -> list[list[tuple[int, int]]]:
-    orbits = _face_orbits(rot)
-    outer = []
-    for orbit in orbits:
-        support = tuple(sorted({u for u, _ in orbit}))
-        if len(orbit) != 3 or support not in triangles:
-            outer.append(orbit)
-    return outer if outer else orbits
+    Each vertex with an open fan steps to the last neighbour of its fan.
+    """
+    if not open_fans:
+        raise EnumeratorError("no boundary: the triangles close up into a surface")
+    start = min(open_fans)
+    walk = [start]
+    v = rot[start][-1]
+    while v != start and len(walk) < len(open_fans):
+        walk.append(v)
+        v = rot[v][-1]
+    if v != start or len(walk) != len(open_fans):
+        raise EnumeratorError(
+            f"expected one boundary cycle; the walk from {start} closes"
+            f" after {len(walk)} of {len(open_fans)} boundary vertices"
+        )
+    return tuple(walk)
 
 
 # ----------------------------------------------------------------------
@@ -238,19 +229,18 @@ def canonical_form(map_: CombinatorialMap) -> tuple[int, ...]:
     """Minimum rooted code over boundary root darts and both reflections.
 
     Roots range over darts of the outer face only, which pins the outer face
-    of both maps being compared; reflection is covered by re-encoding the
-    mirror image (all rotations reversed).
+    of both maps being compared.  The outer face is traced once per map, as
+    `map_.boundary`; reflection is covered by re-encoding the mirror image
+    (all rotations reversed), whose outer face is the same walk reversed.
     """
-    tris = set(map_.triangles)
-    best = None
-    for rot in (map_.rotation_dict, _mirror(map_.rotation_dict)):
-        for orbit in _outer_orbits(rot, tris):
-            for dart in orbit:
-                code = _rooted_code(rot, dart)
-                if best is None or code < best:
-                    best = code
-    assert best is not None
-    return best
+    rot = map_.rotation_dict
+    mirror = _mirror(rot)
+    b = map_.boundary
+    darts = list(zip(b, b[1:] + b[:1]))
+    return min(
+        [_rooted_code(rot, (u, v)) for u, v in darts]
+        + [_rooted_code(mirror, (v, u)) for u, v in darts]
+    )
 
 
 def _mirror(rot: Mapping[int, Sequence[int]]) -> dict[int, tuple[int, ...]]:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 from pathlib import Path
@@ -12,6 +13,7 @@ from degen.catalog import (
     open_catalog,
     verify_catalog,
 )
+from degen.cli import main
 
 DATA_DIR = Path(degen.catalog.__file__).parent / "data"
 
@@ -69,6 +71,56 @@ def test_tampered_case_file_fails_checksum(catalog_copy):
     report = verify_catalog(catalog_dir=catalog_copy)
     assert len(report.problems) == 1
     assert "U_{0,4}" in report.problems[0]
+
+
+def rewrite_u04(catalog_dir, blob):
+    """Replace u-0-4.json with `blob` and re-hash it in the manifest."""
+    victim = catalog_dir / "cases" / "u-0-4.json"
+    victim.write_bytes(blob)
+    manifest_path = catalog_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    for entry in manifest["cases"]:
+        if entry["file"].endswith("u-0-4.json"):
+            entry["sha256"] = hashlib.sha256(blob).hexdigest()
+    manifest_path.write_text(json.dumps(manifest, ensure_ascii=False))
+
+
+def drop_expected_key(catalog_dir, key):
+    data = json.loads((catalog_dir / "cases" / "u-0-4.json").read_text())
+    del data["expected"][key]
+    rewrite_u04(catalog_dir, json.dumps(data, ensure_ascii=False).encode())
+
+
+def test_case_missing_a_key_is_a_named_error(catalog_copy, monkeypatch, capsys):
+    drop_expected_key(catalog_copy, "rho")
+    monkeypatch.setenv("DEGEN_CATALOG_DIR", str(catalog_copy))
+    assert main(["analyze", "U_{0,4}"]) == 1
+    err_lines = capsys.readouterr().err.splitlines()
+    assert len(err_lines) == 1
+    assert err_lines[0].startswith("degen: error:")
+    assert "u-0-4.json" in err_lines[0]
+
+
+def test_verify_names_the_case_missing_a_key(catalog_copy):
+    drop_expected_key(catalog_copy, "rho")
+    report = verify_catalog(catalog_dir=catalog_copy)
+    assert len(report.problems) == 1
+    assert report.problems[0].startswith("U_{0,4}:")
+
+
+def test_undecodable_case_file_is_a_named_error(catalog_copy):
+    rewrite_u04(catalog_copy, b"\xff not utf-8")
+    with pytest.raises(CatalogError, match=r"u-0-4\.json"):
+        load_case("U_{0,4}", catalog_dir=catalog_copy)
+
+
+def test_manifest_without_cases_is_a_catalog_error(catalog_copy):
+    manifest_path = catalog_copy / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    del manifest["cases"]
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(CatalogError, match="no list of cases"):
+        open_catalog(catalog_copy)
 
 
 def test_removed_manifest_entry_shrinks_catalog(catalog_copy):

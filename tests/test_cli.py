@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from degen.cli import main
 from degen.complexes import PlanarComplex
 
 DATA_DIR = Path(degen.catalog.__file__).parent / "data"
+SRC = Path(degen.catalog.__file__).parents[1]
 
 
 def run(capsys, *argv):
@@ -204,6 +206,7 @@ def test_module_entry_point():
         [sys.executable, "-m", "degen", "list", "--format", "json"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
     )
     assert proc.returncode == 0
     assert len(json.loads(proc.stdout)) == 29

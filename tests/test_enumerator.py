@@ -5,7 +5,9 @@ keeps the ones the map builder accepts, so any class the breadth-first grower
 could silently orphan would show up as a count mismatch here.
 """
 
-from itertools import combinations
+import hashlib
+from collections import Counter
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +25,11 @@ from degen.enumerator import (
 )
 
 MIRROR_PAIR = ("U_{0,5,1}", "U_{0,5,3}")
+
+# First 16 hex digits of the SHA-256 of every class's canonical form, and of
+# every class's embedding, in enumeration order.
+GOLDEN_FORMS = {6: "19133f7f85a46eab", 7: "f545c4de63b8eb31", 8: "b32ce4defc7013fd"}
+GOLDEN_EMBEDS = {6: "6d158afb46af2802", 7: "87835bdc2c2c39ee"}
 
 
 def exhaustive_forms(num_triangles):
@@ -180,3 +187,57 @@ def test_builder_rejects_disconnected_triangles():
 def test_builder_rejects_pinched_vertex():
     with pytest.raises(EnumeratorError):
         CombinatorialMap.from_triangles([(1, 2, 3), (1, 4, 5)])
+
+
+def digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("num_triangles", sorted(GOLDEN_FORMS))
+def test_canonical_forms_match_golden_digest(num_triangles):
+    forms = "\n".join(
+        ",".join(map(str, canonical_form(m))) for m in enumerate_maps(num_triangles)
+    )
+    assert digest(forms) == GOLDEN_FORMS[num_triangles]
+
+
+@pytest.mark.parametrize("num_triangles", sorted(GOLDEN_EMBEDS))
+def test_embeddings_match_golden_digest(num_triangles):
+    dumps = "".join(embed(m).dumps() for m in enumerate_maps(num_triangles))
+    assert digest(dumps) == GOLDEN_EMBEDS[num_triangles]
+
+
+def assert_boundary_is_the_outer_cycle(map_):
+    edge_count = Counter(
+        frozenset(e) for tri in map_.triangles for e in combinations(tri, 2)
+    )
+    walk = map_.boundary
+    assert len(set(walk)) == len(walk)
+    walk_edges = [frozenset(e) for e in zip(walk, walk[1:] + walk[:1])]
+    assert len(set(walk_edges)) == len(walk_edges)
+    assert set(walk_edges) == {e for e, n in edge_count.items() if n == 1}
+
+
+def test_boundary_walks_the_edges_of_one_triangle():
+    for num_triangles in range(1, 8):
+        for map_ in enumerate_maps(num_triangles):
+            assert_boundary_is_the_outer_cycle(map_)
+
+
+def test_catalog_boundaries_walk_the_edges_of_one_triangle(records):
+    for rec in records:
+        assert_boundary_is_the_outer_cycle(CombinatorialMap.from_complex(rec.complex))
+
+
+def test_builder_rejects_closed_surface():
+    with pytest.raises(EnumeratorError, match="no boundary"):
+        CombinatorialMap.from_triangles([(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)])
+
+
+def test_builder_rejects_annulus():
+    # the octahedron on +-x = 1/2, +-y = 3/4, +-z = 5/6 without two opposite faces
+    octahedron = product((1, 2), (3, 4), (5, 6))
+    annulus = [t for t in octahedron if t not in {(1, 3, 5), (2, 4, 6)}]
+    assert len(annulus) == 6
+    with pytest.raises(EnumeratorError, match="one boundary cycle"):
+        CombinatorialMap.from_triangles(annulus)

@@ -10,12 +10,16 @@ from degen.relations import (
     Presentation,
     UnsupportedCaseError,
     commutator_relator,
+    fork_triples,
     free_reduce,
+    inner_point_relators,
     inverse,
     involution_relator,
     presentation_json,
     presentation_text,
     reduced_presentation,
+    tangent_pairs,
+    transversal_pairs,
     triple_relator,
     word,
     word_from_json,
@@ -68,6 +72,52 @@ def test_presentation_counts_match_catalog(records):
         if exp.commutators is not None:
             assert counts.get("commutator", 0) == len(exp.commutators), rec.name
             assert set(exp.parasitic) <= set(exp.commutators), rec.name
+
+
+def test_printed_relations_match_computed_ones(records):
+    """The stored triples, commutators, inner relations and forks, as sets.
+
+    An inner relation ``lhs = rhs`` is read as ``lhs rhs^-1``; the printed
+    k=3 relations are the inverses of the computed relators, the k=4 and k=5
+    ones are the computed relators as written.
+    """
+    assert len(records) == 29
+    for rec in records:
+        exp = rec.expected
+        points = rec.complex.classify_vertices()
+        tangent = tangent_pairs(points)
+        if exp.triples is not None:
+            assert set(exp.triples) == set(tangent), rec.name
+        if exp.commutators is not None:
+            commuting = set(transversal_pairs(points)) | set(
+                rec.complex.disjoint_line_pairs()
+            )
+            assert set(exp.commutators) == commuting, rec.name
+        if exp.inner_relators is not None:
+            multiplicity = {p.vertex: p.multiplicity for p in points}
+            computed = inner_point_relators(points)
+            printed = [
+                free_reduce(word(*lhs) + inverse(word(*rhs)))
+                for lhs, rhs in exp.inner_relators
+            ]
+            assert len(printed) == len(computed), rec.name
+            assert set(printed) == {
+                inverse(rel) if multiplicity[v] == 3 else rel for rel, v in computed
+            }, rec.name
+        if exp.forks is not None:
+            forks = set(fork_triples(tangent, points))
+            if exp.forks_complete:
+                assert set(exp.forks) == forks, rec.name
+            else:
+                assert set(exp.forks) <= forks, rec.name
+
+
+def test_u33_prints_one_of_its_two_forks(by_name):
+    rec = by_name["U_{3,3}"]
+    points = rec.complex.classify_vertices()
+    assert not rec.expected.forks_complete
+    assert len(rec.expected.forks) == 1
+    assert len(fork_triples(tangent_pairs(points), points)) == 2
 
 
 def test_all_relators_die_in_symmetric_group(records):
