@@ -171,7 +171,13 @@ class Catalog:
             raise CatalogError(f"manifest {manifest_path} has no list of cases")
         self.entries: list[dict] = list(manifest["cases"])
         self._by_key: dict[str, dict] = {}
-        for entry in self.entries:
+        for pos, entry in enumerate(self.entries):
+            where = f"manifest {manifest_path}: cases[{pos}]"
+            if not isinstance(entry, dict):
+                raise CatalogError(f"{where} is not an object")
+            for key in ("name", "file", "sha256"):
+                if not isinstance(entry.get(key), str):
+                    raise CatalogError(f"{where} has no string {key!r}")
             self._register(entry["name"], entry)
 
     def _register(self, label: str, entry: dict) -> None:

@@ -59,10 +59,6 @@ class CombinatorialMap:
     def rotation_dict(self) -> dict[int, tuple[int, ...]]:
         return dict(self.rotations)
 
-    @property
-    def num_triangles(self) -> int:
-        return len(self.triangles)
-
     @classmethod
     def from_triangles(cls, triangles: Iterable[Iterable[int]]) -> "CombinatorialMap":
         tris = [frozenset(t) for t in triangles]

@@ -18,7 +18,7 @@ The verdict combines three ingredients, applied strictly in this order:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 from .catalog import CaseHint
@@ -34,6 +34,7 @@ from .fpgroup import (
     transposition_images,
 )
 from .relations import (
+    Presentation,
     UnsupportedCaseError,
     Word,
     inner_point_relators,
@@ -234,7 +235,11 @@ def _touches_cycle(node: int, neigh: Sequence[int], adj: dict[int, set[int]]) ->
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of the pipeline together with everything needed to audit it."""
+    """Outcome of the pipeline together with everything needed to audit it.
+
+    `presentation` is the presentation that was enumerated, if any; it takes
+    no part in equality and is left out of `to_json`.
+    """
 
     outcome: str
     reason: str
@@ -242,6 +247,7 @@ class Verdict:
     certificate: ForkVertex | CosetOrder | None
     equalities: EqualityFacts
     enumeration: EnumerationStats | None = None
+    presentation: Presentation | None = field(default=None, compare=False)
 
     def to_json(self) -> dict:
         out = {
@@ -349,9 +355,7 @@ def decide(
             equalities=facts,
         )
 
-    pres = reduced_presentation(
-        complex_, include_forks=True, inner6_relators=extra
-    )
+    pres = reduced_presentation(complex_, inner6_relators=extra)
     n = len(complex_.triangles)
     images = transposition_images(line_transpositions(complex_), n)
     broken = first_broken_relator(pres, images, n)
@@ -368,6 +372,7 @@ def decide(
         )
     outcome = todd_coxeter(pres, max_cosets=max_cosets)
     expected = math.factorial(n)
-    return enumeration_verdict(
+    verdict = enumeration_verdict(
         outcome, expected, engine_mode=engine_mode, equalities=facts
     )
+    return replace(verdict, presentation=pres)

@@ -9,10 +9,10 @@ parasitically after regeneration.  The induced relators are:
 * ``g_i g_i`` for every line (involution),
 * the braid relation ``g_i g_j g_i g_j^-1 g_i^-1 g_j^-1`` for tangent pairs,
 * the commutator ``[g_i, g_j]`` for transversal and parasitic pairs,
-* one equation per inner k-point tying the two "ends" of its closed fan,
-* optionally, fork relators ``[g_i, g_j g_k g_j]`` for pairwise tangent
-  triples not through a single vertex; these are consequences of the above
-  and only accelerate coset enumeration.
+* one equation per inner k-point tying the two "ends" of its closed fan.
+
+Fork triples are kept only to check the catalog's printed forks; the
+enumerated presentation has no fork relators.
 
 The projective relation is omitted throughout: under the plane
 identification and the involutions it freely reduces to the identity.
@@ -66,12 +66,6 @@ def triple_relator(i: int, j: int) -> Word:
 def commutator_relator(i: int, j: int) -> Word:
     i, j = sorted((i, j))
     return word(i, j, -i, -j)
-
-
-def fork_relator(i: int, j: int, k: int) -> Word:
-    """``[g_i, g_j g_k g_j]`` for a pairwise tangent, non-concurrent triple."""
-    i, j, k = sorted((i, j, k))
-    return word(i, j, k, j, -i, -j, -k, -j)
 
 
 def tangent_pairs(points: Iterable[SingularPoint]) -> tuple[tuple[int, int], ...]:
@@ -169,13 +163,6 @@ def _triples_within(ls: Sequence[int]) -> list[tuple[int, int, int]]:
     ]
 
 
-def fork_relators(
-    tangent: Iterable[tuple[int, int]],
-    points: Iterable[SingularPoint],
-) -> tuple[Word, ...]:
-    return tuple(fork_relator(*t) for t in fork_triples(tangent, points))
-
-
 @dataclass(frozen=True)
 class Presentation:
     """A finite presentation with one annotation tag per relator."""
@@ -198,7 +185,6 @@ class Presentation:
 def reduced_presentation(
     complex_: PlanarComplex,
     *,
-    include_forks: bool = False,
     inner6_relators: Sequence[Word] | None = None,
 ) -> Presentation:
     """The presentation of the plane-identified quotient of the monodromy group.
@@ -225,10 +211,6 @@ def reduced_presentation(
     for rel, _vertex in inner_point_relators(points, extra=inner6_relators):
         relators.append(rel)
         tags.append("inner-point")
-    if include_forks:
-        for rel in fork_relators(tangent_pairs(points), points):
-            relators.append(rel)
-            tags.append("fork")
     return Presentation(generators, tuple(relators), tuple(tags))
 
 

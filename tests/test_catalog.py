@@ -123,6 +123,36 @@ def test_manifest_without_cases_is_a_catalog_error(catalog_copy):
         open_catalog(catalog_copy)
 
 
+@pytest.mark.parametrize(
+    "key, message",
+    [
+        ("name", "has no string 'name'"),
+        ("file", "has no string 'file'"),
+        ("sha256", "has no string 'sha256'"),
+        (None, "is not an object"),
+    ],
+    ids=["name", "file", "sha256", "not-an-object"],
+)
+def test_malformed_manifest_entry_is_a_catalog_error(
+    catalog_copy, monkeypatch, capsys, key, message
+):
+    manifest_path = catalog_copy / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    entry = manifest["cases"][3]
+    manifest["cases"][3] = (
+        entry["name"] if key is None else {k: v for k, v in entry.items() if k != key}
+    )
+    manifest_path.write_text(json.dumps(manifest, ensure_ascii=False))
+    with pytest.raises(CatalogError) as info:
+        open_catalog(catalog_copy)
+    assert str(info.value) == f"manifest {manifest_path}: cases[3] {message}"
+    monkeypatch.setenv("DEGEN_CATALOG_DIR", str(catalog_copy))
+    assert main(["list"]) == 1
+    err_lines = capsys.readouterr().err.splitlines()
+    assert len(err_lines) == 1
+    assert err_lines[0].startswith("degen: error:")
+
+
 def test_removed_manifest_entry_shrinks_catalog(catalog_copy):
     manifest_path = catalog_copy / "manifest.json"
     manifest = json.loads(manifest_path.read_text())

@@ -8,6 +8,9 @@ from pathlib import Path
 import pytest
 
 import degen.catalog
+import degen.cli
+import degen.pipeline
+import degen.relations
 from degen.cli import main
 from degen.complexes import PlanarComplex
 
@@ -122,6 +125,22 @@ def test_analyze_file_validates_and_classifies_each_vertex_once(
     assert rc == 0
     assert set(fan_gap_calls) == {v for v, _ in case["complex"]["vertices"]}
     assert max(fan_gap_calls.values()) <= 2
+
+
+def test_analyze_all_builds_one_presentation_per_case(capsys, monkeypatch):
+    built = []
+    original = degen.relations.reduced_presentation
+
+    def counted(complex_, **kwargs):
+        built.append(complex_)
+        return original(complex_, **kwargs)
+
+    for module in (degen.pipeline, degen.cli):
+        monkeypatch.setattr(module, "reduced_presentation", counted)
+    rc, out, _ = run(capsys, "analyze", "--all", "--format", "json")
+    assert rc == 0
+    assert len(json.loads(out)) == 29
+    assert len(built) == 29
 
 
 def test_analyze_missing_file_fails_cleanly(capsys, tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from degen.catalog import CaseHint
@@ -193,7 +195,6 @@ def test_enumerated_orders_match_kernel_index(records):
     for rec, verdict in enumerated[:5]:
         pres = reduced_presentation(
             rec.complex,
-            include_forks=True,
             inner6_relators=rec.extra_inner_relators or None,
         )
         images = transposition_images(line_transpositions(rec.complex), degree=6)
@@ -202,6 +203,22 @@ def test_enumerated_orders_match_kernel_index(records):
         assert verdict.enumeration.live_cosets == ka.index, rec.name
         if ka.is_trivial:
             assert verdict.outcome == "trivial", rec.name
+
+
+def test_verdict_carries_the_enumerated_presentation(records):
+    enumerated = 0
+    for rec in records:
+        verdict = decide(rec)
+        if verdict.enumeration is None:
+            assert verdict.presentation is None, rec.name
+            continue
+        enumerated += 1
+        assert verdict.presentation == reduced_presentation(
+            rec.complex, inner6_relators=rec.extra_inner_relators or None
+        ), rec.name
+        assert replace(verdict, presentation=None) == verdict, rec.name
+        assert "presentation" not in verdict.to_json(), rec.name
+    assert enumerated == 20
 
 
 @pytest.mark.parametrize("triangles", [6, 7])

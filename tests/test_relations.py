@@ -124,8 +124,7 @@ def test_all_relators_die_in_symmetric_group(records):
     for rec in records:
         pc = rec.complex
         pres = reduced_presentation(
-            pc, include_forks=True,
-            inner6_relators=rec.extra_inner_relators or None,
+            pc, inner6_relators=rec.extra_inner_relators or None,
         )
         images = transposition_images(line_transpositions(pc), degree=6)
         assert first_broken_relator(pres, images, degree=6) is None, rec.name
@@ -145,7 +144,7 @@ def test_presentation_text_format(by_name):
 
 
 def test_presentation_json_round_trip(by_name):
-    pres = reduced_presentation(by_name["U_{0,5,1}"].complex, include_forks=True)
+    pres = reduced_presentation(by_name["U_{0,5,1}"].complex)
     data = presentation_json(pres)
     assert data["format"] == "degen-presentation/1"
     back = Presentation(
@@ -158,15 +157,3 @@ def test_presentation_json_round_trip(by_name):
 
 def test_word_text_uses_caret_inverses():
     assert word_text(word(1, -2, 3)) == "g1 g2^-1 g3"
-
-
-def test_fork_inclusion_only_appends(records):
-    for rec in records:
-        extra = rec.extra_inner_relators or None
-        plain = reduced_presentation(rec.complex, inner6_relators=extra)
-        forked = reduced_presentation(
-            rec.complex, include_forks=True, inner6_relators=extra
-        )
-        assert forked.relators[: len(plain.relators)] == plain.relators
-        n_forks = len(forked.relators) - len(plain.relators)
-        assert n_forks == forked.counts().get("fork", 0)
