@@ -162,7 +162,12 @@ class Catalog:
         manifest_path = self.root / "manifest.json"
         if not manifest_path.is_file():
             raise CatalogError(f"no manifest.json under {self.root}")
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        try:
+            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+            raise CatalogError(f"manifest {manifest_path} is not UTF-8 JSON: {exc}") from exc
+        if not isinstance(manifest, dict):
+            raise CatalogError(f"manifest {manifest_path} is not a JSON object")
         if manifest.get("format") != MANIFEST_FORMAT:
             raise CatalogError(
                 f"unsupported manifest format {manifest.get('format')!r}"

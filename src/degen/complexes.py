@@ -10,6 +10,12 @@ each is an inner point (closed fan of triangles) or an outer point (open fan).
 The interchange JSON format ``degen-complex/1`` stores vertices as
 ``[id, [px, py, qx, qy]]`` with coordinates ``(px/qx, py/qy)``, triangles as
 ``[plane, [v1, v2, v3]]``, and lines as ``[index, [v1, v2]]``.
+
+The geometric checks run on an integer lattice: every coordinate times the
+lcm of all coordinate denominators.  Scaling by a positive constant keeps
+every orientation sign, coordinate equality and counterclockwise order, so
+the results are those of the rational coordinates, without normalising a
+``Fraction`` at every step.
 """
 
 from __future__ import annotations
@@ -18,9 +24,10 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Mapping
 
-from .geometry import Point, ccw_direction_key, orient, point_in_triangle, segments_conflict
+from .geometry import Point, ccw_direction_key, orient, segments_conflict
 
 FORMAT = "degen-complex/1"
 
@@ -113,8 +120,8 @@ class PlanarComplex:
     """An immutable planar triangle complex with numbered interior edges.
 
     Derived incidence (the edge-to-planes map, the neighbours of each vertex,
-    the triangle set and the vertex classification) is computed once per
-    instance, on first use.  So ``vertices``, ``triangles`` and
+    the triangle set, the integer lattice and the vertex classification) is
+    computed once per instance, on first use.  So ``vertices``, ``triangles`` and
     ``line_numbering`` must not be mutated after construction.
     """
 
@@ -150,6 +157,15 @@ class PlanarComplex:
         return self.edge_planes()
 
     @cached_property
+    def _lattice(self) -> dict[int, tuple[int, int]]:
+        """Each vertex's coordinates times the lcm of all denominators, as ints."""
+        scale = lcm(*(c.denominator for p in self.vertices.values() for c in p))
+        return {
+            v: (x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
+            for v, (x, y) in self.vertices.items()
+        }
+
+    @cached_property
     def _neighbours(self) -> dict[int, set[int]]:
         out: dict[int, set[int]] = {}
         for e in self._edge_planes:
@@ -181,8 +197,9 @@ class PlanarComplex:
     def _rotation(self, v: int) -> list[int]:
         """Neighbouring vertices of ``v`` sorted counterclockwise."""
         nbrs = sorted(self._neighbours.get(v, ()))
-        pv = self.vertices[v]
-        dirs = {w: (self.vertices[w][0] - pv[0], self.vertices[w][1] - pv[1]) for w in nbrs}
+        lat = self._lattice
+        pv = lat[v]
+        dirs = {w: (lat[w][0] - pv[0], lat[w][1] - pv[1]) for w in nbrs}
         key = ccw_direction_key(list(dirs.values()))
         return sorted(nbrs, key=lambda w: key(dirs[w]))
 
@@ -202,11 +219,27 @@ class PlanarComplex:
     # -- public queries ----------------------------------------------------------
 
     def validate(self) -> ValidationReport:
+        """Check that the complex is a straight-line triangulated disk.
+
+        ``errors`` name data that does not describe a complex; ``violations``
+        name a complex that is not a planar degeneration.  After the disk
+        checks (connected, one fan per vertex, at most two planes per edge,
+        Euler characteristic 1) and the certificate's own check that the
+        planes orient consistently around one boundary cycle, the complex is a
+        triangulated disk.  A piecewise-linear map of a disk whose planes all
+        keep one orientation sign, and whose boundary is a simple polygon of
+        that sign, has degree 1 on the polygon's interior, and so it is
+        injective (Floater, "One-to-one piecewise linear mappings over
+        triangulations", Math. Comp. 72, 2003).
+        """
         errors: list[str] = []
-        seen_pts: dict[Point, int] = {}
-        for v, p in sorted(self.vertices.items()):
+        lat = self._lattice
+        seen_pts: dict[tuple[int, int], int] = {}
+        for v, p in sorted(lat.items()):
             if p in seen_pts:
-                errors.append(f"vertices {seen_pts[p]} and {v} share coordinates {p}")
+                errors.append(
+                    f"vertices {seen_pts[p]} and {v} share coordinates {self.vertices[v]}"
+                )
             seen_pts[p] = v
         seen_tris: dict[frozenset[int], int] = {}
         for plane, tri in sorted(self.triangles.items()):
@@ -220,7 +253,7 @@ class PlanarComplex:
             if len(set(tri)) != 3:
                 errors.append(f"plane {plane} repeats a vertex: {tri}")
                 continue
-            if orient(*(self.vertices[v] for v in tri)) == 0:
+            if orient(*(lat[v] for v in tri)) == 0:
                 errors.append(f"plane {plane} is degenerate (collinear): {tri}")
             key = frozenset(tri)
             if key in seen_tris:
@@ -256,6 +289,13 @@ class PlanarComplex:
         if errors:
             return ValidationReport(tuple(errors), ())
 
+        violations = self._disk_violations()
+        if not violations:
+            violations = self._orientation_violations()
+        return ValidationReport((), tuple(violations))
+
+    def _disk_violations(self) -> list[str]:
+        """Connectivity, one fan per vertex and Euler characteristic 1."""
         violations: list[str] = []
         # Support connectivity via shared vertices.
         planes = sorted(self.triangles)
@@ -288,28 +328,75 @@ class PlanarComplex:
             if len(gaps) > 1:
                 violations.append(f"vertex {v} is pinched: triangles form {len(gaps)} fans")
 
-        euler = len(self.vertices) - len(ep) + len(self.triangles)
+        euler = len(self.vertices) - len(self._edge_planes) + len(self.triangles)
         if euler != 1:
             violations.append(f"Euler characteristic {euler} != 1 (support is not a disk)")
+        return violations
 
-        if not violations:
-            violations.extend(self._embedding_conflicts(ep))
-        return ValidationReport((), tuple(violations))
+    def _orientation_violations(self) -> list[str]:
+        """Certify the straight-line map of a connected complex as an embedding.
 
-    def _embedding_conflicts(self, ep: Mapping[frozenset[int], list[int]]) -> list[str]:
+        Orients the planes alike across shared edges, walks the boundary they
+        direct as one cycle, and requires every plane to wind with that cycle
+        and the cycle to be a simple polygon.  The cycle's signed area is the
+        sum of the planes', so once every plane winds with it, it winds with
+        every plane.
+        """
+        ep = self._edge_planes
+        lat = self._lattice
+        root = min(self.triangles)
+        oriented = {root: self.triangles[root]}
+        queue = [root]
+        for p in queue:  # breadth first: the queue grows while it is read
+            a, b, c = oriented[p]
+            for x, y in ((a, b), (b, c), (c, a)):
+                for q in ep[frozenset((x, y))]:
+                    t = oriented.get(q)
+                    if t is None:
+                        (z,) = set(self.triangles[q]) - {x, y}
+                        oriented[q] = (y, x, z)
+                        queue.append(q)
+                    elif q != p and (y, x) not in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
+                        return [
+                            f"planes {p} and {q} cannot be oriented alike across edge"
+                            f" {sorted((x, y))} (unorientable gluing)"
+                        ]
+
+        succ: dict[int, int] = {}
+        for a, b, c in oriented.values():
+            for x, y in ((a, b), (b, c), (c, a)):
+                if len(ep[frozenset((x, y))]) == 1:
+                    succ[x] = y
+        if not succ:
+            return ["no boundary: the planes close up into a surface"]
+        n_boundary = len(self.boundary_edges())
+        walk = [min(succ)]
+        while (nxt := succ.get(walk[-1])) not in (None, walk[0]) and len(walk) < n_boundary:
+            walk.append(nxt)
+        if nxt != walk[0] or len(walk) != n_boundary:
+            return [
+                f"boundary is not one cycle: the walk from vertex {walk[0]} covers"
+                f" {len(walk)} of {n_boundary} boundary edges"
+            ]
+
+        corners = [lat[v] for v in walk]
+        twice_area = sum(
+            p[0] * q[1] - p[1] * q[0] for p, q in zip(corners, corners[1:] + corners[:1])
+        )
+        winding = (twice_area > 0) - (twice_area < 0)
+        for p in sorted(oriented):
+            if orient(*(lat[v] for v in oriented[p])) != winding:
+                return [f"plane {p} is flipped: it winds against the boundary"]
+
+        edges = list(zip(walk, walk[1:] + walk[:1]))
         out: list[str] = []
-        edges = [tuple(sorted(e)) for e in ep]
-        for i, e in enumerate(edges):
-            a, b = (self.vertices[v] for v in e)
-            for f in edges[i + 1 :]:
-                c, d = (self.vertices[v] for v in f)
-                if segments_conflict(a, b, c, d):
-                    out.append(f"edges {e} and {f} overlap or cross")
-        for plane, tri in sorted(self.triangles.items()):
-            pts = [self.vertices[v] for v in tri]
-            for v, p in sorted(self.vertices.items()):
-                if v not in tri and point_in_triangle(p, *pts):
-                    out.append(f"vertex {v} lies inside plane {plane}")
+        for i, (a, b) in enumerate(edges):
+            for c, d in edges[i + 1 :]:
+                if segments_conflict(lat[a], lat[b], lat[c], lat[d]):
+                    out.append(
+                        f"boundary edges {tuple(sorted((a, b)))} and"
+                        f" {tuple(sorted((c, d)))} overlap or cross"
+                    )
         return out
 
     def classify_vertices(self) -> tuple[SingularPoint, ...]:

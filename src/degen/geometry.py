@@ -1,7 +1,7 @@
-"""Exact rational predicates for planar straight-line complexes.
+"""Exact predicates for planar straight-line complexes.
 
-All coordinates are ``fractions.Fraction`` pairs, so every predicate here is
-exact: no epsilon tuning, no orientation flips from rounding.  The only
+Every predicate here is exact on ``int`` or ``fractions.Fraction``
+coordinates: no epsilon tuning, no orientation flips from rounding.  The only
 operations needed upstream are orientation tests, segment intersection
 classification, and sorting directions counterclockwise around a vertex.
 """
@@ -54,18 +54,6 @@ def segments_conflict(a: Point, b: Point, c: Point, d: Point) -> bool:
     if o1 == o2 == o3 == o4 == 0 and len(shared) == 2 and {a, b} != {c, d}:
         return True
     return False
-
-
-def point_in_triangle(p: Point, a: Point, b: Point, c: Point) -> bool:
-    """True when ``p`` lies strictly inside triangle ``abc``."""
-    s = orient(a, b, c)
-    if s == 0:
-        return False
-    return (
-        orient(a, b, p) == s
-        and orient(b, c, p) == s
-        and orient(c, a, p) == s
-    )
 
 
 def _quadrant(d: Point) -> int:

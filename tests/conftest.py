@@ -2,6 +2,7 @@ from collections import Counter
 
 import pytest
 
+import degen.complexes
 from degen.catalog import load_all
 from degen.complexes import PlanarComplex
 
@@ -27,4 +28,18 @@ def fan_gap_calls(monkeypatch):
         return original(self, v)
 
     monkeypatch.setattr(PlanarComplex, "_fan_gaps", counted)
+    return calls
+
+
+@pytest.fixture
+def segment_calls(monkeypatch):
+    """Count calls to `segments_conflict` made through `degen.complexes`."""
+    calls = Counter()
+    original = degen.complexes.segments_conflict
+
+    def counted(*args):
+        calls["segments_conflict"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(degen.complexes, "segments_conflict", counted)
     return calls

@@ -153,6 +153,30 @@ def test_malformed_manifest_entry_is_a_catalog_error(
     assert err_lines[0].startswith("degen: error:")
 
 
+@pytest.mark.parametrize(
+    "blob, reason",
+    [
+        (b"[]", "is not a JSON object"),
+        (b"\xff", "is not UTF-8 JSON: "),
+        (b"{", "is not UTF-8 JSON: "),
+    ],
+    ids=["list", "not-utf8", "malformed"],
+)
+def test_manifest_that_is_not_a_json_object_is_a_catalog_error(
+    catalog_copy, monkeypatch, capsys, blob, reason
+):
+    manifest_path = catalog_copy / "manifest.json"
+    manifest_path.write_bytes(blob)
+    with pytest.raises(CatalogError) as info:
+        open_catalog(catalog_copy)
+    assert str(info.value).startswith(f"manifest {manifest_path} {reason}")
+    monkeypatch.setenv("DEGEN_CATALOG_DIR", str(catalog_copy))
+    assert main(["list"]) == 1
+    err_lines = capsys.readouterr().err.splitlines()
+    assert len(err_lines) == 1
+    assert err_lines[0].startswith("degen: error:")
+
+
 def test_removed_manifest_entry_shrinks_catalog(catalog_copy):
     manifest_path = catalog_copy / "manifest.json"
     manifest = json.loads(manifest_path.read_text())

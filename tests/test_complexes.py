@@ -1,11 +1,64 @@
 import json
+import math
+import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+import degen.complexes
+import degen.geometry
 from degen.complexes import ComplexError, PlanarComplex
+from degen.enumerator import embed, enumerate_maps
+from degen.geometry import orient, segments_conflict
 from degen.relations import tangent_pairs
+
+
+@pytest.fixture(scope="module")
+def disks():
+    """Embedded disks of 5, 6 and 7 triangles, keyed by triangle count."""
+    return {n: [embed(m) for m in enumerate_maps(n)] for n in (5, 6, 7)}
+
+
+def point_in_triangle(p, a, b, c):
+    """True when ``p`` lies strictly inside triangle ``abc``."""
+    s = orient(a, b, c)
+    return s != 0 and orient(a, b, p) == s and orient(b, c, p) == s and orient(c, a, p) == s
+
+
+def pairwise_conflicts(pc):
+    """Reference embedding check: every pair of edges, every vertex in every plane.
+
+    It runs on the coordinates scaled to integers, which keeps every sign.
+    """
+    scale = math.lcm(*(c.denominator for p in pc.vertices.values() for c in p))
+    pts = {v: (int(x * scale), int(y * scale)) for v, (x, y) in pc.vertices.items()}
+    edges = sorted(tuple(sorted(e)) for e in pc.edge_planes())
+    out = []
+    for i, (a, b) in enumerate(edges):
+        for c, d in edges[i + 1 :]:
+            if segments_conflict(pts[a], pts[b], pts[c], pts[d]):
+                out.append(f"edges {(a, b)} and {(c, d)} overlap or cross")
+    for plane, tri in sorted(pc.triangles.items()):
+        for v in sorted(pc.vertices):
+            if v not in tri and point_in_triangle(pts[v], *(pts[w] for w in tri)):
+                out.append(f"vertex {v} lies inside plane {plane}")
+    return out
+
+
+def with_vertex_at(pc, v, point):
+    return PlanarComplex({**pc.vertices, v: point}, pc.triangles, pc.line_numbering)
+
+
+def numbered(triangles):
+    """Planes 1..n and their interior edges numbered 1..L in sorted order."""
+    count = Counter(frozenset(e) for t in triangles for e in combinations(t, 2))
+    interior = sorted(tuple(sorted(e)) for e, k in count.items() if k == 2)
+    return (
+        {i + 1: t for i, t in enumerate(triangles)},
+        {i + 1: e for i, e in enumerate(interior)},
+    )
 
 
 def square_strip():
@@ -123,3 +176,120 @@ def test_edge_planes_two_for_interior_one_for_boundary(records):
 def test_from_json_rejects_unknown_format():
     with pytest.raises(ComplexError):
         PlanarComplex.from_json({"format": "degen-complex/99", "vertices": {}})
+
+
+def test_certificate_agrees_with_pairwise_oracle(disks, records):
+    base = [pc for n in (5, 6, 7) for pc in disks[n]] + [rec.complex for rec in records]
+    rng = random.Random(2003)
+    inputs = list(base)
+    for _ in range(2000):
+        pc = rng.choice(base)
+        v, w = rng.sample(sorted(pc.vertices), 2)
+        (x, y), (wx, wy) = pc.vertices[v], pc.vertices[w]
+        t = Fraction(rng.randint(1, 24), 8)
+        inputs.append(with_vertex_at(pc, v, (x + t * (wx - x), y + t * (wy - y))))
+    compared = rejected = 0
+    for pc in inputs:
+        report = pc.validate()
+        if report.errors or pc._disk_violations():
+            assert not report.ok
+            continue
+        conflicts = pairwise_conflicts(pc)
+        assert report.ok == (not conflicts), (report.violations, conflicts)
+        compared += 1
+        rejected += bool(conflicts)
+    # Most perturbations fail the disk checks first; of those that pass,
+    # 67 are rejected by both the certificate and the oracle.
+    assert (compared, rejected) == (603, 67)
+
+
+def test_interior_vertex_moved_across_its_plane_names_that_plane(disks):
+    named = 0
+    for pc in disks[7]:
+        on_boundary = {v for e in pc.boundary_edges() for v in e}
+        for v in sorted(set(pc.vertices) - on_boundary):
+            px, py = pc.vertices[v]
+            for plane, tri in sorted(pc.triangles.items()):
+                if v not in tri:
+                    continue
+                (ax, ay), (bx, by) = (pc.vertices[w] for w in tri if w != v)
+                mx, my = (ax + bx) / 2, (ay + by) / 2
+                moved = with_vertex_at(pc, v, (mx + (mx - px) / 4, my + (my - py) / 4))
+                if moved._disk_violations():
+                    continue
+                assert moved.validate().violations == (
+                    f"plane {plane} is flipped: it winds against the boundary",
+                )
+                assert pairwise_conflicts(moved)
+                named += 1
+    assert named == 14
+
+
+def test_self_overlapping_strip_names_its_crossing_boundary_edges():
+    # Seven planes in a strip that winds more than once around the origin:
+    # outer vertices 1..5, inner vertices 6..9, all planes counterclockwise.
+    vertices = {
+        1: (40, 0), 2: (-7, 39), 3: (-38, -14), 4: (20, -35), 5: (31, 26),
+        6: (13, 15), 7: (-17, 10), 8: (-7, -19), 9: (20, -3),
+    }
+    triangles, lines = numbered(
+        [(1, 2, 6), (6, 2, 7), (2, 3, 7), (7, 3, 8), (3, 4, 8), (8, 4, 9), (4, 5, 9)]
+    )
+    pc = PlanarComplex(vertices, triangles, lines)
+    assert {orient(*(pc.vertices[v] for v in t)) for t in triangles.values()} == {1}
+    assert not pc._disk_violations()
+    assert pc.validate().violations == (
+        "boundary edges (1, 2) and (4, 5) overlap or cross",
+        "boundary edges (1, 2) and (5, 9) overlap or cross",
+        "boundary edges (4, 5) and (1, 6) overlap or cross",
+        "boundary edges (5, 9) and (1, 6) overlap or cross",
+    )
+    assert pairwise_conflicts(pc) == [
+        "edges (1, 2) and (4, 5) overlap or cross",
+        "edges (1, 2) and (5, 9) overlap or cross",
+        "edges (1, 6) and (4, 5) overlap or cross",
+        "edges (1, 6) and (5, 9) overlap or cross",
+    ]
+
+
+OCTAHEDRON = [
+    (1, 3, 5), (3, 2, 5), (2, 4, 5), (4, 1, 5),
+    (3, 1, 6), (2, 3, 6), (4, 2, 6), (1, 4, 6),
+]
+HEMI_ICOSAHEDRON = [  # the projective plane on 6 vertices
+    (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 6, 2),
+    (2, 3, 5), (3, 4, 6), (4, 5, 2), (5, 6, 3), (6, 2, 4),
+]
+
+
+@pytest.mark.parametrize(
+    "triangles, message",
+    [
+        (OCTAHEDRON, "no boundary: the planes close up into a surface"),
+        (HEMI_ICOSAHEDRON, "(unorientable gluing)"),
+        ([(1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 5, 1), (5, 1, 2)], "(unorientable gluing)"),
+        (
+            [t for t in OCTAHEDRON if t not in ((1, 3, 5), (4, 2, 6))],
+            "boundary is not one cycle: the walk from vertex 1 covers 3 of 6 boundary edges",
+        ),
+    ],
+    ids=["closed", "projective-plane", "moebius-band", "annulus"],
+)
+def test_gluing_that_is_not_a_disk_is_named_and_never_accepted(triangles, message):
+    vertices = {1: (0, 0), 2: (10, 1), 3: (3, 7), 4: (-5, 4), 5: (-2, -6), 6: (7, -5)}
+    pc = PlanarComplex(vertices, *numbered(triangles))
+    assert not pc.validate().ok
+    (named,) = pc._orientation_violations()
+    assert named.endswith(message)
+    if not pc.validate().errors and not pc._disk_violations():
+        assert pc.validate().violations == (named,)
+
+
+def test_validate_tests_only_boundary_edge_pairs(disks, segment_calls):
+    for pc in disks[7]:
+        segment_calls.clear()
+        assert pc.validate().ok
+        b = len(pc.boundary_edges())
+        assert 0 < segment_calls["segments_conflict"] <= b * (b - 1) // 2
+    assert not hasattr(degen.complexes, "point_in_triangle")
+    assert not hasattr(degen.geometry, "point_in_triangle")
