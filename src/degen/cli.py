@@ -49,7 +49,6 @@ _ERRORS = (
     UnsupportedCaseError,
     ResourceBoundExceeded,
     OSError,
-    json.JSONDecodeError,
 )
 
 
@@ -58,7 +57,17 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str):
         self.print_usage(sys.stderr)
-        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+        self.exit(EXIT_ERROR, f"degen: error: {message}\n")
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _build_parser() -> _Parser:
@@ -82,7 +91,7 @@ def _build_parser() -> _Parser:
     add_format(p_an)
     p_an.add_argument(
         "--max-cosets",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_MAX_COSETS,
         help=f"coset table budget (default: {DEFAULT_MAX_COSETS})",
     )
@@ -204,8 +213,12 @@ def _analyze_record(rec, args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _analyze_file(path: str, args: argparse.Namespace) -> dict[str, Any]:
-    with open(path, encoding="utf-8") as fh:
-        complex_ = PlanarComplex.from_json(json.load(fh))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+        raise ComplexError(f"{path} is not UTF-8 JSON: {exc}") from exc
+    complex_ = PlanarComplex.from_json(data)
     report = complex_.validate()
     if not report.ok:
         raise ComplexError(f"{path}: {'; '.join(report.errors + report.violations)}")

@@ -16,6 +16,10 @@ lcm of all coordinate denominators.  Scaling by a positive constant keeps
 every orientation sign, coordinate equality and counterclockwise order, so
 the results are those of the rational coordinates, without normalising a
 ``Fraction`` at every step.
+
+``orient_disk`` orients a set of planes alike and walks the one boundary
+cycle they direct.  It is shared: ``validate`` certifies embeddings with it,
+and the enumerator builds each combinatorial map's boundary walk from it.
 """
 
 from __future__ import annotations
@@ -34,6 +38,70 @@ FORMAT = "degen-complex/1"
 
 class ComplexError(ValueError):
     """Raised for malformed interchange data or operations on invalid complexes."""
+
+
+def planes_by_edge(
+    planes: Mapping[int, tuple[int, int, int]]
+) -> dict[frozenset[int], list[int]]:
+    """Map each edge (as a vertex pair) to the planes containing it, in plane order."""
+    out: dict[frozenset[int], list[int]] = {}
+    for plane in sorted(planes):
+        a, b, c = planes[plane]
+        for e in (frozenset((a, b)), frozenset((b, c)), frozenset((a, c))):
+            out.setdefault(e, []).append(plane)
+    return out
+
+
+def orient_disk(
+    planes: Mapping[int, tuple[int, int, int]],
+    edge_planes: Mapping[frozenset[int], list[int]],
+) -> tuple[dict[int, tuple[int, int, int]], tuple[int, ...]]:
+    """Orient the planes alike and walk the boundary they direct as one cycle.
+
+    The smallest plane keeps its vertex order; a breadth-first search gives
+    each plane it reaches across an edge the order that runs that edge the
+    other way.  The walk starts at the smallest boundary vertex and follows
+    the planes' direction.  Returns the oriented planes and the walk, or
+    raises `ComplexError` when the planes do not chain along shared edges,
+    cannot be oriented alike, close up, or bound more than one cycle.
+    """
+    root = min(planes)
+    oriented = {root: tuple(planes[root])}
+    queue = [root]
+    for p in queue:  # breadth first: the queue grows while it is read
+        a, b, c = oriented[p]
+        for x, y in ((a, b), (b, c), (c, a)):
+            for q in edge_planes[frozenset((x, y))]:
+                t = oriented.get(q)
+                if t is None:
+                    (z,) = set(planes[q]) - {x, y}
+                    oriented[q] = (y, x, z)
+                    queue.append(q)
+                elif q != p and (y, x) not in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
+                    raise ComplexError(
+                        f"planes {p} and {q} cannot be oriented alike across edge"
+                        f" {sorted((x, y))} (unorientable gluing)"
+                    )
+    if len(oriented) != len(planes):
+        raise ComplexError("interior is disconnected (planes do not chain along lines)")
+
+    succ: dict[int, int] = {}
+    for a, b, c in oriented.values():
+        for x, y in ((a, b), (b, c), (c, a)):
+            if len(edge_planes[frozenset((x, y))]) == 1:
+                succ[x] = y
+    if not succ:
+        raise ComplexError("no boundary: the planes close up into a surface")
+    n_boundary = sum(len(ps) == 1 for ps in edge_planes.values())
+    walk = [min(succ)]
+    while (nxt := succ.get(walk[-1])) not in (None, walk[0]) and len(walk) < n_boundary:
+        walk.append(nxt)
+    if nxt != walk[0] or len(walk) != n_boundary:
+        raise ComplexError(
+            f"boundary is not one cycle: the walk from vertex {walk[0]} covers"
+            f" {len(walk)} of {n_boundary} boundary edges"
+        )
+    return oriented, tuple(walk)
 
 
 @dataclass(frozen=True)
@@ -145,12 +213,7 @@ class PlanarComplex:
 
     def edge_planes(self) -> dict[frozenset[int], list[int]]:
         """Map each edge (as a vertex pair) to the planes containing it."""
-        out: dict[frozenset[int], list[int]] = {}
-        for plane in sorted(self.triangles):
-            a, b, c = self.triangles[plane]
-            for e in (frozenset((a, b)), frozenset((b, c)), frozenset((a, c))):
-                out.setdefault(e, []).append(plane)
-        return out
+        return planes_by_edge(self.triangles)
 
     @cached_property
     def _edge_planes(self) -> dict[frozenset[int], list[int]]:
@@ -336,49 +399,17 @@ class PlanarComplex:
     def _orientation_violations(self) -> list[str]:
         """Certify the straight-line map of a connected complex as an embedding.
 
-        Orients the planes alike across shared edges, walks the boundary they
-        direct as one cycle, and requires every plane to wind with that cycle
-        and the cycle to be a simple polygon.  The cycle's signed area is the
-        sum of the planes', so once every plane winds with it, it winds with
+        Takes the planes oriented alike and their boundary cycle from
+        `orient_disk`, and requires every plane to wind with that cycle and
+        the cycle to be a simple polygon.  The cycle's signed area is the sum
+        of the planes', so once every plane winds with it, it winds with
         every plane.
         """
-        ep = self._edge_planes
+        try:
+            oriented, walk = orient_disk(self.triangles, self._edge_planes)
+        except ComplexError as exc:
+            return [str(exc)]
         lat = self._lattice
-        root = min(self.triangles)
-        oriented = {root: self.triangles[root]}
-        queue = [root]
-        for p in queue:  # breadth first: the queue grows while it is read
-            a, b, c = oriented[p]
-            for x, y in ((a, b), (b, c), (c, a)):
-                for q in ep[frozenset((x, y))]:
-                    t = oriented.get(q)
-                    if t is None:
-                        (z,) = set(self.triangles[q]) - {x, y}
-                        oriented[q] = (y, x, z)
-                        queue.append(q)
-                    elif q != p and (y, x) not in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-                        return [
-                            f"planes {p} and {q} cannot be oriented alike across edge"
-                            f" {sorted((x, y))} (unorientable gluing)"
-                        ]
-
-        succ: dict[int, int] = {}
-        for a, b, c in oriented.values():
-            for x, y in ((a, b), (b, c), (c, a)):
-                if len(ep[frozenset((x, y))]) == 1:
-                    succ[x] = y
-        if not succ:
-            return ["no boundary: the planes close up into a surface"]
-        n_boundary = len(self.boundary_edges())
-        walk = [min(succ)]
-        while (nxt := succ.get(walk[-1])) not in (None, walk[0]) and len(walk) < n_boundary:
-            walk.append(nxt)
-        if nxt != walk[0] or len(walk) != n_boundary:
-            return [
-                f"boundary is not one cycle: the walk from vertex {walk[0]} covers"
-                f" {len(walk)} of {n_boundary} boundary edges"
-            ]
-
         corners = [lat[v] for v in walk]
         twice_area = sum(
             p[0] * q[1] - p[1] * q[0] for p, q in zip(corners, corners[1:] + corners[:1])

@@ -7,9 +7,10 @@ boundary corner with a triangle on two adjacent boundary edges (the corner
 vertex becomes interior).  Isomorphs are pruned with a canonical form over
 rooted rotation-system codes, minimized across boundary root darts and
 reflection, so mirror images count once, matching the published total of
-29 for six triangles.  The outer face is traced once per map, from the
-open vertex fans, and stored as its boundary walk; the mirror image's outer
-face is that walk reversed, so canonical forms trace no face orbits.
+29 for six triangles.  The outer face is traced once per map, by the same
+`complexes.orient_disk` that certifies a complex, and stored as its
+boundary walk; the mirror image's outer face is that walk reversed, so
+canonical forms trace no face orbits.
 
 Generated maps are purely combinatorial; `embed` synthesizes exact rational
 coordinates (boundary on a circle, interior vertices at neighbor averages)
@@ -18,12 +19,11 @@ and the result must pass full complex validation.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .complexes import PlanarComplex
+from .complexes import ComplexError, PlanarComplex, orient_disk, planes_by_edge
 
 MAX_TRIANGLES_GUARD = 8
 
@@ -67,17 +67,20 @@ class CombinatorialMap:
         for t in tris:
             if len(t) != 3:
                 raise EnumeratorError(f"not a triangle: {sorted(t)}")
-        oriented = _orient(tris)
-        rot, open_fans = _rotations_from_oriented(oriented)
-        if len(oriented) == 1:
-            # a lone triangle's walk runs either way round; keep its orientation
-            boundary = oriented[0]
-        else:
-            boundary = _boundary_walk(rot, open_fans)
+        planes = {i: tuple(sorted(t)) for i, t in enumerate(tris, 1)}
+        try:
+            oriented, walk = orient_disk(planes, planes_by_edge(planes))
+        except ComplexError as exc:
+            raise EnumeratorError(str(exc)) from exc
+        # input order, not search order, fixes where each closed fan starts
+        rot = _rotations_from_oriented([oriented[i] for i in planes])
+        # the map's walk runs against the planes, from the same vertex; a
+        # lone triangle's walk runs either way round, so it keeps its own
+        boundary = walk if len(tris) == 1 else walk[:1] + walk[:0:-1]
         return cls(
             rotations=tuple(sorted((v, tuple(ring)) for v, ring in rot.items())),
             boundary=boundary,
-            triangles=tuple(sorted(tuple(sorted(t)) for t in tris)),
+            triangles=tuple(sorted(planes.values())),
         )
 
     @classmethod
@@ -85,75 +88,25 @@ class CombinatorialMap:
         return cls.from_triangles(complex_.triangles.values())
 
 
-def _orient(tris: Sequence[Triangle]) -> list[tuple[int, int, int]]:
-    """Orient all triangles consistently by propagating across shared edges."""
-    by_edge: dict[frozenset, list[int]] = {}
-    for i, t in enumerate(tris):
-        for e in _edges_of(t):
-            by_edge.setdefault(e, []).append(i)
-    for e, owners in by_edge.items():
-        if len(owners) > 2:
-            raise EnumeratorError(f"edge {sorted(e)} lies in {len(owners)} triangles")
-    oriented: dict[int, tuple[int, int, int]] = {}
-    a, b, c = sorted(tris[0])
-    oriented[0] = (a, b, c)
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        t = oriented[i]
-        darts = {(t[0], t[1]), (t[1], t[2]), (t[2], t[0])}
-        for e in _edges_of(tris[i]):
-            for j in by_edge[e]:
-                if j == i:
-                    continue
-                x, y = tuple(e)
-                want = (x, y) if (y, x) in darts else (y, x)
-                z = next(iter(tris[j] - e))
-                flipped = (want[0], want[1], z)
-                if j in oriented:
-                    jd = oriented[j]
-                    jdarts = {(jd[0], jd[1]), (jd[1], jd[2]), (jd[2], jd[0])}
-                    if (want[0], want[1]) not in jdarts:
-                        raise EnumeratorError("unorientable triangle gluing")
-                else:
-                    oriented[j] = flipped
-                    queue.append(j)
-    if len(oriented) != len(tris):
-        raise EnumeratorError("triangles do not form a connected interior")
-    return [oriented[i] for i in range(len(tris))]
-
-
-def _edges_of(t: Triangle) -> list[frozenset]:
-    a, b, c = sorted(t)
-    return [frozenset({a, b}), frozenset({a, c}), frozenset({b, c})]
-
-
 def _rotations_from_oriented(
     oriented: Sequence[tuple[int, int, int]]
-) -> tuple[dict[int, list[int]], set[int]]:
+) -> dict[int, list[int]]:
     """Chain each vertex's triangle wedges into one fan, closed cyclically.
 
-    Also returns the vertices whose fan is open: the boundary vertices.
+    The triangles are oriented alike, so no dart repeats and each vertex
+    maps each neighbour to at most one successor.
     """
     succ: dict[int, dict[int, int]] = {}
     for a, b, c in oriented:
         for v, x, y in ((a, b, c), (b, c, a), (c, a, b)):
-            wedges = succ.setdefault(v, {})
-            if x in wedges:
-                raise EnumeratorError(f"pinched vertex {v}")
-            wedges[x] = y
+            succ.setdefault(v, {})[x] = y
     rot: dict[int, list[int]] = {}
-    open_fans: set[int] = set()
     for v, wedges in succ.items():
         targets = set(wedges.values())
         starts = [x for x in wedges if x not in targets]
-        if not starts:
-            start = next(iter(wedges))
-        elif len(starts) == 1:
-            start = starts[0]
-            open_fans.add(v)
-        else:
+        if len(starts) > 1:
             raise EnumeratorError(f"pinched vertex {v}")
+        start = starts[0] if starts else next(iter(wedges))
         ring = [start]
         x = start
         while x in wedges:
@@ -165,30 +118,7 @@ def _rotations_from_oriented(
         if len(ring) != expected:
             raise EnumeratorError(f"pinched vertex {v}")
         rot[v] = ring
-    return rot, open_fans
-
-
-def _boundary_walk(
-    rot: Mapping[int, Sequence[int]], open_fans: set[int]
-) -> tuple[int, ...]:
-    """Trace the outer face from the smallest boundary vertex.
-
-    Each vertex with an open fan steps to the last neighbour of its fan.
-    """
-    if not open_fans:
-        raise EnumeratorError("no boundary: the triangles close up into a surface")
-    start = min(open_fans)
-    walk = [start]
-    v = rot[start][-1]
-    while v != start and len(walk) < len(open_fans):
-        walk.append(v)
-        v = rot[v][-1]
-    if v != start or len(walk) != len(open_fans):
-        raise EnumeratorError(
-            f"expected one boundary cycle; the walk from {start} closes"
-            f" after {len(walk)} of {len(open_fans)} boundary vertices"
-        )
-    return tuple(walk)
+    return rot
 
 
 # ----------------------------------------------------------------------
@@ -248,16 +178,17 @@ def _mirror(rot: Mapping[int, Sequence[int]]) -> dict[int, tuple[int, ...]]:
 # ----------------------------------------------------------------------
 
 
-def _grow(state: frozenset[Triangle], boundary: tuple[int, ...]) -> Iterator[frozenset[Triangle]]:
-    edges = {e for t in state for e in _edges_of(t)}
-    fresh = max(v for t in state for v in t) + 1
+def _grow(state: frozenset[Triangle], map_: CombinatorialMap) -> Iterator[frozenset[Triangle]]:
+    rot = map_.rotation_dict
+    boundary = map_.boundary
+    fresh = max(rot) + 1
     k = len(boundary)
     for i in range(k):
         u, v = boundary[i], boundary[(i + 1) % k]
         yield state | {frozenset({u, v, fresh})}
     for i in range(k):
         u, v, w = boundary[i - 1], boundary[i], boundary[(i + 1) % k]
-        if u != w and frozenset({u, w}) not in edges:
+        if u != w and w not in rot[u]:
             yield state | {frozenset({u, v, w})}
 
 
@@ -290,7 +221,7 @@ def enumerate_maps(
     for _size in range(2, num_triangles + 1):
         nxt: dict[tuple[int, ...], tuple[frozenset[Triangle], CombinatorialMap]] = {}
         for state, map_ in level.values():
-            for grown in _grow(state, map_.boundary):
+            for grown in _grow(state, map_):
                 candidate = CombinatorialMap.from_triangles(grown)
                 key = canonical_form(candidate)
                 if key in nxt:
@@ -350,15 +281,12 @@ def embed(map_: CombinatorialMap) -> PlanarComplex:
     triangles = {
         i + 1: tuple(relabel[v] for v in t) for i, t in enumerate(map_.triangles)
     }
-    edge_count: dict[frozenset, int] = {}
-    for t in map_.triangles:
-        for e in _edges_of(frozenset(t)):
-            edge_count[e] = edge_count.get(e, 0) + 1
+    boundary_edges = {frozenset(e) for e in zip(boundary, boundary[1:] + boundary[:1])}
     interior_edges = sorted(
-        tuple(sorted((relabel[x], relabel[y])))
-        for e, n in edge_count.items()
-        if n == 2
-        for x, y in [tuple(e)]
+        tuple(sorted((relabel[v], relabel[w])))
+        for v, ring in rot.items()
+        for w in ring
+        if v < w and frozenset((v, w)) not in boundary_edges
     )
     numbering = {i + 1: e for i, e in enumerate(interior_edges)}
     complex_ = PlanarComplex(coords, triangles, numbering)

@@ -25,7 +25,6 @@ from .catalog import CaseHint
 from .complexes import PlanarComplex, SingularPoint
 from .fpgroup import (
     DEFAULT_MAX_COSETS,
-    Completed,
     EnumerationStats,
     Overflow,
     first_broken_relator,
@@ -271,39 +270,26 @@ def enumeration_verdict(outcome, expected_order: int, *, engine_mode: str,
                         equalities: EqualityFacts) -> Verdict:
     """Map an enumeration outcome to a verdict; exposed for direct testing."""
     if isinstance(outcome, Overflow):
-        return Verdict(
-            outcome="undecided",
-            reason=f"enumeration overflowed at {outcome.limit} cosets",
-            engine_mode=engine_mode,
-            certificate=None,
-            equalities=equalities,
-            enumeration=outcome.stats,
+        verdict, certificate = "undecided", None
+        reason = f"enumeration overflowed at {outcome.limit} cosets"
+    elif outcome.order < expected_order:
+        raise PipelineError(
+            f"enumerated order {outcome.order} is below the symmetric image"
+            f" order {expected_order}"
         )
-    assert isinstance(outcome, Completed)
-    if outcome.order == expected_order:
-        return Verdict(
-            outcome="trivial",
-            reason=f"reduced group has order {outcome.order}",
-            engine_mode=engine_mode,
-            certificate=CosetOrder(outcome.order),
-            equalities=equalities,
-            enumeration=outcome.stats,
-        )
-    if outcome.order > expected_order:
-        return Verdict(
-            outcome="nontrivial",
-            reason=(
-                f"reduced group has order {outcome.order},"
-                f" exceeding {expected_order}"
-            ),
-            engine_mode=engine_mode,
-            certificate=CosetOrder(outcome.order),
-            equalities=equalities,
-            enumeration=outcome.stats,
-        )
-    raise PipelineError(
-        f"enumerated order {outcome.order} is below the symmetric image"
-        f" order {expected_order}"
+    else:
+        verdict = "trivial" if outcome.order == expected_order else "nontrivial"
+        certificate = CosetOrder(outcome.order)
+        reason = f"reduced group has order {outcome.order}"
+        if outcome.order > expected_order:
+            reason += f", exceeding {expected_order}"
+    return Verdict(
+        outcome=verdict,
+        reason=reason,
+        engine_mode=engine_mode,
+        certificate=certificate,
+        equalities=equalities,
+        enumeration=outcome.stats,
     )
 
 

@@ -237,3 +237,24 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert len(json.loads(proc.stdout)) == 29
+
+
+@pytest.mark.parametrize("case, budget", [("U_{0,4}", "0"), ("U_{0,5,1}", "-3")])
+def test_non_positive_coset_budget_is_rejected_before_analysis(capsys, case, budget):
+    with pytest.raises(SystemExit) as info:
+        main(["analyze", case, "--max-cosets", budget])
+    assert info.value.code == 1
+    errors = [l for l in capsys.readouterr().err.splitlines() if "error" in l]
+    assert errors == [
+        f"degen: error: argument --max-cosets: expected a positive integer, got '{budget}'"
+    ]
+
+
+@pytest.mark.parametrize("blob", [b"\xff", b"{"], ids=["not-utf8", "malformed"])
+def test_analyze_file_that_is_not_utf8_json_names_the_file(capsys, tmp_path, blob):
+    target = tmp_path / "bad.json"
+    target.write_bytes(blob)
+    rc, _, err = run(capsys, "analyze", str(target))
+    assert rc == 1
+    (line,) = err.splitlines()
+    assert line.startswith(f"degen: error: {target} is not UTF-8 JSON: ")

@@ -10,7 +10,7 @@ import pytest
 import degen.complexes
 import degen.geometry
 from degen.complexes import ComplexError, PlanarComplex
-from degen.enumerator import embed, enumerate_maps
+from degen.enumerator import CombinatorialMap, EnumeratorError, embed, enumerate_maps
 from degen.geometry import orient, segments_conflict
 from degen.relations import tangent_pairs
 
@@ -281,6 +281,9 @@ def test_gluing_that_is_not_a_disk_is_named_and_never_accepted(triangles, messag
     assert not pc.validate().ok
     (named,) = pc._orientation_violations()
     assert named.endswith(message)
+    with pytest.raises(EnumeratorError) as info:
+        CombinatorialMap.from_triangles(triangles)
+    assert str(info.value) == named
     if not pc.validate().errors and not pc._disk_violations():
         assert pc.validate().violations == (named,)
 

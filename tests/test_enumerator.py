@@ -239,5 +239,5 @@ def test_builder_rejects_annulus():
     octahedron = product((1, 2), (3, 4), (5, 6))
     annulus = [t for t in octahedron if t not in {(1, 3, 5), (2, 4, 6)}]
     assert len(annulus) == 6
-    with pytest.raises(EnumeratorError, match="one boundary cycle"):
+    with pytest.raises(EnumeratorError, match="boundary is not one cycle"):
         CombinatorialMap.from_triangles(annulus)

@@ -27,6 +27,16 @@ def loaded_modules(module: str) -> set[str]:
     [
         ("degen.enumerator", {"degen.catalog", "degen.pipeline"}),
         ("degen.catalog", {"degen.pipeline", "degen.fpgroup"}),
+        (
+            "degen.complexes",
+            {
+                "degen.enumerator",
+                "degen.relations",
+                "degen.fpgroup",
+                "degen.pipeline",
+                "degen.catalog",
+            },
+        ),
     ],
 )
 def test_import_does_not_load_upper_layers(module, absent):
