@@ -93,7 +93,8 @@ def _build_parser() -> _Parser:
         "--max-cosets",
         type=_positive_int,
         default=DEFAULT_MAX_COSETS,
-        help=f"coset table budget (default: {DEFAULT_MAX_COSETS})",
+        help="budget of cosets the enumeration over the line-chain subgroup"
+        f" may define (default: {DEFAULT_MAX_COSETS})",
     )
     p_an.add_argument(
         "--no-hints",

@@ -62,6 +62,8 @@ class CombinatorialMap:
     @classmethod
     def from_triangles(cls, triangles: Iterable[Iterable[int]]) -> "CombinatorialMap":
         tris = [frozenset(t) for t in triangles]
+        if not tris:
+            raise EnumeratorError("no triangles")
         if len(set(tris)) != len(tris):
             raise EnumeratorError("duplicate triangles")
         for t in tris:

@@ -1,8 +1,10 @@
 """Finitely presented group machinery for the line presentations.
 
 Two independent tools live here.  `todd_coxeter` runs coset enumeration on a
-presentation and either completes with the group order or overflows a coset
-budget; running out of room is a normal, reportable outcome, not an error.
+presentation over the subgroup generated by given words and either completes
+with the index or overflows a coset budget; running out of room is a normal,
+reportable outcome, not an error.  The pipeline enumerates over a subgroup of
+known order, so the index times that order is the group order.
 It is a single HLT (relator-first) enumerator: a generator whose square is a
 relator gets one table column shared with its inverse, every other generator
 gets two, and coincidence processing keeps every table entry pointing at a

@@ -9,17 +9,19 @@ The verdict combines three ingredients, applied strictly in this order:
    (optionally extended by catalogued hints) establish which lines have
    their two regenerated generators identified.  Only when every line is
    covered does the reduced presentation present the group in question.
-3. Coset enumeration of the reduced presentation: order n! means the group
-   is the symmetric group and the cover's fundamental group is trivial; a
-   larger order certifies nontriviality; running out of cosets leaves the
-   case undecided.
+3. Coset enumeration of the reduced presentation over the subgroup of a
+   chain of k lines that obey the Coxeter relations of type A_k, which has
+   order (k+1)!: the group order is the index times (k+1)!.  Order n! means
+   the group is the symmetric group and the cover's fundamental group is
+   trivial; a larger order certifies nontriviality; running out of cosets
+   leaves the case undecided.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .catalog import CaseHint
 from .complexes import PlanarComplex, SingularPoint
@@ -36,8 +38,12 @@ from .relations import (
     Presentation,
     UnsupportedCaseError,
     Word,
+    commutator_relator,
     inner_point_relators,
+    involution_relator,
     reduced_presentation,
+    triple_relator,
+    word,
     word_text,
 )
 
@@ -236,8 +242,9 @@ def _touches_cycle(node: int, neigh: Sequence[int], adj: dict[int, set[int]]) ->
 class Verdict:
     """Outcome of the pipeline together with everything needed to audit it.
 
-    `presentation` is the presentation that was enumerated, if any; it takes
-    no part in equality and is left out of `to_json`.
+    `subgroup` is the line chain whose cosets were enumerated.  `presentation`
+    is the presentation that was enumerated, if any; it takes no part in
+    equality and is left out of `to_json`.
     """
 
     outcome: str
@@ -246,6 +253,7 @@ class Verdict:
     certificate: ForkVertex | CosetOrder | None
     equalities: EqualityFacts
     enumeration: EnumerationStats | None = None
+    subgroup: tuple[int, ...] = ()
     presentation: Presentation | None = field(default=None, compare=False)
 
     def to_json(self) -> dict:
@@ -262,26 +270,32 @@ class Verdict:
                 "cosets_defined": s.cosets_defined,
                 "live_cosets": s.live_cosets,
                 "coincidences": s.coincidences,
+                "subgroup": list(self.subgroup),
             }
         return out
 
 
 def enumeration_verdict(outcome, expected_order: int, *, engine_mode: str,
-                        equalities: EqualityFacts) -> Verdict:
-    """Map an enumeration outcome to a verdict; exposed for direct testing."""
+                        equalities: EqualityFacts,
+                        subgroup: tuple[int, ...] = ()) -> Verdict:
+    """Map an enumeration outcome to a verdict; exposed for direct testing.
+
+    `outcome` counts the cosets of the `subgroup` chain, of order (k+1)!.
+    """
     if isinstance(outcome, Overflow):
         verdict, certificate = "undecided", None
         reason = f"enumeration overflowed at {outcome.limit} cosets"
-    elif outcome.order < expected_order:
-        raise PipelineError(
-            f"enumerated order {outcome.order} is below the symmetric image"
-            f" order {expected_order}"
-        )
     else:
-        verdict = "trivial" if outcome.order == expected_order else "nontrivial"
-        certificate = CosetOrder(outcome.order)
-        reason = f"reduced group has order {outcome.order}"
-        if outcome.order > expected_order:
+        order = outcome.order * math.factorial(len(subgroup) + 1)
+        if order < expected_order:
+            raise PipelineError(
+                f"enumerated order {order} is below the symmetric image"
+                f" order {expected_order}"
+            )
+        verdict = "trivial" if order == expected_order else "nontrivial"
+        certificate = CosetOrder(order)
+        reason = f"reduced group has order {order}"
+        if order > expected_order:
             reason += f", exceeding {expected_order}"
     return Verdict(
         outcome=verdict,
@@ -290,7 +304,43 @@ def enumeration_verdict(outcome, expected_order: int, *, engine_mode: str,
         certificate=certificate,
         equalities=equalities,
         enumeration=outcome.stats,
+        subgroup=subgroup,
     )
+
+
+def _coxeter_chain(
+    pres: Presentation, transpositions: Mapping[int, tuple[int, int]]
+) -> tuple[int, ...]:
+    """Longest line chain l1..lk whose generators obey the relations of A_k.
+
+    The lines' plane pairs form a simple path on k+1 planes, and `pres`
+    holds g_l g_l for every chain line, the braid relator for every
+    consecutive pair and the commutator for every other pair.  A depth-first
+    search over the dual graph keeps the first longest chain and stops once
+    one passes through every plane.
+    """
+    rels = set(pres.relators)
+    adj: dict[int, list[tuple[int, int]]] = {}
+    for line, (p, q) in sorted(transpositions.items()):
+        if involution_relator(line) in rels:
+            adj.setdefault(p, []).append((line, q))
+            adj.setdefault(q, []).append((line, p))
+    best: tuple[int, ...] = ()
+
+    def extend(chain: tuple[int, ...], path: tuple[int, ...]) -> bool:
+        nonlocal best
+        if len(chain) > len(best):
+            best = chain
+        return len(best) == len(adj) - 1 or any(
+            extend(chain + (line,), path + (q,))
+            for line, q in adj[path[-1]]
+            if q not in path
+            and (not chain or triple_relator(chain[-1], line) in rels)
+            and all(commutator_relator(m, line) in rels for m in chain[:-1])
+        )
+
+    any(extend((), (p,)) for p in sorted(adj))
+    return best
 
 
 def decide(
@@ -307,6 +357,15 @@ def decide(
     what the local rules alone can settle.  A line numbering under which
     some relator fails in the symmetric image is refused with
     `UnsupportedCaseError` before any coset is enumerated.
+
+    The enumeration runs over H = <g_l1, ..., g_lk> for the chain that
+    `_coxeter_chain` picks, and the group order is the index of H times
+    (k+1)!.  That is exact for either verdict: the relators the chain
+    requires make H a quotient of the Coxeter group of type A_k, which is
+    S_{k+1} (Moore), so |H| <= (k+1)!; and since no relator is broken, the
+    map sending each line to the transposition of its planes is defined on
+    the group and carries H onto the symmetric group of the chain's k+1
+    planes, so |H| >= (k+1)!.  The empty chain is the trivial subgroup.
     """
     complex_ = getattr(source, "complex", source)
     if not isinstance(complex_, PlanarComplex):
@@ -343,7 +402,8 @@ def decide(
 
     pres = reduced_presentation(complex_, inner6_relators=extra)
     n = len(complex_.triangles)
-    images = transposition_images(line_transpositions(complex_), n)
+    transpositions = line_transpositions(complex_)
+    images = transposition_images(transpositions, n)
     broken = first_broken_relator(pres, images, n)
     if broken is not None:
         tag = pres.annotations[broken]
@@ -356,9 +416,10 @@ def decide(
             f" {word_text(pres.relators[broken])}{where}:"
             f" it is not the identity in S_{n}"
         )
-    outcome = todd_coxeter(pres, max_cosets=max_cosets)
-    expected = math.factorial(n)
+    chain = _coxeter_chain(pres, transpositions)
+    outcome = todd_coxeter(pres, [word(l) for l in chain], max_cosets=max_cosets)
     verdict = enumeration_verdict(
-        outcome, expected, engine_mode=engine_mode, equalities=facts
+        outcome, math.factorial(n), engine_mode=engine_mode, equalities=facts,
+        subgroup=chain,
     )
     return replace(verdict, presentation=pres)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -258,3 +259,22 @@ def test_analyze_file_that_is_not_utf8_json_names_the_file(capsys, tmp_path, blo
     assert rc == 1
     (line,) = err.splitlines()
     assert line.startswith(f"degen: error: {target} is not UTF-8 JSON: ")
+
+
+# SHA-256 of the markdown reports; they pin the user-facing text, which a
+# change to how the group order is enumerated must leave byte for byte alone.
+GOLDEN_MARKDOWN = {
+    ("analyze", "--all"):
+        "c8638d493e1503f835ec989064655218dd01524112e807c8ad723a887e320206",
+    ("analyze", "--all", "--no-hints", "--verbose"):
+        "a0a2be4956bac9ec06ed78ea7872be29ca3c6ecbd462eb411d53dbab21072b3e",
+    ("table",):
+        "c04c6f23438f059b6ab5963f99c8b413d27c94449d0d38f28e58756cd947598e",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_MARKDOWN), ids=" ".join)
+def test_markdown_report_matches_golden_digest(capsys, argv):
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_MARKDOWN[argv]

@@ -189,6 +189,11 @@ def test_builder_rejects_pinched_vertex():
         CombinatorialMap.from_triangles([(1, 2, 3), (1, 4, 5)])
 
 
+def test_builder_rejects_no_triangles():
+    with pytest.raises(EnumeratorError, match="no triangles"):
+        CombinatorialMap.from_triangles([])
+
+
 def digest(text):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 

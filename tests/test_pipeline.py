@@ -1,4 +1,5 @@
 from dataclasses import replace
+from math import factorial
 
 import pytest
 
@@ -10,16 +11,26 @@ from degen.fpgroup import (
     Overflow,
     kernel_abelianization,
     line_transpositions,
+    todd_coxeter,
     transposition_images,
 )
 from degen.pipeline import (
     PipelineError,
     Verdict,
+    _coxeter_chain,
     decide,
     enumeration_verdict,
     propagate_equalities,
 )
-from degen.relations import UnsupportedCaseError, reduced_presentation
+from degen.relations import (
+    Presentation,
+    UnsupportedCaseError,
+    commutator_relator,
+    involution_relator,
+    reduced_presentation,
+    triple_relator,
+    word,
+)
 
 NONTRIVIAL = frozenset(
     {
@@ -200,7 +211,8 @@ def test_enumerated_orders_match_kernel_index(records):
         images = transposition_images(line_transpositions(rec.complex), degree=6)
         ka = kernel_abelianization(pres, images, degree=6)
         assert verdict.certificate.order == ka.index, rec.name
-        assert verdict.enumeration.live_cosets == ka.index, rec.name
+        subgroup_order = factorial(len(verdict.subgroup) + 1)
+        assert verdict.enumeration.live_cosets * subgroup_order == ka.index, rec.name
         if ka.is_trivial:
             assert verdict.outcome == "trivial", rec.name
 
@@ -221,7 +233,7 @@ def test_verdict_carries_the_enumerated_presentation(records):
     assert enumerated == 20
 
 
-@pytest.mark.parametrize("triangles", [6, 7])
+@pytest.mark.parametrize("triangles", [6, 7, 8])
 def test_enumerated_disks_never_fail_after_enumerating(triangles):
     refusals = []
     for map_ in enumerate_maps(triangles):
@@ -232,10 +244,81 @@ def test_enumerated_disks_never_fail_after_enumerating(triangles):
             continue
         assert verdict.outcome in ("trivial", "nontrivial", "undecided")
     broken = [r for r in refusals if r.startswith("line numbering breaks")]
-    assert len(broken) == {6: 0, 7: 2}[triangles], refusals
+    assert len(broken) == {6: 0, 7: 2, 8: 3}[triangles], refusals
     assert all("inner-point relator" in r and "at vertex" in r for r in broken)
 
 
 def test_decide_accepts_bare_complex(by_name):
     verdict = decide(by_name["U_{0,4}"].complex)
     assert verdict.outcome == "trivial"
+
+
+def assert_order_matches_full_enumeration(verdict, label):
+    full = todd_coxeter(verdict.presentation)
+    assert isinstance(full, Completed), label
+    assert full.order == verdict.certificate.order, label
+
+
+def test_chain_orders_match_full_group_enumeration(records):
+    """The order over the chain subgroup equals the order over the trivial one."""
+    enumerated = 0
+    for rec in records:
+        verdict = decide(rec)
+        if verdict.enumeration is not None:
+            enumerated += 1
+            assert_order_matches_full_enumeration(verdict, rec.name)
+    assert enumerated == 20
+    for triangles in (6, 7):
+        for k, map_ in enumerate(enumerate_maps(triangles)):
+            try:
+                verdict = decide(embed(map_), use_hints=False)
+            except UnsupportedCaseError:
+                continue
+            if verdict.enumeration is not None:
+                assert_order_matches_full_enumeration(verdict, (triangles, k))
+
+
+def a3_presentation(skip=()):
+    """Coxeter presentation of type A_3, less the relators in `skip`."""
+    relators = [involution_relator(i) for i in (1, 2, 3)]
+    relators += [triple_relator(1, 2), triple_relator(2, 3), commutator_relator(1, 3)]
+    relators = [r for r in relators if r not in skip]
+    return Presentation((1, 2, 3), tuple(relators), ("relator",) * len(relators))
+
+
+A3_PLANES = {1: (1, 2), 2: (2, 3), 3: (3, 4)}
+
+
+def test_a3_index_over_a_chain_times_its_order_is_the_group_order():
+    pres = a3_presentation()
+    assert _coxeter_chain(pres, A3_PLANES) == (1, 2, 3)
+    over = todd_coxeter(pres, [word(1), word(2)])
+    assert over.order == 4
+    assert over.order * factorial(3) == todd_coxeter(pres).order == 24
+
+
+@pytest.mark.parametrize("pair", [(1, 2), (2, 3)])
+def test_chain_skips_a_pair_without_its_braid_relator(pair):
+    chain = _coxeter_chain(a3_presentation(skip={triple_relator(*pair)}), A3_PLANES)
+    assert len(chain) == 2
+    assert set(pair) not in [set(p) for p in zip(chain, chain[1:])]
+
+
+def test_chain_needs_the_commutator_of_its_far_ends():
+    chain = _coxeter_chain(a3_presentation(skip={commutator_relator(1, 3)}), A3_PLANES)
+    assert len(chain) == 2
+
+
+def test_one_triangle_has_the_empty_chain():
+    complex_ = embed(enumerate_maps(1)[0])
+    pres = reduced_presentation(complex_)
+    assert _coxeter_chain(pres, line_transpositions(complex_)) == ()
+    verdict = decide(complex_)
+    assert (verdict.outcome, verdict.subgroup) == ("trivial", ())
+    assert verdict.certificate.order == 1
+
+
+def test_enumeration_json_names_the_chain(by_name):
+    data = decide(by_name["U_{3,2}"]).to_json()["enumeration"]
+    assert data["subgroup"] == [6, 4, 2, 3]
+    assert data["live_cosets"] * factorial(5) == 720
