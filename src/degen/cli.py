@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 from typing import Any, Callable
 
 from .catalog import Catalog, CatalogError, open_catalog
@@ -70,6 +71,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@cache  # one parser per process; parsing leaves it unchanged
 def _build_parser() -> _Parser:
     parser = _Parser(prog="degen", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -18,8 +18,10 @@ the results are those of the rational coordinates, without normalising a
 ``Fraction`` at every step.
 
 ``orient_disk`` orients a set of planes alike and walks the one boundary
-cycle they direct.  It is shared: ``validate`` certifies embeddings with it,
-and the enumerator builds each combinatorial map's boundary walk from it.
+cycle they direct; ``vertex_fans`` chains the oriented planes into each
+vertex's fan.  A complex orients its planes once: ``validate`` certifies the
+embedding from them and ``classify_vertices`` reads the fans.  The enumerator
+builds each combinatorial map's rotations and boundary walk the same way.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Mapping
+from typing import Iterable, Mapping
 
-from .geometry import Point, ccw_direction_key, orient, segments_conflict
+from .geometry import Point, orient, segments_conflict
 
 FORMAT = "degen-complex/1"
 
@@ -102,6 +104,33 @@ def orient_disk(
             f" {len(walk)} of {n_boundary} boundary edges"
         )
     return oriented, tuple(walk)
+
+
+def vertex_fans(oriented: Iterable[tuple[int, int, int]]) -> dict[int, list[int]]:
+    """Chain each vertex's triangle wedges into one fan, closed cyclically.
+
+    The triangles are oriented alike, so no dart repeats and each vertex
+    maps each neighbour to at most one successor.  An open fan runs from one
+    boundary neighbour to the other; a closed fan starts at the first
+    neighbour the input gives.  Raises `ComplexError` on a pinched vertex.
+    """
+    succ: dict[int, dict[int, int]] = {}
+    for a, b, c in oriented:
+        for v, x, y in ((a, b, c), (b, c, a), (c, a, b)):
+            succ.setdefault(v, {})[x] = y
+    rot: dict[int, list[int]] = {}
+    for v, wedges in succ.items():
+        targets = set(wedges.values())
+        starts = [x for x in wedges if x not in targets]
+        ring = [starts[0] if starts else next(iter(wedges))]
+        x = wedges.get(ring[0])
+        while x is not None and x != ring[0]:
+            ring.append(x)
+            x = wedges.get(x)
+        if len(starts) > 1 or len(ring) != len(wedges) + len(starts):
+            raise ComplexError(f"pinched vertex {v}")
+        rot[v] = ring
+    return rot
 
 
 @dataclass(frozen=True)
@@ -187,10 +216,11 @@ class ValidationReport:
 class PlanarComplex:
     """An immutable planar triangle complex with numbered interior edges.
 
-    Derived incidence (the edge-to-planes map, the neighbours of each vertex,
-    the triangle set, the integer lattice and the vertex classification) is
-    computed once per instance, on first use.  So ``vertices``, ``triangles`` and
-    ``line_numbering`` must not be mutated after construction.
+    Derived incidence (the edge-to-planes map, the integer lattice, the
+    planes oriented alike with their boundary walk, and the vertex
+    classification) is computed once per instance, on first use.  So
+    ``vertices``, ``triangles`` and ``line_numbering`` must not be mutated
+    after construction.
     """
 
     def __init__(
@@ -229,16 +259,9 @@ class PlanarComplex:
         }
 
     @cached_property
-    def _neighbours(self) -> dict[int, set[int]]:
-        out: dict[int, set[int]] = {}
-        for e in self._edge_planes:
-            for v in e:
-                out.setdefault(v, set()).update(e - {v})
-        return out
-
-    @cached_property
-    def _triangle_set(self) -> frozenset[frozenset[int]]:
-        return frozenset(frozenset(t) for t in self.triangles.values())
+    def _disk(self) -> tuple[dict[int, tuple[int, int, int]], tuple[int, ...]]:
+        """The planes oriented alike and their boundary walk, by `orient_disk`."""
+        return orient_disk(self.triangles, self._edge_planes)
 
     def interior_lines(self) -> dict[int, Line]:
         """The numbered lines, each with its two incident planes."""
@@ -257,43 +280,22 @@ class PlanarComplex:
     def boundary_edges(self) -> set[frozenset[int]]:
         return {e for e, ps in self._edge_planes.items() if len(ps) == 1}
 
-    def _rotation(self, v: int) -> list[int]:
-        """Neighbouring vertices of ``v`` sorted counterclockwise."""
-        nbrs = sorted(self._neighbours.get(v, ()))
-        lat = self._lattice
-        pv = lat[v]
-        dirs = {w: (lat[w][0] - pv[0], lat[w][1] - pv[1]) for w in nbrs}
-        key = ccw_direction_key(list(dirs.values()))
-        return sorted(nbrs, key=lambda w: key(dirs[w]))
-
-    def _fan_gaps(self, v: int) -> tuple[list[int], list[int]]:
-        """Rotation order at ``v`` and the positions after which no triangle sits."""
-        rot = self._rotation(v)
-        tris = self._triangle_set
-        gaps = [
-            i
-            for i in range(len(rot))
-            if frozenset((v, rot[i], rot[(i + 1) % len(rot)])) not in tris
-        ]
-        if len(rot) == 1:
-            gaps = [0]
-        return rot, gaps
-
     # -- public queries ----------------------------------------------------------
 
     def validate(self) -> ValidationReport:
         """Check that the complex is a straight-line triangulated disk.
 
         ``errors`` name data that does not describe a complex; ``violations``
-        name a complex that is not a planar degeneration.  After the disk
-        checks (connected, one fan per vertex, at most two planes per edge,
-        Euler characteristic 1) and the certificate's own check that the
-        planes orient consistently around one boundary cycle, the complex is a
-        triangulated disk.  A piecewise-linear map of a disk whose planes all
-        keep one orientation sign, and whose boundary is a simple polygon of
-        that sign, has degree 1 on the polygon's interior, and so it is
-        injective (Floater, "One-to-one piecewise linear mappings over
-        triangulations", Math. Comp. 72, 2003).
+        name a complex that is not a planar degeneration.  After the checks
+        that every edge lies in at most two planes, that the planes chain
+        along lines, that the Euler characteristic is 1, and the certificate's
+        own check that the planes orient alike around one boundary cycle, the
+        complex is a triangulated disk: a pinched vertex would take the Euler
+        characteristic below 1 (see `_disk_violations`).  A piecewise-linear
+        map of a disk whose planes all keep one orientation sign, and whose
+        boundary is a simple polygon of that sign, has degree 1 on the
+        polygon's interior, and so it is injective (Floater, "One-to-one
+        piecewise linear mappings over triangulations", Math. Comp. 72, 2003).
         """
         errors: list[str] = []
         lat = self._lattice
@@ -358,7 +360,15 @@ class PlanarComplex:
         return ValidationReport((), tuple(violations))
 
     def _disk_violations(self) -> list[str]:
-        """Connectivity, one fan per vertex and Euler characteristic 1."""
+        """Connectivity and Euler characteristic 1.
+
+        Pinches need no check of their own.  Split each pinched vertex into
+        one vertex per fan: the surface left is connected and has a boundary
+        (else `orient_disk` finds no boundary walk), so its Euler
+        characteristic is at most 1, and each pinch lowers it by one.  A
+        vertex in no plane can make up the count, but then a disk puts two of
+        its vertices on one point, which the certificate rejects.
+        """
         violations: list[str] = []
         # Support connectivity via shared vertices.
         planes = sorted(self.triangles)
@@ -382,15 +392,6 @@ class PlanarComplex:
         elif not self.dual_graph().is_connected():
             violations.append("interior is disconnected (planes do not chain along lines)")
 
-        for v in sorted(self.vertices):
-            try:
-                _, gaps = self._fan_gaps(v)
-            except ValueError as exc:
-                violations.append(f"vertex {v}: {exc}")
-                continue
-            if len(gaps) > 1:
-                violations.append(f"vertex {v} is pinched: triangles form {len(gaps)} fans")
-
         euler = len(self.vertices) - len(self._edge_planes) + len(self.triangles)
         if euler != 1:
             violations.append(f"Euler characteristic {euler} != 1 (support is not a disk)")
@@ -403,10 +404,10 @@ class PlanarComplex:
         `orient_disk`, and requires every plane to wind with that cycle and
         the cycle to be a simple polygon.  The cycle's signed area is the sum
         of the planes', so once every plane winds with it, it winds with
-        every plane.
+        every plane.  Names every flipped plane, in plane order.
         """
         try:
-            oriented, walk = orient_disk(self.triangles, self._edge_planes)
+            oriented, walk = self._disk
         except ComplexError as exc:
             return [str(exc)]
         lat = self._lattice
@@ -415,9 +416,13 @@ class PlanarComplex:
             p[0] * q[1] - p[1] * q[0] for p, q in zip(corners, corners[1:] + corners[:1])
         )
         winding = (twice_area > 0) - (twice_area < 0)
-        for p in sorted(oriented):
-            if orient(*(lat[v] for v in oriented[p])) != winding:
-                return [f"plane {p} is flipped: it winds against the boundary"]
+        flipped = [
+            f"plane {p} is flipped: it winds against the boundary"
+            for p in sorted(oriented)
+            if orient(*(lat[v] for v in oriented[p])) != winding
+        ]
+        if flipped:
+            return flipped
 
         edges = list(zip(walk, walk[1:] + walk[:1]))
         out: list[str] = []
@@ -436,36 +441,32 @@ class PlanarComplex:
 
     @cached_property
     def _classification(self) -> tuple[SingularPoint, ...]:
+        """Read each vertex's fan from the planes turned counterclockwise.
+
+        A vertex off the boundary walk has a closed fan of lines; any other
+        vertex has an open fan whose two extreme edges are boundary edges.
+        """
+        oriented, walk = self._disk
+        planes = list(oriented.values())
+        if orient(*(self._lattice[v] for v in planes[0])) < 0:
+            planes = [t[::-1] for t in planes]
         line_of = {frozenset(p): i for i, p in self.line_numbering.items()}
+        on_boundary = set(walk)
         points: list[SingularPoint] = []
-        for v in sorted(self.vertices):
-            rot, gaps = self._fan_gaps(v)
-            incident = [
-                (w, line_of.get(frozenset((v, w)))) for w in rot
-            ]
-            if all(idx is None for _, idx in incident):
-                continue
-            if len(gaps) > 1:
-                raise ComplexError(f"vertex {v} is pinched; classify needs a valid complex")
-            if not gaps:
-                # Closed fan: every incident edge is a line.
-                cyc = [idx for _, idx in incident]
-                if any(i is None for i in cyc):
+        for v, ring in sorted(vertex_fans(planes).items()):
+            lines = [line_of.get(frozenset((v, w))) for w in ring]
+            if v not in on_boundary:
+                if None in lines:
                     raise ComplexError(f"inner vertex {v} has an unnumbered edge")
-                start = cyc.index(min(cyc))
-                cyc = cyc[start:] + cyc[:start]
+                start = lines.index(min(lines))
+                cyc = lines[start:] + lines[:start]
                 points.append(SingularPoint(v, "inner", len(cyc), tuple(cyc)))
-            else:
-                # Open fan: rotate so the gap sits at the end; the two extreme
-                # edges are boundary, everything between is a line.
-                k = gaps[0] + 1
-                ordered = incident[k:] + incident[:k]
-                fan = [idx for _, idx in ordered[1:-1]] if len(ordered) > 2 else []
-                head, tail = ordered[0][1], ordered[-1][1]
-                if head is not None or tail is not None or any(i is None for i in fan):
-                    raise ComplexError(f"vertex {v}: boundary/line pattern is inconsistent")
-                if fan:
-                    points.append(SingularPoint(v, "outer", len(fan), tuple(fan)))
+                continue
+            head, *fan, tail = lines
+            if head is not None or tail is not None or None in fan:
+                raise ComplexError(f"vertex {v}: boundary/line pattern is inconsistent")
+            if fan:
+                points.append(SingularPoint(v, "outer", len(fan), tuple(fan)))
         return tuple(points)
 
     def dual_graph(self) -> DualGraph:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .complexes import ComplexError, PlanarComplex, orient_disk, planes_by_edge
+from .complexes import ComplexError, PlanarComplex, orient_disk, planes_by_edge, vertex_fans
 
 MAX_TRIANGLES_GUARD = 8
 
@@ -72,10 +72,10 @@ class CombinatorialMap:
         planes = {i: tuple(sorted(t)) for i, t in enumerate(tris, 1)}
         try:
             oriented, walk = orient_disk(planes, planes_by_edge(planes))
+            # input order, not search order, fixes where each closed fan starts
+            rot = vertex_fans([oriented[i] for i in planes])
         except ComplexError as exc:
             raise EnumeratorError(str(exc)) from exc
-        # input order, not search order, fixes where each closed fan starts
-        rot = _rotations_from_oriented([oriented[i] for i in planes])
         # the map's walk runs against the planes, from the same vertex; a
         # lone triangle's walk runs either way round, so it keeps its own
         boundary = walk if len(tris) == 1 else walk[:1] + walk[:0:-1]
@@ -88,39 +88,6 @@ class CombinatorialMap:
     @classmethod
     def from_complex(cls, complex_: PlanarComplex) -> "CombinatorialMap":
         return cls.from_triangles(complex_.triangles.values())
-
-
-def _rotations_from_oriented(
-    oriented: Sequence[tuple[int, int, int]]
-) -> dict[int, list[int]]:
-    """Chain each vertex's triangle wedges into one fan, closed cyclically.
-
-    The triangles are oriented alike, so no dart repeats and each vertex
-    maps each neighbour to at most one successor.
-    """
-    succ: dict[int, dict[int, int]] = {}
-    for a, b, c in oriented:
-        for v, x, y in ((a, b, c), (b, c, a), (c, a, b)):
-            succ.setdefault(v, {})[x] = y
-    rot: dict[int, list[int]] = {}
-    for v, wedges in succ.items():
-        targets = set(wedges.values())
-        starts = [x for x in wedges if x not in targets]
-        if len(starts) > 1:
-            raise EnumeratorError(f"pinched vertex {v}")
-        start = starts[0] if starts else next(iter(wedges))
-        ring = [start]
-        x = start
-        while x in wedges:
-            x = wedges[x]
-            if x == start:
-                break
-            ring.append(x)
-        expected = len(wedges) + (1 if starts else 0)
-        if len(ring) != expected:
-            raise EnumeratorError(f"pinched vertex {v}")
-        rot[v] = ring
-    return rot
 
 
 # ----------------------------------------------------------------------

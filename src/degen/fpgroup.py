@@ -299,31 +299,39 @@ def transposition_images(
     return images
 
 
+def _zero_based(images: Mapping[int, Sequence[int]]) -> dict[int, tuple[list[int], ...]]:
+    """Each generator's image and its inverse, as lists on 0..degree-1."""
+    out = {}
+    for g, img in images.items():
+        fwd = [v - 1 for v in img]
+        out[g] = (fwd, sorted(range(len(fwd)), key=fwd.__getitem__))
+    return out
+
+
+def _word_image(w: Word, zero: Mapping[int, tuple[list[int], ...]], degree: int) -> list[int]:
+    perm = list(range(degree))
+    for g, e in w:
+        img = zero[g][e < 0]
+        for _ in range(abs(e)):
+            perm = [img[v] for v in perm]
+    return perm
+
+
 def word_permutation(
     w: Word, images: Mapping[int, Sequence[int]], degree: int
 ) -> tuple[int, ...]:
     """Image of a word, composing left to right; permutations map 1..degree."""
-    perm = list(range(degree))
-    zero = {g: [v - 1 for v in img] for g, img in images.items()}
-    for g, e in w:
-        img = zero[g]
-        if e < 0:
-            inv = [0] * degree
-            for i, v in enumerate(img):
-                inv[v] = i
-            img = inv
-        for _ in range(abs(e)):
-            perm = [img[v] for v in perm]
-    return tuple(v + 1 for v in perm)
+    return tuple(v + 1 for v in _word_image(w, _zero_based(images), degree))
 
 
 def first_broken_relator(
     presentation: Presentation, images: Mapping[int, Sequence[int]], degree: int
 ) -> int | None:
     """Index of the first relator not mapped to the identity, or None."""
-    identity = tuple(range(1, degree + 1))
+    zero = _zero_based(images)
+    identity = list(range(degree))
     for k, w in enumerate(presentation.relators):
-        if word_permutation(w, images, degree) != identity:
+        if _word_image(w, zero, degree) != identity:
             return k
     return None
 

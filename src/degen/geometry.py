@@ -2,15 +2,14 @@
 
 Every predicate here is exact on ``int`` or ``fractions.Fraction``
 coordinates: no epsilon tuning, no orientation flips from rounding.  The only
-operations needed upstream are orientation tests, segment intersection
-classification, and sorting directions counterclockwise around a vertex.
+operations needed upstream are orientation tests and segment intersection
+classification; the order of the lines around a vertex comes from the planes,
+not from sorting directions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cmp_to_key
-from typing import Sequence
 
 Point = tuple[Fraction, Fraction]
 
@@ -55,40 +54,3 @@ def segments_conflict(a: Point, b: Point, c: Point, d: Point) -> bool:
         return True
     return False
 
-
-def _quadrant(d: Point) -> int:
-    x, y = d
-    if y == 0:
-        return 0 if x > 0 else 4
-    if y > 0:
-        if x > 0:
-            return 1
-        return 2 if x == 0 else 3
-    if x < 0:
-        return 5
-    return 6 if x == 0 else 7
-
-
-def ccw_direction_key(directions: Sequence[Point]):
-    """Sort key ordering direction vectors counterclockwise from the +x axis.
-
-    Raises ``ValueError`` on a zero vector or on two parallel same-quadrant
-    directions, since a straight-line complex cannot have two edges leaving a
-    vertex in the same direction.
-    """
-
-    def cmp(u: Point, v: Point) -> int:
-        if u == v:
-            return 0
-        qu, qv = _quadrant(u), _quadrant(v)
-        if qu != qv:
-            return -1 if qu < qv else 1
-        cross = u[0] * v[1] - u[1] * v[0]
-        if cross == 0:
-            raise ValueError(f"parallel directions at a vertex: {u} and {v}")
-        return -1 if cross > 0 else 1
-
-    for d in directions:
-        if d == (0, 0):
-            raise ValueError("zero-length edge")
-    return cmp_to_key(cmp)

@@ -4,7 +4,6 @@ import pytest
 
 import degen.complexes
 from degen.catalog import load_all
-from degen.complexes import PlanarComplex
 
 
 @pytest.fixture(scope="session")
@@ -18,16 +17,16 @@ def by_name(records):
 
 
 @pytest.fixture
-def fan_gap_calls(monkeypatch):
-    """Count `PlanarComplex._fan_gaps` calls per vertex while a test runs."""
-    calls: Counter = Counter()
-    original = PlanarComplex._fan_gaps
+def orient_disk_calls(monkeypatch):
+    """Count calls to `orient_disk` made through `degen.complexes`."""
+    calls = Counter()
+    original = degen.complexes.orient_disk
 
-    def counted(self, v):
-        calls[v] += 1
-        return original(self, v)
+    def counted(*args):
+        calls["orient_disk"] += 1
+        return original(*args)
 
-    monkeypatch.setattr(PlanarComplex, "_fan_gaps", counted)
+    monkeypatch.setattr(degen.complexes, "orient_disk", counted)
     return calls
 
 

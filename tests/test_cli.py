@@ -109,23 +109,22 @@ def test_analyze_accepts_complex_file(capsys, tmp_path):
     assert "expected_pi1" not in data or data["expected_pi1"] is None
 
 
-def test_analyze_case_classifies_each_vertex_once(capsys, fan_gap_calls):
-    vertices = degen.catalog.load_case("U_{0,6,1}").complex.vertices
+def test_analyze_case_classifies_each_vertex_once(capsys, orient_disk_calls):
     rc, _, _ = run(capsys, "analyze", "U_{0,6,1}", "--format", "json")
     assert rc == 0
-    assert fan_gap_calls == {v: 1 for v in vertices}
+    assert orient_disk_calls == {"orient_disk": 1}
 
 
 def test_analyze_file_validates_and_classifies_each_vertex_once(
-    capsys, tmp_path, fan_gap_calls
+    capsys, tmp_path, orient_disk_calls
 ):
     case = json.loads((DATA_DIR / "cases" / "u-0-6-1.json").read_text())
     target = tmp_path / "standalone.json"
     target.write_text(json.dumps(case["complex"]))
     rc, _, _ = run(capsys, "analyze", str(target), "--format", "json")
     assert rc == 0
-    assert set(fan_gap_calls) == {v for v, _ in case["complex"]["vertices"]}
-    assert max(fan_gap_calls.values()) <= 2
+    # validate and the classification share the planes oriented once
+    assert orient_disk_calls == {"orient_disk": 1}
 
 
 def test_analyze_all_builds_one_presentation_per_case(capsys, monkeypatch):
@@ -219,6 +218,30 @@ def test_bad_flag_exits_one():
         text=True,
     )
     assert proc.returncode == 1
+
+
+def test_one_parser_serves_a_usage_error_then_an_analysis(capsys):
+    for argv in (
+        ["analyze", "U_{0,4}", "--max-cosets", "0"],
+        ["analyze", "U_{0,4}", "--format", "json"],
+    ):
+        alone = subprocess.run(
+            [sys.executable, "-m", "degen", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        captured = capsys.readouterr()
+        assert (rc, captured.out, captured.err) == (
+            alone.returncode,
+            alone.stdout,
+            alone.stderr,
+        )
+    assert degen.cli._build_parser() is degen.cli._build_parser()
 
 
 def test_module_entry_point():

@@ -26,10 +26,12 @@ from degen.enumerator import (
 
 MIRROR_PAIR = ("U_{0,5,1}", "U_{0,5,3}")
 
-# First 16 hex digits of the SHA-256 of every class's canonical form, and of
-# every class's embedding, in enumeration order.
+# First 16 hex digits of the SHA-256 of every class's canonical form, of
+# every class's embedding, and of the singular points of every embedding, in
+# enumeration order.
 GOLDEN_FORMS = {6: "19133f7f85a46eab", 7: "f545c4de63b8eb31", 8: "b32ce4defc7013fd"}
 GOLDEN_EMBEDS = {6: "6d158afb46af2802", 7: "87835bdc2c2c39ee"}
+GOLDEN_POINTS = {6: "00f3e68214b0c975", 7: "5b62086380341261", 8: "c5a662479fbb08c4"}
 
 
 def exhaustive_forms(num_triangles):
@@ -210,6 +212,20 @@ def test_canonical_forms_match_golden_digest(num_triangles):
 def test_embeddings_match_golden_digest(num_triangles):
     dumps = "".join(embed(m).dumps() for m in enumerate_maps(num_triangles))
     assert digest(dumps) == GOLDEN_EMBEDS[num_triangles]
+
+
+@pytest.mark.parametrize("num_triangles", sorted(GOLDEN_POINTS))
+def test_singular_points_match_golden_digest(num_triangles):
+    points = "\n".join(
+        repr(
+            [
+                (p.vertex, p.kind, p.multiplicity, p.lines_cyclic)
+                for p in embed(m).classify_vertices()
+            ]
+        )
+        for m in enumerate_maps(num_triangles)
+    )
+    assert digest(points) == GOLDEN_POINTS[num_triangles]
 
 
 def assert_boundary_is_the_outer_cycle(map_):
