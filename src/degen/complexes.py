@@ -186,22 +186,6 @@ class DualGraph:
     nodes: tuple[int, ...]
     edges: tuple[tuple[int, int, int], ...]  # (line index, plane, plane)
 
-    def is_connected(self) -> bool:
-        if not self.nodes:
-            return True
-        adj: dict[int, set[int]] = {v: set() for v in self.nodes}
-        for _, a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        seen = {self.nodes[0]}
-        stack = [self.nodes[0]]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.nodes)
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -287,9 +271,9 @@ class PlanarComplex:
 
         ``errors`` name data that does not describe a complex; ``violations``
         name a complex that is not a planar degeneration.  After the checks
-        that every edge lies in at most two planes, that the planes chain
-        along lines, that the Euler characteristic is 1, and the certificate's
-        own check that the planes orient alike around one boundary cycle, the
+        that every edge lies in at most two planes and that the Euler
+        characteristic is 1, and the certificate's own check that the planes
+        chain along lines and orient alike around one boundary cycle, the
         complex is a triangulated disk: a pinched vertex would take the Euler
         characteristic below 1 (see `_disk_violations`).  A piecewise-linear
         map of a disk whose planes all keep one orientation sign, and whose
@@ -360,42 +344,21 @@ class PlanarComplex:
         return ValidationReport((), tuple(violations))
 
     def _disk_violations(self) -> list[str]:
-        """Connectivity and Euler characteristic 1.
+        """Euler characteristic 1.
 
-        Pinches need no check of their own.  Split each pinched vertex into
-        one vertex per fan: the surface left is connected and has a boundary
-        (else `orient_disk` finds no boundary walk), so its Euler
-        characteristic is at most 1, and each pinch lowers it by one.  A
-        vertex in no plane can make up the count, but then a disk puts two of
-        its vertices on one point, which the certificate rejects.
+        Connectivity needs no check of its own: `orient_disk`, which the
+        certificate runs next, names planes that do not chain along lines.
+        Nor do pinches.  Split each pinched vertex into one vertex per fan:
+        the surface left is connected and has a boundary (else `orient_disk`
+        finds no boundary walk), so its Euler characteristic is at most 1,
+        and each pinch lowers it by one.  A vertex in no plane can make up
+        the count, but then a disk puts two of its vertices on one point,
+        which the certificate rejects.
         """
-        violations: list[str] = []
-        # Support connectivity via shared vertices.
-        planes = sorted(self.triangles)
-        parent = {p: p for p in planes}
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        by_vertex: dict[int, list[int]] = {}
-        for p, tri in self.triangles.items():
-            for v in tri:
-                by_vertex.setdefault(v, []).append(p)
-        for group in by_vertex.values():
-            for p in group[1:]:
-                parent[find(p)] = find(group[0])
-        if len({find(p) for p in planes}) > 1:
-            violations.append("support is disconnected")
-        elif not self.dual_graph().is_connected():
-            violations.append("interior is disconnected (planes do not chain along lines)")
-
         euler = len(self.vertices) - len(self._edge_planes) + len(self.triangles)
         if euler != 1:
-            violations.append(f"Euler characteristic {euler} != 1 (support is not a disk)")
-        return violations
+            return [f"Euler characteristic {euler} != 1 (support is not a disk)"]
+        return []
 
     def _orientation_violations(self) -> list[str]:
         """Certify the straight-line map of a connected complex as an embedding.

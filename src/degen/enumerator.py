@@ -7,10 +7,19 @@ boundary corner with a triangle on two adjacent boundary edges (the corner
 vertex becomes interior).  Isomorphs are pruned with a canonical form over
 rooted rotation-system codes, minimized across boundary root darts and
 reflection, so mirror images count once, matching the published total of
-29 for six triangles.  The outer face is traced once per map, by the same
-`complexes.orient_disk` that certifies a complex, and stored as its
+29 for six triangles (McKay, "Isomorph-free exhaustive generation",
+J. Algorithms 26, 1998).  The outer face is traced once per map, by the
+same `complexes.orient_disk` that certifies a complex, and stored as its
 boundary walk; the mirror image's outer face is that walk reversed, so
 canonical forms trace no face orbits.
+
+Most grown states are isomorphs of one already kept, so none is built from
+scratch to be tested: each candidate's rotations and walk are derived from
+its parent's by the few local edits that the growth move makes, and only a
+candidate of a new class is rebuilt from its triangles, to become the
+class's representative.  The canonical form encodes only roots whose tail
+has the least boundary degree, and drops each code as soon as it is above
+the best one so far.
 
 Generated maps are purely combinatorial; `embed` synthesizes exact rational
 coordinates (boundary on a circle, interior vertices at neighbor averages)
@@ -96,28 +105,38 @@ class CombinatorialMap:
 
 
 def _rooted_code(
-    rot: Mapping[int, Sequence[int]], root: tuple[int, int]
-) -> tuple[int, ...]:
-    """Relabel vertices in traversal order; equal codes mean rooted isomorphism."""
+    rot: Mapping[int, Sequence[int]],
+    root: tuple[int, int],
+    mirrored: bool,
+    best: list[int] | None,
+) -> list[int] | None:
+    """Relabel vertices in traversal order; equal codes mean rooted isomorphism.
+
+    `mirrored` reads every ring backwards, which encodes the mirror image.
+    Returns None as soon as a ring's entries put the code above `best`.
+    """
     u0, v0 = root
     label = {u0: 0, v0: 1}
     order = [u0, v0]
     anchor = {u0: v0, v0: u0}
     out: list[int] = []
-    i = 0
-    while i < len(order):
-        x = order[i]
-        i += 1
+    tied = best is not None
+    for x in order:  # breadth first: the list grows while it is read
         ring = rot[x]
         j = ring.index(anchor[x])
-        for w in ring[j:] + ring[:j]:
+        start = len(out)
+        for w in ring[j::-1] + ring[:j:-1] if mirrored else ring[j:] + ring[:j]:
             if w not in label:
                 label[w] = len(order)
                 order.append(w)
                 anchor[w] = x
             out.append(label[w])
         out.append(-1)
-    return tuple(out)
+        if tied and (mine := out[start:]) != (theirs := best[start : len(out)]):
+            if mine > theirs:
+                return None
+            tied = False
+    return out
 
 
 def canonical_form(map_: CombinatorialMap) -> tuple[int, ...]:
@@ -125,21 +144,29 @@ def canonical_form(map_: CombinatorialMap) -> tuple[int, ...]:
 
     Roots range over darts of the outer face only, which pins the outer face
     of both maps being compared.  The outer face is traced once per map, as
-    `map_.boundary`; reflection is covered by re-encoding the mirror image
-    (all rotations reversed), whose outer face is the same walk reversed.
+    `map_.boundary`; reflection is covered by reading the rings backwards,
+    which encodes the mirror image, whose outer face is the same walk
+    reversed.
+
+    Two prunings leave the minimum unchanged.  A code starts
+    1, 2, ..., d, -1, where d is the degree of the root's tail, and -1 is
+    below every label, so a tail of smaller degree always wins: only roots
+    whose tail has the least degree on the boundary are encoded.  And every
+    rooted code of one map has the same length, the sum of deg + 1 over the
+    vertices, so a code that is above the best so far at some entry, after
+    an equal prefix, is above it in full: it is dropped at the end of that
+    entry's ring.
     """
     rot = map_.rotation_dict
-    mirror = _mirror(rot)
     b = map_.boundary
-    darts = list(zip(b, b[1:] + b[:1]))
-    return min(
-        [_rooted_code(rot, (u, v)) for u, v in darts]
-        + [_rooted_code(mirror, (v, u)) for u, v in darts]
-    )
-
-
-def _mirror(rot: Mapping[int, Sequence[int]]) -> dict[int, tuple[int, ...]]:
-    return {v: tuple(reversed(ring)) for v, ring in rot.items()}
+    low = min(len(rot[v]) for v in b)
+    best = None
+    for u, v in zip(b, b[1:] + b[:1]):
+        if len(rot[u]) == low:
+            best = _rooted_code(rot, (u, v), False, best) or best
+        if len(rot[v]) == low:
+            best = _rooted_code(rot, (v, u), True, best) or best
+    return tuple(best)
 
 
 # ----------------------------------------------------------------------
@@ -147,18 +174,53 @@ def _mirror(rot: Mapping[int, Sequence[int]]) -> dict[int, tuple[int, ...]]:
 # ----------------------------------------------------------------------
 
 
-def _grow(state: frozenset[Triangle], map_: CombinatorialMap) -> Iterator[frozenset[Triangle]]:
+def _grow(
+    state: frozenset[Triangle], map_: CombinatorialMap
+) -> Iterator[tuple[frozenset[Triangle], CombinatorialMap]]:
+    """Each grown state with its map, derived from the parent's map.
+
+    Attaching a fresh vertex f on boundary edge (u, v) gives f the ring
+    (u, v) and puts f between u and v on the walk; filling the corner
+    u, v, w takes v off the walk.  A boundary vertex that gains a neighbour
+    y takes y into its ring right after its successor on the walk: its ring
+    passes the outer face from its successor to its predecessor, and every
+    new neighbour comes from the outer face.  `CombinatorialMap.from_triangles`
+    of the grown state gives the same rings and walk or their mirror image,
+    up to where each ring and the walk start, which no canonical form sees.
+    """
     rot = map_.rotation_dict
-    boundary = map_.boundary
+    b = map_.boundary
+    k = len(b)
+    succ = dict(zip(b, b[1:] + b[:1]))
+
+    def child(tri, walk, gains, fresh_rings=()) -> CombinatorialMap:
+        grown = dict(rot)
+        for x, y in gains:
+            ring = grown[x]
+            j = ring.index(succ[x]) + 1
+            grown[x] = ring[:j] + (y,) + ring[j:]
+        grown.update(fresh_rings)
+        return CombinatorialMap(
+            rotations=tuple(grown.items()),
+            boundary=walk,
+            triangles=tuple(sorted(map_.triangles + (tuple(sorted(tri)),))),
+        )
+
     fresh = max(rot) + 1
-    k = len(boundary)
     for i in range(k):
-        u, v = boundary[i], boundary[(i + 1) % k]
-        yield state | {frozenset({u, v, fresh})}
+        u, v = b[i], b[(i + 1) % k]
+        yield state | {frozenset({u, v, fresh})}, child(
+            (u, v, fresh),
+            b[: i + 1] + (fresh,) + b[i + 1 :],
+            ((u, fresh), (v, fresh)),
+            ((fresh, (u, v)),),
+        )
     for i in range(k):
-        u, v, w = boundary[i - 1], boundary[i], boundary[(i + 1) % k]
+        u, v, w = b[i - 1], b[i], b[(i + 1) % k]
         if u != w and w not in rot[u]:
-            yield state | {frozenset({u, v, w})}
+            yield state | {frozenset({u, v, w})}, child(
+                (u, v, w), b[:i] + b[i + 1 :], ((u, w), (w, u))
+            )
 
 
 def enumerate_maps(
@@ -190,12 +252,11 @@ def enumerate_maps(
     for _size in range(2, num_triangles + 1):
         nxt: dict[tuple[int, ...], tuple[frozenset[Triangle], CombinatorialMap]] = {}
         for state, map_ in level.values():
-            for grown in _grow(state, map_):
-                candidate = CombinatorialMap.from_triangles(grown)
+            for grown, candidate in _grow(state, map_):
                 key = canonical_form(candidate)
                 if key in nxt:
                     continue
-                nxt[key] = (grown, candidate)
+                nxt[key] = (grown, CombinatorialMap.from_triangles(grown))
                 touched += 1
                 if max_states is not None and touched > max_states:
                     raise ResourceBoundExceeded(
@@ -205,13 +266,6 @@ def enumerate_maps(
         level = nxt
         counts.append(len(level))
     return [map_ for _state, map_ in level.values()]
-
-
-def enumeration_counts(
-    up_to: int, *, guard: int = MAX_TRIANGLES_GUARD
-) -> tuple[int, ...]:
-    """Class counts for 1..up_to triangles."""
-    return tuple(len(enumerate_maps(n, guard=guard)) for n in range(1, up_to + 1))
 
 
 # ----------------------------------------------------------------------
@@ -308,47 +362,3 @@ def _tutte_positions(
         relabel[v]: (mat[index[v]][n], mat[index[v]][n + 1]) for v in interior
     }
 
-
-# ----------------------------------------------------------------------
-# Catalog matching.
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MatchReport:
-    """Pairing of enumerated maps with catalog records via canonical forms."""
-
-    matched: tuple[tuple[int, str], ...]
-    unmatched_maps: tuple[int, ...]
-    unmatched_records: tuple[str, ...]
-
-    @property
-    def is_bijection(self) -> bool:
-        return not self.unmatched_maps and not self.unmatched_records
-
-
-def match_catalog(
-    maps: Sequence[CombinatorialMap], records: Iterable
-) -> MatchReport:
-    """Pair maps with catalog records; duplicates on either side break the pairing."""
-    by_form: dict[tuple[int, ...], list[int]] = {}
-    for i, m in enumerate(maps):
-        by_form.setdefault(canonical_form(m), []).append(i)
-    matched = []
-    unmatched_records = []
-    used: set[int] = set()
-    for record in records:
-        form = canonical_form(CombinatorialMap.from_complex(record.complex))
-        bucket = by_form.get(form, [])
-        free = [i for i in bucket if i not in used]
-        if free:
-            matched.append((free[0], record.name))
-            used.add(free[0])
-        else:
-            unmatched_records.append(record.name)
-    unmatched_maps = tuple(i for i in range(len(maps)) if i not in used)
-    return MatchReport(
-        matched=tuple(matched),
-        unmatched_maps=unmatched_maps,
-        unmatched_records=tuple(unmatched_records),
-    )

@@ -12,7 +12,10 @@ numbers of the Galois cover then come from the classical formulas
 
 where ``mu`` counts cusps/3 contributions, ``d`` nodes and ``rho`` branch
 points in the normalisation used throughout the table (all values are then
-reported as multiples of 6! for degree-6 degenerations).
+reported as multiples of 6! for degree-6 degenerations).  By Hirzebruch's
+signature theorem ``chi`` is the signature tau of the cover, not its
+topological Euler characteristic, which is ``c2``; the name ``chi`` stays in
+the JSON keys and table columns.
 
 ``fit_contributions`` re-derives the per-kind local contributions from a set
 of case summaries by exact linear regression; it exists so the frozen table
@@ -117,6 +120,7 @@ def case_summary(complex_: PlanarComplex) -> CaseSummary:
 
 
 def chern(stats: BranchStats) -> ChernData:
+    """c1^2, c2 and the signature (c1^2 - 2 c2)/3, named ``chi``, of the cover."""
     nf = math.factorial(stats.n)
     c1 = Fraction(nf, 4) * (stats.m - 6) ** 2
     c2 = nf * (

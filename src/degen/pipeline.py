@@ -356,7 +356,10 @@ def decide(
     With `use_hints=False` the catalogued hints are ignored, which reports
     what the local rules alone can settle.  A line numbering under which
     some relator fails in the symmetric image is refused with
-    `UnsupportedCaseError` before any coset is enumerated.
+    `UnsupportedCaseError` before any coset is enumerated.  The fork rule
+    runs before that check, and may: it reads only the dual graph, never the
+    presentation, so no numbering can change it, and a fork disk whose
+    numbering breaks a relator is still nontrivial by its fork.
 
     The enumeration runs over H = <g_l1, ..., g_lk> for the chain that
     `_coxeter_chain` picks, and the group order is the index of H times

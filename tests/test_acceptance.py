@@ -16,7 +16,6 @@ from degen.enumerator import (
     EnumeratorError,
     canonical_form,
     enumerate_maps,
-    match_catalog,
 )
 from degen.fpgroup import (
     Completed,
@@ -28,6 +27,7 @@ from degen.fpgroup import (
 from degen.invariants import CONTRIBUTIONS, branch_stats, case_summary, chern, fit_contributions
 from degen.pipeline import decide
 from degen.relations import Presentation, reduced_presentation, tangent_pairs, transversal_pairs, word
+from enumeration_helpers import match_catalog
 
 FACTORIAL_SIX = 720
 

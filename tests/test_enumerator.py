@@ -17,12 +17,12 @@ from degen.enumerator import (
     CombinatorialMap,
     EnumeratorError,
     ResourceBoundExceeded,
+    _grow,
     canonical_form,
     embed,
     enumerate_maps,
-    enumeration_counts,
-    match_catalog,
 )
+from enumeration_helpers import enumeration_counts, match_catalog
 
 MIRROR_PAIR = ("U_{0,5,1}", "U_{0,5,3}")
 
@@ -32,6 +32,7 @@ MIRROR_PAIR = ("U_{0,5,1}", "U_{0,5,3}")
 GOLDEN_FORMS = {6: "19133f7f85a46eab", 7: "f545c4de63b8eb31", 8: "b32ce4defc7013fd"}
 GOLDEN_EMBEDS = {6: "6d158afb46af2802", 7: "87835bdc2c2c39ee"}
 GOLDEN_POINTS = {6: "00f3e68214b0c975", 7: "5b62086380341261", 8: "c5a662479fbb08c4"}
+GOLDEN_FORMS_NINE = "d491b888389237c4"
 
 
 def exhaustive_forms(num_triangles):
@@ -262,3 +263,92 @@ def test_builder_rejects_annulus():
     assert len(annulus) == 6
     with pytest.raises(EnumeratorError, match="boundary is not one cycle"):
         CombinatorialMap.from_triangles(annulus)
+
+
+def test_canonical_forms_at_nine_match_golden_digest():
+    forms = "\n".join(",".join(map(str, canonical_form(m))) for m in enumerate_maps(9, guard=9))
+    assert digest(forms) == GOLDEN_FORMS_NINE
+
+
+def full_code(rot, root):
+    """The rooted code at `root`, built in full."""
+    u0, v0 = root
+    label = {u0: 0, v0: 1}
+    order = [u0, v0]
+    anchor = {u0: v0, v0: u0}
+    out = []
+    i = 0
+    while i < len(order):
+        x = order[i]
+        i += 1
+        ring = rot[x]
+        j = ring.index(anchor[x])
+        for w in ring[j:] + ring[:j]:
+            if w not in label:
+                label[w] = len(order)
+                order.append(w)
+                anchor[w] = x
+            out.append(label[w])
+        out.append(-1)
+    return tuple(out)
+
+
+def unpruned_form(map_):
+    """The least full code over every boundary dart of the map and of its mirror."""
+    rot = map_.rotation_dict
+    mirror = mirror_image(map_).rotation_dict
+    b = map_.boundary
+    darts = list(zip(b, b[1:] + b[:1]))
+    return min(
+        [full_code(rot, (u, v)) for u, v in darts]
+        + [full_code(mirror, (v, u)) for u, v in darts]
+    )
+
+
+def candidates(up_to):
+    """Every grown state and derived map that enumeration tests, up to `up_to` triangles."""
+    for n in range(1, up_to):
+        for map_ in enumerate_maps(n):
+            yield from _grow(frozenset(map(frozenset, map_.triangles)), map_)
+
+
+def same_cycle(a, b):
+    """Whether two sequences are one cycle, read from different starts."""
+    return len(a) == len(b) and any(a == b[i:] + b[:i] for i in range(len(b)))
+
+
+def same_rotation_system(a, b):
+    """Whether two maps have the same rings and walk, up to where each starts."""
+    rings = b.rotation_dict
+    return (
+        a.triangles == b.triangles
+        and same_cycle(a.boundary, b.boundary)
+        and a.rotation_dict.keys() == rings.keys()
+        and all(same_cycle(ring, rings[v]) for v, ring in a.rotations)
+    )
+
+
+def mirror_image(map_):
+    return CombinatorialMap(
+        rotations=tuple((v, ring[::-1]) for v, ring in map_.rotations),
+        boundary=map_.boundary[::-1],
+        triangles=map_.triangles,
+    )
+
+
+def test_pruned_form_equals_unpruned_minimum(records):
+    maps = [m for _state, m in candidates(8)]
+    maps += [CombinatorialMap.from_complex(rec.complex) for rec in records]
+    assert len(maps) == 1336 + 29
+    for map_ in maps:
+        assert canonical_form(map_) == unpruned_form(map_)
+
+
+def test_derived_candidates_are_the_maps_of_their_states():
+    # either map may be the mirror image of the other: orientation is arbitrary
+    for grown, derived in candidates(8):
+        built = CombinatorialMap.from_triangles(grown)
+        assert same_rotation_system(derived, built) or same_rotation_system(
+            derived, mirror_image(built)
+        ), grown
+        assert canonical_form(derived) == canonical_form(built)

@@ -9,6 +9,7 @@ from degen.fpgroup import (
     Completed,
     EnumerationStats,
     Overflow,
+    first_broken_relator,
     kernel_abelianization,
     line_transpositions,
     todd_coxeter,
@@ -20,6 +21,7 @@ from degen.pipeline import (
     _coxeter_chain,
     decide,
     enumeration_verdict,
+    fork_certificate,
     propagate_equalities,
 )
 from degen.relations import (
@@ -246,6 +248,24 @@ def test_enumerated_disks_never_fail_after_enumerating(triangles):
     broken = [r for r in refusals if r.startswith("line numbering breaks")]
     assert len(broken) == {6: 0, 7: 2, 8: 3}[triangles], refusals
     assert all("inner-point relator" in r and "at vertex" in r for r in broken)
+
+
+def test_fork_rule_runs_before_the_numbering_check():
+    forks_with_broken_numbering = 0
+    for map_ in enumerate_maps(8):
+        pc = embed(map_)
+        fork = fork_certificate(pc)
+        if fork is None:
+            continue
+        n = len(pc.triangles)
+        images = transposition_images(line_transpositions(pc), n)
+        if first_broken_relator(reduced_presentation(pc), images, n) is None:
+            continue
+        forks_with_broken_numbering += 1
+        verdict = decide(pc, use_hints=False)
+        assert verdict.outcome == "nontrivial"
+        assert verdict.certificate == fork
+    assert forks_with_broken_numbering == 2
 
 
 def test_decide_accepts_bare_complex(by_name):
