@@ -14,12 +14,14 @@ boundary walk; the mirror image's outer face is that walk reversed, so
 canonical forms trace no face orbits.
 
 Most grown states are isomorphs of one already kept, so none is built from
-scratch to be tested: each candidate's rotations and walk are derived from
-its parent's by the few local edits that the growth move makes, and only a
-candidate of a new class is rebuilt from its triangles, to become the
-class's representative.  The canonical form encodes only roots whose tail
-has the least boundary degree, and drops each code as soon as it is above
-the best one so far.
+scratch: each candidate's rotations and walk are derived from its parent's
+by the few local edits that the growth move makes.  A candidate of a new
+class becomes the class's representative as it is, once turned and started
+like `CombinatorialMap.from_triangles` of its state: its boundary walk and
+triangles equal that map's byte for byte, and its rings are the same
+cyclic orders, possibly started elsewhere.  The canonical form encodes only
+roots whose tail has the least boundary degree, and drops each code as soon
+as it is above the best one so far.
 
 Generated maps are purely combinatorial; `embed` synthesizes exact rational
 coordinates (boundary on a circle, interior vertices at neighbor averages)
@@ -186,7 +188,8 @@ def _grow(
     passes the outer face from its successor to its predecessor, and every
     new neighbour comes from the outer face.  `CombinatorialMap.from_triangles`
     of the grown state gives the same rings and walk or their mirror image,
-    up to where each ring and the walk start, which no canonical form sees.
+    up to where each ring and the walk start, which no canonical form sees;
+    `_as_built` turns and starts a map that is kept like that one.
     """
     rot = map_.rotation_dict
     b = map_.boundary
@@ -223,6 +226,37 @@ def _grow(
             )
 
 
+def _as_built(
+    state: Iterable[Iterable[int]], map_: CombinatorialMap
+) -> CombinatorialMap:
+    """`map_`, derived for `state`, turned and started as `from_triangles(state)`.
+
+    `from_triangles` keeps the vertex order (a, b, c) of the state's first
+    triangle, sorted, so c follows b in the ring of a, a follows c in the
+    ring of b and b follows a in the ring of c; if `map_` winds the other
+    way, every ring and the walk are reversed.  The winding is read at a
+    corner whose ring has at least 3 entries, since a ring (b, c) reads both
+    ways; with 2 or more triangles one edge of the first is shared, so its
+    two ends qualify.  The walk then starts at its least vertex.  Boundary
+    and triangles come out equal to `from_triangles(state)`'s; each ring is
+    the same cycle, possibly from another start.
+    """
+    rot = map_.rotation_dict
+    a, b, c = sorted(next(iter(state)))
+    v, x, y = next(t for t in ((a, b, c), (b, c, a), (c, a, b)) if len(rot[t[0]]) > 2)
+    ring = rot[v]
+    walk = map_.boundary
+    if ring[(ring.index(x) + 1) % len(ring)] != y:
+        rot = {u: r[::-1] for u, r in rot.items()}
+        walk = walk[::-1]
+    i = walk.index(min(walk))
+    return CombinatorialMap(
+        rotations=tuple(sorted(rot.items())),
+        boundary=walk[i:] + walk[:i],
+        triangles=map_.triangles,
+    )
+
+
 def enumerate_maps(
     num_triangles: int,
     *,
@@ -230,6 +264,11 @@ def enumerate_maps(
     guard: int = MAX_TRIANGLES_GUARD,
 ) -> list[CombinatorialMap]:
     """One representative per isomorphism class with the given triangle count.
+
+    Each representative is the map derived for the first state of its class
+    that growth reaches, and has the boundary walk and triangles of
+    `CombinatorialMap.from_triangles` of that state, byte for byte; its rings
+    are that map's cyclic orders, possibly started elsewhere.
 
     `guard` bounds the requested size (resource guard; raise it consciously
     for bigger runs), and `max_states` optionally caps the total number of
@@ -256,7 +295,7 @@ def enumerate_maps(
                 key = canonical_form(candidate)
                 if key in nxt:
                     continue
-                nxt[key] = (grown, CombinatorialMap.from_triangles(grown))
+                nxt[key] = (grown, _as_built(grown, candidate))
                 touched += 1
                 if max_states is not None and touched > max_states:
                     raise ResourceBoundExceeded(

@@ -27,6 +27,30 @@ def point_in_triangle(p, a, b, c):
     return s != 0 and orient(a, b, p) == s and orient(b, c, p) == s and orient(c, a, p) == s
 
 
+def on_segment(a, b, p):
+    """True when collinear ``p`` lies within the closed bounding box of ``ab``."""
+    return (
+        min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+        and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
+    )
+
+
+def reference_segments_conflict(a, b, c, d):
+    """Reference for `segments_conflict`, built from `orient` and shared endpoints."""
+    shared = {p for p in (a, b) if p in (c, d)}
+    o1, o2 = orient(a, b, c), orient(a, b, d)
+    o3, o4 = orient(c, d, a), orient(c, d, b)
+    if o1 != o2 and o3 != o4 and 0 not in (o1, o2, o3, o4):
+        return True
+    for p, (u, v) in ((c, (a, b)), (d, (a, b)), (a, (c, d)), (b, (c, d))):
+        if orient(u, v, p) == 0 and on_segment(u, v, p) and p not in shared and p not in (u, v):
+            return True
+    # Collinear overlap with both endpoints shared is the same segment twice.
+    if o1 == o2 == o3 == o4 == 0 and len(shared) == 2 and {a, b} != {c, d}:
+        return True
+    return False
+
+
 def pairwise_conflicts(pc):
     """Reference embedding check: every pair of edges, every vertex in every plane.
 
@@ -38,13 +62,37 @@ def pairwise_conflicts(pc):
     out = []
     for i, (a, b) in enumerate(edges):
         for c, d in edges[i + 1 :]:
-            if segments_conflict(pts[a], pts[b], pts[c], pts[d]):
+            if reference_segments_conflict(pts[a], pts[b], pts[c], pts[d]):
                 out.append(f"edges {(a, b)} and {(c, d)} overlap or cross")
     for plane, tri in sorted(pc.triangles.items()):
         for v in sorted(pc.vertices):
             if v not in tri and point_in_triangle(pts[v], *(pts[w] for w in tri)):
                 out.append(f"vertex {v} lies inside plane {plane}")
     return out
+
+
+def directed_segments(points):
+    return [(a, b) for a in points for b in points if a != b]
+
+
+def test_segments_conflict_matches_reference_on_a_lattice():
+    lattice = directed_segments([(x, y) for x in range(5) for y in range(5)])
+    assert len(lattice) ** 2 == 360000
+    conflicts = 0
+    for a, b in lattice:
+        for c, d in lattice:
+            got = segments_conflict(a, b, c, d)
+            assert got == reference_segments_conflict(a, b, c, d), (a, b, c, d)
+            conflicts += got
+    assert conflicts == 87344
+
+
+def test_segments_conflict_matches_reference_on_fractions():
+    halves = [(Fraction(x, 2), Fraction(y, 2)) for x in range(3) for y in range(3)]
+    segments = list(combinations(halves, 2))
+    for a, b in segments:
+        for c, d in segments:
+            assert segments_conflict(a, b, c, d) == reference_segments_conflict(a, b, c, d)
 
 
 def with_vertex_at(pc, v, point):

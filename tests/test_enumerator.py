@@ -12,11 +12,13 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import degen.enumerator
 from degen.catalog import load_all
 from degen.enumerator import (
     CombinatorialMap,
     EnumeratorError,
     ResourceBoundExceeded,
+    _as_built,
     _grow,
     canonical_form,
     embed,
@@ -30,14 +32,18 @@ MIRROR_PAIR = ("U_{0,5,1}", "U_{0,5,3}")
 # every class's embedding, and of the singular points of every embedding, in
 # enumeration order.
 GOLDEN_FORMS = {6: "19133f7f85a46eab", 7: "f545c4de63b8eb31", 8: "b32ce4defc7013fd"}
-GOLDEN_EMBEDS = {6: "6d158afb46af2802", 7: "87835bdc2c2c39ee"}
+GOLDEN_EMBEDS = {6: "6d158afb46af2802", 7: "87835bdc2c2c39ee", 8: "9565ac0781b8fc04"}
 GOLDEN_POINTS = {6: "00f3e68214b0c975", 7: "5b62086380341261", 8: "c5a662479fbb08c4"}
 GOLDEN_FORMS_NINE = "d491b888389237c4"
 
 
-def exhaustive_forms(num_triangles):
-    """Canonical forms of every valid map, found without growth moves."""
-    forms = set()
+def exhaustive_maps(num_triangles):
+    """Every valid map on triangles over 1..k that use all k vertices.
+
+    Found without growth moves.  A set with an edge in three or more
+    triangles, or with V - E + F != 1, is no disk, so it is skipped before
+    the map builder sees it.
+    """
     for k in range(3, num_triangles + 3):
         triples = list(combinations(range(1, k + 1), 3))
         for chosen in combinations(triples, num_triangles):
@@ -46,11 +52,18 @@ def exhaustive_forms(num_triangles):
                 used.update(tri)
             if len(used) != k:
                 continue
+            edges = Counter(e for a, b, c in chosen for e in ((a, b), (a, c), (b, c)))
+            if k - len(edges) + num_triangles != 1 or max(edges.values()) > 2:
+                continue
             try:
-                forms.add(canonical_form(CombinatorialMap.from_triangles(chosen)))
+                yield CombinatorialMap.from_triangles(chosen)
             except EnumeratorError:
                 continue
-    return forms
+
+
+def exhaustive_forms(num_triangles):
+    """Canonical forms of every valid map, found without growth moves."""
+    return {canonical_form(m) for m in exhaustive_maps(num_triangles)}
 
 
 @pytest.mark.parametrize("num_triangles, expected", [(1, 1), (2, 1), (3, 2), (4, 5)])
@@ -62,7 +75,10 @@ def test_growth_agrees_with_exhaustive_oracle(num_triangles, expected):
 
 
 def test_growth_agrees_with_exhaustive_oracle_at_five():
-    oracle = exhaustive_forms(5)
+    # the skipped sets are none that the builder accepts: it accepts 16 692
+    maps = list(exhaustive_maps(5))
+    assert len(maps) == 16692
+    oracle = {canonical_form(m) for m in maps}
     grown = {canonical_form(m) for m in enumerate_maps(5)}
     assert grown == oracle
     assert len(grown) == 9
@@ -352,3 +368,42 @@ def test_derived_candidates_are_the_maps_of_their_states():
             derived, mirror_image(built)
         ), grown
         assert canonical_form(derived) == canonical_form(built)
+
+
+def assert_built_from(map_, state):
+    """`map_` has the walk and triangles of `from_triangles(state)`, and its rings as cycles."""
+    built = CombinatorialMap.from_triangles(state)
+    assert map_.boundary == built.boundary, state
+    assert map_.triangles == built.triangles, state
+    rings = built.rotation_dict
+    assert [v for v, _ring in map_.rotations] == sorted(rings), state
+    assert all(same_cycle(ring, rings[v]) for v, ring in map_.rotations), state
+
+
+def test_representatives_are_the_maps_their_states_build(monkeypatch):
+    states = {}
+
+    def recorded(state, map_):
+        states[map_.triangles] = state
+        return _as_built(state, map_)
+
+    monkeypatch.setattr(degen.enumerator, "_as_built", recorded)
+    for num_triangles in range(2, 9):
+        for map_ in enumerate_maps(num_triangles):
+            assert_built_from(map_, states[map_.triangles])
+
+
+def test_winding_is_read_where_a_ring_has_three_entries():
+    # vertex 1, the least of the first triangle, has the ring (2, 3), which
+    # reads both ways; the mirror image must still be turned back
+    state = [(1, 2, 3), (2, 3, 4)]
+    built = CombinatorialMap.from_triangles(state)
+    assert len(built.rotation_dict[1]) == 2
+    mirrored = mirror_image(built)
+    started_elsewhere = CombinatorialMap(
+        rotations=mirrored.rotations[::-1],
+        boundary=mirrored.boundary[1:] + mirrored.boundary[:1],
+        triangles=mirrored.triangles,
+    )
+    for derived in (built, mirrored, started_elsewhere):
+        assert_built_from(_as_built(state, derived), state)
