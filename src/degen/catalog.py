@@ -183,42 +183,31 @@ class Catalog:
             for key in ("name", "file", "sha256"):
                 if not isinstance(entry.get(key), str):
                     raise CatalogError(f"{where} has no string {key!r}")
-            self._register(entry["name"], entry)
-
-    def _register(self, label: str, entry: dict) -> None:
-        key = _normalize(label)
-        other = self._by_key.get(key)
-        if other is not None and other is not entry:
-            raise CatalogError(f"ambiguous case label {label!r}")
-        self._by_key[key] = entry
+            key = _normalize(entry["name"])
+            if key in self._by_key:
+                raise CatalogError(f"ambiguous case label {entry['name']!r}")
+            self._by_key[key] = entry
 
     def names(self) -> tuple[str, ...]:
         return tuple(e["name"] for e in self.entries)
 
-    def _read(self, entry: dict, *, check: bool = True) -> CaseRecord:
+    def _read(self, entry: dict) -> CaseRecord:
         path = self.root / entry["file"]
         blob = path.read_bytes()
-        if check:
-            digest = hashlib.sha256(blob).hexdigest()
-            if digest != entry["sha256"]:
-                raise CatalogError(
-                    f"checksum mismatch for {entry['name']} ({path.name})"
-                )
+        if hashlib.sha256(blob).hexdigest() != entry["sha256"]:
+            raise CatalogError(f"checksum mismatch for {entry['name']} ({path.name})")
         try:
-            record = CaseRecord.from_json(json.loads(blob.decode("utf-8")))
+            return CaseRecord.from_json(json.loads(blob.decode("utf-8")))
         except (KeyError, TypeError, ValueError) as exc:
             raise CatalogError(
                 f"malformed case {entry['name']} ({path.name}): {exc!r}"
             ) from exc
-        for alias in record.aliases:
-            self._register(alias, entry)
-        return record
 
     def load(self, name: str) -> CaseRecord:
         key = _normalize(name)
         entry = self._by_key.get(key)
         if entry is None:
-            # aliases are registered on read; fall back to filename stems
+            # fall back to filename stems
             for cand in self.entries:
                 stem = Path(cand["file"]).stem
                 if _normalize(stem) == key:

@@ -21,12 +21,7 @@ from typing import Any, Callable
 
 from .catalog import Catalog, CatalogError, open_catalog
 from .complexes import ComplexError, PlanarComplex
-from .enumerator import (
-    EnumeratorError,
-    ResourceBoundExceeded,
-    embed,
-    enumerate_maps,
-)
+from .enumerator import EnumeratorError, embed, enumerate_maps
 from .fpgroup import DEFAULT_MAX_COSETS
 from .invariants import InvariantError, branch_stats, chern
 from .pipeline import PipelineError, decide
@@ -48,7 +43,6 @@ _ERRORS = (
     InvariantError,
     PipelineError,
     UnsupportedCaseError,
-    ResourceBoundExceeded,
     OSError,
 )
 
@@ -250,7 +244,7 @@ def _analysis_body(name: str, complex_: PlanarComplex, source, args) -> dict[str
     ]
     pres = verdict.presentation
     if pres is None:  # decide stopped before building one
-        extra = getattr(source, "extra_inner_relators", None) or None
+        extra = getattr(source, "extra_inner_relators", None)
         pres = reduced_presentation(complex_, inner6_relators=extra)
     return {
         "name": name,
@@ -400,9 +394,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 def cmd_export(args: argparse.Namespace) -> int:
     catalog = open_catalog()
     rec = catalog.load(args.case)
-    pres = reduced_presentation(
-        rec.complex, inner6_relators=rec.extra_inner_relators or None
-    )
+    pres = reduced_presentation(rec.complex, inner6_relators=rec.extra_inner_relators)
     if args.format == "json":
         print(json.dumps(presentation_json(pres), indent=2))
     else:

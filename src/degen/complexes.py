@@ -180,14 +180,6 @@ class SingularPoint:
 
 
 @dataclass(frozen=True)
-class DualGraph:
-    """Planes as nodes, lines as edges (the dual tree-or-graph of the complex)."""
-
-    nodes: tuple[int, ...]
-    edges: tuple[tuple[int, int, int], ...]  # (line index, plane, plane)
-
-
-@dataclass(frozen=True)
 class ValidationReport:
     errors: tuple[str, ...]  # structural: the data does not describe a complex
     violations: tuple[str, ...]  # semantic: not a valid planar degeneration
@@ -431,13 +423,6 @@ class PlanarComplex:
             if fan:
                 points.append(SingularPoint(v, "outer", len(fan), tuple(fan)))
         return tuple(points)
-
-    def dual_graph(self) -> DualGraph:
-        edges = tuple(
-            (line.index, line.planes[0], line.planes[1])
-            for line in self.interior_lines().values()
-        )
-        return DualGraph(tuple(sorted(self.triangles)), edges)
 
     def disjoint_line_pairs(self) -> tuple[tuple[int, int], ...]:
         """Pairs of lines sharing no vertex (parasitic intersections after regeneration)."""

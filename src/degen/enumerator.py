@@ -45,14 +45,6 @@ class EnumeratorError(ValueError):
     """Invalid map input or an unorientable/pinched triangle set."""
 
 
-class ResourceBoundExceeded(RuntimeError):
-    """Generation stopped early; `counts` holds the completed levels."""
-
-    def __init__(self, message: str, counts: tuple[int, ...]):
-        super().__init__(message)
-        self.counts = counts
-
-
 @dataclass(frozen=True)
 class CombinatorialMap:
     """Rotation system of a triangulated disk, plus its boundary walk.
@@ -260,7 +252,6 @@ def _as_built(
 def enumerate_maps(
     num_triangles: int,
     *,
-    max_states: int | None = None,
     guard: int = MAX_TRIANGLES_GUARD,
 ) -> list[CombinatorialMap]:
     """One representative per isomorphism class with the given triangle count.
@@ -271,9 +262,7 @@ def enumerate_maps(
     are that map's cyclic orders, possibly started elsewhere.
 
     `guard` bounds the requested size (resource guard; raise it consciously
-    for bigger runs), and `max_states` optionally caps the total number of
-    distinct maps touched across all levels, aborting with the counts of the
-    completed levels.
+    for bigger runs).
     """
     if num_triangles < 1:
         raise EnumeratorError("num_triangles must be at least 1")
@@ -286,9 +275,7 @@ def enumerate_maps(
     level: dict[tuple[int, ...], tuple[frozenset[Triangle], CombinatorialMap]] = {}
     first = CombinatorialMap.from_triangles(seed)
     level[canonical_form(first)] = (seed, first)
-    counts = [1]
-    touched = 1
-    for _size in range(2, num_triangles + 1):
+    for _ in range(2, num_triangles + 1):
         nxt: dict[tuple[int, ...], tuple[frozenset[Triangle], CombinatorialMap]] = {}
         for state, map_ in level.values():
             for grown, candidate in _grow(state, map_):
@@ -296,14 +283,7 @@ def enumerate_maps(
                 if key in nxt:
                     continue
                 nxt[key] = (grown, _as_built(grown, candidate))
-                touched += 1
-                if max_states is not None and touched > max_states:
-                    raise ResourceBoundExceeded(
-                        f"state budget {max_states} exceeded at size {_size}",
-                        tuple(counts),
-                    )
         level = nxt
-        counts.append(len(level))
     return [map_ for _state, map_ in level.values()]
 
 

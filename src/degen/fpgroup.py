@@ -317,13 +317,6 @@ def _word_image(w: Word, zero: Mapping[int, tuple[list[int], ...]], degree: int)
     return perm
 
 
-def word_permutation(
-    w: Word, images: Mapping[int, Sequence[int]], degree: int
-) -> tuple[int, ...]:
-    """Image of a word, composing left to right; permutations map 1..degree."""
-    return tuple(v + 1 for v in _word_image(w, _zero_based(images), degree))
-
-
 def first_broken_relator(
     presentation: Presentation, images: Mapping[int, Sequence[int]], degree: int
 ) -> int | None:
@@ -481,69 +474,50 @@ def kernel_abelianization(
         w = presentation.relators[broken]
         raise EnumerationError(f"relator {w} does not map to the identity")
 
-    zero = {g: tuple(v - 1 for v in images[g]) for g in images}
-    inv = {}
-    for g, p in zero.items():
-        q = [0] * degree
-        for i, v in enumerate(p):
-            q[v] = i
-        inv[g] = tuple(q)
-
-    start = tuple(range(degree))
-    coset_id = {start: 0}
-    order = [start]
-    tree_edges: set[tuple[int, int]] = set()
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        ui = coset_id[u]
-        for g in sorted(images):
-            for p, via in ((zero[g], "fwd"), (inv[g], "bwd")):
-                v = tuple(p[x] for x in u)
-                if v not in coset_id:
-                    coset_id[v] = len(order)
-                    order.append(v)
-                    edge = (ui, g) if via == "fwd" else (coset_id[v], g)
-                    tree_edges.add(edge)
-                    queue.append(v)
-    index = len(order)
-
-    edge_col: dict[tuple[int, int], int] = {}
-    for u in range(index):
-        for g in sorted(images):
-            e = (u, g)
-            if e not in tree_edges and e not in edge_col:
-                edge_col[e] = len(edge_col)
-
-    def trace(u: int, w: Word) -> dict[int, int]:
-        row: dict[int, int] = {}
-        perm_u = order[u]
-        for g, e in w:
-            for _ in range(abs(e)):
-                if e > 0:
-                    v = tuple(zero[g][x] for x in perm_u)
-                    edge = (coset_id[perm_u], g)
-                    delta = 1
-                else:
-                    v = tuple(inv[g][x] for x in perm_u)
-                    edge = (coset_id[v], g)
-                    delta = -1
-                if edge not in tree_edges:
-                    c = edge_col[edge]
-                    row[c] = row.get(c, 0) + delta
-                    if not row[c]:
-                        del row[c]
-                perm_u = v
-        return row
+    gens = sorted(images)
+    ngens = len(gens)
+    perms = [tuple(v - 1 for v in images[g]) for g in gens]
+    # Forward BFS over the image: element c goes to nxt[k][c] under generator
+    # k, and edge (c, k) has id c * ngens + k; tree holds the Schreier tree.
+    elements = [tuple(range(degree))]
+    ids = {elements[0]: 0}
+    nxt: list[list[int]] = [[] for _ in gens]
+    tree: set[int] = set()
+    for c, u in enumerate(elements):  # elements grows as the BFS runs
+        for k, p in enumerate(perms):
+            v = tuple(p[x] for x in u)
+            if v not in ids:
+                ids[v] = len(elements)
+                elements.append(v)
+                tree.add(c * ngens + k)
+            nxt[k].append(ids[v])
+    index = len(elements)
+    prv = [[0] * index for _ in gens]
+    for k in range(ngens):
+        for c, d in enumerate(nxt[k]):
+            prv[k][d] = c
+    column = {g: k for k, g in enumerate(gens)}
 
     rows = []
-    for u in range(index):
+    for start in range(index):
         for w in presentation.relators:
-            row = trace(u, w)
+            row: dict[int, int] = {}
+            c = start
+            for g, e in w:
+                k = column[g]
+                if e > 0:
+                    edge, c = c * ngens + k, nxt[k][c]
+                else:
+                    c = prv[k][c]
+                    edge = c * ngens + k
+                if edge not in tree:
+                    row[edge] = row.get(edge, 0) + e
+                    if not row[edge]:
+                        del row[edge]
             if row:
                 rows.append(row)
 
-    ncols = len(edge_col)
+    ncols = index * ngens - len(tree)
     units, residue = _unit_eliminate(rows)
     remaining_cols = sorted({c for row in residue for c in row})
     dense = [[row.get(c, 0) for c in remaining_cols] for row in residue]

@@ -17,9 +17,10 @@ signature theorem ``chi`` is the signature tau of the cover, not its
 topological Euler characteristic, which is ``c2``; the name ``chi`` stays in
 the JSON keys and table columns.
 
-``fit_contributions`` re-derives the per-kind local contributions from a set
-of case summaries by exact linear regression; it exists so the frozen table
-below is checked against data rather than trusted.
+The table below is checked against the catalog's printed branch data: every
+case's (mu, d, rho) must come out as printed, and the catalog fixes the table
+uniquely, because its cases' counts of each (kind, multiplicity) have full
+column rank.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
 
 from .complexes import PlanarComplex
 
@@ -71,17 +71,6 @@ class ChernData:
     chi_coeff: Fraction
 
 
-@dataclass(frozen=True)
-class CaseSummary:
-    """The data a fitted regression sees for one case: no geometry, only counts."""
-
-    vertex_counts: tuple[tuple[tuple[str, int], int], ...]  # ((kind, k), count)
-    parasitic: int
-    mu: int
-    d: int
-    rho: int
-
-
 def local_contribution(kind: str, multiplicity: int) -> tuple[int, int, int]:
     try:
         return CONTRIBUTIONS[(kind, multiplicity)]
@@ -104,21 +93,6 @@ def branch_stats(complex_: PlanarComplex) -> BranchStats:
     return BranchStats(n, m, mu, d, rho)
 
 
-def case_summary(complex_: PlanarComplex) -> CaseSummary:
-    counts: dict[tuple[str, int], int] = {}
-    for pt in complex_.classify_vertices():
-        key = (pt.kind, pt.multiplicity)
-        counts[key] = counts.get(key, 0) + 1
-    stats = branch_stats(complex_)
-    return CaseSummary(
-        tuple(sorted(counts.items())),
-        len(complex_.disjoint_line_pairs()),
-        stats.mu,
-        stats.d,
-        stats.rho,
-    )
-
-
 def chern(stats: BranchStats) -> ChernData:
     """c1^2, c2 and the signature (c1^2 - 2 c2)/3, named ``chi``, of the cover."""
     nf = math.factorial(stats.n)
@@ -137,72 +111,3 @@ def chern(stats: BranchStats) -> ChernData:
         Fraction(int(c2), nf),
         chi / nf,
     )
-
-
-class FitInconsistentError(InvariantError):
-    """The summaries admit no single contribution table."""
-
-    def __init__(self, report: list[str]):
-        super().__init__("; ".join(report))
-        self.report = report
-
-
-def fit_contributions(
-    summaries: Sequence[CaseSummary],
-) -> dict[tuple[str, int], tuple[Fraction, Fraction, Fraction]]:
-    """Solve for per-kind (mu, d, rho) contributions by exact linear algebra.
-
-    Parasitic pairs are assumed to contribute to ``d`` only, at the fixed
-    rate ``PARASITIC_NODES``; everything else is solved for.  Raises
-    ``FitInconsistentError`` when the system is contradictory and
-    ``InvariantError`` when some present kind is underdetermined.
-    """
-    kinds = sorted({k for s in summaries for k, _count in s.vertex_counts})
-    if not kinds:
-        raise InvariantError("no vertex data to fit")
-    col = {k: i for i, k in enumerate(kinds)}
-    solved: list[list[Fraction]] = []
-    for comp in range(3):
-        rows: list[list[Fraction]] = []
-        for s in summaries:
-            row = [Fraction(0)] * len(kinds)
-            for k, count in s.vertex_counts:
-                row[col[k]] += count
-            target = (s.mu, s.d, s.rho)[comp]
-            if comp == 1:
-                target -= PARASITIC_NODES * s.parasitic
-            rows.append(row + [Fraction(target)])
-        solved.append(_solve_exact(rows, len(kinds), comp))
-    return {
-        k: (solved[0][col[k]], solved[1][col[k]], solved[2][col[k]])
-        for k in kinds
-    }
-
-
-def _solve_exact(rows: list[list[Fraction]], ncols: int, comp: int) -> list[Fraction]:
-    component = ("mu", "d", "rho")[comp]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        rows[r] = [x / rows[r][c] for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    bad = [i for i in range(r, len(rows)) if rows[i][ncols] != 0]
-    if bad:
-        raise FitInconsistentError(
-            [f"{component}: residual {rows[i][ncols]} in summary row {i}" for i in bad]
-        )
-    if len(pivots) < ncols:
-        raise InvariantError(f"{component}: system is underdetermined")
-    out = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        out[c] = rows[i][ncols]
-    return out

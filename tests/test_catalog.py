@@ -49,6 +49,20 @@ def test_lookup_is_case_insensitive_on_short_names():
     assert load_case("U_6").name == "U_6"
 
 
+def test_listed_aliases_never_register(catalog_copy):
+    """Lookup is by name or file stem, whether or not the case was read."""
+    data = json.loads((catalog_copy / "cases" / "u-6.json").read_text())
+    data["aliases"].append("hexa")
+    rewrite_case(catalog_copy, json.dumps(data, ensure_ascii=False).encode(), stem="u-6")
+    catalog = open_catalog(catalog_copy)
+    with pytest.raises(CatalogError, match="no case named"):
+        catalog.load("hexa")
+    assert len(list(catalog)) == 29
+    with pytest.raises(CatalogError, match="no case named"):
+        catalog.load("hexa")
+    assert catalog.load("U_6").name == catalog.load("u-6").name == "U_6"
+
+
 def test_unknown_name_raises():
     with pytest.raises(CatalogError, match="no case named"):
         load_case("no-such-case")
@@ -73,14 +87,14 @@ def test_tampered_case_file_fails_checksum(catalog_copy):
     assert "U_{0,4}" in report.problems[0]
 
 
-def rewrite_u04(catalog_dir, blob):
-    """Replace u-0-4.json with `blob` and re-hash it in the manifest."""
-    victim = catalog_dir / "cases" / "u-0-4.json"
+def rewrite_case(catalog_dir, blob, stem="u-0-4"):
+    """Replace `stem`.json with `blob` and re-hash it in the manifest."""
+    victim = catalog_dir / "cases" / f"{stem}.json"
     victim.write_bytes(blob)
     manifest_path = catalog_dir / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
     for entry in manifest["cases"]:
-        if entry["file"].endswith("u-0-4.json"):
+        if entry["file"].endswith(f"/{stem}.json"):
             entry["sha256"] = hashlib.sha256(blob).hexdigest()
     manifest_path.write_text(json.dumps(manifest, ensure_ascii=False))
 
@@ -88,7 +102,7 @@ def rewrite_u04(catalog_dir, blob):
 def drop_expected_key(catalog_dir, key):
     data = json.loads((catalog_dir / "cases" / "u-0-4.json").read_text())
     del data["expected"][key]
-    rewrite_u04(catalog_dir, json.dumps(data, ensure_ascii=False).encode())
+    rewrite_case(catalog_dir, json.dumps(data, ensure_ascii=False).encode())
 
 
 def test_case_missing_a_key_is_a_named_error(catalog_copy, monkeypatch, capsys):
@@ -109,7 +123,7 @@ def test_verify_names_the_case_missing_a_key(catalog_copy):
 
 
 def test_undecodable_case_file_is_a_named_error(catalog_copy):
-    rewrite_u04(catalog_copy, b"\xff not utf-8")
+    rewrite_case(catalog_copy, b"\xff not utf-8")
     with pytest.raises(CatalogError, match=r"u-0-4\.json"):
         load_case("U_{0,4}", catalog_dir=catalog_copy)
 

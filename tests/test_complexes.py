@@ -239,14 +239,6 @@ def test_line_pair_partition(records):
             assert va & vb, f"{rec.name}: transversal pair {a},{b} shares no vertex"
 
 
-def test_dual_graph_matches_interior_lines(records):
-    for rec in records:
-        pc = rec.complex
-        graph = pc.dual_graph()
-        assert set(graph.nodes) == set(pc.triangles)
-        assert len(graph.edges) == len(pc.interior_lines())
-
-
 def test_edge_planes_two_for_interior_one_for_boundary(records):
     rec = records[0]
     pc = rec.complex

@@ -17,7 +17,6 @@ from degen.catalog import load_all
 from degen.enumerator import (
     CombinatorialMap,
     EnumeratorError,
-    ResourceBoundExceeded,
     _as_built,
     _grow,
     canonical_form,
@@ -185,12 +184,6 @@ def test_guard_refuses_oversized_runs():
     with pytest.raises(EnumeratorError, match="guard"):
         enumerate_maps(9)
     assert enumeration_counts(8, guard=8)[:6] == (1, 1, 2, 5, 9, 28)
-
-
-def test_state_budget_raises_with_partial_counts():
-    with pytest.raises(ResourceBoundExceeded) as info:
-        enumerate_maps(6, max_states=3)
-    assert info.value.counts == (1, 1)
 
 
 def test_builder_rejects_edge_shared_three_ways():

@@ -13,7 +13,6 @@ from degen.fpgroup import (
     smith_normal_form,
     todd_coxeter,
     transposition_images,
-    word_permutation,
 )
 from degen.relations import Presentation, reduced_presentation, word
 
@@ -207,6 +206,18 @@ def test_kernel_of_cyclic_four_onto_order_two():
     assert (ka.index, ka.rank, ka.torsion) == (2, 0, (2,))
 
 
+def test_kernel_of_cyclic_three_onto_itself():
+    z3 = Presentation((1,), (word(1, 1, 1),), ("power",))
+    ka = kernel_abelianization(z3, {1: (2, 3, 1)}, degree=3)
+    assert (ka.index, ka.rank, ka.torsion) == (3, 0, ())
+
+
+def test_kernel_of_free_group_onto_symmetric_three():
+    free = Presentation((1, 2), (), ())
+    ka = kernel_abelianization(free, {1: (2, 3, 1), 2: (2, 1, 3)}, degree=3)
+    assert (ka.index, ka.rank, ka.torsion) == (6, 7, ())
+
+
 def test_kernel_vanishes_for_a_trivial_case(by_name):
     rec = by_name["U_{0,4}"]
     pres = reduced_presentation(rec.complex)
@@ -222,13 +233,6 @@ def test_kernel_has_positive_rank_for_a_nontrivial_case(by_name):
     ka = kernel_abelianization(pres, images, degree=6)
     assert ka.index == 720
     assert ka.rank >= 1
-
-
-def test_word_permutation_applies_left_to_right():
-    images = {1: (2, 1, 3), 2: (1, 3, 2)}
-    assert word_permutation(word(1, 2), images, degree=3) == (3, 1, 2)
-    assert word_permutation(word(-1,), images, degree=3) == (2, 1, 3)
-    assert word_permutation(word(), images, degree=3) == (1, 2, 3)
 
 
 def test_relators_hold_detects_violation():

@@ -1,16 +1,10 @@
-import dataclasses
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from degen.invariants import (
-    CONTRIBUTIONS,
-    FitInconsistentError,
-    branch_stats,
-    case_summary,
-    chern,
-    fit_contributions,
-)
+from degen.fpgroup import smith_normal_form
+from degen.invariants import CONTRIBUTIONS, branch_stats, chern
 
 FACTORIAL_SIX = 720
 
@@ -55,27 +49,15 @@ def test_euler_characteristic_is_negative_third_multiple(records):
         assert a.denominator == 1 and 1 <= a <= 7, rec.name
 
 
-def test_fit_recovers_contribution_table(records):
-    fit = fit_contributions([case_summary(rec.complex) for rec in records])
-    assert set(fit) == set(CONTRIBUTIONS)
-    for key, (mu_c, d_c, rho_c) in fit.items():
-        assert (mu_c, d_c, rho_c) == tuple(
-            Fraction(x) for x in CONTRIBUTIONS[key]
-        ), key
-
-
-def test_fit_rejects_perturbed_summary(records):
-    summaries = [case_summary(rec.complex) for rec in records]
-    summaries[5] = dataclasses.replace(summaries[5], mu=summaries[5].mu + 1)
-    with pytest.raises(FitInconsistentError):
-        fit_contributions(summaries)
-
-
-def test_summary_agrees_with_branch_stats(records):
+def test_catalog_fixes_contribution_table(records):
+    """Every catalogued kind occurs, and the cases' point counts have full
+    column rank: with `test_branch_stats_match_catalog`, no other table gives
+    the catalog's (mu, d, rho)."""
+    keys = sorted(CONTRIBUTIONS)
+    counts = []
     for rec in records:
-        s = case_summary(rec.complex)
-        bs = branch_stats(rec.complex)
-        assert (s.mu, s.d, s.rho) == (bs.mu, bs.d, bs.rho), rec.name
-        assert sum(count for _, count in s.vertex_counts) == len(
-            rec.complex.classify_vertices()
-        ), rec.name
+        kinds = Counter((p.kind, p.multiplicity) for p in rec.complex.classify_vertices())
+        assert set(kinds) <= set(keys), rec.name
+        counts.append([kinds[k] for k in keys])
+    assert all(any(column) for column in zip(*counts))
+    assert len(smith_normal_form(counts)) == len(keys)

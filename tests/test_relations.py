@@ -133,6 +133,8 @@ def test_all_relators_die_in_symmetric_group(records):
 def test_inner_six_point_needs_catalogue_relators(by_name):
     with pytest.raises(UnsupportedCaseError):
         reduced_presentation(by_name["U_6"].complex)
+    with pytest.raises(UnsupportedCaseError, match="inner 6-point at vertex"):
+        reduced_presentation(by_name["U_6"].complex, inner6_relators=())
 
 
 def test_presentation_text_format(by_name):
