@@ -381,7 +381,6 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         path = os.path.join(args.out_dir, f"map-{i:0{width}d}.json")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(embed(map_).dumps())
-            fh.write("\n")
     print(f"wrote {len(maps)} complexes to {args.out_dir}")
     return EXIT_OK
 

@@ -148,35 +148,15 @@ class SingularPoint:
 
     ``lines_cyclic`` lists the incident line indices in rotation order around
     the vertex: a full cycle for an inner point (rotated to start at the
-    smallest index), the open fan order for an outer point.
+    smallest index), the open fan order for an outer point.  Which pairs of
+    lines braid is read off the planes instead (`PlanarComplex.plane_lines`):
+    lines adjacent in a fan bound the plane between them.
     """
 
     vertex: int
     kind: str  # "inner" | "outer"
     multiplicity: int
     lines_cyclic: tuple[int, ...]
-
-    def tangent_pairs(self) -> tuple[tuple[int, int], ...]:
-        """Pairs of lines adjacent in the rotation at this vertex."""
-        c = self.lines_cyclic
-        if self.multiplicity < 2:
-            return ()
-        if self.multiplicity == 2:
-            return (tuple(sorted(c)),)
-        pairs = [tuple(sorted((c[i], c[i + 1]))) for i in range(len(c) - 1)]
-        if self.kind == "inner":
-            pairs.append(tuple(sorted((c[-1], c[0]))))
-        return tuple(sorted(set(pairs)))
-
-    def transversal_pairs(self) -> tuple[tuple[int, int], ...]:
-        """Pairs of lines meeting here without being rotation-adjacent."""
-        tangent = set(self.tangent_pairs())
-        allp = {
-            tuple(sorted((a, b)))
-            for i, a in enumerate(self.lines_cyclic)
-            for b in self.lines_cyclic[i + 1 :]
-        }
-        return tuple(sorted(allp - tangent))
 
 
 @dataclass(frozen=True)
@@ -193,8 +173,8 @@ class PlanarComplex:
     """An immutable planar triangle complex with numbered interior edges.
 
     Derived incidence (the edge-to-planes map, the integer lattice, the
-    planes oriented alike with their boundary walk, and the vertex
-    classification) is computed once per instance, on first use.  So
+    planes oriented alike with their boundary walk, the vertex classification
+    and each plane's lines) is computed once per instance, on first use.  So
     ``vertices``, ``triangles`` and ``line_numbering`` must not be mutated
     after construction.
     """
@@ -252,6 +232,19 @@ class PlanarComplex:
                 )
             lines[index] = Line(index, pair, (planes[0], planes[1]))
         return lines
+
+    def plane_lines(self) -> dict[int, tuple[int, ...]]:
+        """Each plane's sides that are lines, as ascending indices (computed once).
+
+        Every plane is a key, in plane order; a plane with no line maps to ``()``.
+        """
+        return self._plane_lines
+
+    @cached_property
+    def _plane_lines(self) -> dict[int, tuple[int, ...]]:
+        lines = self.interior_lines().values()
+        planes = sorted(self.triangles)
+        return {p: tuple(line.index for line in lines if p in line.planes) for p in planes}
 
     def boundary_edges(self) -> set[frozenset[int]]:
         return {e for e, ps in self._edge_planes.items() if len(ps) == 1}

@@ -2,9 +2,9 @@
 
 The verdict combines three ingredients, applied strictly in this order:
 
-1. A branch certificate: a plane meeting three or more lines that lies on no
-   cycle of the line-dual graph forces a nontrivial group, regardless of any
-   generator equalities.
+1. A branch certificate: a plane whose three sides are lines and whose
+   corners all lie on the boundary lies on no cycle of the line-dual graph,
+   which forces a nontrivial group regardless of any generator equalities.
 2. Equality propagation: local rules at low-multiplicity singular points
    (optionally extended by catalogued hints) establish which lines have
    their two regenerated generators identified.  Only when every line is
@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .catalog import CaseHint
 from .complexes import PlanarComplex, SingularPoint
 from .fpgroup import (
     DEFAULT_MAX_COSETS,
@@ -46,6 +45,9 @@ from .relations import (
     word,
     word_text,
 )
+
+if TYPE_CHECKING:
+    from .catalog import CaseHint
 
 
 class PipelineError(ValueError):
@@ -173,7 +175,7 @@ def propagate_equalities(
 
 @dataclass(frozen=True)
 class ForkVertex:
-    """A plane of line-valency >= 3 lying on no cycle of the dual graph."""
+    """A plane of line-valency 3 lying on no cycle of the dual graph."""
 
     plane: int
     lines: tuple[int, int, int]
@@ -193,45 +195,19 @@ class CosetOrder:
 
 
 def fork_certificate(complex_: PlanarComplex) -> ForkVertex | None:
-    """First plane (by number) whose dual-graph node is an off-cycle fork.
+    """First plane (by number) whose three sides are lines and corners all outer.
 
-    A node is on a cycle exactly when two of its neighbors stay connected
-    after the node is removed.
+    On a triangulated disk these are the planes of line-valency 3 on no dual
+    cycle.  The fan around an inner vertex is a dual cycle through each plane
+    at it.  Conversely, a dual cycle crosses each of its lines once, so one
+    end of each such line lies inside the cycle, off the boundary, and each
+    plane on the cycle has two such lines as sides.
     """
-    planes = sorted(complex_.triangles)
-    adj: dict[int, set[int]] = {n: set() for n in planes}
-    incident: dict[int, list[int]] = {n: [] for n in planes}
-    for line in complex_.interior_lines().values():
-        p, q = line.planes
-        adj[p].add(q)
-        adj[q].add(p)
-        incident[p].append(line.index)
-        incident[q].append(line.index)
-    for node in planes:
-        if len(incident[node]) < 3:
-            continue
-        neigh = sorted(adj[node])
-        if _touches_cycle(node, neigh, adj):
-            continue
-        lines = tuple(sorted(incident[node])[:3])
-        return ForkVertex(plane=node, lines=lines)
+    inner = {p.vertex for p in complex_.classify_vertices() if p.kind == "inner"}
+    for plane, lines in complex_.plane_lines().items():
+        if len(lines) == 3 and inner.isdisjoint(complex_.triangles[plane]):
+            return ForkVertex(plane=plane, lines=lines)
     return None
-
-
-def _touches_cycle(node: int, neigh: Sequence[int], adj: dict[int, set[int]]) -> bool:
-    for i in range(len(neigh)):
-        for j in range(i + 1, len(neigh)):
-            stack = [neigh[i]]
-            seen = {node, neigh[i]}
-            while stack:
-                x = stack.pop()
-                if x == neigh[j]:
-                    return True
-                for y in adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-    return False
 
 
 # ----------------------------------------------------------------------
@@ -358,9 +334,10 @@ def decide(
     what the local rules alone can settle.  A line numbering under which
     some relator fails in the symmetric image is refused with
     `UnsupportedCaseError` before any coset is enumerated.  The fork rule
-    runs before that check, and may: it reads only the dual graph, never the
-    presentation, so no numbering can change it, and a fork disk whose
-    numbering breaks a relator is still nontrivial by its fork.
+    runs before that check, and may: it reads only the plane table and which
+    corners are inner, never the presentation, and neither depends on the
+    line numbering, so a fork disk whose numbering breaks a relator is still
+    nontrivial by its fork.
 
     The enumeration runs over H = <g_l1, ..., g_lk> for the chain that
     `_coxeter_chain` picks, and the group order is the index of H times

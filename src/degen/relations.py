@@ -2,17 +2,18 @@
 
 After regeneration, each line ``i`` contributes two braid-monodromy
 generators that the plane identification collapses to a single involution
-``g_i``.  Two lines meeting at a singular point are either tangent (adjacent
-in the rotation at that vertex) or transversal; lines sharing no vertex meet
-parasitically after regeneration.  The induced relators are:
+``g_i``.  Two lines are tangent when they bound a common plane; every other
+pair commutes, whether the two lines cross at a singular point or, sharing
+no vertex, meet parasitically after regeneration.  The induced relators are:
 
 * ``g_i g_i`` for every line (involution),
 * the braid relation ``g_i g_j g_i g_j^-1 g_i^-1 g_j^-1`` for tangent pairs,
-* the commutator ``[g_i, g_j]`` for transversal and parasitic pairs,
+* the commutator ``[g_i, g_j]`` for every other pair,
 * one equation per inner k-point tying the two "ends" of its closed fan.
 
-Fork triples are kept only to check the catalog's printed forks; the
-enumerated presentation has no fork relators.
+Both pair rules read `PlanarComplex.plane_lines`.  Fork triples, the planes
+whose three sides are lines, are kept only to check the catalog's printed
+forks; the enumerated presentation has no fork relators.
 
 The projective relation is omitted throughout: under the plane
 identification and the involutions it freely reduces to the identity.
@@ -21,6 +22,7 @@ identification and the involutions it freely reduces to the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .complexes import PlanarComplex, SingularPoint
@@ -68,17 +70,15 @@ def commutator_relator(i: int, j: int) -> Word:
     return word(i, j, -i, -j)
 
 
-def tangent_pairs(points: Iterable[SingularPoint]) -> tuple[tuple[int, int], ...]:
-    pairs: set[tuple[int, int]] = set()
-    for pt in points:
-        pairs.update(pt.tangent_pairs())
-    return tuple(sorted(pairs))
+def tangent_pairs(complex_: PlanarComplex) -> tuple[tuple[int, int], ...]:
+    """Pairs of lines that bound a common plane, ascending.
 
-
-def transversal_pairs(points: Iterable[SingularPoint]) -> tuple[tuple[int, int], ...]:
-    pairs: set[tuple[int, int]] = set()
-    for pt in points:
-        pairs.update(pt.transversal_pairs())
+    On a triangulated disk these are the pairs adjacent in the fan at their
+    common vertex: two lines adjacent in a fan are two sides of the wedge
+    plane between them, and two sides of a plane meet at a corner whose fan
+    passes from one to the other across that plane.
+    """
+    pairs = {p for ls in complex_.plane_lines().values() for p in combinations(ls, 2)}
     return tuple(sorted(pairs))
 
 
@@ -128,39 +128,14 @@ def inner_point_relators(
     return tuple(out)
 
 
-def fork_triples(
-    tangent: Iterable[tuple[int, int]],
-    points: Iterable[SingularPoint],
-) -> tuple[tuple[int, int, int], ...]:
-    """Pairwise tangent line triples not concurrent at a single vertex."""
-    tset = {tuple(sorted(p)) for p in tangent}
-    lines = sorted({i for p in tset for i in p})
-    concurrent = {
-        trip
-        for pt in points
-        if pt.multiplicity >= 3
-        for trip in _triples_within(sorted(pt.lines_cyclic))
-    }
-    out = []
-    for ai, a in enumerate(lines):
-        for bi in range(ai + 1, len(lines)):
-            b = lines[bi]
-            if (a, b) not in tset:
-                continue
-            for c in lines[bi + 1 :]:
-                if (a, c) in tset and (b, c) in tset and (a, b, c) not in concurrent:
-                    out.append((a, b, c))
-    return tuple(out)
+def fork_triples(complex_: PlanarComplex) -> tuple[tuple[int, int, int], ...]:
+    """The line triples that are the three sides of one plane, ascending.
 
-
-def _triples_within(ls: Sequence[int]) -> list[tuple[int, int, int]]:
-    n = len(ls)
-    return [
-        (ls[i], ls[j], ls[k])
-        for i in range(n)
-        for j in range(i + 1, n)
-        for k in range(j + 1, n)
-    ]
+    These are the pairwise tangent triples that do not meet at one vertex:
+    two sides of a triangle fix it, so three pairwise tangent lines either
+    share a corner or are the three sides of one plane.
+    """
+    return tuple(sorted(ls for ls in complex_.plane_lines().values() if len(ls) == 3))
 
 
 @dataclass(frozen=True)
@@ -201,11 +176,11 @@ def reduced_presentation(
     for i in generators:
         relators.append(involution_relator(i))
         tags.append("involution")
-    for i, j in tangent_pairs(points):
+    tangent = tangent_pairs(complex_)
+    for i, j in tangent:
         relators.append(triple_relator(i, j))
         tags.append("triple")
-    commuting = sorted(set(transversal_pairs(points)) | set(complex_.disjoint_line_pairs()))
-    for i, j in commuting:
+    for i, j in sorted(set(combinations(generators, 2)).difference(tangent)):
         relators.append(commutator_relator(i, j))
         tags.append("commutator")
     for rel, _vertex in inner_point_relators(points, extra=inner6_relators):

@@ -4,6 +4,7 @@ import pytest
 
 import degen.complexes
 from degen.catalog import load_all
+from degen.enumerator import embed, enumerate_maps
 
 
 @pytest.fixture(scope="session")
@@ -14,6 +15,15 @@ def records():
 @pytest.fixture(scope="session")
 def by_name(records):
     return {rec.name: rec for rec in records}
+
+
+@pytest.fixture(scope="session")
+def small_complexes(records):
+    """The 29 catalog complexes, then an embedding of every disk of up to 8
+    triangles (392 complexes)."""
+    return [rec.complex for rec in records] + [
+        embed(m) for n in range(1, 9) for m in enumerate_maps(n)
+    ]
 
 
 @pytest.fixture

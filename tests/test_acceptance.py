@@ -28,8 +28,9 @@ from degen.fpgroup import (
 )
 from degen.invariants import CONTRIBUTIONS, branch_stats, chern
 from degen.pipeline import decide
-from degen.relations import Presentation, reduced_presentation, tangent_pairs, transversal_pairs, word
+from degen.relations import Presentation, reduced_presentation, tangent_pairs, word
 from enumeration_helpers import match_catalog
+from rotation_oracles import rotation_transversal_pairs
 
 FACTORIAL_SIX = 720
 
@@ -202,8 +203,8 @@ def test_criterion_6_property_suites(records):
 
         lines = sorted(pc.line_numbering)
         all_pairs = {(a, b) for a, b in combinations(lines, 2)}
-        tangent = set(tangent_pairs(points))
-        transversal = set(transversal_pairs(points))
+        tangent = set(tangent_pairs(pc))
+        transversal = set(rotation_transversal_pairs(points))
         disjoint = set(pc.disjoint_line_pairs())
         assert tangent | transversal | disjoint == all_pairs, rec.name
         assert tangent.isdisjoint(transversal), rec.name

@@ -179,7 +179,9 @@ def test_enumerate_writes_loadable_complexes(capsys, tmp_path):
     files = sorted(out_dir.glob("map-*.json"))
     assert len(files) == 5
     for path in files:
-        assert PlanarComplex.loads(path.read_text()).validate().ok
+        text = path.read_text()
+        assert PlanarComplex.loads(text).validate().ok
+        assert text == PlanarComplex.loads(text).dumps()
 
 
 def test_enumerate_without_out_dir_fails(capsys):

@@ -13,6 +13,7 @@ from degen.complexes import ComplexError, PlanarComplex, SingularPoint
 from degen.enumerator import CombinatorialMap, EnumeratorError, embed, enumerate_maps
 from degen.geometry import orient, segments_conflict
 from degen.relations import tangent_pairs
+from rotation_oracles import rotation_transversal_pairs
 
 
 @pytest.fixture(scope="module")
@@ -227,11 +228,13 @@ def test_line_pair_partition(records):
         pc = rec.complex
         lines = sorted(pc.interior_lines())
         every = {frozenset(p) for p in combinations(lines, 2)}
-        tangent = {frozenset(p) for p in tangent_pairs(pc.classify_vertices())}
+        tangent = {frozenset(p) for p in tangent_pairs(pc)}
         disjoint = {frozenset(p) for p in pc.disjoint_line_pairs()}
         assert tangent <= every and disjoint <= every
         assert not tangent & disjoint
         transversal = every - tangent - disjoint
+        oracle = rotation_transversal_pairs(pc.classify_vertices())
+        assert transversal == {frozenset(p) for p in oracle}, rec.name
         for pair in transversal:
             a, b = sorted(pair)
             va = set(pc.line_numbering[a])

@@ -37,6 +37,11 @@ def loaded_modules(module: str) -> set[str]:
                 "degen.catalog",
             },
         ),
+        ("degen.pipeline", {"degen.catalog", "degen.enumerator"}),
+        (
+            "degen.relations",
+            {"degen.fpgroup", "degen.pipeline", "degen.catalog", "degen.enumerator"},
+        ),
     ],
 )
 def test_import_does_not_load_upper_layers(module, absent):

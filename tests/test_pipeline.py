@@ -1,9 +1,11 @@
+import random
 from dataclasses import replace
 from math import factorial
 
 import pytest
 
 from degen.catalog import CaseHint
+from degen.complexes import PlanarComplex
 from degen.enumerator import embed, enumerate_maps
 from degen.fpgroup import (
     Completed,
@@ -33,6 +35,7 @@ from degen.relations import (
     triple_relator,
     word,
 )
+from rotation_oracles import dfs_fork_certificate
 
 NONTRIVIAL = frozenset(
     {
@@ -266,6 +269,50 @@ def test_fork_rule_runs_before_the_numbering_check():
         assert verdict.outcome == "nontrivial"
         assert verdict.certificate == fork
     assert forks_with_broken_numbering == 2
+
+
+def test_fork_certificate_matches_dual_cycle_search(small_complexes):
+    """The plane rule finds the fork the depth-first search finds, on the
+    catalog and every disk of up to 8 triangles."""
+    assert len(small_complexes) == 392
+    forks = 0
+    for k, pc in enumerate(small_complexes):
+        fork = fork_certificate(pc)
+        assert fork == dfs_fork_certificate(pc), k
+        forks += fork is not None
+    assert forks == 133
+
+
+def renumbered(pc, rng):
+    """`pc` with its line indices permuted at random."""
+    indices = sorted(pc.line_numbering)
+    shuffled = rng.sample(indices, len(indices))
+    lines = {new: pc.line_numbering[old] for old, new in zip(indices, shuffled)}
+    return PlanarComplex(pc.vertices, pc.triangles, lines)
+
+
+def test_line_renumberings_never_contradict(small_complexes):
+    """Lemmas-only verdicts under random line renumberings of the catalog and
+    every disk of up to 7 triangles: each is a verdict or a named refusal,
+    and no two decided verdicts of one disk disagree."""
+    rng = random.Random(20121203)
+    complexes = [pc for pc in small_complexes if len(pc.triangles) <= 7]
+    assert len(complexes) == 148
+    conflicts, refusals = [], 0
+    for k, pc in enumerate(complexes):
+        decided = set()
+        for _ in range(8):
+            try:
+                verdict = decide(renumbered(pc, rng), use_hints=False)
+            except UnsupportedCaseError:
+                refusals += 1
+                continue
+            if verdict.outcome != "undecided":
+                decided.add(verdict.outcome)
+        if len(decided) > 1:
+            conflicts.append(k)
+    assert conflicts == []
+    assert refusals < 8 * len(complexes)
 
 
 def test_decide_accepts_bare_complex(by_name):

@@ -19,12 +19,12 @@ from degen.relations import (
     presentation_text,
     reduced_presentation,
     tangent_pairs,
-    transversal_pairs,
     triple_relator,
     word,
     word_from_json,
     word_text,
 )
+from rotation_oracles import concurrency_fork_triples, rotation_tangent_pairs
 
 letters = st.integers(min_value=1, max_value=5).flatmap(
     lambda g: st.sampled_from([g, -g])
@@ -74,25 +74,33 @@ def test_presentation_counts_match_catalog(records):
             assert set(exp.parasitic) <= set(exp.commutators), rec.name
 
 
+def tagged_pairs(pres, tag):
+    """The line pair of each relator tagged `tag`: its first two letters."""
+    return {
+        (rel[0][0], rel[1][0]) for rel, t in zip(pres.relators, pres.annotations) if t == tag
+    }
+
+
 def test_printed_relations_match_computed_ones(records):
     """The stored triples, commutators, inner relations and forks, as sets.
 
-    An inner relation ``lhs = rhs`` is read as ``lhs rhs^-1``; the printed
-    k=3 relations are the inverses of the computed relators, the k=4 and k=5
-    ones are the computed relators as written.
+    Triples and commutators are checked against the relators that
+    `reduced_presentation` builds.  An inner relation ``lhs = rhs`` is read
+    as ``lhs rhs^-1``; the printed k=3 relations are the inverses of the
+    computed relators, the k=4 and k=5 ones are the computed relators as
+    written.
     """
     assert len(records) == 29
     for rec in records:
         exp = rec.expected
         points = rec.complex.classify_vertices()
-        tangent = tangent_pairs(points)
+        pres = reduced_presentation(
+            rec.complex, inner6_relators=rec.extra_inner_relators or None
+        )
         if exp.triples is not None:
-            assert set(exp.triples) == set(tangent), rec.name
+            assert set(exp.triples) == tagged_pairs(pres, "triple"), rec.name
         if exp.commutators is not None:
-            commuting = set(transversal_pairs(points)) | set(
-                rec.complex.disjoint_line_pairs()
-            )
-            assert set(exp.commutators) == commuting, rec.name
+            assert set(exp.commutators) == tagged_pairs(pres, "commutator"), rec.name
         if exp.inner_relators is not None:
             multiplicity = {p.vertex: p.multiplicity for p in points}
             computed = inner_point_relators(points)
@@ -105,7 +113,7 @@ def test_printed_relations_match_computed_ones(records):
                 inverse(rel) if multiplicity[v] == 3 else rel for rel, v in computed
             }, rec.name
         if exp.forks is not None:
-            forks = set(fork_triples(tangent, points))
+            forks = set(fork_triples(rec.complex))
             if exp.forks_complete:
                 assert set(exp.forks) == forks, rec.name
             else:
@@ -114,10 +122,24 @@ def test_printed_relations_match_computed_ones(records):
 
 def test_u33_prints_one_of_its_two_forks(by_name):
     rec = by_name["U_{3,3}"]
-    points = rec.complex.classify_vertices()
     assert not rec.expected.forks_complete
     assert len(rec.expected.forks) == 1
-    assert len(fork_triples(tangent_pairs(points), points)) == 2
+    assert len(fork_triples(rec.complex)) == 2
+
+
+def test_plane_rules_match_rotation_oracles(small_complexes):
+    """Tangent pairs and fork triples read off the planes equal the rotation
+    adjacency and the concurrency search, on the catalog and every disk of
+    up to 8 triangles."""
+    assert len(small_complexes) == 392
+    forks = 0
+    for k, pc in enumerate(small_complexes):
+        points = pc.classify_vertices()
+        oracle = rotation_tangent_pairs(points)
+        assert tangent_pairs(pc) == oracle, k
+        assert fork_triples(pc) == concurrency_fork_triples(oracle, points), k
+        forks += bool(fork_triples(pc))
+    assert forks == 335
 
 
 def test_all_relators_die_in_symmetric_group(records):
