@@ -20,8 +20,10 @@ class becomes the class's representative as it is, once turned and started
 like `CombinatorialMap.from_triangles` of its state: its boundary walk and
 triangles equal that map's byte for byte, and its rings are the same
 cyclic orders, possibly started elsewhere.  The canonical form encodes only
-roots whose tail has the least boundary degree, and drops each code as soon
-as it is above the best one so far.
+roots whose tail has the least boundary degree, and when that tail is an ear
+(a boundary vertex of degree 2), only those whose head has the least degree
+among the ear roots; it drops each code as soon as it is above the best one
+so far.
 
 Generated maps are purely combinatorial; `embed` synthesizes exact rational
 coordinates (boundary on a circle, interior vertices at neighbor averages)
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .complexes import ComplexError, PlanarComplex, orient_disk, planes_by_edge, vertex_fans
@@ -142,24 +145,42 @@ def canonical_form(map_: CombinatorialMap) -> tuple[int, ...]:
     which encodes the mirror image, whose outer face is the same walk
     reversed.
 
-    Two prunings leave the minimum unchanged.  A code starts
+    Three prunings leave the minimum unchanged.  A code starts
     1, 2, ..., d, -1, where d is the degree of the root's tail, and -1 is
     below every label, so a tail of smaller degree always wins: only roots
-    whose tail has the least degree on the boundary are encoded.  And every
-    rooted code of one map has the same length, the sum of deg + 1 over the
-    vertices, so a code that is above the best so far at some entry, after
-    an equal prefix, is above it in full: it is dropped at the end of that
-    entry's ring.
+    whose tail has the least degree on the boundary are encoded.
+
+    When that degree is 2, only ear roots whose head has the least degree
+    among them are encoded (the ear lemma).  Let u be an ear, a boundary
+    vertex of degree 2, with walk neighbours p before it and s after it; its
+    one plane is p u s.  Read forward from root (u, s): ring 1 is 1, 2, -1,
+    so s gets label 1 and p label 2.  The ring of s, read from u, goes next
+    through the ear's plane to p, and every other neighbour of s is new, so
+    ring 2 is 0, 2, 3, ..., k, -1, where k = deg s.  The mirrored root
+    (u, p) reads the same, with k = deg p.  Two such codes first differ
+    where the one with the smaller k has -1, and -1 is below every label,
+    so the minimum has the least head degree.
+
+    And every rooted code of one map has the same length, the sum of
+    deg + 1 over the vertices, so a code that is above the best so far at
+    some entry, after an equal prefix, is above it in full: it is dropped
+    at the end of that entry's ring.
     """
     rot = map_.rotation_dict
     b = map_.boundary
-    low = min(len(rot[v]) for v in b)
+    deg = [len(rot[v]) for v in b]
+    low = min(deg)
+    n = len(b)
+    # (tail, head, mirrored) as walk positions: forward roots run along the
+    # walk, mirrored roots against it
+    tails = [i for i in range(n) if deg[i] == low]
+    roots = [(i, (i + 1) % n, False) for i in tails] + [(i, i - 1, True) for i in tails]
+    if low == 2:
+        head = min(deg[j] for _i, j, _mirrored in roots)
+        roots = [r for r in roots if deg[r[1]] == head]
     best = None
-    for u, v in zip(b, b[1:] + b[:1]):
-        if len(rot[u]) == low:
-            best = _rooted_code(rot, (u, v), False, best) or best
-        if len(rot[v]) == low:
-            best = _rooted_code(rot, (v, u), True, best) or best
+    for i, j, mirrored in roots:
+        best = _rooted_code(rot, (b[i], b[j]), mirrored, best) or best
     return tuple(best)
 
 
@@ -292,14 +313,15 @@ def enumerate_maps(
 # ----------------------------------------------------------------------
 
 
-def _circle_points(k: int) -> list[tuple[Fraction, Fraction]]:
+@cache
+def _circle_points(k: int) -> tuple[tuple[Fraction, Fraction], ...]:
     """k distinct rational points on the unit circle, in convex position."""
     pts = []
     for j in range(k):
         t = Fraction(4 * j, k) - 2
         den = 1 + t * t
         pts.append(((1 - t * t) / den, 2 * t / den))
-    return pts
+    return tuple(pts)
 
 
 def embed(map_: CombinatorialMap) -> PlanarComplex:

@@ -30,7 +30,12 @@ MIRROR_PAIR = ("U_{0,5,1}", "U_{0,5,3}")
 # First 16 hex digits of the SHA-256 of every class's canonical form, of
 # every class's embedding, and of the singular points of every embedding, in
 # enumeration order.
-GOLDEN_FORMS = {6: "19133f7f85a46eab", 7: "f545c4de63b8eb31", 8: "b32ce4defc7013fd"}
+GOLDEN_FORMS = {
+    6: "19133f7f85a46eab",
+    7: "f545c4de63b8eb31",
+    8: "b32ce4defc7013fd",
+    10: "ed968c1a54eba9dd",
+}
 GOLDEN_EMBEDS = {6: "6d158afb46af2802", 7: "87835bdc2c2c39ee", 8: "9565ac0781b8fc04"}
 GOLDEN_POINTS = {6: "00f3e68214b0c975", 7: "5b62086380341261", 8: "c5a662479fbb08c4"}
 GOLDEN_FORMS_NINE = "d491b888389237c4"
@@ -213,7 +218,8 @@ def digest(text):
 @pytest.mark.parametrize("num_triangles", sorted(GOLDEN_FORMS))
 def test_canonical_forms_match_golden_digest(num_triangles):
     forms = "\n".join(
-        ",".join(map(str, canonical_form(m))) for m in enumerate_maps(num_triangles)
+        ",".join(map(str, canonical_form(m)))
+        for m in enumerate_maps(num_triangles, guard=num_triangles)
     )
     assert digest(forms) == GOLDEN_FORMS[num_triangles]
 
@@ -277,6 +283,21 @@ def test_builder_rejects_annulus():
 def test_canonical_forms_at_nine_match_golden_digest():
     forms = "\n".join(",".join(map(str, canonical_form(m))) for m in enumerate_maps(9, guard=9))
     assert digest(forms) == GOLDEN_FORMS_NINE
+
+
+def test_enumeration_calls_canonical_form_once_per_candidate(monkeypatch):
+    # perfbench's tracer counts `enumerator.candidates` as the calls to this
+    # module-level name, so enumeration must call it once per candidate
+    calls = 0
+
+    def counted(map_):
+        nonlocal calls
+        calls += 1
+        return canonical_form(map_)
+
+    monkeypatch.setattr(degen.enumerator, "canonical_form", counted)
+    assert len(enumerate_maps(7)) == 73
+    assert calls == 1 + 3 + 6 + 11 + 43 + 85 + 307
 
 
 def full_code(rot, root):
@@ -351,6 +372,26 @@ def test_pruned_form_equals_unpruned_minimum(records):
     assert len(maps) == 1336 + 29
     for map_ in maps:
         assert canonical_form(map_) == unpruned_form(map_)
+
+
+def test_ear_rooted_codes_start_with_the_head_degree():
+    # an ear u, between p and s on the walk, read from (u, s) or, mirrored,
+    # from (u, p) begins 1, 2, -1, 0, 2, 3, ..., k, -1 with k = deg s or deg p
+    eared = 0
+    for _state, map_ in candidates(8):
+        rot = map_.rotation_dict
+        mirror = mirror_image(map_).rotation_dict
+        b = map_.boundary
+        eared += any(len(rot[u]) == 2 for u in b)
+        for i, u in enumerate(b):
+            if len(rot[u]) != 2:
+                continue
+            for rings, head in ((rot, b[(i + 1) % len(b)]), (mirror, b[i - 1])):
+                k = len(rot[head])
+                code = full_code(rings, (u, head))
+                assert code[: k + 4] == (1, 2, -1, 0, 2, *range(3, k + 1), -1), map_
+    # the other 119 candidates have no ear
+    assert eared == 1336 - 119
 
 
 def test_derived_candidates_are_the_maps_of_their_states():
