@@ -8,9 +8,11 @@ known order, so the index times that order is the group order.
 It is a single HLT (relator-first) enumerator: a generator whose square is a
 relator gets one table column shared with its inverse, every other generator
 gets two, and coincidence processing keeps every table entry pointing at a
-live coset.  `kernel_abelianization` computes the abelianized kernel of a
-permutation representation by rewriting relators along a Schreier tree,
-which gives an independent check on enumeration results.
+live coset.  The other tool is the map onto S_n, whose one form is
+`line_transpositions`: each line to the two planes it bounds.
+`first_broken_relator` checks that those transpositions kill every relator,
+and `kernel_abelianization` rewrites relators along a Schreier tree to get the
+abelianized kernel, an independent check on enumeration results.
 """
 
 from __future__ import annotations
@@ -270,7 +272,7 @@ def todd_coxeter(
 
 
 # ----------------------------------------------------------------------
-# Permutation images and the abelianized kernel.
+# The symmetric image and the abelianized kernel.
 # ----------------------------------------------------------------------
 
 
@@ -280,51 +282,28 @@ def line_transpositions(complex_) -> dict[int, tuple[int, int]]:
     Planes are numbered 1..n by rank of their ids, so the images lie in S_n
     whatever ids the complex uses.
     """
-    rank = {p: k for k, p in enumerate(sorted(complex_.triangles), 1)}
-    return {
-        i: (rank[ln.planes[0]], rank[ln.planes[1]])
-        for i, ln in complex_.interior_lines().items()
-    }
-
-
-def transposition_images(
-    transpositions: Mapping[int, tuple[int, int]], degree: int
-) -> dict[int, tuple[int, ...]]:
-    """Expand plane pairs into full one-line permutations of 1..degree."""
-    images = {}
-    for g, (a, b) in transpositions.items():
-        perm = list(range(1, degree + 1))
-        perm[a - 1], perm[b - 1] = perm[b - 1], perm[a - 1]
-        images[g] = tuple(perm)
-    return images
-
-
-def _zero_based(images: Mapping[int, Sequence[int]]) -> dict[int, tuple[list[int], ...]]:
-    """Each generator's image and its inverse, as lists on 0..degree-1."""
-    out = {}
-    for g, img in images.items():
-        fwd = [v - 1 for v in img]
-        out[g] = (fwd, sorted(range(len(fwd)), key=fwd.__getitem__))
-    return out
-
-
-def _word_image(w: Word, zero: Mapping[int, tuple[list[int], ...]], degree: int) -> list[int]:
-    perm = list(range(degree))
-    for g, e in w:
-        img = zero[g][e < 0]
-        for _ in range(abs(e)):
-            perm = [img[v] for v in perm]
-    return perm
+    planes: dict[int, list[int]] = {}
+    for rank, lines in enumerate(complex_.plane_lines().values(), 1):
+        for line in lines:
+            planes.setdefault(line, []).append(rank)
+    return {line: tuple(planes[line]) for line in sorted(planes)}
 
 
 def first_broken_relator(
-    presentation: Presentation, images: Mapping[int, Sequence[int]], degree: int
+    presentation: Presentation, transpositions: Mapping[int, tuple[int, int]]
 ) -> int | None:
-    """Index of the first relator not mapped to the identity, or None."""
-    zero = _zero_based(images)
-    identity = list(range(degree))
+    """Index of the first relator not mapped to the identity, or None.
+
+    Each letter swaps its generator's two planes.  A word of involutions is
+    the identity read either way, so exponents and composition order do not
+    matter.
+    """
     for k, w in enumerate(presentation.relators):
-        if _word_image(w, zero, degree) != identity:
+        at: dict[int, int] = {}
+        for g, _ in w:
+            a, b = transpositions[g]
+            at[a], at[b] = at.get(b, b), at.get(a, a)
+        if any(v != p for p, v in at.items()):
             return k
     return None
 
@@ -336,10 +315,6 @@ class KernelAbelianization:
     index: int
     rank: int
     torsion: tuple[int, ...]
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.rank == 0 and not self.torsion
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -457,26 +432,35 @@ def _unit_eliminate(
 
 def kernel_abelianization(
     presentation: Presentation,
-    images: Mapping[int, Sequence[int]],
+    transpositions: Mapping[int, tuple[int, int]],
     degree: int,
 ) -> KernelAbelianization:
-    """Abelianized kernel of the map sending generator g to images[g].
+    """Abelianized kernel of the map sending generator g to the transposition
+    of the planes `transpositions[g]`, two distinct numbers in 1..degree.
 
-    The images must kill every relator, otherwise the map is not defined on
-    the presented group.  Cosets of the kernel are the elements of the image
-    subgroup; relators rewritten along a spanning tree of the coset graph
-    present the kernel, and integer elimination reads off its abelianization.
+    The transpositions must kill every relator, otherwise the map is not
+    defined on the presented group.  Cosets of the kernel are the elements of
+    the image subgroup; relators rewritten along a spanning tree of the coset
+    graph present the kernel, and integer elimination reads off its
+    abelianization.
     """
-    if set(images) != set(presentation.generators):
-        raise EnumerationError("images must cover exactly the generators")
-    broken = first_broken_relator(presentation, images, degree)
+    if set(transpositions) != set(presentation.generators):
+        raise EnumerationError("transpositions must cover exactly the generators")
+    gens = sorted(transpositions)
+    perms = []
+    for g in gens:
+        a, b = transpositions[g]
+        if a == b or not (1 <= a <= degree and 1 <= b <= degree):
+            raise EnumerationError(f"generator {g} does not swap two planes in 1..{degree}")
+        perm = list(range(degree))
+        perm[a - 1], perm[b - 1] = b - 1, a - 1
+        perms.append(perm)
+    broken = first_broken_relator(presentation, transpositions)
     if broken is not None:
         w = presentation.relators[broken]
         raise EnumerationError(f"relator {w} does not map to the identity")
 
-    gens = sorted(images)
     ngens = len(gens)
-    perms = [tuple(v - 1 for v in images[g]) for g in gens]
     # Forward BFS over the image: element c goes to nxt[k][c] under generator
     # k, and edge (c, k) has id c * ngens + k; tree holds the Schreier tree.
     elements = [tuple(range(degree))]
@@ -492,10 +476,6 @@ def kernel_abelianization(
                 tree.add(c * ngens + k)
             nxt[k].append(ids[v])
     index = len(elements)
-    prv = [[0] * index for _ in gens]
-    for k in range(ngens):
-        for c, d in enumerate(nxt[k]):
-            prv[k][d] = c
     column = {g: k for k, g in enumerate(gens)}
 
     rows = []
@@ -505,11 +485,10 @@ def kernel_abelianization(
             c = start
             for g, e in w:
                 k = column[g]
-                if e > 0:
-                    edge, c = c * ngens + k, nxt[k][c]
-                else:
-                    c = prv[k][c]
-                    edge = c * ngens + k
+                d = nxt[k][c]
+                # an involution is its own inverse: g^-1 at c crosses edge (c·g, g)
+                edge = (c if e > 0 else d) * ngens + k
+                c = d
                 if edge not in tree:
                     row[edge] = row.get(edge, 0) + e
                     if not row[edge]:

@@ -31,17 +31,13 @@ from .fpgroup import (
     first_broken_relator,
     line_transpositions,
     todd_coxeter,
-    transposition_images,
 )
 from .relations import (
     Presentation,
     UnsupportedCaseError,
     Word,
-    commutator_relator,
     inner_point_relators,
-    involution_relator,
     reduced_presentation,
-    triple_relator,
     word,
     word_text,
 )
@@ -285,23 +281,25 @@ def enumeration_verdict(outcome, expected_order: int, *, engine_mode: str,
     )
 
 
-def _coxeter_chain(
-    pres: Presentation, transpositions: Mapping[int, tuple[int, int]]
-) -> tuple[int, ...]:
+def _coxeter_chain(transpositions: Mapping[int, tuple[int, int]]) -> tuple[int, ...]:
     """Longest line chain l1..lk whose generators obey the relations of A_k.
 
-    The lines' plane pairs form a simple path on k+1 planes, and `pres`
-    holds g_l g_l for every chain line, the braid relator for every
-    consecutive pair and the commutator for every other pair.  A depth-first
-    search over the dual graph keeps the first longest chain and stops once
-    one passes through every plane.
+    The chain is the first longest simple path of the dual graph, whose
+    vertices are the planes and whose edges are the lines; a depth-first
+    search stops once one path passes through every plane.
+    `reduced_presentation` holds every relator the chain needs, by
+    construction:
+
+    * it has g_l g_l for every line;
+    * consecutive chain lines both bound the plane between them, so they are
+      tangent and get the braid relator;
+    * non-consecutive chain lines have disjoint plane pairs on a simple path,
+      so they bound no common plane and get the commutator.
     """
-    rels = set(pres.relators)
     adj: dict[int, list[tuple[int, int]]] = {}
     for line, (p, q) in sorted(transpositions.items()):
-        if involution_relator(line) in rels:
-            adj.setdefault(p, []).append((line, q))
-            adj.setdefault(q, []).append((line, p))
+        adj.setdefault(p, []).append((line, q))
+        adj.setdefault(q, []).append((line, p))
     best: tuple[int, ...] = ()
 
     def extend(chain: tuple[int, ...], path: tuple[int, ...]) -> bool:
@@ -312,8 +310,6 @@ def _coxeter_chain(
             extend(chain + (line,), path + (q,))
             for line, q in adj[path[-1]]
             if q not in path
-            and (not chain or triple_relator(chain[-1], line) in rels)
-            and all(commutator_relator(m, line) in rels for m in chain[:-1])
         )
 
     any(extend((), (p,)) for p in sorted(adj))
@@ -341,12 +337,13 @@ def decide(
 
     The enumeration runs over H = <g_l1, ..., g_lk> for the chain that
     `_coxeter_chain` picks, and the group order is the index of H times
-    (k+1)!.  That is exact for either verdict: the relators the chain
-    requires make H a quotient of the Coxeter group of type A_k, which is
-    S_{k+1} (Moore), so |H| <= (k+1)!; and since no relator is broken, the
-    map sending each line to the transposition of its planes is defined on
-    the group and carries H onto the symmetric group of the chain's k+1
-    planes, so |H| >= (k+1)!.  The empty chain is the trivial subgroup.
+    (k+1)!.  That is exact for either verdict: the reduced presentation holds
+    the relations of type A_k on the chain (proved in `_coxeter_chain`), so H
+    is a quotient of that Coxeter group, S_{k+1} (Moore), and |H| <= (k+1)!;
+    and since no relator is broken, the map sending each line to the
+    transposition of its planes is defined on the group and carries H onto
+    the symmetric group of the chain's k+1 planes, so |H| >= (k+1)!.  The
+    empty chain is the trivial subgroup.
     """
     complex_ = getattr(source, "complex", source)
     if not isinstance(complex_, PlanarComplex):
@@ -384,8 +381,7 @@ def decide(
     pres = reduced_presentation(complex_, inner6_relators=extra)
     n = len(complex_.triangles)
     transpositions = line_transpositions(complex_)
-    images = transposition_images(transpositions, n)
-    broken = first_broken_relator(pres, images, n)
+    broken = first_broken_relator(pres, transpositions)
     if broken is not None:
         tag = pres.annotations[broken]
         where = ""
@@ -397,7 +393,7 @@ def decide(
             f" {word_text(pres.relators[broken])}{where}:"
             f" it is not the identity in S_{n}"
         )
-    chain = _coxeter_chain(pres, transpositions)
+    chain = _coxeter_chain(transpositions)
     outcome = todd_coxeter(pres, [word(l) for l in chain], max_cosets=max_cosets)
     verdict = enumeration_verdict(
         outcome, math.factorial(n), engine_mode=engine_mode, equalities=facts,

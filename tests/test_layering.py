@@ -42,6 +42,16 @@ def loaded_modules(module: str) -> set[str]:
             "degen.relations",
             {"degen.fpgroup", "degen.pipeline", "degen.catalog", "degen.enumerator"},
         ),
+        (
+            "degen.fpgroup",
+            {
+                "degen.catalog",
+                "degen.pipeline",
+                "degen.enumerator",
+                "degen.invariants",
+                "degen.cli",
+            },
+        ),
     ],
 )
 def test_import_does_not_load_upper_layers(module, absent):
