@@ -380,6 +380,26 @@ def test_reduced_presentation_holds_every_chain_relator(small_complexes):
     assert checked == 373
 
 
+@pytest.mark.parametrize("pair", [(1, 2), (2, 3)])
+def test_chain_skips_a_pair_without_its_braid_relator(pair):
+    """Lines bounding no common plane get a commutator, not a braid relator,
+    so the chain never sets them side by side: it routes through the line
+    that meets both."""
+    a, b = pair
+    (c,) = {1, 2, 3} - set(pair)
+    chain = _coxeter_chain({a: (1, 2), c: (2, 3), b: (3, 4)})
+    assert chain in {(a, c, b), (b, c, a)}
+    assert set(pair) not in [set(p) for p in zip(chain, chain[1:])]
+
+
+def test_chain_needs_the_commutator_of_its_far_ends():
+    """Three lines whose plane pairs close a cycle pairwise share a plane, so
+    the far ends of a three-line chain would not commute; the chain stops at
+    two lines."""
+    chain = _coxeter_chain({1: (1, 2), 2: (2, 3), 3: (3, 1)})
+    assert len(chain) == 2
+
+
 def test_one_triangle_has_the_empty_chain():
     complex_ = embed(enumerate_maps(1)[0])
     assert _coxeter_chain(line_transpositions(complex_)) == ()
