@@ -22,7 +22,7 @@ from typing import Any, Callable
 from .catalog import Catalog, CatalogError, open_catalog
 from .complexes import ComplexError, PlanarComplex
 from .enumerator import EnumeratorError, embed, enumerate_maps
-from .fpgroup import DEFAULT_MAX_COSETS
+from .fpgroup import DEFAULT_MAX_COSETS, EnumerationError
 from .invariants import InvariantError, branch_stats, chern
 from .pipeline import PipelineError, decide
 from .relations import (
@@ -39,6 +39,7 @@ EXIT_MISMATCH = 2
 _ERRORS = (
     CatalogError,
     ComplexError,
+    EnumerationError,
     EnumeratorError,
     InvariantError,
     PipelineError,

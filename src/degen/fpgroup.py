@@ -3,16 +3,19 @@
 Two independent tools live here.  `todd_coxeter` runs coset enumeration on a
 presentation over the subgroup generated by given words and either completes
 with the index or overflows a coset budget; running out of room is a normal,
-reportable outcome, not an error.  The pipeline enumerates over a subgroup of
-known order, so the index times that order is the group order.
-It is a single HLT (relator-first) enumerator: a generator whose square is a
-relator gets one table column shared with its inverse, every other generator
-gets two, and coincidence processing keeps every table entry pointing at a
-live coset.  The other tool is the map onto S_n, whose one form is
+reportable outcome, not an error, and both come back as `EnumerationStats`.
+The pipeline enumerates over a subgroup of known order, so the index times
+that order is the group order.
+It is a single HLT (relator-first) enumerator for groups generated by
+involutions, which the reduced presentations are: every generator's square is
+a relator, so a generator is its own inverse and gets one table column, and
+coincidence processing keeps every table entry pointing at a live coset.
+The other tool is the map onto S_n, whose one form is
 `line_transpositions`: each line to the two planes it bounds.
 `first_broken_relator` checks that those transpositions kill every relator,
 and `kernel_abelianization` rewrites relators along a Schreier tree to get the
-abelianized kernel, an independent check on enumeration results.
+abelianized kernel, an independent check on enumeration results; it takes any
+generators, not only involutions.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .relations import Presentation, Word, free_reduce
+from .relations import Presentation, Word
 
 DEFAULT_MAX_COSETS = 1_000_000
 
@@ -32,71 +35,34 @@ class EnumerationError(ValueError):
 
 @dataclass(frozen=True)
 class EnumerationStats:
-    """Bookkeeping totals from one enumeration run."""
+    """Bookkeeping totals from one enumeration run.
+
+    When `completed`, the table closed and `live_cosets` is the subgroup
+    index; otherwise the run stopped when `cosets_defined` (live plus dead)
+    reached the budget.
+    """
 
     cosets_defined: int
     live_cosets: int
     coincidences: int
+    completed: bool
 
 
-@dataclass(frozen=True)
-class Completed:
-    """The coset table closed; `order` is the subgroup index."""
+def _letters(w: Word, ngens: int) -> tuple[int, ...]:
+    """Encode a word as columns, freely and cyclically reduced.
 
-    order: int
-    stats: EnumerationStats
-
-
-@dataclass(frozen=True)
-class Overflow:
-    """The run hit `limit` defined cosets (live plus dead) before closing."""
-
-    limit: int
-    stats: EnumerationStats
-
-
-EnumerationOutcome = Completed | Overflow
-
-
-def _columns(presentation: Presentation) -> tuple[dict[tuple[int, int], int], list[int]]:
-    """Column of each letter and the inverse of each column.
-
-    A generator g is involutory when g^2 is a relator; then g and g^-1 share
-    one column (`inv[x] == x`).  Every other generator gets two columns.
+    Column x is generator x + 1, and g^-1 is g, so equal neighbours cancel.
     """
-    involutory = set()
-    for w in presentation.relators:
-        w = free_reduce(w)
-        if len(w) == 2 and w[0] == w[1]:
-            involutory.add(w[0][0])
-    col: dict[tuple[int, int], int] = {}
-    inv: list[int] = []
-    for g in presentation.generators:
-        x = len(inv)
-        if g in involutory:
-            col[g, 1] = col[g, -1] = x
-            inv.append(x)
-        else:
-            col[g, 1], col[g, -1] = x, x + 1
-            inv += [x + 1, x]
-    return col, inv
-
-
-def _letters(
-    w: Word, col: Mapping[tuple[int, int], int], inv: Sequence[int]
-) -> tuple[int, ...]:
-    """Encode a word as columns, freely and cyclically reduced in that alphabet."""
     out: list[int] = []
-    for g, e in w:
-        x = col.get((g, 1 if e > 0 else -1))
-        if x is None:
+    for g, _ in w:
+        if not 1 <= g <= ngens:
             raise EnumerationError(f"generator {g} is not in the presentation")
-        if out and out[-1] == inv[x]:
+        if out and out[-1] == g - 1:
             out.pop()
         else:
-            out.append(x)
+            out.append(g - 1)
     # conjugates are equal as relators, so cyclic reduction is safe
-    while len(out) >= 2 and out[0] == inv[out[-1]]:
+    while len(out) >= 2 and out[0] == out[-1]:
         out = out[1:-1]
     return tuple(out)
 
@@ -106,25 +72,26 @@ class _Overrun(Exception):
 
 
 def _hlt(
-    inv: Sequence[int],
+    ncols: int,
     relators: Sequence[tuple[int, ...]],
     subgroup: Sequence[tuple[int, ...]],
     limit: int,
-) -> tuple[bool, EnumerationStats]:
-    """HLT enumeration; returns (completed, stats).
+) -> EnumerationStats:
+    """HLT enumeration over involutions, one column per generator.
 
-    The table is a flat list, one row of `len(inv)` columns per coset.
+    The table is a flat list, one row of `ncols` columns per coset.
     Cosets are numbered from 1; coset 1 (the subgroup itself) never dies
     because merges keep the smaller number, and `p[c] == c` marks a live
     coset.  An entry holds the row offset `d * ncols` of the coset d it names,
     so a scan step is one list index; 0 (the unused coset 0) is undefined.
-    The coincidence routine clears the back-pointer of every entry it moves
-    (Holt, Eick & O'Brien, Handbook of Computational Group Theory, 5.1), so
-    outside it every entry names a live coset and scans need no union-find
-    lookups.  The budget counts every coset ever defined, including ones
-    later merged away.
+    Each generator is its own inverse, so c·x = d stores d in column x of c
+    and c in column x of d, and a scan reads a relator backwards through the
+    same columns.  The coincidence routine clears the back-pointer of every
+    entry it moves (Holt, Eick & O'Brien, Handbook of Computational Group
+    Theory, 5.1), so outside it every entry names a live coset and scans need
+    no union-find lookups.  The budget counts every coset ever defined,
+    including ones later merged away.
     """
-    ncols = len(inv)
     zero_row = [0] * ncols
     tab = zero_row * 2
     p = [0, 1]
@@ -141,7 +108,7 @@ def _hlt(
         p.append(d)
         tab.extend(zero_row)
         tab[r + x] = d * ncols
-        tab[d * ncols + inv[x]] = r
+        tab[d * ncols + x] = r
 
     def rep(c: int) -> int:
         r = c
@@ -171,21 +138,20 @@ def _hlt(
                 d = tab[base + x]
                 if not d:
                     continue
-                xi = inv[x]
-                tab[d + xi] = 0
+                tab[d + x] = 0
                 mu, nu = rep(dead) * ncols, rep(d // ncols) * ncols
                 e = tab[mu + x]
                 if e:
                     merge(nu, e, queue)
                     continue
-                e = tab[nu + xi]
+                e = tab[nu + x]
                 if e:
                     merge(mu, e, queue)
                 else:
                     tab[mu + x] = nu
-                    tab[nu + xi] = mu
+                    tab[nu + x] = mu
 
-    def scan(a: int, w: tuple[int, ...], wi: tuple[int, ...]) -> None:
+    def scan(a: int, w: tuple[int, ...]) -> None:
         """Trace w from row a both ways, defining cosets until it closes."""
         f = b = a
         i, j = 0, len(w) - 1
@@ -201,7 +167,7 @@ def _hlt(
                     coincidence(f, b)
                 return
             while j >= i:
-                d = tab[b + wi[j]]
+                d = tab[b + w[j]]
                 if not d:
                     break
                 b = d
@@ -211,19 +177,18 @@ def _hlt(
                 return
             if j == i:
                 tab[f + w[i]] = b
-                tab[b + wi[i]] = f
+                tab[b + w[i]] = f
                 return
             define(f, w[i])
 
-    rels = [(w, tuple(inv[x] for x in w)) for w in relators]
     try:
         for w in subgroup:  # from coset 1, whose row starts at ncols
-            scan(ncols, w, tuple(inv[x] for x in w))
+            scan(ncols, w)
         alpha = 1
         while alpha < len(p):
             if p[alpha] == alpha:
                 a = alpha * ncols
-                for w, wi in rels:
+                for w in relators:
                     # most traces close without a gap: skip the call for them
                     f = a
                     for x in w:
@@ -232,7 +197,7 @@ def _hlt(
                             break
                     if f == a:
                         continue
-                    scan(a, w, wi)
+                    scan(a, w)
                     if p[alpha] != alpha:
                         break
                 else:
@@ -241,8 +206,8 @@ def _hlt(
                             define(a, x)
             alpha += 1
     except _Overrun:
-        return False, EnumerationStats(defined, live, coincidences)
-    return True, EnumerationStats(defined, live, coincidences)
+        return EnumerationStats(defined, live, coincidences, completed=False)
+    return EnumerationStats(defined, live, coincidences, completed=True)
 
 
 def todd_coxeter(
@@ -250,25 +215,30 @@ def todd_coxeter(
     subgroup: Iterable[Word] = (),
     *,
     max_cosets: int = DEFAULT_MAX_COSETS,
-) -> EnumerationOutcome:
+) -> EnumerationStats:
     """Enumerate cosets of the subgroup generated by `subgroup` words.
 
-    With an empty subgroup the completed order is the group order.  The
-    budget counts every coset ever defined, including ones later merged
-    away.
+    Every generator must be an involution: `g g` or `g^-1 g^-1` must be a
+    relator, as `reduced_presentation` makes it for every line.  With an
+    empty subgroup the completed order is the group order.  The budget
+    counts every coset ever defined, including ones later merged away, so at
+    overflow `cosets_defined` equals `max_cosets`.
     """
     if max_cosets < 1:
         raise EnumerationError("max_cosets must be positive")
     gens = presentation.generators
     if tuple(gens) != tuple(range(1, len(gens) + 1)):
         raise EnumerationError("generators must be numbered 1..n contiguously")
-    col, inv = _columns(presentation)
-    relators = [r for r in (_letters(w, col, inv) for w in presentation.relators) if r]
-    subgroup_words = [w for w in (_letters(v, col, inv) for v in subgroup) if w]
-    completed, stats = _hlt(inv, relators, subgroup_words, max_cosets)
-    if completed:
-        return Completed(stats.live_cosets, stats)
-    return Overflow(max_cosets, stats)
+    squares = {w[0][0] for w in presentation.relators if len(w) == 2 and w[0] == w[1]}
+    for g in gens:
+        if g not in squares:
+            raise EnumerationError(
+                f"generator {g} is not an involution: its square is not a relator"
+            )
+    ngens = len(gens)
+    relators = [r for r in (_letters(w, ngens) for w in presentation.relators) if r]
+    subgroup_words = [w for w in (_letters(v, ngens) for v in subgroup) if w]
+    return _hlt(ngens, relators, subgroup_words, max_cosets)
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,6 @@ from .complexes import PlanarComplex, SingularPoint
 from .fpgroup import (
     DEFAULT_MAX_COSETS,
     EnumerationStats,
-    Overflow,
     first_broken_relator,
     line_transpositions,
     todd_coxeter,
@@ -248,18 +247,18 @@ class Verdict:
         return out
 
 
-def enumeration_verdict(outcome, expected_order: int, *, engine_mode: str,
-                        equalities: EqualityFacts,
+def enumeration_verdict(stats: EnumerationStats, expected_order: int, *,
+                        engine_mode: str, equalities: EqualityFacts,
                         subgroup: tuple[int, ...] = ()) -> Verdict:
-    """Map an enumeration outcome to a verdict; exposed for direct testing.
+    """Map an enumeration result to a verdict; exposed for direct testing.
 
-    `outcome` counts the cosets of the `subgroup` chain, of order (k+1)!.
+    `stats` counts the cosets of the `subgroup` chain, of order (k+1)!.
     """
-    if isinstance(outcome, Overflow):
+    if not stats.completed:
         verdict, certificate = "undecided", None
-        reason = f"enumeration overflowed at {outcome.limit} cosets"
+        reason = f"enumeration overflowed at {stats.cosets_defined} cosets"
     else:
-        order = outcome.order * math.factorial(len(subgroup) + 1)
+        order = stats.live_cosets * math.factorial(len(subgroup) + 1)
         if order < expected_order:
             raise PipelineError(
                 f"enumerated order {order} is below the symmetric image"
@@ -276,7 +275,7 @@ def enumeration_verdict(outcome, expected_order: int, *, engine_mode: str,
         engine_mode=engine_mode,
         certificate=certificate,
         equalities=equalities,
-        enumeration=outcome.stats,
+        enumeration=stats,
         subgroup=subgroup,
     )
 
@@ -394,9 +393,9 @@ def decide(
             f" it is not the identity in S_{n}"
         )
     chain = _coxeter_chain(transpositions)
-    outcome = todd_coxeter(pres, [word(l) for l in chain], max_cosets=max_cosets)
+    stats = todd_coxeter(pres, [word(l) for l in chain], max_cosets=max_cosets)
     verdict = enumeration_verdict(
-        outcome, math.factorial(n), engine_mode=engine_mode, equalities=facts,
+        stats, math.factorial(n), engine_mode=engine_mode, equalities=facts,
         subgroup=chain,
     )
     return replace(verdict, presentation=pres)

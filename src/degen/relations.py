@@ -11,9 +11,9 @@ no vertex, meet parasitically after regeneration.  The induced relators are:
 * the commutator ``[g_i, g_j]`` for every other pair,
 * one equation per inner k-point tying the two "ends" of its closed fan.
 
-Both pair rules read `PlanarComplex.plane_lines`.  Fork triples, the planes
-whose three sides are lines, are kept only to check the catalog's printed
-forks; the enumerated presentation has no fork relators.
+Both pair rules read `PlanarComplex.plane_lines`.  The enumerated
+presentation has no fork relators: a plane whose three sides are lines is
+read by the pipeline's fork certificate, not turned into a relator.
 
 The projective relation is omitted throughout: under the plane
 identification and the involutions it freely reduces to the identity.
@@ -128,16 +128,6 @@ def inner_point_relators(
     return tuple(out)
 
 
-def fork_triples(complex_: PlanarComplex) -> tuple[tuple[int, int, int], ...]:
-    """The line triples that are the three sides of one plane, ascending.
-
-    These are the pairwise tangent triples that do not meet at one vertex:
-    two sides of a triangle fix it, so three pairwise tangent lines either
-    share a corner or are the three sides of one plane.
-    """
-    return tuple(sorted(ls for ls in complex_.plane_lines().values() if len(ls) == 3))
-
-
 @dataclass(frozen=True)
 class Presentation:
     """A finite presentation with one annotation tag per relator."""
@@ -166,7 +156,9 @@ def reduced_presentation(
 
     Generators are the line indices; the presented group surjects onto the
     symmetric group on the planes by sending each line to the transposition
-    of its two planes.
+    of its two planes.  Every generator's square is a relator.  An inner-point
+    relator that names a generator which is not a line (possible only in
+    catalogue data) is refused with `UnsupportedCaseError`.
     """
     points = complex_.classify_vertices()
     generators = tuple(sorted(complex_.line_numbering))
@@ -183,7 +175,13 @@ def reduced_presentation(
     for i, j in sorted(set(combinations(generators, 2)).difference(tangent)):
         relators.append(commutator_relator(i, j))
         tags.append("commutator")
-    for rel, _vertex in inner_point_relators(points, extra=inner6_relators):
+    for rel, vertex in inner_point_relators(points, extra=inner6_relators):
+        for g, _ in rel:
+            if g not in complex_.line_numbering:
+                raise UnsupportedCaseError(
+                    f"inner-point relator {word_text(rel)} at vertex {vertex}"
+                    f" names g{g}, which is not a line"
+                )
         relators.append(rel)
         tags.append("inner-point")
     return Presentation(generators, tuple(relators), tuple(tags))

@@ -19,7 +19,6 @@ from degen.enumerator import (
     enumerate_maps,
 )
 from degen.fpgroup import (
-    Completed,
     kernel_abelianization,
     line_transpositions,
     smith_normal_form,
@@ -121,14 +120,14 @@ def test_criterion_2_decisions_with_hints(records):
 def test_criterion_3_coset_enumeration_orders(records):
     """Trivial cases enumerate to order 720; the symmetric-group sanity
     presentations give 6 and 720."""
-    assert todd_coxeter(_coxeter_symmetric(3)).order == 6
-    assert todd_coxeter(_coxeter_symmetric(6)).order == 720
+    assert todd_coxeter(_coxeter_symmetric(3)).live_cosets == 6
+    assert todd_coxeter(_coxeter_symmetric(6)).live_cosets == 720
     for rec in records:
         if rec.expected.pi1 != "trivial":
             continue
         out = todd_coxeter(_presentation(rec))
-        assert isinstance(out, Completed), rec.name
-        assert out.order == out.stats.live_cosets == 720, rec.name
+        assert out.completed, rec.name
+        assert out.live_cosets == 720, rec.name
     print("criterion 3: PASS")
 
 

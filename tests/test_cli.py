@@ -75,26 +75,63 @@ def test_analyze_without_hints_reports_undecided_not_mismatch(capsys):
     assert all(row["consistent"] for row in rows)
 
 
-def test_analyze_flags_tampered_expectation(capsys, tmp_path, monkeypatch):
+def edited_catalog(tmp_path, monkeypatch, stem, edit):
+    """Point DEGEN_CATALOG_DIR at a copy whose case `stem` went through `edit`."""
     dst = tmp_path / "catalog"
     shutil.copytree(DATA_DIR, dst)
-    case_path = dst / "cases" / "u-0-4.json"
+    case_path = dst / "cases" / f"{stem}.json"
     data = json.loads(case_path.read_text())
-    data["expected"]["pi1"] = "nontrivial"
-    text = json.dumps(data, ensure_ascii=False, indent=1)
-    case_path.write_text(text)
+    edit(data)
+    case_path.write_text(json.dumps(data, ensure_ascii=False, indent=1))
     manifest_path = dst / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
-    import hashlib
-
     for entry in manifest["cases"]:
-        if entry["file"].endswith("u-0-4.json"):
+        if entry["file"].endswith(f"/{stem}.json"):
             entry["sha256"] = hashlib.sha256(case_path.read_bytes()).hexdigest()
     manifest_path.write_text(json.dumps(manifest, ensure_ascii=False))
     monkeypatch.setenv("DEGEN_CATALOG_DIR", str(dst))
+
+
+def test_analyze_flags_tampered_expectation(capsys, tmp_path, monkeypatch):
+    edited_catalog(
+        tmp_path, monkeypatch, "u-0-4", lambda d: d["expected"].update(pi1="nontrivial")
+    )
     rc, out, _ = run(capsys, "analyze", "U_{0,4}", "--format", "json")
     assert rc == 2
     assert json.loads(out)["consistent"] is False
+
+
+@pytest.mark.parametrize("command", ["analyze", "export"])
+def test_catalog_relator_on_a_generator_that_is_no_line_is_refused(
+    capsys, tmp_path, monkeypatch, command
+):
+    edited_catalog(
+        tmp_path, monkeypatch, "u-6",
+        lambda d: d["extra_inner_relators"].append([[99, 1], [99, 1]]),
+    )
+    rc, out, err = run(capsys, command, "U_6")
+    assert rc == 1
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line == (
+        "degen: error: inner-point relator g99 g99 at vertex 1 names g99, which is not a line"
+    )
+
+
+def renumber_line_five_as_seven(data):
+    for pair in data["complex"]["line_numbering"]:
+        if pair[0] == 5:
+            pair[0] = 7
+
+
+def test_catalog_lines_not_numbered_contiguously_are_a_named_error(
+    capsys, tmp_path, monkeypatch
+):
+    edited_catalog(tmp_path, monkeypatch, "u-0-4", renumber_line_five_as_seven)
+    rc, out, err = run(capsys, "analyze", "U_{0,4}")
+    assert rc == 1
+    assert out == ""
+    assert err == "degen: error: generators must be numbered 1..n contiguously\n"
 
 
 def test_analyze_accepts_complex_file(capsys, tmp_path):
@@ -303,3 +340,20 @@ def test_markdown_report_matches_golden_digest(capsys, argv):
     rc, out, _ = run(capsys, *argv)
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_MARKDOWN[argv]
+
+
+# SHA-256 of the JSON reports; unlike the markdown they carry the coset
+# enumeration's counters, so they also pin how many cosets each run defines.
+GOLDEN_JSON = {
+    ("analyze", "--all", "--format", "json"):
+        "679243ea64cbe8f8245f5727f095e6f0354e31767f661864f30ff31a5414424b",
+    ("analyze", "--all", "--no-hints", "--format", "json"):
+        "e2001009f050e6f665beebd62831a6704e850ae3f66d4263e3dc370b701708e4",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_JSON), ids=" ".join)
+def test_json_report_matches_golden_digest(capsys, argv):
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_JSON[argv]

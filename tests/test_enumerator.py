@@ -6,6 +6,7 @@ could silently orphan would show up as a count mismatch here.
 """
 
 import hashlib
+import json
 from collections import Counter
 from itertools import combinations, product
 
@@ -14,6 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 import degen.enumerator
 from degen.catalog import load_all
+from degen.pipeline import decide
+from degen.relations import UnsupportedCaseError
 from degen.enumerator import (
     CombinatorialMap,
     EnumeratorError,
@@ -38,6 +41,9 @@ GOLDEN_FORMS = {
 }
 GOLDEN_EMBEDS = {6: "6d158afb46af2802", 7: "87835bdc2c2c39ee", 8: "9565ac0781b8fc04"}
 GOLDEN_POINTS = {6: "00f3e68214b0c975", 7: "5b62086380341261", 8: "c5a662479fbb08c4"}
+# The same for every embedding's lemmas-only verdict as JSON, or its refusal:
+# it pins the coset counts the enumeration engine reaches on these disks.
+GOLDEN_VERDICTS = {6: "e12182bab548294e", 7: "a155141519debbe5"}
 GOLDEN_FORMS_NINE = "d491b888389237c4"
 
 
@@ -242,6 +248,19 @@ def test_singular_points_match_golden_digest(num_triangles):
         for m in enumerate_maps(num_triangles)
     )
     assert digest(points) == GOLDEN_POINTS[num_triangles]
+
+
+def verdict_text(map_):
+    try:
+        return json.dumps(decide(embed(map_), use_hints=False).to_json(), sort_keys=True)
+    except UnsupportedCaseError as exc:
+        return f"refused: {exc}"
+
+
+@pytest.mark.parametrize("num_triangles", sorted(GOLDEN_VERDICTS))
+def test_lemmas_only_verdicts_match_golden_digest(num_triangles):
+    verdicts = "\n".join(verdict_text(m) for m in enumerate_maps(num_triangles))
+    assert digest(verdicts) == GOLDEN_VERDICTS[num_triangles]
 
 
 def assert_boundary_is_the_outer_cycle(map_):

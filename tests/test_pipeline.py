@@ -8,9 +8,7 @@ from degen.catalog import CaseHint
 from degen.complexes import PlanarComplex
 from degen.enumerator import embed, enumerate_maps
 from degen.fpgroup import (
-    Completed,
     EnumerationStats,
-    Overflow,
     first_broken_relator,
     kernel_abelianization,
     line_transpositions,
@@ -136,8 +134,10 @@ def test_hints_unlock_derivations(by_name):
     assert hinted.complete
 
 
-def _stats():
-    return EnumerationStats(cosets_defined=900, live_cosets=720, coincidences=3)
+def _stats(live_cosets):
+    return EnumerationStats(
+        cosets_defined=900, live_cosets=live_cosets, coincidences=3, completed=True
+    )
 
 
 def _facts(by_name):
@@ -146,7 +146,7 @@ def _facts(by_name):
 
 def test_enumeration_verdict_trivial(by_name):
     v = enumeration_verdict(
-        Completed(order=720, stats=_stats()),
+        _stats(720),
         720,
         engine_mode="lemmas-only",
         equalities=_facts(by_name),
@@ -156,7 +156,7 @@ def test_enumeration_verdict_trivial(by_name):
 
 def test_enumeration_verdict_nontrivial(by_name):
     v = enumeration_verdict(
-        Completed(order=1440, stats=_stats()),
+        _stats(1440),
         720,
         engine_mode="lemmas-only",
         equalities=_facts(by_name),
@@ -166,18 +166,19 @@ def test_enumeration_verdict_nontrivial(by_name):
 
 def test_enumeration_verdict_overflow(by_name):
     v = enumeration_verdict(
-        Overflow(10, _stats()),
+        EnumerationStats(cosets_defined=10, live_cosets=8, coincidences=2, completed=False),
         720,
         engine_mode="lemmas-only",
         equalities=_facts(by_name),
     )
     assert v.outcome == "undecided"
+    assert v.reason == "enumeration overflowed at 10 cosets"
 
 
 def test_enumeration_verdict_rejects_undersized_group(by_name):
     with pytest.raises(PipelineError):
         enumeration_verdict(
-            Completed(order=360, stats=_stats()),
+            _stats(360),
             720,
             engine_mode="lemmas-only",
             equalities=_facts(by_name),
@@ -318,8 +319,8 @@ def test_decide_accepts_bare_complex(by_name):
 
 def assert_order_matches_full_enumeration(verdict, label):
     full = todd_coxeter(verdict.presentation)
-    assert isinstance(full, Completed), label
-    assert full.order == verdict.certificate.order, label
+    assert full.completed, label
+    assert full.live_cosets == verdict.certificate.order, label
 
 
 def test_chain_orders_match_full_group_enumeration(records):
@@ -355,8 +356,8 @@ def test_a3_index_over_a_chain_times_its_order_is_the_group_order():
     pres = a3_presentation()
     assert _coxeter_chain(A3_PLANES) == (1, 2, 3)
     over = todd_coxeter(pres, [word(1), word(2)])
-    assert over.order == 4
-    assert over.order * factorial(3) == todd_coxeter(pres).order == 24
+    assert over.live_cosets == 4
+    assert over.live_cosets * factorial(3) == todd_coxeter(pres).live_cosets == 24
 
 
 def test_reduced_presentation_holds_every_chain_relator(small_complexes):

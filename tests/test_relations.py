@@ -6,7 +6,6 @@ from degen.relations import (
     Presentation,
     UnsupportedCaseError,
     commutator_relator,
-    fork_triples,
     free_reduce,
     inner_point_relators,
     inverse,
@@ -109,7 +108,7 @@ def test_printed_relations_match_computed_ones(records):
                 inverse(rel) if multiplicity[v] == 3 else rel for rel, v in computed
             }, rec.name
         if exp.forks is not None:
-            forks = set(fork_triples(rec.complex))
+            forks = {ls for ls in rec.complex.plane_lines().values() if len(ls) == 3}
             if exp.forks_complete:
                 assert set(exp.forks) == forks, rec.name
             else:
@@ -120,7 +119,7 @@ def test_u33_prints_one_of_its_two_forks(by_name):
     rec = by_name["U_{3,3}"]
     assert not rec.expected.forks_complete
     assert len(rec.expected.forks) == 1
-    assert len(fork_triples(rec.complex)) == 2
+    assert sum(len(ls) == 3 for ls in rec.complex.plane_lines().values()) == 2
 
 
 def test_plane_rules_match_rotation_oracles(small_complexes):
@@ -128,14 +127,15 @@ def test_plane_rules_match_rotation_oracles(small_complexes):
     adjacency and the concurrency search, on the catalog and every disk of
     up to 8 triangles."""
     assert len(small_complexes) == 392
-    forks = 0
+    fork_disks = 0
     for k, pc in enumerate(small_complexes):
         points = pc.classify_vertices()
         oracle = rotation_tangent_pairs(points)
         assert tangent_pairs(pc) == oracle, k
-        assert fork_triples(pc) == concurrency_fork_triples(oracle, points), k
-        forks += bool(fork_triples(pc))
-    assert forks == 335
+        forks = tuple(sorted(ls for ls in pc.plane_lines().values() if len(ls) == 3))
+        assert forks == concurrency_fork_triples(oracle, points), k
+        fork_disks += bool(forks)
+    assert fork_disks == 335
 
 
 def test_all_relators_die_in_symmetric_group(records):
