@@ -197,11 +197,19 @@ class Catalog:
         if hashlib.sha256(blob).hexdigest() != entry["sha256"]:
             raise CatalogError(f"checksum mismatch for {entry['name']} ({path.name})")
         try:
-            return CaseRecord.from_json(json.loads(blob.decode("utf-8")))
+            record = CaseRecord.from_json(json.loads(blob.decode("utf-8")))
         except (KeyError, TypeError, ValueError) as exc:
             raise CatalogError(
                 f"malformed case {entry['name']} ({path.name}): {exc!r}"
             ) from exc
+        # records skip `validate`; a misnumbered line must not reach the group layer
+        lines = sorted(record.complex.line_numbering)
+        if lines != list(range(1, len(lines) + 1)):
+            raise CatalogError(
+                f"malformed case {entry['name']} ({path.name}):"
+                f" line indices are not 1..L: {lines}"
+            )
+        return record
 
     def load(self, name: str) -> CaseRecord:
         key = _normalize(name)

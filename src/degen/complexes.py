@@ -11,6 +11,13 @@ The interchange JSON format ``degen-complex/1`` stores vertices as
 ``[id, [px, py, qx, qy]]`` with coordinates ``(px/qx, py/qy)``, triangles as
 ``[plane, [v1, v2, v3]]``, and lines as ``[index, [v1, v2]]``.
 
+An edge is keyed by its ordered vertex pair ``(min, max)``, so a lookup
+builds no set; error texts print an edge as the list ``[a, b]``.  A line is
+looked up by its sorted vertex tuple, so a line that is not two distinct
+vertices keys no edge and is named as an error, never unpacked.
+`from_json` turns each coordinate into a ``Fraction`` once, and the
+constructor keeps a coordinate that already is one.
+
 The geometric checks run on an integer lattice: every coordinate times the
 lcm of all coordinate denominators.  Scaling by a positive constant keeps
 every orientation sign, coordinate equality and counterclockwise order, so
@@ -42,21 +49,26 @@ class ComplexError(ValueError):
     """Raised for malformed interchange data or operations on invalid complexes."""
 
 
+def _fraction(c) -> Fraction:
+    """``c`` as a ``Fraction``, converting only a coordinate that is not one yet."""
+    return c if type(c) is Fraction else Fraction(c)
+
+
 def planes_by_edge(
     planes: Mapping[int, tuple[int, int, int]]
-) -> dict[frozenset[int], list[int]]:
-    """Map each edge (as a vertex pair) to the planes containing it, in plane order."""
-    out: dict[frozenset[int], list[int]] = {}
+) -> dict[tuple[int, int], list[int]]:
+    """Map each edge, keyed ``(min, max)``, to the planes containing it, in plane order."""
+    out: dict[tuple[int, int], list[int]] = {}
     for plane in sorted(planes):
-        a, b, c = planes[plane]
-        for e in (frozenset((a, b)), frozenset((b, c)), frozenset((a, c))):
+        a, b, c = sorted(planes[plane])
+        for e in ((a, b), (b, c), (a, c)):
             out.setdefault(e, []).append(plane)
     return out
 
 
 def orient_disk(
     planes: Mapping[int, tuple[int, int, int]],
-    edge_planes: Mapping[frozenset[int], list[int]],
+    edge_planes: Mapping[tuple[int, int], list[int]],
 ) -> tuple[dict[int, tuple[int, int, int]], tuple[int, ...]]:
     """Orient the planes alike and walk the boundary they direct as one cycle.
 
@@ -73,7 +85,7 @@ def orient_disk(
     for p in queue:  # breadth first: the queue grows while it is read
         a, b, c = oriented[p]
         for x, y in ((a, b), (b, c), (c, a)):
-            for q in edge_planes[frozenset((x, y))]:
+            for q in edge_planes[(x, y) if x < y else (y, x)]:
                 t = oriented.get(q)
                 if t is None:
                     (z,) = set(planes[q]) - {x, y}
@@ -90,7 +102,7 @@ def orient_disk(
     succ: dict[int, int] = {}
     for a, b, c in oriented.values():
         for x, y in ((a, b), (b, c), (c, a)):
-            if len(edge_planes[frozenset((x, y))]) == 1:
+            if len(edge_planes[(x, y) if x < y else (y, x)]) == 1:
                 succ[x] = y
     if not succ:
         raise ComplexError("no boundary: the planes close up into a surface")
@@ -186,7 +198,7 @@ class PlanarComplex:
         line_numbering: Mapping[int, tuple[int, int]],
     ):
         self.vertices: dict[int, Point] = {
-            int(v): (Fraction(x), Fraction(y)) for v, (x, y) in vertices.items()
+            int(v): (_fraction(x), _fraction(y)) for v, (x, y) in vertices.items()
         }
         self.triangles: dict[int, tuple[int, int, int]] = {
             int(p): tuple(int(v) for v in tri) for p, tri in triangles.items()
@@ -197,12 +209,15 @@ class PlanarComplex:
 
     # -- derived incidence data -------------------------------------------------
 
-    def edge_planes(self) -> dict[frozenset[int], list[int]]:
-        """Map each edge (as a vertex pair) to the planes containing it."""
+    def edge_planes(self) -> dict[tuple[int, int], list[int]]:
+        """Map each edge, keyed ``(min, max)``, to the planes containing it.
+
+        Builds the map afresh; the complex's own queries share one build.
+        """
         return planes_by_edge(self.triangles)
 
     @cached_property
-    def _edge_planes(self) -> dict[frozenset[int], list[int]]:
+    def _edge_planes(self) -> dict[tuple[int, int], list[int]]:
         return self.edge_planes()
 
     @cached_property
@@ -225,7 +240,7 @@ class PlanarComplex:
         lines: dict[int, Line] = {}
         for index in sorted(self.line_numbering):
             pair = self.line_numbering[index]
-            planes = ep.get(frozenset(pair), [])
+            planes = ep.get(tuple(sorted(pair)), [])
             if len(planes) != 2:
                 raise ComplexError(
                     f"line {index} {pair} is not an interior edge (in {len(planes)} planes)"
@@ -242,11 +257,13 @@ class PlanarComplex:
 
     @cached_property
     def _plane_lines(self) -> dict[int, tuple[int, ...]]:
-        lines = self.interior_lines().values()
-        planes = sorted(self.triangles)
-        return {p: tuple(line.index for line in lines if p in line.planes) for p in planes}
+        sides: dict[int, list[int]] = {p: [] for p in sorted(self.triangles)}
+        for index, line in self.interior_lines().items():
+            for p in line.planes:
+                sides[p].append(index)
+        return {p: tuple(lines) for p, lines in sides.items()}
 
-    def boundary_edges(self) -> set[frozenset[int]]:
+    def boundary_edges(self) -> set[tuple[int, int]]:
         return {e for e, ps in self._edge_planes.items() if len(ps) == 1}
 
     # -- public queries ----------------------------------------------------------
@@ -299,14 +316,15 @@ class PlanarComplex:
             return ValidationReport(tuple(errors), ())
 
         ep = self._edge_planes
-        for e, ps in sorted(ep.items(), key=lambda kv: sorted(kv[0])):
+        for e, ps in sorted(ep.items()):
             if len(ps) > 2:
-                errors.append(f"edge {sorted(e)} lies in {len(ps)} planes: {ps}")
+                errors.append(f"edge {list(e)} lies in {len(ps)} planes: {ps}")
         interior = {e for e, ps in ep.items() if len(ps) == 2}
+        vertices = set(self.vertices)
         numbered = {}
         for i, pair in sorted(self.line_numbering.items()):
-            e = frozenset(pair)
-            if len(e) != 2 or not e <= set(self.vertices):
+            e = tuple(sorted(pair))
+            if len(e) != 2 or e[0] == e[1] or not vertices.issuperset(e):
                 errors.append(f"line {i} has bad endpoints {pair}")
             elif e not in interior:
                 errors.append(f"line {i} {pair} is not an interior edge")
@@ -314,8 +332,8 @@ class PlanarComplex:
                 errors.append(f"lines {numbered[e]} and {i} number the same edge")
             else:
                 numbered[e] = i
-        for e in sorted(interior - set(numbered), key=sorted):
-            errors.append(f"interior edge {sorted(e)} has no line number")
+        for e in sorted(interior - numbered.keys()):
+            errors.append(f"interior edge {list(e)} has no line number")
         if sorted(self.line_numbering) != list(range(1, len(self.line_numbering) + 1)):
             errors.append(
                 f"line indices are not 1..L: {sorted(self.line_numbering)}"
@@ -398,11 +416,11 @@ class PlanarComplex:
         planes = list(oriented.values())
         if orient(*(self._lattice[v] for v in planes[0])) < 0:
             planes = [t[::-1] for t in planes]
-        line_of = {frozenset(p): i for i, p in self.line_numbering.items()}
+        line_of = {tuple(sorted(p)): i for i, p in self.line_numbering.items()}
         on_boundary = set(walk)
         points: list[SingularPoint] = []
         for v, ring in sorted(vertex_fans(planes).items()):
-            lines = [line_of.get(frozenset((v, w))) for w in ring]
+            lines = [line_of.get((v, w) if v < w else (w, v)) for w in ring]
             if v not in on_boundary:
                 if None in lines:
                     raise ComplexError(f"inner vertex {v} has an unnumbered edge")
@@ -420,10 +438,10 @@ class PlanarComplex:
     def disjoint_line_pairs(self) -> tuple[tuple[int, int], ...]:
         """Pairs of lines sharing no vertex (parasitic intersections after regeneration)."""
         pairs = []
-        items = sorted(self.line_numbering.items())
-        for i, (ia, pa) in enumerate(items):
-            for ib, pb in items[i + 1 :]:
-                if not set(pa) & set(pb):
+        ends = [(i, set(pair)) for i, pair in sorted(self.line_numbering.items())]
+        for k, (ia, ea) in enumerate(ends):
+            for ib, eb in ends[k + 1 :]:
+                if ea.isdisjoint(eb):
                     pairs.append((ia, ib))
         return tuple(pairs)
 

@@ -94,20 +94,19 @@ def branch_stats(complex_: PlanarComplex) -> BranchStats:
 
 
 def chern(stats: BranchStats) -> ChernData:
-    """c1^2, c2 and the signature (c1^2 - 2 c2)/3, named ``chi``, of the cover."""
+    """c1^2, c2 and the signature (c1^2 - 2 c2)/3, named ``chi``, of the cover.
+
+    Integer arithmetic: c1^2 = n! (m - 6)^2 / 4 and
+    c2 = n! (12 (3 - m) + 3 d + 6 mu + 2 rho) / 12, each by one ``divmod``.
+    Only ``chi``, the three exact coefficients of n! and the text of the
+    `InvariantError` for a non-integral number are ``Fraction``s.
+    """
     nf = math.factorial(stats.n)
-    c1 = Fraction(nf, 4) * (stats.m - 6) ** 2
-    c2 = nf * (
-        3 - stats.m + Fraction(stats.d, 4) + Fraction(stats.mu, 2) + Fraction(stats.rho, 6)
-    )
-    if c1.denominator != 1 or c2.denominator != 1:
-        raise InvariantError(f"non-integral Chern numbers: c1^2={c1}, c2={c2}")
+    c1_num = nf * (stats.m - 6) ** 2
+    c2_num = nf * (12 * (3 - stats.m) + 3 * stats.d + 6 * stats.mu + 2 * stats.rho)
+    (c1, r1), (c2, r2) = divmod(c1_num, 4), divmod(c2_num, 12)
+    if r1 or r2:
+        c1_sq, c2_exact = Fraction(c1_num, 4), Fraction(c2_num, 12)
+        raise InvariantError(f"non-integral Chern numbers: c1^2={c1_sq}, c2={c2_exact}")
     chi = Fraction(c1 - 2 * c2, 3)
-    return ChernData(
-        int(c1),
-        int(c2),
-        chi,
-        Fraction(int(c1), nf),
-        Fraction(int(c2), nf),
-        chi / nf,
-    )
+    return ChernData(c1, c2, chi, Fraction(c1, nf), Fraction(c2, nf), chi / nf)

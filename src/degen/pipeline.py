@@ -106,9 +106,9 @@ def propagate_equalities(
     order is fixed (vertices ascending, then hints in catalog order) so the
     step log is reproducible.
     """
-    pts = sorted(points, key=lambda p: p.vertex)
+    pts = [(p, sorted(p.lines_cyclic)) for p in sorted(points, key=lambda p: p.vertex)]
     pending = list(hints)
-    lines = frozenset(i for p in pts for i in p.lines_cyclic)
+    lines = frozenset(i for _, srt in pts for i in srt)
     eq: set[int] = set()
     steps: list[DerivationStep] = []
 
@@ -123,8 +123,7 @@ def propagate_equalities(
     changed = True
     while changed:
         changed = False
-        for p in pts:
-            srt = sorted(p.lines_cyclic)
+        for p, srt in pts:
             if p.kind == "outer" and p.multiplicity == 1:
                 changed |= establish(srt[0], "one-point", p.vertex, ())
             elif p.kind == "outer" and p.multiplicity == 2:

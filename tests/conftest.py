@@ -27,16 +27,23 @@ def small_complexes(records):
 
 
 @pytest.fixture
-def orient_disk_calls(monkeypatch):
-    """Count calls to `orient_disk` made through `degen.complexes`."""
+def derivation_calls(monkeypatch):
+    """Count builds of a complex's edge-to-planes map (`PlanarComplex.edge_planes`)
+    and of its oriented planes (`orient_disk`, through `degen.complexes`)."""
     calls = Counter()
-    original = degen.complexes.orient_disk
+    orient_disk = degen.complexes.orient_disk
+    edge_planes = degen.complexes.PlanarComplex.edge_planes
 
-    def counted(*args):
+    def counted_orient_disk(*args):
         calls["orient_disk"] += 1
-        return original(*args)
+        return orient_disk(*args)
 
-    monkeypatch.setattr(degen.complexes, "orient_disk", counted)
+    def counted_edge_planes(self):
+        calls["edge_planes"] += 1
+        return edge_planes(self)
+
+    monkeypatch.setattr(degen.complexes, "orient_disk", counted_orient_disk)
+    monkeypatch.setattr(degen.complexes.PlanarComplex, "edge_planes", counted_edge_planes)
     return calls
 
 

@@ -12,6 +12,7 @@ import degen.catalog
 import degen.cli
 import degen.pipeline
 import degen.relations
+from degen.catalog import verify_catalog
 from degen.cli import main
 from degen.complexes import PlanarComplex
 
@@ -124,14 +125,19 @@ def renumber_line_five_as_seven(data):
             pair[0] = 7
 
 
+MISNUMBERED_U04 = (
+    "malformed case U_{0,4} (u-0-4.json): line indices are not 1..L: [1, 2, 3, 4, 7]"
+)
+
+
 def test_catalog_lines_not_numbered_contiguously_are_a_named_error(
     capsys, tmp_path, monkeypatch
 ):
     edited_catalog(tmp_path, monkeypatch, "u-0-4", renumber_line_five_as_seven)
-    rc, out, err = run(capsys, "analyze", "U_{0,4}")
-    assert rc == 1
-    assert out == ""
-    assert err == "degen: error: generators must be numbered 1..n contiguously\n"
+    for command in ("analyze", "export"):
+        rc, out, err = run(capsys, command, "U_{0,4}")
+        assert (rc, out, err) == (1, "", f"degen: error: {MISNUMBERED_U04}\n"), command
+    assert verify_catalog().problems == (f"U_{{0,4}}: {MISNUMBERED_U04}",)
 
 
 def test_analyze_accepts_complex_file(capsys, tmp_path):
@@ -146,22 +152,23 @@ def test_analyze_accepts_complex_file(capsys, tmp_path):
     assert "expected_pi1" not in data or data["expected_pi1"] is None
 
 
-def test_analyze_case_classifies_each_vertex_once(capsys, orient_disk_calls):
+def test_analyze_case_classifies_each_vertex_once(capsys, derivation_calls):
     rc, _, _ = run(capsys, "analyze", "U_{0,6,1}", "--format", "json")
     assert rc == 0
-    assert orient_disk_calls == {"orient_disk": 1}
+    assert derivation_calls == {"edge_planes": 1, "orient_disk": 1}
 
 
 def test_analyze_file_validates_and_classifies_each_vertex_once(
-    capsys, tmp_path, orient_disk_calls
+    capsys, tmp_path, derivation_calls
 ):
     case = json.loads((DATA_DIR / "cases" / "u-0-6-1.json").read_text())
     target = tmp_path / "standalone.json"
     target.write_text(json.dumps(case["complex"]))
     rc, _, _ = run(capsys, "analyze", str(target), "--format", "json")
     assert rc == 0
-    # validate and the classification share the planes oriented once
-    assert orient_disk_calls == {"orient_disk": 1}
+    # validate, the classification and the plane lines share one edge map and
+    # the planes oriented once
+    assert derivation_calls == {"edge_planes": 1, "orient_disk": 1}
 
 
 def test_analyze_all_builds_one_presentation_per_case(capsys, monkeypatch):

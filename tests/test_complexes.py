@@ -12,6 +12,7 @@ import degen.geometry
 from degen.complexes import ComplexError, PlanarComplex, SingularPoint
 from degen.enumerator import CombinatorialMap, EnumeratorError, embed, enumerate_maps
 from degen.geometry import orient, segments_conflict
+from degen.invariants import BranchStats, InvariantError, chern
 from degen.relations import tangent_pairs
 from rotation_oracles import rotation_transversal_pairs
 
@@ -191,12 +192,13 @@ def test_plane_without_three_vertices_is_named(tri):
     assert pc.validate().errors == (f"plane 1 has {len(tri)} vertices, expected 3",)
 
 
-def test_classification_is_computed_once(by_name, orient_disk_calls):
+def test_classification_is_computed_once(by_name, derivation_calls):
     pc = PlanarComplex.from_json(by_name["U_{0,6,1}"].complex.to_json())
     assert pc.validate().ok
     points = pc.classify_vertices()
     assert pc.classify_vertices() is points
-    assert orient_disk_calls == {"orient_disk": 1}
+    assert pc.plane_lines() is pc.plane_lines()
+    assert derivation_calls == {"edge_planes": 1, "orient_disk": 1}
 
 
 def test_handshake_sum_of_multiplicities(records):
@@ -366,6 +368,83 @@ def test_gluing_that_is_not_a_disk_is_named_and_never_accepted(triangles, messag
     assert str(info.value) == named
     if not pc.validate().errors and not pc._disk_violations():
         assert pc.validate().violations == (named,)
+
+
+def validation_messages(pc):
+    report = pc.validate()
+    return report.errors + report.violations
+
+
+def chern_refusal(stats):
+    with pytest.raises(InvariantError) as info:
+        chern(stats)
+    return (str(info.value),)
+
+
+def square_with_lines(lines):
+    """`square_strip`'s two planes under another line numbering."""
+    strip = square_strip()
+    return PlanarComplex(strip.vertices, strip.triangles, lines)
+
+
+@pytest.mark.parametrize(
+    "check, subject, messages",
+    [
+        (
+            validation_messages,
+            PlanarComplex(
+                {1: (0, 0), 2: (1, 0), 3: (0, 1), 4: (1, 1), 5: (-1, -1)},
+                {1: (1, 2, 3), 2: (2, 1, 4), 3: (1, 2, 5)},
+                {},
+            ),
+            ("edge [1, 2] lies in 3 planes: [1, 2, 3]",),
+        ),
+        (
+            validation_messages,
+            square_with_lines({1: (2, 1)}),
+            ("line 1 (2, 1) is not an interior edge", "interior edge [1, 3] has no line number"),
+        ),
+        (
+            validation_messages,
+            square_with_lines({1: (1, 3), 2: (3, 1)}),
+            ("lines 1 and 2 number the same edge",),
+        ),
+        (validation_messages, square_with_lines({}), ("interior edge [1, 3] has no line number",)),
+        (
+            validation_messages,
+            square_with_lines({1: (3, 3)}),
+            ("line 1 has bad endpoints (3, 3)", "interior edge [1, 3] has no line number"),
+        ),
+        (
+            validation_messages,
+            square_with_lines({1: (1, 3), 2: (1, 2, 3)}),
+            ("line 2 has bad endpoints (1, 2, 3)",),
+        ),
+        (
+            validation_messages,
+            PlanarComplex(
+                {1: (0, 0), 2: (10, 1), 3: (3, 7), 4: (-5, 4), 5: (-2, -6), 6: (7, -5)},
+                *numbered([(1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 5, 1), (5, 1, 2)]),
+            ),
+            (
+                "planes 4 and 3 cannot be oriented alike across edge [4, 5]"
+                " (unorientable gluing)",
+            ),
+        ),
+        (
+            chern_refusal,
+            BranchStats(n=3, m=4, mu=0, d=1, rho=0),
+            ("non-integral Chern numbers: c1^2=6, c2=-9/2",),
+        ),
+    ],
+    ids=[
+        "edge-in-three-planes", "boundary-edge-numbered", "edge-numbered-twice",
+        "interior-edge-unnumbered", "line-on-one-vertex", "line-on-three-vertices",
+        "unorientable-gluing", "non-integral-chern",
+    ],
+)
+def test_structural_error_texts(check, subject, messages):
+    assert check(subject) == messages
 
 
 def test_validate_tests_only_boundary_edge_pairs(disks, segment_calls):

@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 
 from degen.catalog import CaseHint
-from degen.complexes import PlanarComplex
+from degen.complexes import ComplexError, PlanarComplex
 from degen.enumerator import embed, enumerate_maps
 from degen.fpgroup import (
     EnumerationStats,
@@ -310,6 +310,25 @@ def test_line_renumberings_never_contradict(small_complexes):
             conflicts.append(k)
     assert conflicts == []
     assert refusals < 8 * len(complexes)
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        ({1: (3, 3)}, "vertex 1: boundary/line pattern is inconsistent"),
+        ({1: (1, 2, 3)}, "vertex 1: boundary/line pattern is inconsistent"),
+        ({1: (1, 3), 2: (3, 3)}, "line 2 (3, 3) is not an interior edge (in 0 planes)"),
+        ({1: (1, 3), 2: (1, 2, 3)}, "line 2 (1, 2, 3) is not an interior edge (in 0 planes)"),
+    ],
+)
+def test_line_that_is_not_two_distinct_vertices_is_a_named_error(lines, message):
+    """`decide` never validates; a malformed line still ends in a `ComplexError`."""
+    pc = PlanarComplex(
+        {1: (0, 0), 2: (1, 0), 3: (1, 1), 4: (0, 1)}, {1: (1, 2, 3), 2: (1, 3, 4)}, lines
+    )
+    with pytest.raises(ComplexError) as info:
+        decide(pc, use_hints=False)
+    assert str(info.value) == message
 
 
 def test_decide_accepts_bare_complex(by_name):
