@@ -12,11 +12,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .complexes import PlanarComplex
 from .invariants import branch_stats, chern
@@ -32,8 +30,7 @@ class CatalogError(ValueError):
     """Missing case, malformed file, or checksum mismatch."""
 
 
-@dataclass(frozen=True)
-class ExpectedResults:
+class ExpectedResults(NamedTuple):
     """Published values a recomputation is checked against."""
 
     pi1: str
@@ -87,8 +84,7 @@ class ExpectedResults:
         )
 
 
-@dataclass(frozen=True)
-class CaseHint:
+class CaseHint(NamedTuple):
     """A catalogued equality with the conditions under which it applies.
 
     `citation` names the printed derivation the equality is lifted from so a
@@ -115,8 +111,7 @@ class CaseHint:
         }
 
 
-@dataclass(frozen=True)
-class CaseRecord:
+class CaseRecord(NamedTuple):
     """One catalogued degeneration, ready for the pipeline."""
 
     name: str
@@ -146,12 +141,12 @@ class CaseRecord:
         )
 
 
+_SEPARATORS = str.maketrans("", "", "$\\{}_ \t,-")
+
+
 def _normalize(name: str) -> str:
     """Collapse TeX markup, separators, and case so lookups are forgiving."""
-    key = name.strip().lower()
-    for ch in "$\\{}_ \t,-":
-        key = key.replace(ch, "")
-    return key.replace("cup", "∪")
+    return name.strip().lower().translate(_SEPARATORS).replace("cup", "∪")
 
 
 class Catalog:
@@ -237,7 +232,7 @@ def catalog_root(catalog_dir: str | Path | None = None) -> Path:
     env = os.environ.get(ENV_CATALOG_DIR)
     if env:
         return Path(env)
-    return Path(str(resources.files("degen.data")))
+    return Path(__file__).resolve().parent / "data"
 
 
 def open_catalog(catalog_dir: str | Path | None = None) -> Catalog:
@@ -252,8 +247,7 @@ def load_all(catalog_dir: str | Path | None = None) -> tuple[CaseRecord, ...]:
     return tuple(open_catalog(catalog_dir))
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Problems found while re-deriving catalog contents; empty means clean."""
 
     problems: tuple[str, ...]

@@ -34,11 +34,10 @@ builds each combinatorial map's rotations and boundary walk the same way.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .geometry import Point, orient, segments_conflict
 
@@ -145,8 +144,7 @@ def vertex_fans(oriented: Iterable[tuple[int, int, int]]) -> dict[int, list[int]
     return rot
 
 
-@dataclass(frozen=True)
-class Line:
+class Line(NamedTuple):
     """An interior edge: the common edge of exactly two planes."""
 
     index: int
@@ -154,8 +152,7 @@ class Line:
     planes: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class SingularPoint:
+class SingularPoint(NamedTuple):
     """A vertex met by ``multiplicity`` lines.
 
     ``lines_cyclic`` lists the incident line indices in rotation order around
@@ -171,8 +168,7 @@ class SingularPoint:
     lines_cyclic: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     errors: tuple[str, ...]  # structural: the data does not describe a complex
     violations: tuple[str, ...]  # semantic: not a valid planar degeneration
 
@@ -475,21 +471,22 @@ class PlanarComplex:
                 if int(v) in vertices:
                     raise ComplexError(f"duplicate vertex id {v}")
                 vertices[int(v)] = (Fraction(int(px), int(qx)), Fraction(int(py), int(qy)))
-            triangles: dict[int, tuple[int, int, int]] = {}
+            triangles = {}
             for p, tri in data["triangles"]:
                 if int(p) in triangles:
                     raise ComplexError(f"duplicate plane id {p}")
-                triangles[int(p)] = tuple(int(v) for v in tri)
-            lines: dict[int, tuple[int, int]] = {}
+                triangles[int(p)] = tri
+            lines = {}
             for i, pair in data["line_numbering"]:
                 if int(i) in lines:
                     raise ComplexError(f"duplicate line index {i}")
-                lines[int(i)] = tuple(int(v) for v in pair)
+                lines[int(i)] = pair
+            # the constructor converts each entry, so a bad one fails here too
+            return cls(vertices, triangles, lines)
         except ComplexError:
             raise
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ComplexError(f"malformed complex JSON: {exc}") from exc
-        return cls(vertices, triangles, lines)
 
     @classmethod
     def loads(cls, text: str) -> "PlanarComplex":

@@ -32,10 +32,9 @@ and the result must pass full complex validation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .complexes import ComplexError, PlanarComplex, orient_disk, planes_by_edge, vertex_fans
 
@@ -48,8 +47,7 @@ class EnumeratorError(ValueError):
     """Invalid map input or an unorientable/pinched triangle set."""
 
 
-@dataclass(frozen=True)
-class CombinatorialMap:
+class CombinatorialMap(NamedTuple):
     """Rotation system of a triangulated disk, plus its boundary walk.
 
     Rotations are full cyclic neighbor orders (the outer face closes each

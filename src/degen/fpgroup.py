@@ -21,8 +21,7 @@ generators, not only involutions.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .relations import Presentation, Word
 
@@ -33,8 +32,7 @@ class EnumerationError(ValueError):
     """Invalid enumeration input (bad budget or presentation)."""
 
 
-@dataclass(frozen=True)
-class EnumerationStats:
+class EnumerationStats(NamedTuple):
     """Bookkeeping totals from one enumeration run.
 
     When `completed`, the table closed and `live_cosets` is the subgroup
@@ -278,8 +276,7 @@ def first_broken_relator(
     return None
 
 
-@dataclass(frozen=True)
-class KernelAbelianization:
+class KernelAbelianization(NamedTuple):
     """Abelianization of the kernel of the permutation representation."""
 
     index: int

@@ -26,8 +26,8 @@ column rank.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .complexes import PlanarComplex
 
@@ -51,8 +51,7 @@ class InvariantError(ValueError):
     """Raised on arithmetic inconsistencies or out-of-range vertex kinds."""
 
 
-@dataclass(frozen=True)
-class BranchStats:
+class BranchStats(NamedTuple):
     n: int  # planes
     m: int  # branch curve degree, 2L
     mu: int
@@ -60,8 +59,7 @@ class BranchStats:
     rho: int
 
 
-@dataclass(frozen=True)
-class ChernData:
+class ChernData(NamedTuple):
     c1_sq: int
     c2: int
     chi: Fraction

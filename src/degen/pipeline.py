@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from .complexes import PlanarComplex, SingularPoint
 from .fpgroup import (
@@ -49,8 +49,7 @@ class PipelineError(ValueError):
     """Inconsistent pipeline state (for example an impossible coset count)."""
 
 
-@dataclass(frozen=True)
-class DerivationStep:
+class DerivationStep(NamedTuple):
     """One established equality and the rule application that produced it."""
 
     line: int
@@ -68,8 +67,7 @@ class DerivationStep:
         return out
 
 
-@dataclass(frozen=True)
-class EqualityFacts:
+class EqualityFacts(NamedTuple):
     """Fixed point of equality propagation, with a replayable log."""
 
     lines: frozenset[int]
@@ -167,8 +165,7 @@ def propagate_equalities(
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ForkVertex:
+class ForkVertex(NamedTuple):
     """A plane of line-valency 3 lying on no cycle of the dual graph."""
 
     plane: int
@@ -178,8 +175,7 @@ class ForkVertex:
         return {"kind": "fork-vertex", "plane": self.plane, "lines": list(self.lines)}
 
 
-@dataclass(frozen=True)
-class CosetOrder:
+class CosetOrder(NamedTuple):
     """The enumerated order of the reduced group."""
 
     order: int
@@ -209,7 +205,7 @@ def fork_certificate(complex_: PlanarComplex) -> ForkVertex | None:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # a NamedTuple would compare `presentation` too
 class Verdict:
     """Outcome of the pipeline together with everything needed to audit it.
 

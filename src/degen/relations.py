@@ -128,7 +128,7 @@ def inner_point_relators(
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # a NamedTuple cannot run the arity check on construction
 class Presentation:
     """A finite presentation with one annotation tag per relator."""
 

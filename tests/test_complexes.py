@@ -381,6 +381,17 @@ def chern_refusal(stats):
     return (str(info.value),)
 
 
+def from_json_messages(data):
+    with pytest.raises(ComplexError) as info:
+        PlanarComplex.from_json(data)
+    return (str(info.value),)
+
+
+def square_json(key, entries):
+    """`square_strip` as interchange JSON, with the list under ``key`` replaced."""
+    return {**square_strip().to_json(), key: entries}
+
+
 def square_with_lines(lines):
     """`square_strip`'s two planes under another line numbering."""
     strip = square_strip()
@@ -436,11 +447,35 @@ def square_with_lines(lines):
             BranchStats(n=3, m=4, mu=0, d=1, rho=0),
             ("non-integral Chern numbers: c1^2=6, c2=-9/2",),
         ),
+        (
+            from_json_messages,
+            square_json("triangles", [[1, [1, 2, "x"]], [2, [1, 3, 4]]]),
+            ("malformed complex JSON: invalid literal for int() with base 10: 'x'",),
+        ),
+        (
+            from_json_messages,
+            square_json("triangles", [[1, 5], [2, [1, 3, 4]]]),
+            ("malformed complex JSON: 'int' object is not iterable",),
+        ),
+        (
+            from_json_messages,
+            square_json("line_numbering", [[1, [1, None]]]),
+            (
+                "malformed complex JSON: int() argument must be a string, a bytes-like"
+                " object or a real number, not 'NoneType'",
+            ),
+        ),
+        (
+            from_json_messages,
+            square_json("triangles", [[1, [1, 2, 3]], [1, [1, 3, 4]]]),
+            ("duplicate plane id 1",),
+        ),
     ],
     ids=[
         "edge-in-three-planes", "boundary-edge-numbered", "edge-numbered-twice",
         "interior-edge-unnumbered", "line-on-one-vertex", "line-on-three-vertices",
-        "unorientable-gluing", "non-integral-chern",
+        "unorientable-gluing", "non-integral-chern", "json-vertex-not-an-int",
+        "json-triangle-not-a-list", "json-line-vertex-none", "json-duplicate-plane",
     ],
 )
 def test_structural_error_texts(check, subject, messages):
