@@ -15,9 +15,11 @@ canonical forms trace no face orbits.
 
 Most grown states are isomorphs of one already kept, so none is built from
 scratch: each candidate's rotations and walk are derived from its parent's
-by the few local edits that the growth move makes.  A candidate of a new
-class becomes the class's representative as it is, once turned and started
-like `CombinatorialMap.from_triangles` of its state: its boundary walk and
+by the few local edits that the growth move makes, and a candidate is only
+those rings and that walk, all a canonical form reads, until its class is
+new.  Only then does it get its state, its sorted triangles and a map, and
+become the class's representative, once turned and started like
+`CombinatorialMap.from_triangles` of its state: its boundary walk and
 triangles equal that map's byte for byte, and its rings are the same
 cyclic orders, possibly started elsewhere.  The canonical form encodes only
 roots whose tail has the least boundary degree, and when that tail is an ear
@@ -92,6 +94,13 @@ class CombinatorialMap(NamedTuple):
     @classmethod
     def from_complex(cls, complex_: PlanarComplex) -> "CombinatorialMap":
         return cls.from_triangles(complex_.triangles.values())
+
+
+class _Candidate(NamedTuple):
+    """A grown map as `canonical_form` reads it: its rings and its walk."""
+
+    rotation_dict: dict[int, tuple[int, ...]]
+    boundary: tuple[int, ...]
 
 
 # ----------------------------------------------------------------------
@@ -187,10 +196,8 @@ def canonical_form(map_: CombinatorialMap) -> tuple[int, ...]:
 # ----------------------------------------------------------------------
 
 
-def _grow(
-    state: frozenset[Triangle], map_: CombinatorialMap
-) -> Iterator[tuple[frozenset[Triangle], CombinatorialMap]]:
-    """Each grown state with its map, derived from the parent's map.
+def _grow(map_: CombinatorialMap) -> Iterator[tuple[tuple[int, int, int], _Candidate]]:
+    """Each added triangle with the candidate it grows, derived from `map_`.
 
     Attaching a fresh vertex f on boundary edge (u, v) gives f the ring
     (u, v) and puts f between u and v on the walk; filling the corner
@@ -200,31 +207,27 @@ def _grow(
     new neighbour comes from the outer face.  `CombinatorialMap.from_triangles`
     of the grown state gives the same rings and walk or their mirror image,
     up to where each ring and the walk start, which no canonical form sees;
-    `_as_built` turns and starts a map that is kept like that one.
+    `_as_built` turns and starts a map that is kept like that one.  A
+    candidate is only the rings and walk, all that a canonical form reads.
     """
     rot = map_.rotation_dict
     b = map_.boundary
     k = len(b)
     succ = dict(zip(b, b[1:] + b[:1]))
 
-    def child(tri, walk, gains, fresh_rings=()) -> CombinatorialMap:
+    def child(walk, gains, fresh_rings=()) -> _Candidate:
         grown = dict(rot)
         for x, y in gains:
             ring = grown[x]
             j = ring.index(succ[x]) + 1
             grown[x] = ring[:j] + (y,) + ring[j:]
         grown.update(fresh_rings)
-        return CombinatorialMap(
-            rotations=tuple(grown.items()),
-            boundary=walk,
-            triangles=tuple(sorted(map_.triangles + (tuple(sorted(tri)),))),
-        )
+        return _Candidate(grown, walk)
 
     fresh = max(rot) + 1
     for i in range(k):
         u, v = b[i], b[(i + 1) % k]
-        yield state | {frozenset({u, v, fresh})}, child(
-            (u, v, fresh),
+        yield (u, v, fresh), child(
             b[: i + 1] + (fresh,) + b[i + 1 :],
             ((u, fresh), (v, fresh)),
             ((fresh, (u, v)),),
@@ -232,9 +235,7 @@ def _grow(
     for i in range(k):
         u, v, w = b[i - 1], b[i], b[(i + 1) % k]
         if u != w and w not in rot[u]:
-            yield state | {frozenset({u, v, w})}, child(
-                (u, v, w), b[:i] + b[i + 1 :], ((u, w), (w, u))
-            )
+            yield (u, v, w), child(b[:i] + b[i + 1 :], ((u, w), (w, u)))
 
 
 def _as_built(
@@ -278,7 +279,8 @@ def enumerate_maps(
     Each representative is the map derived for the first state of its class
     that growth reaches, and has the boundary walk and triangles of
     `CombinatorialMap.from_triangles` of that state, byte for byte; its rings
-    are that map's cyclic orders, possibly started elsewhere.
+    are that map's cyclic orders, possibly started elsewhere.  A candidate
+    is its rings and walk until its class is new; a duplicate never gets a map.
 
     `guard` bounds the requested size (resource guard; raise it consciously
     for bigger runs).
@@ -297,11 +299,17 @@ def enumerate_maps(
     for _ in range(2, num_triangles + 1):
         nxt: dict[tuple[int, ...], tuple[frozenset[Triangle], CombinatorialMap]] = {}
         for state, map_ in level.values():
-            for grown, candidate in _grow(state, map_):
+            for tri, candidate in _grow(map_):
                 key = canonical_form(candidate)
                 if key in nxt:
                     continue
-                nxt[key] = (grown, _as_built(grown, candidate))
+                grown = state | {frozenset(tri)}
+                derived = CombinatorialMap(
+                    rotations=tuple(candidate.rotation_dict.items()),
+                    boundary=candidate.boundary,
+                    triangles=tuple(sorted(map_.triangles + (tuple(sorted(tri)),))),
+                )
+                nxt[key] = (grown, _as_built(grown, derived))
         level = nxt
     return [map_ for _state, map_ in level.values()]
 

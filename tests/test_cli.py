@@ -214,6 +214,14 @@ def test_enumerate_count_only(capsys):
     assert out.strip() == "28"
 
 
+def test_enumerate_above_the_library_guard(capsys):
+    # asking for 9 triangles on the command line is the conscious choice
+    # that the library's guard of 8 asks for
+    rc, out, err = run(capsys, "enumerate", "--triangles", "9", "--count-only")
+    assert rc == 0, err
+    assert out.strip() == "782"
+
+
 def test_enumerate_writes_loadable_complexes(capsys, tmp_path):
     out_dir = tmp_path / "maps"
     rc, out, _ = run(

@@ -45,6 +45,9 @@ GOLDEN_POINTS = {6: "00f3e68214b0c975", 7: "5b62086380341261", 8: "c5a662479fbb0
 # it pins the coset counts the enumeration engine reaches on these disks.
 GOLDEN_VERDICTS = {6: "e12182bab548294e", 7: "a155141519debbe5"}
 GOLDEN_FORMS_NINE = "d491b888389237c4"
+# The same for the repr of every representative at 9 triangles: its rings,
+# walk and triangles, in enumeration order.
+GOLDEN_MAPS_NINE = "ca99b2705ec9b38e"
 
 
 def exhaustive_maps(num_triangles):
@@ -304,6 +307,28 @@ def test_canonical_forms_at_nine_match_golden_digest():
     assert digest(forms) == GOLDEN_FORMS_NINE
 
 
+def test_representatives_at_nine_match_golden_digest():
+    maps = "\n".join(repr(m) for m in enumerate_maps(9, guard=9))
+    assert digest(maps) == GOLDEN_MAPS_NINE
+
+
+def test_duplicate_candidates_build_no_map(monkeypatch):
+    # a candidate becomes a map only when its class is new: at most the
+    # derived map and the representative per class kept, plus the seed
+    built = 0
+
+    class Counted(CombinatorialMap):
+        def __new__(cls, *args, **kwargs):
+            nonlocal built
+            built += 1
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(degen.enumerator, "CombinatorialMap", Counted)
+    assert len(enumerate_maps(7)) == 73
+    kept = 1 + 2 + 5 + 9 + 28 + 73
+    assert 0 < built <= 1 + 2 * kept
+
+
 def test_enumeration_calls_canonical_form_once_per_candidate(monkeypatch):
     # perfbench's tracer counts `enumerator.candidates` as the calls to this
     # module-level name, so enumeration must call it once per candidate
@@ -355,10 +380,20 @@ def unpruned_form(map_):
 
 
 def candidates(up_to):
-    """Every grown state and derived map that enumeration tests, up to `up_to` triangles."""
+    """Every grown state and derived map that enumeration tests, up to `up_to` triangles.
+
+    `_grow` yields each added triangle with only the rings and walk of the
+    candidate; its full map is rebuilt here from the parent's triangles.
+    """
     for n in range(1, up_to):
         for map_ in enumerate_maps(n):
-            yield from _grow(frozenset(map(frozenset, map_.triangles)), map_)
+            state = frozenset(map(frozenset, map_.triangles))
+            for tri, candidate in _grow(map_):
+                yield state | {frozenset(tri)}, CombinatorialMap(
+                    rotations=tuple(candidate.rotation_dict.items()),
+                    boundary=candidate.boundary,
+                    triangles=tuple(sorted(map_.triangles + (tuple(sorted(tri)),))),
+                )
 
 
 def same_cycle(a, b):
