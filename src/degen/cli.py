@@ -20,7 +20,7 @@ from functools import cache
 from typing import Any, Callable
 
 from .catalog import Catalog, CatalogError, open_catalog
-from .complexes import ComplexError, PlanarComplex
+from .complexes import ComplexError, PlanarComplex, json_text
 from .enumerator import EnumeratorError, embed, enumerate_maps
 from .fpgroup import DEFAULT_MAX_COSETS, EnumerationError
 from .invariants import InvariantError, branch_stats, chern
@@ -148,7 +148,7 @@ def cmd_list(args: argparse.Namespace) -> int:
         for rec in catalog
     ]
     if args.format == "json":
-        print(json.dumps(rows, indent=2))
+        print(json_text(rows))
     else:
         print(_md_table(("case", "pi1", "chi/6!"), [
             (r["name"], r["pi1"], r["chi_coeff"]) for r in rows
@@ -176,7 +176,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     if args.format == "json":
         payload = reports if args.all else reports[0]
-        print(json.dumps(payload, indent=2))
+        print(json_text(payload))
     else:
         for report in reports:
             print(_render_analysis(report, verbose=args.verbose))
@@ -345,7 +345,7 @@ def cmd_table(args: argparse.Namespace) -> int:
                      "computed": str(computed), "catalog": str(expected)}
                 )
     if args.format == "json":
-        print(json.dumps({"rows": rows, "diffs": diffs}, indent=2))
+        print(json_text({"rows": rows, "diffs": diffs}))
     else:
         print(_md_table(
             ("case", "c1^2/6!", "c2/6!", "chi/6!", "pi1"),
@@ -397,7 +397,7 @@ def cmd_export(args: argparse.Namespace) -> int:
     rec = catalog.load(args.case)
     pres = reduced_presentation(rec.complex, inner6_relators=rec.extra_inner_relators)
     if args.format == "json":
-        print(json.dumps(presentation_json(pres), indent=2))
+        print(json_text(presentation_json(pres)))
     else:
         print(presentation_text(pres))
     return EXIT_OK

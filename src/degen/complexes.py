@@ -18,6 +18,9 @@ vertices keys no edge and is named as an error, never unpacked.
 `from_json` turns each coordinate into a ``Fraction`` once, and the
 constructor keeps a coordinate that already is one.
 
+`json_text` writes every JSON degen prints or stores, byte for byte as
+``json.dumps(obj, indent=2)``, whose indent forces the pure-Python encoder.
+
 The geometric checks run on an integer lattice: every coordinate times the
 lcm of all coordinate denominators.  Scaling by a positive constant keeps
 every orientation sign, coordinate equality and counterclockwise order, so
@@ -36,6 +39,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from math import lcm
 from typing import Iterable, Mapping, NamedTuple
 
@@ -46,6 +50,30 @@ FORMAT = "degen-complex/1"
 
 class ComplexError(ValueError):
     """Raised for malformed interchange data or operations on invalid complexes."""
+
+
+# how `json.dumps` writes each scalar type degen emits
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, type(None): lambda _: "null",
+            bool: lambda b: "true" if b else "false"}
+
+
+def json_text(obj, _indent: str = "\n") -> str:
+    """The text of ``json.dumps(obj, indent=2)``, for values of exactly the types
+    str, int, bool and None, and lists, tuples and dicts with str keys; any
+    other value or key raises `TypeError`."""
+    scalar = _SCALARS.get(type(obj))
+    if scalar is not None:
+        return scalar(obj)
+    inner = _indent + "  "
+    if isinstance(obj, dict):  # the encoder raises TypeError on a key that is no str
+        items = [f"{encode_basestring_ascii(k)}: {json_text(v, inner)}" for k, v in obj.items()]
+        ends = "{}"
+    elif isinstance(obj, (list, tuple)):
+        items = [json_text(v, inner) for v in obj]
+        ends = "[]"
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return ends[0] + inner + ("," + inner).join(items) + _indent + ends[1] if items else ends
 
 
 def _fraction(c) -> Fraction:
@@ -455,7 +483,7 @@ class PlanarComplex:
         }
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=2) + "\n"
+        return json_text(self.to_json()) + "\n"
 
     @classmethod
     def from_json(cls, data: dict) -> "PlanarComplex":

@@ -6,9 +6,10 @@ fresh triangle along one boundary edge (new apex vertex), and filling a
 boundary corner with a triangle on two adjacent boundary edges (the corner
 vertex becomes interior).  Isomorphs are pruned with a canonical form over
 rooted rotation-system codes, minimized across boundary root darts and
-reflection, so mirror images count once, matching the published total of
-29 for six triangles (McKay, "Isomorph-free exhaustive generation",
-J. Algorithms 26, 1998).  The outer face is traced once per map, by the
+reflection, so mirror images count once (McKay, "Isomorph-free exhaustive
+generation", J. Algorithms 26, 1998).  Six triangles give 28 classes, one
+fewer than the catalog's 29 cases: its `U_{0,5,1}` and `U_{0,5,3}` are one
+mirror pair.  The outer face is traced once per map, by the
 same `complexes.orient_disk` that certifies a complex, and stored as its
 boundary walk; the mirror image's outer face is that walk reversed, so
 canonical forms trace no face orbits.
@@ -82,18 +83,21 @@ class CombinatorialMap(NamedTuple):
             rot = vertex_fans([oriented[i] for i in planes])
         except ComplexError as exc:
             raise EnumeratorError(str(exc)) from exc
-        # the map's walk runs against the planes, from the same vertex; a
-        # lone triangle's walk runs either way round, so it keeps its own
-        boundary = walk if len(tris) == 1 else walk[:1] + walk[:0:-1]
         return cls(
             rotations=tuple(sorted((v, tuple(ring)) for v, ring in rot.items())),
-            boundary=boundary,
+            boundary=_map_walk(oriented, walk),
             triangles=tuple(sorted(planes.values())),
         )
 
     @classmethod
     def from_complex(cls, complex_: PlanarComplex) -> "CombinatorialMap":
         return cls.from_triangles(complex_.triangles.values())
+
+
+def _map_walk(oriented: Mapping, walk: tuple[int, ...]) -> tuple[int, ...]:
+    """A map's walk from `orient_disk`'s: it runs against the planes, from the
+    same vertex; a lone triangle's walk runs either way round, so it keeps its own."""
+    return walk if len(oriented) == 1 else walk[:1] + walk[:0:-1]
 
 
 class _Candidate(NamedTuple):
@@ -239,25 +243,25 @@ def _grow(map_: CombinatorialMap) -> Iterator[tuple[tuple[int, int, int], _Candi
 
 
 def _as_built(
-    state: Iterable[Iterable[int]], map_: CombinatorialMap
+    state: Iterable[Iterable[int]], candidate: _Candidate, triangles: tuple[tuple[int, ...], ...]
 ) -> CombinatorialMap:
-    """`map_`, derived for `state`, turned and started as `from_triangles(state)`.
+    """`candidate`, grown for `state`, turned and started as `from_triangles(state)`.
 
     `from_triangles` keeps the vertex order (a, b, c) of the state's first
     triangle, sorted, so c follows b in the ring of a, a follows c in the
-    ring of b and b follows a in the ring of c; if `map_` winds the other
-    way, every ring and the walk are reversed.  The winding is read at a
+    ring of b and b follows a in the ring of c; if `candidate` winds the
+    other way, every ring and the walk are reversed.  The winding is read at a
     corner whose ring has at least 3 entries, since a ring (b, c) reads both
     ways; with 2 or more triangles one edge of the first is shared, so its
     two ends qualify.  The walk then starts at its least vertex.  Boundary
-    and triangles come out equal to `from_triangles(state)`'s; each ring is
-    the same cycle, possibly from another start.
+    and `triangles` (the state's, sorted) come out equal to
+    `from_triangles(state)`'s; each ring is the same cycle, possibly from
+    another start.
     """
-    rot = map_.rotation_dict
+    rot, walk = candidate
     a, b, c = sorted(next(iter(state)))
     v, x, y = next(t for t in ((a, b, c), (b, c, a), (c, a, b)) if len(rot[t[0]]) > 2)
     ring = rot[v]
-    walk = map_.boundary
     if ring[(ring.index(x) + 1) % len(ring)] != y:
         rot = {u: r[::-1] for u, r in rot.items()}
         walk = walk[::-1]
@@ -265,7 +269,7 @@ def _as_built(
     return CombinatorialMap(
         rotations=tuple(sorted(rot.items())),
         boundary=walk[i:] + walk[:i],
-        triangles=map_.triangles,
+        triangles=triangles,
     )
 
 
@@ -304,12 +308,8 @@ def enumerate_maps(
                 if key in nxt:
                     continue
                 grown = state | {frozenset(tri)}
-                derived = CombinatorialMap(
-                    rotations=tuple(candidate.rotation_dict.items()),
-                    boundary=candidate.boundary,
-                    triangles=tuple(sorted(map_.triangles + (tuple(sorted(tri)),))),
-                )
-                nxt[key] = (grown, _as_built(grown, derived))
+                triangles = tuple(sorted(map_.triangles + (tuple(sorted(tri)),)))
+                nxt[key] = (grown, _as_built(grown, candidate, triangles))
         level = nxt
     return [map_ for _state, map_ in level.values()]
 
@@ -335,7 +335,8 @@ def embed(map_: CombinatorialMap) -> PlanarComplex:
 
     Boundary vertices go on a circle in walk order; interior vertices solve
     the neighbor-average equations exactly.  Any validation failure is a
-    real bug in the generated map and is raised, never swallowed.
+    real bug in the generated map and is raised, never swallowed.  The class
+    check reads rings and walk off the planes `validate` oriented alike.
     """
     rot = map_.rotation_dict
     boundary = list(map_.boundary)
@@ -366,7 +367,9 @@ def embed(map_: CombinatorialMap) -> PlanarComplex:
             f"synthesized embedding failed validation: {report.errors}"
             f" {report.violations}"
         )
-    if canonical_form(CombinatorialMap.from_complex(complex_)) != canonical_form(map_):
+    oriented, walk = complex_._disk  # the orientation validate certified
+    embedded = _Candidate(vertex_fans(oriented.values()), _map_walk(oriented, walk))
+    if canonical_form(embedded) != canonical_form(map_):
         raise EnumeratorError("embedding changed the isomorphism class")
     return complex_
 

@@ -15,6 +15,7 @@ import degen.relations
 from degen.catalog import verify_catalog
 from degen.cli import main
 from degen.complexes import PlanarComplex
+from degen.enumerator import embed, enumerate_maps
 
 DATA_DIR = Path(degen.catalog.__file__).parent / "data"
 SRC = Path(degen.catalog.__file__).parents[1]
@@ -372,3 +373,43 @@ def test_json_report_matches_golden_digest(capsys, argv):
     rc, out, _ = run(capsys, *argv)
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_JSON[argv]
+
+
+# SHA-256 of every other JSON the CLI prints, so that a change to how JSON is
+# written shows as a byte change and not only as a change of parsed content.
+GOLDEN_JSON_OTHER = {
+    "list": "d793a2f3a9b6a4d8aa374b369ccf35b5459e465718e9930549d7a003f43f4e8b",
+    "table": "6b240eefdc4c6e07905be1d69412be1e332a7408e11c6c2efef6f2a5503b98b6",
+    "export": "402037f241d348a35f93a2e485ce7080ee033daef9312f0872f391306b2b1c5b",
+    "analyze-file": "cbf36fbdf9518bd2549e6fead70ad379bb32b61b9fc84946d599c91e2f958e24",
+}
+
+
+@pytest.mark.parametrize("command", ["list", "table"])
+def test_listing_json_matches_golden_digest(capsys, command):
+    rc, out, _ = run(capsys, command, "--format", "json")
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_JSON_OTHER[command]
+
+
+def test_export_json_of_every_case_matches_golden_digest(capsys):
+    outs = []
+    for name in degen.catalog.open_catalog().names():
+        rc, out, _ = run(capsys, "export", name, "--format", "json")
+        assert rc == 0
+        outs.append(out)
+    digest = hashlib.sha256("".join(outs).encode()).hexdigest()
+    assert digest == GOLDEN_JSON_OTHER["export"]
+
+
+def test_analyze_json_of_embedded_disks_matches_golden_digest(capsys, tmp_path, monkeypatch):
+    # every six-triangle disk as a file; the report names the file, so the
+    # path is the same relative one each time
+    monkeypatch.chdir(tmp_path)
+    outs = []
+    for map_ in enumerate_maps(6):
+        Path("disk.json").write_text(embed(map_).dumps(), encoding="utf-8")
+        rc, out, _ = run(capsys, "analyze", "disk.json", "--format", "json")
+        outs.append(f"{rc}\n{out}")
+    digest = hashlib.sha256("".join(outs).encode()).hexdigest()
+    assert digest == GOLDEN_JSON_OTHER["analyze-file"]

@@ -6,10 +6,11 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import degen.complexes
 import degen.geometry
-from degen.complexes import ComplexError, PlanarComplex, SingularPoint
+from degen.complexes import ComplexError, PlanarComplex, SingularPoint, json_text
 from degen.enumerator import CombinatorialMap, EnumeratorError, embed, enumerate_maps
 from degen.geometry import orient, segments_conflict
 from degen.invariants import BranchStats, InvariantError, chern
@@ -490,3 +491,38 @@ def test_validate_tests_only_boundary_edge_pairs(disks, segment_calls):
         assert 0 < segment_calls["segments_conflict"] <= b * (b - 1) // 2
     assert not hasattr(degen.complexes, "point_in_triangle")
     assert not hasattr(degen.geometry, "point_in_triangle")
+
+
+# text with non-ASCII letters, quotes, backslashes and control characters
+json_strings = st.text(st.sampled_from('a∪é"\\/\b\f\n\r\t\x00\x1f\x7f\u2028\U0001d11e'))
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | json_strings,
+    lambda inner: st.lists(inner)
+    | st.lists(inner).map(tuple)
+    | st.dictionaries(json_strings, inner),
+    max_leaves=30,
+)
+
+
+@settings(deadline=None)
+@given(json_values)
+@example([])
+@example({})
+@example(())
+@example([[], ()])
+@example({"a": {}, "": [(), {}]})
+@example([{"∪": [None, True, False, -1, 10**30]}])
+def test_json_text_writes_the_bytes_of_indented_dumps(value):
+    assert json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value", [1.5, Fraction(1, 2), {1: "a"}, [{"a": {(1, 2): 3}}], {"a": [0.0]}]
+)
+def test_json_text_refuses_floats_fractions_and_keys_that_are_no_str(value):
+    with pytest.raises(TypeError):
+        json_text(value)

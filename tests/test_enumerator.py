@@ -13,6 +13,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import degen.complexes
 import degen.enumerator
 from degen.catalog import load_all
 from degen.pipeline import decide
@@ -20,6 +21,7 @@ from degen.relations import UnsupportedCaseError
 from degen.enumerator import (
     CombinatorialMap,
     EnumeratorError,
+    _Candidate,
     _as_built,
     _grow,
     canonical_form,
@@ -313,8 +315,8 @@ def test_representatives_at_nine_match_golden_digest():
 
 
 def test_duplicate_candidates_build_no_map(monkeypatch):
-    # a candidate becomes a map only when its class is new: at most the
-    # derived map and the representative per class kept, plus the seed
+    # a candidate becomes a map only when its class is new, and then only
+    # its representative: one map per class kept, plus the seed
     built = 0
 
     class Counted(CombinatorialMap):
@@ -326,7 +328,7 @@ def test_duplicate_candidates_build_no_map(monkeypatch):
     monkeypatch.setattr(degen.enumerator, "CombinatorialMap", Counted)
     assert len(enumerate_maps(7)) == 73
     kept = 1 + 2 + 5 + 9 + 28 + 73
-    assert 0 < built <= 1 + 2 * kept
+    assert built == 1 + kept
 
 
 def test_enumeration_calls_canonical_form_once_per_candidate(monkeypatch):
@@ -471,9 +473,9 @@ def assert_built_from(map_, state):
 def test_representatives_are_the_maps_their_states_build(monkeypatch):
     states = {}
 
-    def recorded(state, map_):
-        states[map_.triangles] = state
-        return _as_built(state, map_)
+    def recorded(state, candidate, triangles):
+        states[triangles] = state
+        return _as_built(state, candidate, triangles)
 
     monkeypatch.setattr(degen.enumerator, "_as_built", recorded)
     for num_triangles in range(2, 9):
@@ -494,4 +496,33 @@ def test_winding_is_read_where_a_ring_has_three_entries():
         triangles=mirrored.triangles,
     )
     for derived in (built, mirrored, started_elsewhere):
-        assert_built_from(_as_built(state, derived), state)
+        candidate = _Candidate(derived.rotation_dict, derived.boundary)
+        assert_built_from(_as_built(state, candidate, derived.triangles), state)
+
+
+def test_embed_orients_each_complex_once(monkeypatch):
+    # the class check reads the orientation validate certified
+    maps = enumerate_maps(6)
+    calls = 0
+    orient_disk = degen.complexes.orient_disk
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return orient_disk(*args)
+
+    monkeypatch.setattr(degen.complexes, "orient_disk", counted)
+    monkeypatch.setattr(degen.enumerator, "orient_disk", counted)
+    for map_ in maps:
+        embed(map_)
+    assert calls == len(maps) == 28
+
+
+def test_embed_class_check_sees_a_walk_that_runs_with_the_planes(monkeypatch):
+    # the check is live: with a walk that runs with the planes instead of
+    # against them, no six-triangle disk reads as its own class
+    maps = enumerate_maps(6)
+    monkeypatch.setattr(degen.enumerator, "_map_walk", lambda oriented, walk: walk)
+    for map_ in maps:
+        with pytest.raises(EnumeratorError, match="changed the isomorphism class"):
+            embed(map_)
