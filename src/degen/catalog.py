@@ -14,10 +14,9 @@ import json
 import os
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple
 
 from .complexes import PlanarComplex
-from .invariants import branch_stats, chern
 from .relations import Word, word_from_json
 
 ENV_CATALOG_DIR = "DEGEN_CATALOG_DIR"
@@ -184,6 +183,7 @@ class Catalog:
             self._by_key[key] = entry
 
     def names(self) -> tuple[str, ...]:
+        """Case names in manifest order, no case file read; `perfbench` calls it."""
         return tuple(e["name"] for e in self.entries)
 
     def _read(self, entry: dict) -> CaseRecord:
@@ -241,69 +241,3 @@ def open_catalog(catalog_dir: str | Path | None = None) -> Catalog:
 
 def load_case(name: str, catalog_dir: str | Path | None = None) -> CaseRecord:
     return open_catalog(catalog_dir).load(name)
-
-
-def load_all(catalog_dir: str | Path | None = None) -> tuple[CaseRecord, ...]:
-    return tuple(open_catalog(catalog_dir))
-
-
-class VerificationReport(NamedTuple):
-    """Problems found while re-deriving catalog contents; empty means clean."""
-
-    problems: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
-
-
-def verify_catalog(catalog_dir: str | Path | None = None) -> VerificationReport:
-    """Check integrity and re-derive every stored quantity that has an oracle.
-
-    Checksums must match the manifest, hint citations must appear in the
-    case's notes, the complex must validate, and the stored classification,
-    parasitic pairs, and invariants must equal what the complex yields.
-    """
-    problems: list[str] = []
-    cat = open_catalog(catalog_dir)
-    for entry in cat.entries:
-        name = entry["name"]
-        try:
-            record = cat._read(entry)
-        except (CatalogError, OSError, ValueError) as exc:
-            problems.append(f"{name}: {exc}")
-            continue
-        report = record.complex.validate()
-        if not report.ok:
-            problems.append(f"{name}: complex invalid: {report.errors}")
-            continue
-        notes = set(record.notes)
-        for hint in record.hints:
-            if hint.citation not in notes:
-                problems.append(f"{name}: hint citation {hint.citation!r} not in notes")
-        points = record.complex.classify_vertices()
-        derived_pts = tuple(
-            (p.vertex, p.kind, p.multiplicity, tuple(sorted(p.lines_cyclic)))
-            for p in points
-        )
-        if derived_pts != record.expected.points:
-            problems.append(f"{name}: stored singular points disagree with complex")
-        derived_parasitic = tuple(record.complex.disjoint_line_pairs())
-        if derived_parasitic != record.expected.parasitic:
-            problems.append(f"{name}: stored parasitic pairs disagree with complex")
-        stats = branch_stats(record.complex)
-        if (stats.mu, stats.d, stats.rho, stats.m) != (
-            record.expected.mu,
-            record.expected.d,
-            record.expected.rho,
-            record.expected.m,
-        ):
-            problems.append(f"{name}: stored branch statistics disagree with complex")
-        ch = chern(stats)
-        if (ch.c1_sq_coeff, ch.c2_coeff, ch.chi_coeff) != (
-            record.expected.c1_sq_coeff,
-            record.expected.c2_coeff,
-            record.expected.chi_coeff,
-        ):
-            problems.append(f"{name}: stored Chern coefficients disagree with complex")
-    return VerificationReport(problems=tuple(problems))

@@ -17,6 +17,7 @@ import os
 import sys
 from fractions import Fraction
 from functools import cache
+from pathlib import Path
 from typing import Any, Callable
 
 from .catalog import Catalog, CatalogError, open_catalog
@@ -111,7 +112,8 @@ def _build_parser() -> _Parser:
         "--count-only", action="store_true", help="emit just the class count"
     )
     p_enum.add_argument(
-        "--out-dir", help="directory for degen-complex/1 files (full mode)"
+        "--out-dir",
+        help="directory for degen-complex/1 files (full mode); it must hold no map-*.json",
     )
 
     p_exp = sub.add_parser("export", help="write a case's group presentation")
@@ -368,15 +370,21 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    if not args.count_only:  # refuse before the enumeration, not after
+        if not args.out_dir:
+            print("degen: error: full mode needs --out-dir (or pass --count-only)",
+                  file=sys.stderr)
+            return EXIT_ERROR
+        held = len(list(Path(args.out_dir).glob("map-*.json")))
+        if held:
+            print(f"degen: error: {args.out_dir} already holds {held} map-*.json files;"
+                  " pass an empty or new directory", file=sys.stderr)
+            return EXIT_ERROR
     # the explicit request is the conscious choice the library's guard asks for
     maps = enumerate_maps(args.triangles, guard=args.triangles)
     if args.count_only:
         print(len(maps))
         return EXIT_OK
-    if not args.out_dir:
-        print("degen: error: full mode needs --out-dir (or pass --count-only)",
-              file=sys.stderr)
-        return EXIT_ERROR
     os.makedirs(args.out_dir, exist_ok=True)
     width = max(2, len(str(len(maps))))
     for i, map_ in enumerate(maps, 1):

@@ -287,9 +287,6 @@ class PlanarComplex:
                 sides[p].append(index)
         return {p: tuple(lines) for p, lines in sides.items()}
 
-    def boundary_edges(self) -> set[tuple[int, int]]:
-        return {e for e, ps in self._edge_planes.items() if len(ps) == 1}
-
     # -- public queries ----------------------------------------------------------
 
     def validate(self) -> ValidationReport:
@@ -518,6 +515,7 @@ class PlanarComplex:
 
     @classmethod
     def loads(cls, text: str) -> "PlanarComplex":
+        """Parse `dumps` output back into a complex; `perfbench` calls it."""
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:

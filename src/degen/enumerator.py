@@ -89,10 +89,6 @@ class CombinatorialMap(NamedTuple):
             triangles=tuple(sorted(planes.values())),
         )
 
-    @classmethod
-    def from_complex(cls, complex_: PlanarComplex) -> "CombinatorialMap":
-        return cls.from_triangles(complex_.triangles.values())
-
 
 def _map_walk(oriented: Mapping, walk: tuple[int, ...]) -> tuple[int, ...]:
     """A map's walk from `orient_disk`'s: it runs against the planes, from the
@@ -352,12 +348,12 @@ def embed(map_: CombinatorialMap) -> PlanarComplex:
     triangles = {
         i + 1: tuple(relabel[v] for v in t) for i, t in enumerate(map_.triangles)
     }
-    boundary_edges = {frozenset(e) for e in zip(boundary, boundary[1:] + boundary[:1])}
+    outer_edges = {frozenset(e) for e in zip(boundary, boundary[1:] + boundary[:1])}
     interior_edges = sorted(
         tuple(sorted((relabel[v], relabel[w])))
         for v, ring in rot.items()
         for w in ring
-        if v < w and frozenset((v, w)) not in boundary_edges
+        if v < w and frozenset((v, w)) not in outer_edges
     )
     numbering = {i + 1: e for i, e in enumerate(interior_edges)}
     complex_ = PlanarComplex(coords, triangles, numbering)

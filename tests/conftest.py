@@ -3,13 +3,13 @@ from collections import Counter
 import pytest
 
 import degen.complexes
-from degen.catalog import load_all
+from degen.catalog import open_catalog
 from degen.enumerator import embed, enumerate_maps
 
 
 @pytest.fixture(scope="session")
 def records():
-    return load_all()
+    return tuple(open_catalog())
 
 
 @pytest.fixture(scope="session")

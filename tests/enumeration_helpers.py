@@ -42,7 +42,8 @@ def match_catalog(
     unmatched_records = []
     used: set[int] = set()
     for record in records:
-        form = canonical_form(CombinatorialMap.from_complex(record.complex))
+        map_ = CombinatorialMap.from_triangles(record.complex.triangles.values())
+        form = canonical_form(map_)
         bucket = by_form.get(form, [])
         free = [i for i in bucket if i not in used]
         if free:

@@ -11,23 +11,19 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
-from degen.catalog import load_all
+from degen.catalog import open_catalog
 from degen.enumerator import (
     CombinatorialMap,
     EnumeratorError,
     canonical_form,
     enumerate_maps,
 )
-from degen.fpgroup import (
-    kernel_abelianization,
-    line_transpositions,
-    smith_normal_form,
-    todd_coxeter,
-)
+from degen.fpgroup import line_transpositions, todd_coxeter
 from degen.invariants import CONTRIBUTIONS, branch_stats, chern
 from degen.pipeline import decide
 from degen.relations import Presentation, reduced_presentation, tangent_pairs, word
 from enumeration_helpers import match_catalog
+from kernel_oracle import kernel_abelianization, smith_normal_form
 from rotation_oracles import rotation_transversal_pairs
 
 FACTORIAL_SIX = 720
@@ -221,7 +217,7 @@ def test_criterion_6_property_suites(records):
         a = cd.chi / Fraction(-FACTORIAL_SIX, 3)
         assert a.denominator == 1 and 1 <= a <= 7, rec.name
 
-        base = canonical_form(CombinatorialMap.from_complex(pc))
+        base = canonical_form(CombinatorialMap.from_triangles(pc.triangles.values()))
         vertices = sorted(pc.vertices)
         for _ in range(1000):
             shuffled = vertices[:]

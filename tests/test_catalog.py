@@ -6,13 +6,8 @@ from pathlib import Path
 import pytest
 
 import degen.catalog
-from degen.catalog import (
-    CatalogError,
-    load_all,
-    load_case,
-    open_catalog,
-    verify_catalog,
-)
+from catalog_oracle import verify_catalog
+from degen.catalog import CatalogError, load_case, open_catalog
 from degen.cli import main
 
 DATA_DIR = Path(degen.catalog.__file__).parent / "data"
@@ -32,7 +27,7 @@ def test_twenty_nine_records_in_manifest_order(records):
     assert len(records) == 29
 
 
-def test_names_listing_matches_load_all(records):
+def test_names_listing_matches_catalog_order(records):
     assert open_catalog().names() == tuple(r.name for r in records)
 
 
@@ -70,10 +65,10 @@ def test_unknown_name_raises():
 
 def test_environment_variable_overrides_directory(catalog_copy, monkeypatch):
     monkeypatch.setenv("DEGEN_CATALOG_DIR", str(catalog_copy))
-    assert len(load_all()) == 29
+    assert len(tuple(open_catalog())) == 29
     monkeypatch.setenv("DEGEN_CATALOG_DIR", str(catalog_copy / "missing"))
     with pytest.raises(CatalogError):
-        load_all()
+        tuple(open_catalog())
 
 
 def test_tampered_case_file_fails_checksum(catalog_copy):
@@ -196,7 +191,7 @@ def test_removed_manifest_entry_shrinks_catalog(catalog_copy):
     manifest = json.loads(manifest_path.read_text())
     manifest["cases"] = [c for c in manifest["cases"] if c["name"] != "U_5"]
     manifest_path.write_text(json.dumps(manifest))
-    records = load_all(catalog_dir=catalog_copy)
+    records = tuple(open_catalog(catalog_copy))
     assert len(records) == 28
     assert "U_5" not in {r.name for r in records}
     with pytest.raises(CatalogError):

@@ -12,7 +12,7 @@ import degen.catalog
 import degen.cli
 import degen.pipeline
 import degen.relations
-from degen.catalog import verify_catalog
+from catalog_oracle import verify_catalog
 from degen.cli import main
 from degen.complexes import PlanarComplex
 from degen.enumerator import embed, enumerate_maps
@@ -235,6 +235,21 @@ def test_enumerate_writes_loadable_complexes(capsys, tmp_path):
         text = path.read_text()
         assert PlanarComplex.loads(text).validate().ok
         assert text == PlanarComplex.loads(text).dumps()
+
+
+def test_enumerate_refuses_a_directory_that_holds_maps(capsys, tmp_path):
+    out_dir = tmp_path / "maps"
+    rc, out, _ = run(capsys, "enumerate", "--triangles", "7", "--out-dir", str(out_dir))
+    assert (rc, out) == (0, f"wrote 73 complexes to {out_dir}\n")
+    before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    assert len(before) == 73
+    rc, out, err = run(capsys, "enumerate", "--triangles", "6", "--out-dir", str(out_dir))
+    assert (rc, out) == (1, "")
+    assert err == (
+        f"degen: error: {out_dir} already holds 73 map-*.json files;"
+        " pass an empty or new directory\n"
+    )
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
 
 
 def test_enumerate_without_out_dir_fails(capsys):

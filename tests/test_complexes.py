@@ -24,6 +24,11 @@ def disks():
     return {n: [embed(m) for m in enumerate_maps(n)] for n in (5, 6, 7)}
 
 
+def boundary_edges(pc):
+    """Edges, keyed ``(min, max)``, that lie in one plane only."""
+    return {e for e, planes in pc.edge_planes().items() if len(planes) == 1}
+
+
 def point_in_triangle(p, a, b, c):
     """True when ``p`` lies strictly inside triangle ``abc``."""
     s = orient(a, b, c)
@@ -251,8 +256,9 @@ def test_edge_planes_two_for_interior_one_for_boundary(records):
     by_edge = pc.edge_planes()
     for line in pc.interior_lines().values():
         assert len(line.planes) == 2
-    for edge in pc.boundary_edges():
-        assert len(by_edge[edge]) == 1
+    lines = {tuple(sorted(line.vertices)) for line in pc.interior_lines().values()}
+    for edge, planes in by_edge.items():
+        assert len(planes) == (2 if edge in lines else 1)
 
 
 def test_from_json_rejects_unknown_format():
@@ -288,7 +294,7 @@ def test_certificate_agrees_with_pairwise_oracle(disks, records):
 def test_interior_vertex_moved_across_its_plane_names_that_plane(disks):
     named = 0
     for pc in disks[7]:
-        on_boundary = {v for e in pc.boundary_edges() for v in e}
+        on_boundary = {v for e in boundary_edges(pc) for v in e}
         for v in sorted(set(pc.vertices) - on_boundary):
             px, py = pc.vertices[v]
             for plane, tri in sorted(pc.triangles.items()):
@@ -487,7 +493,7 @@ def test_validate_tests_only_boundary_edge_pairs(disks, segment_calls):
     for pc in disks[7]:
         segment_calls.clear()
         assert pc.validate().ok
-        b = len(pc.boundary_edges())
+        b = len(boundary_edges(pc))
         assert 0 < segment_calls["segments_conflict"] <= b * (b - 1) // 2
     assert not hasattr(degen.complexes, "point_in_triangle")
     assert not hasattr(degen.geometry, "point_in_triangle")

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import degen.complexes
 import degen.enumerator
-from degen.catalog import load_all
+from degen.catalog import open_catalog
 from degen.pipeline import decide
 from degen.relations import UnsupportedCaseError
 from degen.enumerator import (
@@ -106,15 +106,15 @@ def test_level_counts():
 def test_catalog_closure_at_six_triangles(records):
     forms = {canonical_form(m) for m in enumerate_maps(6)}
     for rec in records:
-        assert canonical_form(CombinatorialMap.from_complex(rec.complex)) in forms, (
-            rec.name
-        )
+        map_ = CombinatorialMap.from_triangles(rec.complex.triangles.values())
+        assert canonical_form(map_) in forms, rec.name
 
 
 def test_exactly_one_catalog_form_collision(records):
     by_form = {}
     for rec in records:
-        form = canonical_form(CombinatorialMap.from_complex(rec.complex))
+        map_ = CombinatorialMap.from_triangles(rec.complex.triangles.values())
+        form = canonical_form(map_)
         by_form.setdefault(form, []).append(rec.name)
     collisions = [names for names in by_form.values() if len(names) > 1]
     assert collisions == [list(MIRROR_PAIR)]
@@ -165,10 +165,10 @@ def test_wrong_size_maps_match_nothing(records):
 @settings(max_examples=25, deadline=None)
 @given(st.permutations(list(range(1, 9))), st.sampled_from(range(29)))
 def test_canonical_form_ignores_vertex_labels(perm, index):
-    rec = load_all()[index]
+    rec = tuple(open_catalog())[index]
     vertices = sorted(rec.complex.vertices)
     relabel = dict(zip(vertices, perm[: len(vertices)]))
-    original = CombinatorialMap.from_complex(rec.complex)
+    original = CombinatorialMap.from_triangles(rec.complex.triangles.values())
     shuffled = CombinatorialMap.from_triangles(
         tuple(tuple(relabel[v] for v in tri) for tri in rec.complex.triangles.values())
     )
@@ -176,8 +176,10 @@ def test_canonical_form_ignores_vertex_labels(perm, index):
 
 
 def test_distinct_cases_have_distinct_forms(by_name):
-    a = canonical_form(CombinatorialMap.from_complex(by_name["U_{0,5,6}"].complex))
-    b = canonical_form(CombinatorialMap.from_complex(by_name["U_{0,5,7}"].complex))
+    a, b = (
+        canonical_form(CombinatorialMap.from_triangles(by_name[name].complex.triangles.values()))
+        for name in ("U_{0,5,6}", "U_{0,5,7}")
+    )
     assert a != b
 
 
@@ -185,13 +187,13 @@ def test_embeddings_validate_and_round_trip():
     for map_ in enumerate_maps(6):
         pc = embed(map_)
         assert pc.validate().ok
-        assert canonical_form(CombinatorialMap.from_complex(pc)) == canonical_form(
-            map_
-        )
+        back = CombinatorialMap.from_triangles(pc.triangles.values())
+        assert canonical_form(back) == canonical_form(map_)
 
 
 def test_embedding_numbers_interior_lines(by_name):
-    pc = embed(CombinatorialMap.from_complex(by_name["U_{0,4}"].complex))
+    triangles = by_name["U_{0,4}"].complex.triangles.values()
+    pc = embed(CombinatorialMap.from_triangles(triangles))
     assert sorted(pc.line_numbering) == list(range(1, len(pc.line_numbering) + 1))
     assert set(pc.interior_lines()) == set(pc.line_numbering)
 
@@ -287,7 +289,8 @@ def test_boundary_walks_the_edges_of_one_triangle():
 
 def test_catalog_boundaries_walk_the_edges_of_one_triangle(records):
     for rec in records:
-        assert_boundary_is_the_outer_cycle(CombinatorialMap.from_complex(rec.complex))
+        map_ = CombinatorialMap.from_triangles(rec.complex.triangles.values())
+        assert_boundary_is_the_outer_cycle(map_)
 
 
 def test_builder_rejects_closed_surface():
@@ -424,7 +427,9 @@ def mirror_image(map_):
 
 def test_pruned_form_equals_unpruned_minimum(records):
     maps = [m for _state, m in candidates(8)]
-    maps += [CombinatorialMap.from_complex(rec.complex) for rec in records]
+    maps += [
+        CombinatorialMap.from_triangles(rec.complex.triangles.values()) for rec in records
+    ]
     assert len(maps) == 1336 + 29
     for map_ in maps:
         assert canonical_form(map_) == unpruned_form(map_)

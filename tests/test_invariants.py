@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from degen.fpgroup import smith_normal_form
 from degen.invariants import CONTRIBUTIONS, branch_stats, chern
+from kernel_oracle import smith_normal_form
 
 FACTORIAL_SIX = 720
 

@@ -26,7 +26,7 @@ def loaded_modules(module: str) -> set[str]:
     "module, absent",
     [
         ("degen.enumerator", {"degen.catalog", "degen.pipeline"}),
-        ("degen.catalog", {"degen.pipeline", "degen.fpgroup"}),
+        ("degen.catalog", {"degen.pipeline", "degen.fpgroup", "degen.invariants"}),
         (
             "degen.complexes",
             {

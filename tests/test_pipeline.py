@@ -10,7 +10,6 @@ from degen.enumerator import embed, enumerate_maps
 from degen.fpgroup import (
     EnumerationStats,
     first_broken_relator,
-    kernel_abelianization,
     line_transpositions,
     todd_coxeter,
 )
@@ -32,6 +31,7 @@ from degen.relations import (
     triple_relator,
     word,
 )
+from kernel_oracle import kernel_abelianization
 from rotation_oracles import dfs_fork_certificate
 
 NONTRIVIAL = frozenset(

@@ -1,0 +1,156 @@
+"""Every function in `src/degen` runs under the commands a user types.
+
+A fixed list of `degen` commands, the README's library example and a stale
+catalog hint run in process under `sys.setprofile`, which records the code
+object of every Python call.  Each `def` in the package, nested ones too, is
+keyed by its file and first line (the first decorator's line for a decorated
+one), so the check needs no `co_qualname`, which Python 3.10 lacks.  The
+functions that never ran must be exactly `ALLOWED`: benchmark entry points,
+each named with its call site in `perfbench/workloads.py`.  A function that
+loses its last caller fails the test, and so does an entry that runs again.
+"""
+
+import ast
+import hashlib
+import json
+import re
+import shutil
+import sys
+from pathlib import Path
+
+import degen.catalog
+import degen.cli
+
+PACKAGE = Path(degen.cli.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
+
+# (file, qualified name) -> its call site in perfbench/workloads.py
+ALLOWED = {
+    ("catalog.py", "Catalog.names"): "mods.catalog.open_catalog().names()",
+    ("complexes.py", "PlanarComplex.loads"): "mods.complexes.PlanarComplex.loads(text)",
+}
+
+# (argv, exit code); `None` stands for the directory `enumerate` writes to
+COMMANDS = [
+    (["list"], 0),
+    (["list", "--format", "json"], 0),
+    (["table"], 0),
+    (["table", "--format", "json"], 0),
+    (["analyze", "--all"], 0),
+    (["analyze", "--all", "--format", "json"], 0),
+    (["analyze", "--all", "--no-hints", "--verbose"], 0),
+    (["analyze", "U_6", "--max-cosets", "1"], 2),
+    (["export", "u-0-6-1"], 0),
+    (["export", "U_6", "--format", "json"], 0),
+    (["enumerate", "--triangles", "6"], 1),
+    (["enumerate", "--triangles", "6", "--count-only"], 0),
+    (["enumerate", "--triangles", "6", "--out-dir", None], 0),
+    (["analyze", "--all", "U_6"], 1),
+    (["analyze", "no-such-case"], 1),
+    (["analyze", "--all", "--max-cosets", "0"], 1),
+    (["no-such-command"], 1),
+]
+
+
+def defined_functions() -> dict[tuple[str, int], str]:
+    """Every `def` in the package, keyed (file, first line), to its dotted name."""
+    found = {}
+
+    def visit(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                found[(str(path), first)] = prefix + child.name
+                visit(child, path, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, path, f"{prefix}{child.name}.")
+            else:
+                visit(child, path, prefix)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, "")
+    return found
+
+
+def run_main(argv: list[str]) -> int:
+    try:
+        return degen.cli.main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        return exc.code
+
+
+def stale_hint_catalog(tmp_path: Path) -> Path:
+    """A catalog copy where `U_{0,6,2}` carries a hint on a line it lacks."""
+    root = tmp_path / "catalog"
+    shutil.copytree(PACKAGE / "data", root)
+    case = root / "cases" / "u-0-6-2.json"
+    data = json.loads(case.read_text(encoding="utf-8"))
+    data["hints"].append({"line": 1, "preconditions": [99], "citation": "15-vert3"})
+    blob = json.dumps(data, ensure_ascii=False).encode("utf-8")
+    case.write_bytes(blob)
+    manifest_path = root / "manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    for entry in manifest["cases"]:
+        if entry["file"].endswith("/u-0-6-2.json"):
+            entry["sha256"] = hashlib.sha256(blob).hexdigest()
+    manifest_path.write_text(json.dumps(manifest, ensure_ascii=False), encoding="utf-8")
+    return root
+
+
+def exercise(tmp_path: Path, monkeypatch) -> None:
+    out_dir = tmp_path / "maps"
+    for argv, code in COMMANDS:
+        argv = [str(out_dir) if a is None else a for a in argv]
+        assert run_main(argv) == code, argv
+    # one of the 28 disks has an inner 6-point, which only catalog data can relate
+    codes = [run_main(["analyze", str(p)]) for p in sorted(out_dir.glob("map-*.json"))]
+    assert sorted(codes) == [0] * 27 + [1]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (example,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    exec(compile(example, "README.md", "exec"), {})
+    monkeypatch.setenv(degen.catalog.ENV_CATALOG_DIR, str(stale_hint_catalog(tmp_path)))
+    assert run_main(["analyze", "U_{0,6,2}", "--format", "json"]) == 0
+
+
+def test_every_function_runs_or_is_a_named_benchmark_entry(tmp_path, monkeypatch, capsys):
+    # a cached module-level function would not run again after an earlier test
+    for module in [m for name, m in sys.modules.items() if name.startswith("degen.")]:
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+    codes = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        exercise(tmp_path, monkeypatch)
+    finally:
+        sys.setprofile(previous)
+    capsys.readouterr()
+
+    ran = {(str(Path(c.co_filename).resolve()), c.co_firstlineno) for c in codes}
+    functions = defined_functions()
+    never = {
+        (Path(path).name, name): line
+        for (path, line), name in functions.items()
+        if (path, line) not in ran
+    }
+    unexpected = sorted(set(never) - set(ALLOWED), key=lambda k: (k[0], never[k]))
+    stale = sorted(set(ALLOWED) - set(never))
+    assert not unexpected and not stale, "\n".join(
+        [f"src/degen/{f}:{never[f, n]} {n} never runs" for f, n in unexpected]
+        + [f"src/degen/{f} {n} runs, yet is allowed as unreached" for f, n in stale]
+        + [
+            "Give each unreached function a caller that a command reaches, move it"
+            " to tests/ if only tests call it, or add it to ALLOWED with its call"
+            " site in perfbench/workloads.py."
+        ]
+    )
+    workloads = WORKLOADS.read_text(encoding="utf-8")
+    for site in ALLOWED.values():
+        assert site in workloads, f"{site} is not called in perfbench/workloads.py"

@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from degen.catalog import CaseHint, CaseRecord, ExpectedResults, VerificationReport
+from catalog_oracle import VerificationReport
+from degen.catalog import CaseHint, CaseRecord, ExpectedResults
 from degen.complexes import Line, PlanarComplex, SingularPoint, ValidationReport
 from degen.enumerator import CombinatorialMap
-from degen.fpgroup import EnumerationStats, KernelAbelianization
+from degen.fpgroup import EnumerationStats
 from degen.invariants import BranchStats, ChernData
 from degen.pipeline import CosetOrder, DerivationStep, EqualityFacts, ForkVertex
+from kernel_oracle import KernelAbelianization
 
 SQUARE = PlanarComplex(
     vertices={1: (0, 0), 2: (1, 0), 3: (1, 1), 4: (0, 1)},
