@@ -3,8 +3,8 @@
 Cases live as JSON files next to a manifest with SHA-256 checksums.  Lookup
 accepts both the published name (`U_{4∪3,1}`, with or without TeX markup)
 and the sanitized file alias (`u-4cup3-1`).  The directory can be overridden
-with the ``DEGEN_CATALOG_DIR`` environment variable or an explicit argument,
-which is how alternative catalogs are fed to the command-line tools.
+with the ``DEGEN_CATALOG_DIR`` environment variable, which is how alternative
+catalogs are fed to the command-line tools.
 """
 
 from __future__ import annotations
@@ -225,19 +225,17 @@ class Catalog:
             yield self._read(entry)
 
 
-def catalog_root(catalog_dir: str | Path | None = None) -> Path:
-    """Resolve the catalog directory: argument, environment, bundled data."""
-    if catalog_dir is not None:
-        return Path(catalog_dir)
+def catalog_root() -> Path:
+    """Resolve the catalog directory: ``DEGEN_CATALOG_DIR``, else the bundled data."""
     env = os.environ.get(ENV_CATALOG_DIR)
     if env:
         return Path(env)
     return Path(__file__).resolve().parent / "data"
 
 
-def open_catalog(catalog_dir: str | Path | None = None) -> Catalog:
-    return Catalog(catalog_root(catalog_dir))
+def open_catalog() -> Catalog:
+    return Catalog(catalog_root())
 
 
-def load_case(name: str, catalog_dir: str | Path | None = None) -> CaseRecord:
-    return open_catalog(catalog_dir).load(name)
+def load_case(name: str) -> CaseRecord:
+    return open_catalog().load(name)

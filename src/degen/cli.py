@@ -108,10 +108,9 @@ def _build_parser() -> _Parser:
 
     p_enum = sub.add_parser("enumerate", help="classify maps by triangle count")
     p_enum.add_argument("--triangles", type=int, required=True, metavar="N")
-    p_enum.add_argument(
-        "--count-only", action="store_true", help="emit just the class count"
-    )
-    p_enum.add_argument(
+    mode = p_enum.add_mutually_exclusive_group()
+    mode.add_argument("--count-only", action="store_true", help="emit just the class count")
+    mode.add_argument(
         "--out-dir",
         help="directory for degen-complex/1 files (full mode); it must hold no map-*.json",
     )

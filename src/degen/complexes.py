@@ -15,7 +15,8 @@ An edge is keyed by its ordered vertex pair ``(min, max)``, so a lookup
 builds no set; error texts print an edge as the list ``[a, b]``.  A line is
 looked up by its sorted vertex tuple, so a line that is not two distinct
 vertices keys no edge and is named as an error, never unpacked.
-`from_json` turns each coordinate into a ``Fraction`` once, and the
+`from_json` accepts exactly JSON integers for ids, coordinates and
+denominators, turns each coordinate into a ``Fraction`` once, and the
 constructor keeps a coordinate that already is one.
 
 `json_text` writes every JSON degen prints or stores, byte for byte as
@@ -39,6 +40,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import lcm
 from typing import Iterable, Mapping, NamedTuple
@@ -172,14 +174,6 @@ def vertex_fans(oriented: Iterable[tuple[int, int, int]]) -> dict[int, list[int]
     return rot
 
 
-class Line(NamedTuple):
-    """An interior edge: the common edge of exactly two planes."""
-
-    index: int
-    vertices: tuple[int, int]
-    planes: tuple[int, int]
-
-
 class SingularPoint(NamedTuple):
     """A vertex met by ``multiplicity`` lines.
 
@@ -209,10 +203,10 @@ class PlanarComplex:
     """An immutable planar triangle complex with numbered interior edges.
 
     Derived incidence (the edge-to-planes map, the integer lattice, the
-    planes oriented alike with their boundary walk, the vertex classification
-    and each plane's lines) is computed once per instance, on first use.  So
-    ``vertices``, ``triangles`` and ``line_numbering`` must not be mutated
-    after construction.
+    planes oriented alike with their boundary walk, the vertex classification,
+    each line's planes and each plane's lines) is computed once per instance,
+    on first use.  So ``vertices``, ``triangles`` and ``line_numbering`` must
+    not be mutated after construction.
     """
 
     def __init__(
@@ -258,32 +252,45 @@ class PlanarComplex:
         """The planes oriented alike and their boundary walk, by `orient_disk`."""
         return orient_disk(self.triangles, self._edge_planes)
 
-    def interior_lines(self) -> dict[int, Line]:
-        """The numbered lines, each with its two incident planes."""
+    def line_planes(self) -> dict[int, tuple[int, int]]:
+        """Each line's two planes, ascending, in line order (computed once).
+
+        Refuses a line that is not an interior edge or numbers another line's
+        edge, so distinct lines are distinct edges and share at most one vertex.
+        """
+        return self._line_planes
+
+    @cached_property
+    def _line_planes(self) -> dict[int, tuple[int, int]]:
         ep = self._edge_planes
-        lines: dict[int, Line] = {}
+        numbered: dict[tuple[int, ...], int] = {}
+        out: dict[int, tuple[int, int]] = {}
         for index in sorted(self.line_numbering):
             pair = self.line_numbering[index]
-            planes = ep.get(tuple(sorted(pair)), [])
+            e = tuple(sorted(pair))
+            planes = ep.get(e, ())
             if len(planes) != 2:
                 raise ComplexError(
                     f"line {index} {pair} is not an interior edge (in {len(planes)} planes)"
                 )
-            lines[index] = Line(index, pair, (planes[0], planes[1]))
-        return lines
+            if numbered.setdefault(e, index) != index:
+                raise ComplexError(f"lines {numbered[e]} and {index} number the same edge")
+            out[index] = tuple(planes)
+        return out
 
     def plane_lines(self) -> dict[int, tuple[int, ...]]:
         """Each plane's sides that are lines, as ascending indices (computed once).
 
         Every plane is a key, in plane order; a plane with no line maps to ``()``.
+        With `line_planes` it is the dual graph: planes joined by lines.
         """
         return self._plane_lines
 
     @cached_property
     def _plane_lines(self) -> dict[int, tuple[int, ...]]:
         sides: dict[int, list[int]] = {p: [] for p in sorted(self.triangles)}
-        for index, line in self.interior_lines().items():
-            for p in line.planes:
+        for index, planes in self.line_planes().items():
+            for p in planes:
                 sides[p].append(index)
         return {p: tuple(lines) for p, lines in sides.items()}
 
@@ -432,7 +439,9 @@ class PlanarComplex:
 
         A vertex off the boundary walk has a closed fan of lines; any other
         vertex has an open fan whose two extreme edges are boundary edges.
+        A line that `line_planes` refuses is refused before any fan is read.
         """
+        self.line_planes()
         oriented, walk = self._disk
         planes = list(oriented.values())
         if orient(*(self._lattice[v] for v in planes[0])) < 0:
@@ -455,16 +464,6 @@ class PlanarComplex:
             if fan:
                 points.append(SingularPoint(v, "outer", len(fan), tuple(fan)))
         return tuple(points)
-
-    def disjoint_line_pairs(self) -> tuple[tuple[int, int], ...]:
-        """Pairs of lines sharing no vertex (parasitic intersections after regeneration)."""
-        pairs = []
-        ends = [(i, set(pair)) for i, pair in sorted(self.line_numbering.items())]
-        for k, (ia, ea) in enumerate(ends):
-            for ib, eb in ends[k + 1 :]:
-                if ea.isdisjoint(eb):
-                    pairs.append((ia, ib))
-        return tuple(pairs)
 
     # -- interchange ------------------------------------------------------------
 
@@ -491,23 +490,27 @@ class PlanarComplex:
                 else "complex JSON must be an object"
             )
         try:
-            vertices: dict[int, Point] = {}
-            for v, (px, py, qx, qy) in data["vertices"]:
-                if int(v) in vertices:
-                    raise ComplexError(f"duplicate vertex id {v}")
-                vertices[int(v)] = (Fraction(int(px), int(qx)), Fraction(int(py), int(qy)))
-            triangles = {}
-            for p, tri in data["triangles"]:
-                if int(p) in triangles:
-                    raise ComplexError(f"duplicate plane id {p}")
-                triangles[int(p)] = tri
-            lines = {}
-            for i, pair in data["line_numbering"]:
-                if int(i) in lines:
-                    raise ComplexError(f"duplicate line index {i}")
-                lines[int(i)] = pair
-            # the constructor converts each entry, so a bad one fails here too
-            return cls(vertices, triangles, lines)
+            tables: dict[str, dict[int, list]] = {}
+            for key, name in (
+                ("vertices", "vertex id"), ("triangles", "plane id"), ("line_numbering", "line index")
+            ):
+                table = tables[key] = {}
+                for entry in data[key]:  # [id, [int, ...]]
+                    k, values = entry
+                    for x in chain((k,), values):  # int() would truncate 0.5
+                        if type(x) is not int:
+                            raise ComplexError(
+                                f"malformed complex JSON: {key} entry {json.dumps(entry)}"
+                                f" holds {json.dumps(x)}, which is not an integer"
+                            )
+                    if k in table:
+                        raise ComplexError(f"duplicate {name} {k}")
+                    table[k] = values
+            vertices = {
+                v: (Fraction(px, qx), Fraction(py, qy))
+                for v, (px, py, qx, qy) in tables["vertices"].items()
+            }
+            return cls(vertices, tables["triangles"], tables["line_numbering"])
         except ComplexError:
             raise
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:

@@ -10,9 +10,10 @@ It is a single HLT (relator-first) enumerator for groups generated by
 involutions, which the reduced presentations are: every generator's square is
 a relator, so a generator is its own inverse and gets one table column, and
 coincidence processing keeps every table entry pointing at a live coset.
-The map onto S_n has one form, `line_transpositions`: each line to the two
-planes it bounds.  `first_broken_relator` checks that those transpositions
-kill every relator, so a presentation whose numbering breaks one is refused
+The map onto the symmetric group of the planes sends each line to the
+transposition of the two planes it bounds, as `PlanarComplex.line_planes`
+gives them.  `first_broken_relator` checks that those transpositions kill
+every relator, so a presentation whose numbering breaks one is refused
 before any coset is enumerated.
 """
 
@@ -184,14 +185,6 @@ def _hlt(
             if p[alpha] == alpha:
                 a = alpha * ncols
                 for w in relators:
-                    # most traces close without a gap: skip the call for them
-                    f = a
-                    for x in w:
-                        f = tab[f + x]
-                        if not f:
-                            break
-                    if f == a:
-                        continue
                     scan(a, w)
                     if p[alpha] != alpha:
                         break
@@ -241,32 +234,19 @@ def todd_coxeter(
 # ----------------------------------------------------------------------
 
 
-def line_transpositions(complex_) -> dict[int, tuple[int, int]]:
-    """Each line swaps the two planes it bounds; the standard symmetric image.
-
-    Planes are numbered 1..n by rank of their ids, so the images lie in S_n
-    whatever ids the complex uses.
-    """
-    planes: dict[int, list[int]] = {}
-    for rank, lines in enumerate(complex_.plane_lines().values(), 1):
-        for line in lines:
-            planes.setdefault(line, []).append(rank)
-    return {line: tuple(planes[line]) for line in sorted(planes)}
-
-
 def first_broken_relator(
-    presentation: Presentation, transpositions: Mapping[int, tuple[int, int]]
+    presentation: Presentation, line_planes: Mapping[int, tuple[int, int]]
 ) -> int | None:
     """Index of the first relator not mapped to the identity, or None.
 
-    Each letter swaps its generator's two planes.  A word of involutions is
-    the identity read either way, so exponents and composition order do not
-    matter.
+    Each letter swaps its generator's two planes, under any labels.  A word
+    of involutions is the identity read either way, so exponents and
+    composition order do not matter.
     """
     for k, w in enumerate(presentation.relators):
         at: dict[int, int] = {}
         for g, _ in w:
-            a, b = transpositions[g]
+            a, b = line_planes[g]
             at[a], at[b] = at.get(b, b), at.get(a, a)
         if any(v != p for p, v in at.items()):
             return k

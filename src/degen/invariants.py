@@ -3,7 +3,11 @@
 After regenerating a degeneration with ``n`` planes and ``L`` lines, the
 branch curve has degree ``m = 2L`` and carries cusps, nodes and branch points
 whose counts decompose as sums of local contributions over the singular
-points, plus four nodes per parasitic (disjoint) line pair.  The Chern
+points, plus four nodes per parasitic (disjoint) line pair.  Distinct lines
+are distinct edges (`PlanarComplex.line_planes` refuses two lines on one
+edge), so two lines meet in at most one vertex, and the k_v lines at a
+singular point v meet pairwise there: the parasitic pairs number
+C(L, 2) - sum over v of C(k_v, 2).  The Chern
 numbers of the Galois cover then come from the classical formulas
 
     c1^2 = n!/4 * (m - 6)^2
@@ -82,12 +86,14 @@ def branch_stats(complex_: PlanarComplex) -> BranchStats:
     n = len(complex_.triangles)
     m = 2 * len(complex_.line_numbering)
     mu = d = rho = 0
+    parasitic = math.comb(len(complex_.line_numbering), 2)
     for pt in complex_.classify_vertices():
         cmu, cd, crho = local_contribution(pt.kind, pt.multiplicity)
         mu += cmu
         d += cd
         rho += crho
-    d += PARASITIC_NODES * len(complex_.disjoint_line_pairs())
+        parasitic -= math.comb(pt.multiplicity, 2)
+    d += PARASITIC_NODES * parasitic
     return BranchStats(n, m, mu, d, rho)
 
 

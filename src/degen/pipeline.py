@@ -28,7 +28,6 @@ from .fpgroup import (
     DEFAULT_MAX_COSETS,
     EnumerationStats,
     first_broken_relator,
-    line_transpositions,
     todd_coxeter,
 )
 from .relations import (
@@ -275,12 +274,14 @@ def enumeration_verdict(stats: EnumerationStats, expected_order: int, *,
     )
 
 
-def _coxeter_chain(transpositions: Mapping[int, tuple[int, int]]) -> tuple[int, ...]:
+def _coxeter_chain(line_planes: Mapping[int, tuple[int, int]]) -> tuple[int, ...]:
     """Longest line chain l1..lk whose generators obey the relations of A_k.
 
-    The chain is the first longest simple path of the dual graph, whose
-    vertices are the planes and whose edges are the lines; a depth-first
-    search stops once one path passes through every plane.
+    `line_planes` maps each line to its two plane ids, ascending, as
+    `PlanarComplex.line_planes` gives them.  The chain is the first longest
+    simple path of the dual graph, whose vertices are the planes and whose
+    edges are the lines, searched from the planes in ascending id order; a
+    depth-first search stops once one path passes through every plane.
     `reduced_presentation` holds every relator the chain needs, by
     construction:
 
@@ -291,7 +292,7 @@ def _coxeter_chain(transpositions: Mapping[int, tuple[int, int]]) -> tuple[int, 
       so they bound no common plane and get the commutator.
     """
     adj: dict[int, list[tuple[int, int]]] = {}
-    for line, (p, q) in sorted(transpositions.items()):
+    for line, (p, q) in sorted(line_planes.items()):
         adj.setdefault(p, []).append((line, q))
         adj.setdefault(q, []).append((line, p))
     best: tuple[int, ...] = ()
@@ -337,7 +338,8 @@ def decide(
     and since no relator is broken, the map sending each line to the
     transposition of its planes is defined on the group and carries H onto
     the symmetric group of the chain's k+1 planes, so |H| >= (k+1)!.  The
-    empty chain is the trivial subgroup.
+    empty chain is the trivial subgroup.  The relator check and the chain
+    both read `PlanarComplex.line_planes`, labelled by plane id.
     """
     complex_ = getattr(source, "complex", source)
     if not isinstance(complex_, PlanarComplex):
@@ -374,8 +376,8 @@ def decide(
 
     pres = reduced_presentation(complex_, inner6_relators=extra)
     n = len(complex_.triangles)
-    transpositions = line_transpositions(complex_)
-    broken = first_broken_relator(pres, transpositions)
+    line_planes = complex_.line_planes()
+    broken = first_broken_relator(pres, line_planes)
     if broken is not None:
         tag = pres.annotations[broken]
         where = ""
@@ -387,7 +389,7 @@ def decide(
             f" {word_text(pres.relators[broken])}{where}:"
             f" it is not the identity in S_{n}"
         )
-    chain = _coxeter_chain(transpositions)
+    chain = _coxeter_chain(line_planes)
     stats = todd_coxeter(pres, [word(l) for l in chain], max_cosets=max_cosets)
     verdict = enumeration_verdict(
         stats, math.factorial(n), engine_mode=engine_mode, equalities=facts,

@@ -13,8 +13,21 @@ from __future__ import annotations
 from pathlib import Path
 from typing import NamedTuple
 
-from degen.catalog import CatalogError, open_catalog
+from degen.catalog import Catalog, CatalogError
+from degen.complexes import PlanarComplex
 from degen.invariants import branch_stats, chern
+
+
+def disjoint_line_pairs(complex_: PlanarComplex) -> tuple[tuple[int, int], ...]:
+    """Pairs of lines sharing no vertex (parasitic intersections after
+    regeneration), ascending, by testing every pair's endpoints."""
+    pairs = []
+    ends = [(i, set(pair)) for i, pair in sorted(complex_.line_numbering.items())]
+    for k, (ia, ea) in enumerate(ends):
+        for ib, eb in ends[k + 1 :]:
+            if ea.isdisjoint(eb):
+                pairs.append((ia, ib))
+    return tuple(pairs)
 
 
 class VerificationReport(NamedTuple):
@@ -27,15 +40,16 @@ class VerificationReport(NamedTuple):
         return not self.problems
 
 
-def verify_catalog(catalog_dir: str | Path | None = None) -> VerificationReport:
-    """Check integrity and re-derive every stored quantity that has an oracle.
+def verify_catalog(root: Path) -> VerificationReport:
+    """Check the catalog under `root` and re-derive every stored quantity that
+    has an oracle.
 
     Checksums must match the manifest, hint citations must appear in the
     case's notes, the complex must validate, and the stored classification,
     parasitic pairs, and invariants must equal what the complex yields.
     """
     problems: list[str] = []
-    cat = open_catalog(catalog_dir)
+    cat = Catalog(root)
     for entry in cat.entries:
         name = entry["name"]
         try:
@@ -58,7 +72,7 @@ def verify_catalog(catalog_dir: str | Path | None = None) -> VerificationReport:
         )
         if derived_pts != record.expected.points:
             problems.append(f"{name}: stored singular points disagree with complex")
-        derived_parasitic = tuple(record.complex.disjoint_line_pairs())
+        derived_parasitic = disjoint_line_pairs(record.complex)
         if derived_parasitic != record.expected.parasitic:
             problems.append(f"{name}: stored parasitic pairs disagree with complex")
         stats = branch_stats(record.complex)

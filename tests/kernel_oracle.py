@@ -1,12 +1,12 @@
 """Reference algorithm for the abelianized kernel, kept only as a test oracle.
 
-`kernel_abelianization` takes the line transpositions of
-`degen.fpgroup.line_transpositions` (each line to the two planes it bounds),
-runs a breadth-first search over the image in S_n, rewrites every relator at
-every coset along the Schreier tree (Reidemeister-Schreier), and reads the
-abelianized kernel off the relation matrix: `_unit_eliminate` strikes the +-1
-pivots and `smith_normal_form` factors the rest (Holt, Eick & O'Brien,
-Handbook of Computational Group Theory, 2005).  It is a second engine,
+`kernel_abelianization` takes the transpositions that `line_transpositions`
+gives (each line to the two planes it bounds, numbered 1..n by rank of their
+ids), runs a breadth-first search over the image in S_n, rewrites every
+relator at every coset along the Schreier tree (Reidemeister-Schreier), and
+reads the abelianized kernel off the relation matrix: `_unit_eliminate`
+strikes the +-1 pivots and `smith_normal_form` factors the rest (Holt, Eick &
+O'Brien, Handbook of Computational Group Theory, 2005).  It is a second engine,
 independent of coset enumeration, that tests check `todd_coxeter` and the
 pipeline's verdicts against; it takes any generators, not only involutions.
 """
@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Mapping, NamedTuple, Sequence
 
+from degen.complexes import PlanarComplex
 from degen.fpgroup import EnumerationError, first_broken_relator
 from degen.relations import Presentation
 
@@ -26,6 +27,14 @@ class KernelAbelianization(NamedTuple):
     index: int
     rank: int
     torsion: tuple[int, ...]
+
+
+def line_transpositions(complex_: PlanarComplex) -> dict[int, tuple[int, int]]:
+    """Each line's two planes from `PlanarComplex.line_planes`, each plane
+    numbered 1..n by rank of its id, so the images lie in S_n whatever ids
+    the complex uses."""
+    rank = {p: k for k, p in enumerate(sorted(complex_.triangles), 1)}
+    return {line: (rank[a], rank[b]) for line, (a, b) in complex_.line_planes().items()}
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:

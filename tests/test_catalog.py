@@ -14,9 +14,11 @@ DATA_DIR = Path(degen.catalog.__file__).parent / "data"
 
 
 @pytest.fixture
-def catalog_copy(tmp_path):
+def catalog_copy(tmp_path, monkeypatch):
+    """A copy of the shipped catalog, which `DEGEN_CATALOG_DIR` selects."""
     dst = tmp_path / "catalog"
     shutil.copytree(DATA_DIR, dst)
+    monkeypatch.setenv("DEGEN_CATALOG_DIR", str(dst))
     return dst
 
 
@@ -49,7 +51,7 @@ def test_listed_aliases_never_register(catalog_copy):
     data = json.loads((catalog_copy / "cases" / "u-6.json").read_text())
     data["aliases"].append("hexa")
     rewrite_case(catalog_copy, json.dumps(data, ensure_ascii=False).encode(), stem="u-6")
-    catalog = open_catalog(catalog_copy)
+    catalog = open_catalog()
     with pytest.raises(CatalogError, match="no case named"):
         catalog.load("hexa")
     assert len(list(catalog)) == 29
@@ -76,8 +78,8 @@ def test_tampered_case_file_fails_checksum(catalog_copy):
     data = json.loads(victim.read_text())
     victim.write_text(json.dumps(data))
     with pytest.raises(CatalogError, match="checksum mismatch"):
-        load_case("U_{0,4}", catalog_dir=catalog_copy)
-    report = verify_catalog(catalog_dir=catalog_copy)
+        load_case("U_{0,4}")
+    report = verify_catalog(catalog_copy)
     assert len(report.problems) == 1
     assert "U_{0,4}" in report.problems[0]
 
@@ -100,9 +102,8 @@ def drop_expected_key(catalog_dir, key):
     rewrite_case(catalog_dir, json.dumps(data, ensure_ascii=False).encode())
 
 
-def test_case_missing_a_key_is_a_named_error(catalog_copy, monkeypatch, capsys):
+def test_case_missing_a_key_is_a_named_error(catalog_copy, capsys):
     drop_expected_key(catalog_copy, "rho")
-    monkeypatch.setenv("DEGEN_CATALOG_DIR", str(catalog_copy))
     assert main(["analyze", "U_{0,4}"]) == 1
     err_lines = capsys.readouterr().err.splitlines()
     assert len(err_lines) == 1
@@ -112,7 +113,7 @@ def test_case_missing_a_key_is_a_named_error(catalog_copy, monkeypatch, capsys):
 
 def test_verify_names_the_case_missing_a_key(catalog_copy):
     drop_expected_key(catalog_copy, "rho")
-    report = verify_catalog(catalog_dir=catalog_copy)
+    report = verify_catalog(catalog_copy)
     assert len(report.problems) == 1
     assert report.problems[0].startswith("U_{0,4}:")
 
@@ -120,7 +121,7 @@ def test_verify_names_the_case_missing_a_key(catalog_copy):
 def test_undecodable_case_file_is_a_named_error(catalog_copy):
     rewrite_case(catalog_copy, b"\xff not utf-8")
     with pytest.raises(CatalogError, match=r"u-0-4\.json"):
-        load_case("U_{0,4}", catalog_dir=catalog_copy)
+        load_case("U_{0,4}")
 
 
 def test_manifest_without_cases_is_a_catalog_error(catalog_copy):
@@ -129,7 +130,7 @@ def test_manifest_without_cases_is_a_catalog_error(catalog_copy):
     del manifest["cases"]
     manifest_path.write_text(json.dumps(manifest))
     with pytest.raises(CatalogError, match="no list of cases"):
-        open_catalog(catalog_copy)
+        open_catalog()
 
 
 @pytest.mark.parametrize(
@@ -142,9 +143,7 @@ def test_manifest_without_cases_is_a_catalog_error(catalog_copy):
     ],
     ids=["name", "file", "sha256", "not-an-object"],
 )
-def test_malformed_manifest_entry_is_a_catalog_error(
-    catalog_copy, monkeypatch, capsys, key, message
-):
+def test_malformed_manifest_entry_is_a_catalog_error(catalog_copy, capsys, key, message):
     manifest_path = catalog_copy / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
     entry = manifest["cases"][3]
@@ -153,9 +152,8 @@ def test_malformed_manifest_entry_is_a_catalog_error(
     )
     manifest_path.write_text(json.dumps(manifest, ensure_ascii=False))
     with pytest.raises(CatalogError) as info:
-        open_catalog(catalog_copy)
+        open_catalog()
     assert str(info.value) == f"manifest {manifest_path}: cases[3] {message}"
-    monkeypatch.setenv("DEGEN_CATALOG_DIR", str(catalog_copy))
     assert main(["list"]) == 1
     err_lines = capsys.readouterr().err.splitlines()
     assert len(err_lines) == 1
@@ -172,14 +170,13 @@ def test_malformed_manifest_entry_is_a_catalog_error(
     ids=["list", "not-utf8", "malformed"],
 )
 def test_manifest_that_is_not_a_json_object_is_a_catalog_error(
-    catalog_copy, monkeypatch, capsys, blob, reason
+    catalog_copy, capsys, blob, reason
 ):
     manifest_path = catalog_copy / "manifest.json"
     manifest_path.write_bytes(blob)
     with pytest.raises(CatalogError) as info:
-        open_catalog(catalog_copy)
+        open_catalog()
     assert str(info.value).startswith(f"manifest {manifest_path} {reason}")
-    monkeypatch.setenv("DEGEN_CATALOG_DIR", str(catalog_copy))
     assert main(["list"]) == 1
     err_lines = capsys.readouterr().err.splitlines()
     assert len(err_lines) == 1
@@ -191,15 +188,15 @@ def test_removed_manifest_entry_shrinks_catalog(catalog_copy):
     manifest = json.loads(manifest_path.read_text())
     manifest["cases"] = [c for c in manifest["cases"] if c["name"] != "U_5"]
     manifest_path.write_text(json.dumps(manifest))
-    records = tuple(open_catalog(catalog_copy))
+    records = tuple(open_catalog())
     assert len(records) == 28
     assert "U_5" not in {r.name for r in records}
     with pytest.raises(CatalogError):
-        load_case("U_5", catalog_dir=catalog_copy)
+        load_case("U_5")
 
 
 def test_shipped_catalog_verifies_clean():
-    assert verify_catalog().problems == ()
+    assert verify_catalog(DATA_DIR).problems == ()
 
 
 def test_records_expose_complex_and_expectations(records):

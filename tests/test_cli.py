@@ -78,7 +78,8 @@ def test_analyze_without_hints_reports_undecided_not_mismatch(capsys):
 
 
 def edited_catalog(tmp_path, monkeypatch, stem, edit):
-    """Point DEGEN_CATALOG_DIR at a copy whose case `stem` went through `edit`."""
+    """Point DEGEN_CATALOG_DIR at a copy whose case `stem` went through `edit`,
+    and return the copy's directory."""
     dst = tmp_path / "catalog"
     shutil.copytree(DATA_DIR, dst)
     case_path = dst / "cases" / f"{stem}.json"
@@ -92,6 +93,7 @@ def edited_catalog(tmp_path, monkeypatch, stem, edit):
             entry["sha256"] = hashlib.sha256(case_path.read_bytes()).hexdigest()
     manifest_path.write_text(json.dumps(manifest, ensure_ascii=False))
     monkeypatch.setenv("DEGEN_CATALOG_DIR", str(dst))
+    return dst
 
 
 def test_analyze_flags_tampered_expectation(capsys, tmp_path, monkeypatch):
@@ -134,11 +136,26 @@ MISNUMBERED_U04 = (
 def test_catalog_lines_not_numbered_contiguously_are_a_named_error(
     capsys, tmp_path, monkeypatch
 ):
-    edited_catalog(tmp_path, monkeypatch, "u-0-4", renumber_line_five_as_seven)
+    root = edited_catalog(tmp_path, monkeypatch, "u-0-4", renumber_line_five_as_seven)
     for command in ("analyze", "export"):
         rc, out, err = run(capsys, command, "U_{0,4}")
         assert (rc, out, err) == (1, "", f"degen: error: {MISNUMBERED_U04}\n"), command
-    assert verify_catalog().problems == (f"U_{{0,4}}: {MISNUMBERED_U04}",)
+    assert verify_catalog(root).problems == (f"U_{{0,4}}: {MISNUMBERED_U04}",)
+
+
+def number_line_one_again_as_six(data):
+    lines = data["complex"]["line_numbering"]
+    (pair,) = [pair for i, pair in lines if i == 1]
+    lines.append([len(lines) + 1, list(pair)])
+
+
+@pytest.mark.parametrize("command", ["analyze", "export"])
+def test_catalog_line_on_a_numbered_edge_is_refused(capsys, tmp_path, monkeypatch, command):
+    """A sixth index on line 1's edge keeps the indices 1..L; the line → planes
+    table refuses the repeat before a fork or a node count can read it."""
+    edited_catalog(tmp_path, monkeypatch, "u-0-6-2", number_line_one_again_as_six)
+    rc, out, err = run(capsys, command, "U_{0,6,2}")
+    assert (rc, out, err) == (1, "", "degen: error: lines 1 and 6 number the same edge\n")
 
 
 def test_analyze_accepts_complex_file(capsys, tmp_path):
@@ -151,6 +168,20 @@ def test_analyze_accepts_complex_file(capsys, tmp_path):
     assert rc == 0
     assert data["verdict"]["outcome"] == "trivial"
     assert "expected_pi1" not in data or data["expected_pi1"] is None
+
+
+def test_analyze_refuses_a_complex_file_with_a_fractional_coordinate(capsys, tmp_path):
+    data = json.loads((DATA_DIR / "cases" / "u-0-4.json").read_text())["complex"]
+    data["vertices"][0][1][0] = 0.5
+    target = tmp_path / "half.json"
+    target.write_text(json.dumps(data))
+    rc, out, err = run(capsys, "analyze", str(target))
+    entry = json.dumps(data["vertices"][0])
+    assert (rc, out) == (1, "")
+    assert err == (
+        f"degen: error: malformed complex JSON: vertices entry {entry} holds 0.5,"
+        " which is not an integer\n"
+    )
 
 
 def test_analyze_case_classifies_each_vertex_once(capsys, derivation_calls):
@@ -250,6 +281,19 @@ def test_enumerate_refuses_a_directory_that_holds_maps(capsys, tmp_path):
         " pass an empty or new directory\n"
     )
     assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
+
+def test_enumerate_refuses_count_only_with_out_dir(capsys, tmp_path):
+    out_dir = tmp_path / "x4"
+    with pytest.raises(SystemExit) as info:
+        main(["enumerate", "--triangles", "4", "--count-only", "--out-dir", str(out_dir)])
+    assert info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        "degen: error: argument --out-dir: not allowed with argument --count-only\n"
+    )
+    assert not out_dir.exists()
 
 
 def test_enumerate_without_out_dir_fails(capsys):

@@ -15,6 +15,7 @@ from degen.enumerator import CombinatorialMap, EnumeratorError, embed, enumerate
 from degen.geometry import orient, segments_conflict
 from degen.invariants import BranchStats, InvariantError, chern
 from degen.relations import tangent_pairs
+from catalog_oracle import disjoint_line_pairs
 from rotation_oracles import rotation_transversal_pairs
 
 
@@ -207,10 +208,20 @@ def test_classification_is_computed_once(by_name, derivation_calls):
     assert derivation_calls == {"edge_planes": 1, "orient_disk": 1}
 
 
+def test_line_planes_and_plane_lines_are_one_dual_graph(small_complexes):
+    for k, pc in enumerate(small_complexes):
+        line_planes = pc.line_planes()
+        assert pc.line_planes() is line_planes, k
+        assert list(line_planes) == sorted(pc.line_numbering), k
+        assert all(p < q for p, q in line_planes.values()), k
+        sides = {(line, p) for line, planes in line_planes.items() for p in planes}
+        assert sides == {(line, p) for p, ls in pc.plane_lines().items() for line in ls}, k
+
+
 def test_handshake_sum_of_multiplicities(records):
     for rec in records:
         pts = rec.complex.classify_vertices()
-        lines = rec.complex.interior_lines()
+        lines = rec.complex.line_planes()
         assert sum(p.multiplicity for p in pts) == 2 * len(lines)
 
 
@@ -234,10 +245,10 @@ def test_mirror_image_reverses_every_rotation(records):
 def test_line_pair_partition(records):
     for rec in records:
         pc = rec.complex
-        lines = sorted(pc.interior_lines())
+        lines = sorted(pc.line_planes())
         every = {frozenset(p) for p in combinations(lines, 2)}
         tangent = {frozenset(p) for p in tangent_pairs(pc)}
-        disjoint = {frozenset(p) for p in pc.disjoint_line_pairs()}
+        disjoint = {frozenset(p) for p in disjoint_line_pairs(pc)}
         assert tangent <= every and disjoint <= every
         assert not tangent & disjoint
         transversal = every - tangent - disjoint
@@ -254,11 +265,37 @@ def test_edge_planes_two_for_interior_one_for_boundary(records):
     rec = records[0]
     pc = rec.complex
     by_edge = pc.edge_planes()
-    for line in pc.interior_lines().values():
-        assert len(line.planes) == 2
-    lines = {tuple(sorted(line.vertices)) for line in pc.interior_lines().values()}
+    lines = {tuple(sorted(pair)) for pair in pc.line_numbering.values()}
     for edge, planes in by_edge.items():
         assert len(planes) == (2 if edge in lines else 1)
+    for line, planes in pc.line_planes().items():
+        assert list(planes) == by_edge[tuple(sorted(pc.line_numbering[line]))]
+
+
+@pytest.mark.parametrize(
+    "key, path, bad",
+    [
+        ("vertices", (0, 1, 0), 0.5),
+        ("vertices", (2, 0), 1.9),
+        ("vertices", (1, 1, 3), True),
+        ("triangles", (0, 0), "3"),
+        ("triangles", (1, 1, 2), 4.0),
+        ("line_numbering", (0, 0), 1.7),
+    ],
+    ids=["coordinate", "vertex-id", "denominator", "plane-id", "corner", "line-index"],
+)
+def test_from_json_accepts_only_integers(key, path, bad):
+    """An entry that is not a JSON integer is named, never truncated or converted."""
+    data = square_strip().to_json()
+    entry = data[key][path[0]]
+    holder = entry
+    for i in path[1:-1]:
+        holder = holder[i]
+    holder[path[-1]] = bad
+    assert from_json_messages(data) == (
+        f"malformed complex JSON: {key} entry {json.dumps(entry)} holds {json.dumps(bad)},"
+        " which is not an integer",
+    )
 
 
 def test_from_json_rejects_unknown_format():
@@ -457,7 +494,10 @@ def square_with_lines(lines):
         (
             from_json_messages,
             square_json("triangles", [[1, [1, 2, "x"]], [2, [1, 3, 4]]]),
-            ("malformed complex JSON: invalid literal for int() with base 10: 'x'",),
+            (
+                'malformed complex JSON: triangles entry [1, [1, 2, "x"]] holds "x",'
+                " which is not an integer",
+            ),
         ),
         (
             from_json_messages,
@@ -468,8 +508,8 @@ def square_with_lines(lines):
             from_json_messages,
             square_json("line_numbering", [[1, [1, None]]]),
             (
-                "malformed complex JSON: int() argument must be a string, a bytes-like"
-                " object or a real number, not 'NoneType'",
+                "malformed complex JSON: line_numbering entry [1, [1, null]] holds null,"
+                " which is not an integer",
             ),
         ),
         (

@@ -195,7 +195,7 @@ def test_embedding_numbers_interior_lines(by_name):
     triangles = by_name["U_{0,4}"].complex.triangles.values()
     pc = embed(CombinatorialMap.from_triangles(triangles))
     assert sorted(pc.line_numbering) == list(range(1, len(pc.line_numbering) + 1))
-    assert set(pc.interior_lines()) == set(pc.line_numbering)
+    assert set(pc.line_planes()) == set(pc.line_numbering)
 
 
 def test_guard_refuses_oversized_runs():

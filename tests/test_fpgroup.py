@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from degen.fpgroup import (
     EnumerationError,
     first_broken_relator,
-    line_transpositions,
     todd_coxeter,
 )
 from degen.relations import (
@@ -15,7 +14,7 @@ from degen.relations import (
     reduced_presentation,
     word,
 )
-from kernel_oracle import kernel_abelianization, smith_normal_form
+from kernel_oracle import kernel_abelianization, line_transpositions, smith_normal_form
 
 
 def coxeter_symmetric(n):
@@ -241,10 +240,10 @@ def test_line_images_are_transpositions(by_name):
     transpositions = line_transpositions(pc)
     assert list(transpositions) == sorted(pc.line_numbering)
     rank = {p: k for k, p in enumerate(sorted(pc.triangles), 1)}
-    for line, ln in pc.interior_lines().items():
+    for line, (p, q) in pc.line_planes().items():
         a, b = transpositions[line]
         assert 1 <= a < b <= 6
-        assert (a, b) == (rank[ln.planes[0]], rank[ln.planes[1]])
+        assert (a, b) == (rank[p], rank[q])
 
 
 def reference_first_broken_relator(presentation, transpositions, degree):

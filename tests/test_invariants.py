@@ -1,9 +1,17 @@
 from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from degen.invariants import CONTRIBUTIONS, branch_stats, chern
+from catalog_oracle import disjoint_line_pairs
+from degen.invariants import (
+    CONTRIBUTIONS,
+    PARASITIC_NODES,
+    InvariantError,
+    branch_stats,
+    chern,
+)
 from kernel_oracle import smith_normal_form
 
 FACTORIAL_SIX = 720
@@ -15,6 +23,27 @@ def test_branch_stats_match_catalog(records):
         exp = rec.expected
         assert bs.n == 6, rec.name
         assert (bs.m, bs.mu, bs.d, bs.rho) == (exp.m, exp.mu, exp.d, exp.rho), rec.name
+
+
+def test_parasitic_count_matches_the_pair_listing(small_complexes):
+    """C(L, 2) minus C(k, 2) at each singular point of k lines is the number of
+    line pairs that share no vertex, on the catalog and every disk of up to 8
+    triangles; `branch_stats` adds four nodes per pair wherever the table
+    covers the points."""
+    counted = 0
+    for k, pc in enumerate(small_complexes):
+        points = pc.classify_vertices()
+        pairs = disjoint_line_pairs(pc)
+        formula = comb(len(pc.line_numbering), 2) - sum(comb(p.multiplicity, 2) for p in points)
+        assert formula == len(pairs), k
+        try:
+            d = branch_stats(pc).d
+        except InvariantError:
+            continue
+        local = sum(CONTRIBUTIONS[p.kind, p.multiplicity][1] for p in points)
+        assert d == local + PARASITIC_NODES * len(pairs), k
+        counted += 1
+    assert (len(small_complexes), counted) == (392, 379)
 
 
 def test_chern_coefficients_match_catalog(records):

@@ -10,9 +10,9 @@ from degen.enumerator import embed, enumerate_maps
 from degen.fpgroup import (
     EnumerationStats,
     first_broken_relator,
-    line_transpositions,
     todd_coxeter,
 )
+from degen.invariants import branch_stats
 from degen.pipeline import (
     PipelineError,
     Verdict,
@@ -31,7 +31,7 @@ from degen.relations import (
     triple_relator,
     word,
 )
-from kernel_oracle import kernel_abelianization
+from kernel_oracle import kernel_abelianization, line_transpositions
 from rotation_oracles import dfs_fork_certificate
 
 NONTRIVIAL = frozenset(
@@ -259,7 +259,7 @@ def test_fork_rule_runs_before_the_numbering_check():
         fork = fork_certificate(pc)
         if fork is None:
             continue
-        if first_broken_relator(reduced_presentation(pc), line_transpositions(pc)) is None:
+        if first_broken_relator(reduced_presentation(pc), pc.line_planes()) is None:
             continue
         forks_with_broken_numbering += 1
         verdict = decide(pc, use_hints=False)
@@ -315,8 +315,8 @@ def test_line_renumberings_never_contradict(small_complexes):
 @pytest.mark.parametrize(
     "lines, message",
     [
-        ({1: (3, 3)}, "vertex 1: boundary/line pattern is inconsistent"),
-        ({1: (1, 2, 3)}, "vertex 1: boundary/line pattern is inconsistent"),
+        ({1: (3, 3)}, "line 1 (3, 3) is not an interior edge (in 0 planes)"),
+        ({1: (1, 2, 3)}, "line 1 (1, 2, 3) is not an interior edge (in 0 planes)"),
         ({1: (1, 3), 2: (3, 3)}, "line 2 (3, 3) is not an interior edge (in 0 planes)"),
         ({1: (1, 3), 2: (1, 2, 3)}, "line 2 (1, 2, 3) is not an interior edge (in 0 planes)"),
     ],
@@ -329,6 +329,28 @@ def test_line_that_is_not_two_distinct_vertices_is_a_named_error(lines, message)
     with pytest.raises(ComplexError) as info:
         decide(pc, use_hints=False)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("name", ["U_{0,6,2}", "U_{3,5}"])
+def test_line_on_a_numbered_edge_is_refused_before_any_verdict(by_name, name):
+    """Catalog records skip `validate`; an extra index on line 1's edge would
+    make a fork through the phantom line and add parasitic nodes.  The line →
+    planes table refuses it, in `validate`'s words, wherever it is read."""
+    rec = by_name[name]
+    lines = rec.complex.line_numbering
+    phantom = len(lines) + 1
+    pc = PlanarComplex(rec.complex.vertices, rec.complex.triangles,
+                       {**lines, phantom: lines[1]})
+    message = f"lines 1 and {phantom} number the same edge"
+    assert message in pc.validate().errors
+    for compute in (
+        lambda: decide(rec._replace(complex=pc)),
+        lambda: reduced_presentation(pc, inner6_relators=rec.extra_inner_relators),
+        lambda: branch_stats(pc),
+    ):
+        with pytest.raises(ComplexError) as info:
+            compute()
+        assert str(info.value) == message
 
 
 def test_decide_accepts_bare_complex(by_name):
@@ -389,7 +411,7 @@ def test_reduced_presentation_holds_every_chain_relator(small_complexes):
             relators = set(reduced_presentation(pc).relators)
         except UnsupportedCaseError:
             continue
-        chain = _coxeter_chain(line_transpositions(pc))
+        chain = _coxeter_chain(pc.line_planes())
         needed = {involution_relator(a) for a in chain}
         needed |= {triple_relator(a, b) for a, b in zip(chain, chain[1:])}
         needed |= {
@@ -422,7 +444,7 @@ def test_chain_needs_the_commutator_of_its_far_ends():
 
 def test_one_triangle_has_the_empty_chain():
     complex_ = embed(enumerate_maps(1)[0])
-    assert _coxeter_chain(line_transpositions(complex_)) == ()
+    assert _coxeter_chain(complex_.line_planes()) == ()
     verdict = decide(complex_)
     assert (verdict.outcome, verdict.subgroup) == ("trivial", ())
     assert verdict.certificate.order == 1

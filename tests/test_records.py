@@ -6,7 +6,7 @@ import pytest
 
 from catalog_oracle import VerificationReport
 from degen.catalog import CaseHint, CaseRecord, ExpectedResults
-from degen.complexes import Line, PlanarComplex, SingularPoint, ValidationReport
+from degen.complexes import PlanarComplex, SingularPoint, ValidationReport
 from degen.enumerator import CombinatorialMap
 from degen.fpgroup import EnumerationStats
 from degen.invariants import BranchStats, ChernData
@@ -60,12 +60,6 @@ SAMPLES = [
         VerificationReport,
         {"problems": ("U_1: bad",)},
         "VerificationReport(problems=('U_1: bad',))",
-        None,
-    ),
-    (
-        Line,
-        {"index": 1, "vertices": (1, 3), "planes": (1, 2)},
-        "Line(index=1, vertices=(1, 3), planes=(1, 2))",
         None,
     ),
     (
