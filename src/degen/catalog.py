@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterator, Mapping, NamedTuple
 
-from .complexes import PlanarComplex
+from .complexes import ComplexError, PlanarComplex
 from .relations import Word, word_from_json
 
 ENV_CATALOG_DIR = "DEGEN_CATALOG_DIR"
@@ -199,11 +199,12 @@ class Catalog:
             ) from exc
         # records skip `validate`; a misnumbered line must not reach the group layer
         lines = sorted(record.complex.line_numbering)
-        if lines != list(range(1, len(lines) + 1)):
-            raise CatalogError(
-                f"malformed case {entry['name']} ({path.name}):"
-                f" line indices are not 1..L: {lines}"
-            )
+        try:
+            if lines != list(range(1, len(lines) + 1)):
+                raise ComplexError(f"line indices are not 1..L: {lines}")
+            record.complex.line_planes()  # cached: the group layer reads it again for free
+        except ComplexError as exc:
+            raise CatalogError(f"malformed case {entry['name']} ({path.name}): {exc}") from exc
         return record
 
     def load(self, name: str) -> CaseRecord:

@@ -17,7 +17,8 @@ looked up by its sorted vertex tuple, so a line that is not two distinct
 vertices keys no edge and is named as an error, never unpacked.
 `from_json` accepts exactly JSON integers for ids, coordinates and
 denominators, turns each coordinate into a ``Fraction`` once, and the
-constructor keeps a coordinate that already is one.
+constructor keeps a coordinate that already is one.  The constructor takes
+ids, plane corners and line endpoints only of type ``int``, never converting.
 
 `json_text` writes every JSON degen prints or stores, byte for byte as
 ``json.dumps(obj, indent=2)``, whose indent forces the pure-Python encoder.
@@ -216,14 +217,22 @@ class PlanarComplex:
         line_numbering: Mapping[int, tuple[int, int]],
     ):
         self.vertices: dict[int, Point] = {
-            int(v): (_fraction(x), _fraction(y)) for v, (x, y) in vertices.items()
+            v: (_fraction(x), _fraction(y)) for v, (x, y) in vertices.items()
         }
         self.triangles: dict[int, tuple[int, int, int]] = {
-            int(p): tuple(int(v) for v in tri) for p, tri in triangles.items()
+            p: tuple(tri) for p, tri in triangles.items()
         }
         self.line_numbering: dict[int, tuple[int, int]] = {
-            int(i): tuple(int(v) for v in pair) for i, pair in line_numbering.items()
+            i: tuple(pair) for i, pair in line_numbering.items()
         }
+        for name, ids in (
+            ("vertices", self.vertices),
+            ("triangles", chain(self.triangles, *self.triangles.values())),
+            ("line_numbering", chain(self.line_numbering, *self.line_numbering.values())),
+        ):
+            for x in ids:
+                if type(x) is not int:  # int() would truncate 1.7 and turn True into 1
+                    raise ComplexError(f"{name} holds {x!r}, which is not an int")
 
     # -- derived incidence data -------------------------------------------------
 

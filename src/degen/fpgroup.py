@@ -13,8 +13,10 @@ coincidence processing keeps every table entry pointing at a live coset.
 The map onto the symmetric group of the planes sends each line to the
 transposition of the two planes it bounds, as `PlanarComplex.line_planes`
 gives them.  `first_broken_relator` checks that those transpositions kill
-every relator, so a presentation whose numbering breaks one is refused
-before any coset is enumerated.
+the relators it is given, so a presentation whose numbering breaks one is
+refused before any coset is enumerated.  The pipeline gives it only the
+inner-point relators: under any numbering the involutions, braid relators
+and commutators die in S_n (proved in `pipeline.decide`).
 """
 
 from __future__ import annotations

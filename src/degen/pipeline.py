@@ -296,18 +296,25 @@ def _coxeter_chain(line_planes: Mapping[int, tuple[int, int]]) -> tuple[int, ...
         adj.setdefault(p, []).append((line, q))
         adj.setdefault(q, []).append((line, p))
     best: tuple[int, ...] = ()
-
-    def extend(chain: tuple[int, ...], path: tuple[int, ...]) -> bool:
-        nonlocal best
-        if len(chain) > len(best):
-            best = chain
-        return len(best) == len(adj) - 1 or any(
-            extend(chain + (line,), path + (q,))
-            for line, q in adj[path[-1]]
-            if q not in path
-        )
-
-    any(extend((), (p,)) for p in sorted(adj))
+    for root in sorted(adj):
+        path, chain = [root], []
+        todo = [iter(adj[root])]  # the untried (line, plane) steps of each plane on the path
+        while todo:
+            for line, q in todo[-1]:
+                if q not in path:
+                    path.append(q)
+                    chain.append(line)
+                    if len(chain) > len(best):
+                        best = tuple(chain)
+                        if len(best) == len(adj) - 1:
+                            return best
+                    todo.append(iter(adj[q]))
+                    break
+            else:  # every step from the last plane is tried: back up one plane
+                todo.pop()
+                if todo:
+                    path.pop()
+                    chain.pop()
     return best
 
 
@@ -324,10 +331,18 @@ def decide(
     With `use_hints=False` the catalogued hints are ignored, which reports
     what the local rules alone can settle.  A line numbering under which
     some relator fails in the symmetric image is refused with
-    `UnsupportedCaseError` before any coset is enumerated.  The fork rule
-    runs before that check, and may: it reads only the plane table and which
-    corners are inner, never the presentation, and neither depends on the
-    line numbering, so a fork disk whose numbering breaks a relator is still
+    `UnsupportedCaseError` before any coset is enumerated.  Only an
+    inner-point relator can fail, so only those are checked: each line maps
+    to the transposition t_l of its two planes, and under every numbering
+    g_i g_i maps to t_i t_i = 1; two lines that bound a common plane map to
+    (a b) and (b c), whose product is a 3-cycle, so the braid relator maps to
+    (t_i t_j)^3 = 1, or, sharing both planes, to one transposition six times;
+    and two lines with no common plane map to disjoint transpositions, which
+    commute.  The first broken relator, its refusal text and its vertex are
+    those a check of every relator finds.  The fork rule runs before that
+    check, and may: it reads only the plane table and which corners are
+    inner, never the presentation, and neither depends on the line
+    numbering, so a fork disk whose numbering breaks a relator is still
     nontrivial by its fork.
 
     The enumeration runs over H = <g_l1, ..., g_lk> for the chain that
@@ -377,17 +392,14 @@ def decide(
     pres = reduced_presentation(complex_, inner6_relators=extra)
     n = len(complex_.triangles)
     line_planes = complex_.line_planes()
-    broken = first_broken_relator(pres, line_planes)
+    start = len(pres.relators) - pres.annotations.count("inner-point")  # they come last
+    inner = Presentation(pres.generators, pres.relators[start:], pres.annotations[start:])
+    broken = first_broken_relator(inner, line_planes)
     if broken is not None:
-        tag = pres.annotations[broken]
-        where = ""
-        if tag == "inner-point":
-            nth = pres.annotations[:broken].count(tag)
-            where = f" at vertex {inner_point_relators(points, extra)[nth][1]}"
+        rel, vertex = inner_point_relators(points, extra)[broken]
         raise UnsupportedCaseError(
-            f"line numbering breaks the {tag} relator"
-            f" {word_text(pres.relators[broken])}{where}:"
-            f" it is not the identity in S_{n}"
+            f"line numbering breaks the inner-point relator {word_text(rel)}"
+            f" at vertex {vertex}: it is not the identity in S_{n}"
         )
     chain = _coxeter_chain(line_planes)
     stats = todd_coxeter(pres, [word(l) for l in chain], max_cosets=max_cosets)

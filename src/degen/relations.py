@@ -56,18 +56,20 @@ def free_reduce(w: Word) -> Word:
 
 
 def involution_relator(i: int) -> Word:
-    return word(i, i)
+    return ((i, 1), (i, 1))
 
 
 def triple_relator(i: int, j: int) -> Word:
     """Braid relation for a tangent pair, in commutator-like form."""
-    i, j = sorted((i, j))
-    return word(i, j, i, -j, -i, -j)
+    if i > j:
+        i, j = j, i
+    return ((i, 1), (j, 1), (i, 1), (j, -1), (i, -1), (j, -1))
 
 
 def commutator_relator(i: int, j: int) -> Word:
-    i, j = sorted((i, j))
-    return word(i, j, -i, -j)
+    if i > j:
+        i, j = j, i
+    return ((i, 1), (j, 1), (i, -1), (j, -1))
 
 
 def tangent_pairs(complex_: PlanarComplex) -> tuple[tuple[int, int], ...]:
@@ -162,19 +164,17 @@ def reduced_presentation(
     """
     points = complex_.classify_vertices()
     generators = tuple(sorted(complex_.line_numbering))
-    relators: list[Word] = []
-    tags: list[str] = []
-
-    for i in generators:
-        relators.append(involution_relator(i))
-        tags.append("involution")
     tangent = tangent_pairs(complex_)
-    for i, j in tangent:
-        relators.append(triple_relator(i, j))
-        tags.append("triple")
-    for i, j in sorted(set(combinations(generators, 2)).difference(tangent)):
-        relators.append(commutator_relator(i, j))
-        tags.append("commutator")
+    relators = [involution_relator(i) for i in generators]
+    relators += [triple_relator(i, j) for i, j in tangent]
+    is_tangent = set(tangent)
+    relators += [
+        commutator_relator(i, j)
+        for i, j in combinations(generators, 2)
+        if (i, j) not in is_tangent
+    ]
+    tags = ["involution"] * len(generators) + ["triple"] * len(tangent)
+    tags += ["commutator"] * (len(relators) - len(tags))
     for rel, vertex in inner_point_relators(points, extra=inner6_relators):
         for g, _ in rel:
             if g not in complex_.line_numbering:

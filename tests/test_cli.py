@@ -149,13 +149,23 @@ def number_line_one_again_as_six(data):
     lines.append([len(lines) + 1, list(pair)])
 
 
-@pytest.mark.parametrize("command", ["analyze", "export"])
-def test_catalog_line_on_a_numbered_edge_is_refused(capsys, tmp_path, monkeypatch, command):
-    """A sixth index on line 1's edge keeps the indices 1..L; the line → planes
-    table refuses the repeat before a fork or a node count can read it."""
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze", "U_{0,6,2}"], ["analyze", "--all"], ["export", "U_{0,6,2}"], ["table"]],
+    ids=["analyze", "analyze-all", "export", "table"],
+)
+def test_catalog_line_on_a_numbered_edge_is_refused(capsys, tmp_path, monkeypatch, argv):
+    """A sixth index on line 1's edge keeps the indices 1..L; reading the case
+    builds its line → planes table, which refuses the repeat before a fork or a
+    node count can read it, and the error names the case."""
     edited_catalog(tmp_path, monkeypatch, "u-0-6-2", number_line_one_again_as_six)
-    rc, out, err = run(capsys, command, "U_{0,6,2}")
-    assert (rc, out, err) == (1, "", "degen: error: lines 1 and 6 number the same edge\n")
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out, err) == (
+        1,
+        "",
+        "degen: error: malformed case U_{0,6,2} (u-0-6-2.json):"
+        " lines 1 and 6 number the same edge\n",
+    )
 
 
 def test_analyze_accepts_complex_file(capsys, tmp_path):

@@ -298,6 +298,22 @@ def test_from_json_accepts_only_integers(key, path, bad):
     )
 
 
+@pytest.mark.parametrize(
+    "triangles, lines, message",
+    [
+        ({1: (1, 2, 3), 2: (1, 3, 4)}, {1.7: (1, 3.9)}, "line_numbering holds 1.7"),
+        ({True: (1, 2, 3), 2: (1, 3, 4)}, {1: (1, 3)}, "triangles holds True"),
+    ],
+    ids=["fractional-line", "bool-plane-id"],
+)
+def test_constructor_refuses_ids_that_are_not_ints(triangles, lines, message):
+    """`int()` would store line 1.7 as 1 with endpoints (1, 3), and plane True as 1."""
+    strip = square_strip()
+    with pytest.raises(ComplexError) as info:
+        PlanarComplex(strip.vertices, triangles, lines)
+    assert str(info.value) == f"{message}, which is not an int"
+
+
 def test_from_json_rejects_unknown_format():
     with pytest.raises(ComplexError):
         PlanarComplex.from_json({"format": "degen-complex/99", "vertices": {}})

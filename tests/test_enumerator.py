@@ -45,7 +45,7 @@ GOLDEN_EMBEDS = {6: "6d158afb46af2802", 7: "87835bdc2c2c39ee", 8: "9565ac0781b8f
 GOLDEN_POINTS = {6: "00f3e68214b0c975", 7: "5b62086380341261", 8: "c5a662479fbb08c4"}
 # The same for every embedding's lemmas-only verdict as JSON, or its refusal:
 # it pins the coset counts the enumeration engine reaches on these disks.
-GOLDEN_VERDICTS = {6: "e12182bab548294e", 7: "a155141519debbe5"}
+GOLDEN_VERDICTS = {6: "e12182bab548294e", 7: "a155141519debbe5", 8: "66fdd2b50d0bd266"}
 GOLDEN_FORMS_NINE = "d491b888389237c4"
 # The same for the repr of every representative at 9 triangles: its rings,
 # walk and triangles, in enumeration order.

@@ -1,5 +1,6 @@
 import random
 from dataclasses import replace
+from itertools import combinations
 from math import factorial
 
 import pytest
@@ -28,6 +29,7 @@ from degen.relations import (
     commutator_relator,
     involution_relator,
     reduced_presentation,
+    tangent_pairs,
     triple_relator,
     word,
 )
@@ -312,6 +314,41 @@ def test_line_renumberings_never_contradict(small_complexes):
     assert refusals < 8 * len(complexes)
 
 
+def pair_relators(pc):
+    """The involution, braid and commutator relators of `pc`: all but the
+    inner-point ones, built from the relator functions directly."""
+    generators = tuple(sorted(pc.line_numbering))
+    tangent = set(tangent_pairs(pc))
+    relators = [involution_relator(i) for i in generators]
+    relators += [
+        triple_relator(i, j) if (i, j) in tangent else commutator_relator(i, j)
+        for i, j in combinations(generators, 2)
+    ]
+    return Presentation(generators, tuple(relators), ("pair",) * len(relators))
+
+
+def test_only_an_inner_point_relator_can_break(small_complexes):
+    """`decide` checks only the inner-point relators in S_n: the others die
+    under every line numbering.  Checked on the catalog and every disk of up
+    to 8 triangles, as numbered and under four random renumberings each,
+    including the 55 disks whose numbering breaks an inner-point relator."""
+    rng = random.Random(24)
+    inner_broken = 0
+    for k, pc in enumerate(small_complexes):
+        for numbered in [pc] + [renumbered(pc, rng) for _ in range(4)]:
+            pres = pair_relators(numbered)
+            assert first_broken_relator(pres, numbered.line_planes()) is None, k
+        try:
+            pres = reduced_presentation(pc)
+        except UnsupportedCaseError:
+            continue
+        broken = first_broken_relator(pres, pc.line_planes())
+        if broken is not None:
+            assert pres.annotations[broken] == "inner-point", k
+            inner_broken += 1
+    assert inner_broken == 55
+
+
 @pytest.mark.parametrize(
     "lines, message",
     [
@@ -448,6 +485,46 @@ def test_one_triangle_has_the_empty_chain():
     verdict = decide(complex_)
     assert (verdict.outcome, verdict.subgroup) == ("trivial", ())
     assert verdict.certificate.order == 1
+
+
+def recursive_coxeter_chain(line_planes):
+    """The chain search as a recursive depth-first search: the reference for
+    `_coxeter_chain`, which walks the same tree with an explicit stack."""
+    adj: dict[int, list[tuple[int, int]]] = {}
+    for line, (p, q) in sorted(line_planes.items()):
+        adj.setdefault(p, []).append((line, q))
+        adj.setdefault(q, []).append((line, p))
+    best: tuple[int, ...] = ()
+
+    def extend(chain: tuple[int, ...], path: tuple[int, ...]) -> bool:
+        nonlocal best
+        if len(chain) > len(best):
+            best = chain
+        return len(best) == len(adj) - 1 or any(
+            extend(chain + (line,), path + (q,))
+            for line, q in adj[path[-1]]
+            if q not in path
+        )
+
+    any(extend((), (p,)) for p in sorted(adj))
+    return best
+
+
+def test_chain_matches_the_recursive_search(small_complexes):
+    """The stack search stops at the chain the recursive search returns, on
+    the catalog and every disk of up to 8 triangles, as numbered and under a
+    random renumbering, and on line → plane tables that are no disk."""
+    rng = random.Random(23)
+    tables = [pc.line_planes() for pc in small_complexes]
+    tables += [renumbered(pc, rng).line_planes() for pc in small_complexes]
+    tables += [A3_PLANES, {1: (1, 2), 2: (2, 3), 3: (3, 1)}, {1: (1, 2), 2: (3, 4)}, {}]
+    full = 0
+    for k, line_planes in enumerate(tables):
+        chain = _coxeter_chain(line_planes)
+        assert chain == recursive_coxeter_chain(line_planes), k
+        full += len(chain) == len({p for ps in line_planes.values() for p in ps}) - 1
+    assert len(tables) == 788
+    assert full == 452  # a path through every plane: the search stops early
 
 
 def test_enumeration_json_names_the_chain(by_name):
