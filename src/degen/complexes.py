@@ -46,7 +46,7 @@ from json.encoder import encode_basestring_ascii
 from math import lcm
 from typing import Iterable, Mapping, NamedTuple
 
-from .geometry import Point, orient, segments_conflict
+from .geometry import Point, orient, segments_conflict, strictly_convex
 
 FORMAT = "degen-complex/1"
 
@@ -111,17 +111,28 @@ def orient_disk(
     """
     root = min(planes)
     oriented = {root: tuple(planes[root])}
+    succ: dict[int, int] = {}  # the direction of each boundary edge
+    n_boundary = 0
     queue = [root]
     for p in queue:  # breadth first: the queue grows while it is read
         a, b, c = oriented[p]
         for x, y in ((a, b), (b, c), (c, a)):
-            for q in edge_planes[(x, y) if x < y else (y, x)]:
+            sharing = edge_planes[(x, y) if x < y else (y, x)]
+            if len(sharing) == 1:
+                succ[x] = y
+                n_boundary += 1
+                continue
+            for q in sharing:
                 t = oriented.get(q)
                 if t is None:
-                    (z,) = set(planes[q]) - {x, y}
+                    z, e, f = planes[q]  # z becomes the corner off the edge
+                    if z == x or z == y:
+                        z = f if e == x or e == y else e
                     oriented[q] = (y, x, z)
                     queue.append(q)
-                elif q != p and (y, x) not in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
+                elif q != p and not (  # t runs the edge y -> x
+                    y == t[0] and x == t[1] or y == t[1] and x == t[2] or y == t[2] and x == t[0]
+                ):
                     raise ComplexError(
                         f"planes {p} and {q} cannot be oriented alike across edge"
                         f" {sorted((x, y))} (unorientable gluing)"
@@ -129,14 +140,8 @@ def orient_disk(
     if len(oriented) != len(planes):
         raise ComplexError("interior is disconnected (planes do not chain along lines)")
 
-    succ: dict[int, int] = {}
-    for a, b, c in oriented.values():
-        for x, y in ((a, b), (b, c), (c, a)):
-            if len(edge_planes[(x, y) if x < y else (y, x)]) == 1:
-                succ[x] = y
     if not succ:
         raise ComplexError("no boundary: the planes close up into a surface")
-    n_boundary = sum(len(ps) == 1 for ps in edge_planes.values())
     walk = [min(succ)]
     while (nxt := succ.get(walk[-1])) not in (None, walk[0]) and len(walk) < n_boundary:
         walk.append(nxt)
@@ -319,29 +324,39 @@ class PlanarComplex:
         boundary is a simple polygon of that sign, has degree 1 on the
         polygon's interior, and so it is injective (Floater, "One-to-one
         piecewise linear mappings over triangulations", Math. Comp. 72, 2003).
+
+        Two facts keep the certificate cheap.  A boundary whose every corner
+        turns strictly with its winding, and whose edge direction goes round
+        exactly once, is convex and so simple (proved at `strictly_convex`);
+        every disk `embed` builds has one, on a circle, and only another
+        boundary pays for the test of every pair of its edges.  Error texts
+        are built only for the checks that fail.
         """
-        errors: list[str] = []
         lat = self._lattice
-        seen_pts: dict[tuple[int, int], int] = {}
-        for v, p in sorted(lat.items()):
-            if p in seen_pts:
-                errors.append(
-                    f"vertices {seen_pts[p]} and {v} share coordinates {self.vertices[v]}"
-                )
-            seen_pts[p] = v
+        vertices = self.vertices
+        errors: list[str] = []
+        if len(set(lat.values())) != len(lat):
+            seen_pts: dict[tuple[int, int], int] = {}
+            for v, p in sorted(lat.items()):
+                if p in seen_pts:
+                    errors.append(
+                        f"vertices {seen_pts[p]} and {v} share coordinates {vertices[v]}"
+                    )
+                seen_pts[p] = v
         seen_tris: dict[frozenset[int], int] = {}
         for plane, tri in sorted(self.triangles.items()):
             if len(tri) != 3:
                 errors.append(f"plane {plane} has {len(tri)} vertices, expected 3")
                 continue
-            missing = [v for v in tri if v not in self.vertices]
-            if missing:
+            a, b, c = tri
+            if a not in vertices or b not in vertices or c not in vertices:
+                missing = [v for v in tri if v not in vertices]
                 errors.append(f"plane {plane} references unknown vertices {missing}")
                 continue
-            if len(set(tri)) != 3:
+            if a == b or b == c or a == c:
                 errors.append(f"plane {plane} repeats a vertex: {tri}")
                 continue
-            if orient(*(lat[v] for v in tri)) == 0:
+            if orient(lat[a], lat[b], lat[c]) == 0:
                 errors.append(f"plane {plane} is degenerate (collinear): {tri}")
             key = frozenset(tri)
             if key in seen_tris:
@@ -353,15 +368,15 @@ class PlanarComplex:
             return ValidationReport(tuple(errors), ())
 
         ep = self._edge_planes
-        for e, ps in sorted(ep.items()):
-            if len(ps) > 2:
-                errors.append(f"edge {list(e)} lies in {len(ps)} planes: {ps}")
         interior = {e for e, ps in ep.items() if len(ps) == 2}
-        vertices = set(self.vertices)
+        if any(len(ps) > 2 for ps in ep.values()):
+            for e, ps in sorted(ep.items()):
+                if len(ps) > 2:
+                    errors.append(f"edge {list(e)} lies in {len(ps)} planes: {ps}")
         numbered = {}
         for i, pair in sorted(self.line_numbering.items()):
             e = tuple(sorted(pair))
-            if len(e) != 2 or e[0] == e[1] or not vertices.issuperset(e):
+            if len(e) != 2 or e[0] == e[1] or e[0] not in vertices or e[1] not in vertices:
                 errors.append(f"line {i} has bad endpoints {pair}")
             elif e not in interior:
                 errors.append(f"line {i} {pair} is not an interior edge")
@@ -369,12 +384,12 @@ class PlanarComplex:
                 errors.append(f"lines {numbered[e]} and {i} number the same edge")
             else:
                 numbered[e] = i
-        for e in sorted(interior - numbered.keys()):
-            errors.append(f"interior edge {list(e)} has no line number")
-        if sorted(self.line_numbering) != list(range(1, len(self.line_numbering) + 1)):
-            errors.append(
-                f"line indices are not 1..L: {sorted(self.line_numbering)}"
-            )
+        if len(numbered) != len(interior):  # numbered holds interior edges only
+            for e in sorted(interior - numbered.keys()):
+                errors.append(f"interior edge {list(e)} has no line number")
+        indices = sorted(self.line_numbering)
+        if indices != list(range(1, len(indices) + 1)):
+            errors.append(f"line indices are not 1..L: {indices}")
         if errors:
             return ValidationReport(tuple(errors), ())
 
@@ -408,6 +423,12 @@ class PlanarComplex:
         the cycle to be a simple polygon.  The cycle's signed area is the sum
         of the planes', so once every plane winds with it, it winds with
         every plane.  Names every flipped plane, in plane order.
+
+        A boundary that `strictly_convex` certifies is a convex polygon, hence
+        simple (the proof is in its docstring), so only a boundary it refuses
+        has each pair of its edges tested with `segments_conflict`; on a
+        simple polygon that finds nothing, and on any other it names every
+        pair that overlaps or crosses.
         """
         try:
             oriented, walk = self._disk
@@ -421,11 +442,13 @@ class PlanarComplex:
         winding = (twice_area > 0) - (twice_area < 0)
         flipped = [
             f"plane {p} is flipped: it winds against the boundary"
-            for p in sorted(oriented)
-            if orient(*(lat[v] for v in oriented[p])) != winding
+            for p, (a, b, c) in sorted(oriented.items())
+            if orient(lat[a], lat[b], lat[c]) != winding
         ]
         if flipped:
             return flipped
+        if strictly_convex(corners, winding):
+            return []
 
         edges = list(zip(walk, walk[1:] + walk[:1]))
         out: list[str] = []
@@ -515,14 +538,20 @@ class PlanarComplex:
                     if k in table:
                         raise ComplexError(f"duplicate {name} {k}")
                     table[k] = values
-            vertices = {
-                v: (Fraction(px, qx), Fraction(py, qy))
-                for v, (px, py, qx, qy) in tables["vertices"].items()
-            }
+            try:
+                vertices = {
+                    v: (Fraction(px, qx), Fraction(py, qy))
+                    for v, (px, py, qx, qy) in tables["vertices"].items()
+                }
+            except ZeroDivisionError:  # the first entry with a zero denominator
+                entry = next([v, c] for v, c in tables["vertices"].items() if 0 in c[2:])
+                raise ComplexError(
+                    f"malformed complex JSON: vertices entry {json.dumps(entry)} has denominator 0"
+                ) from None
             return cls(vertices, tables["triangles"], tables["line_numbering"])
         except ComplexError:
             raise
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ComplexError(f"malformed complex JSON: {exc}") from exc
 
     @classmethod

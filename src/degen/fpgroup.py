@@ -226,7 +226,13 @@ def todd_coxeter(
                 f"generator {g} is not an involution: its square is not a relator"
             )
     ngens = len(gens)
-    relators = [r for r in (_letters(w, ngens) for w in presentation.relators) if r]
+    relators = []
+    for w in presentation.relators:
+        if len(w) == 2 and w[0] == w[1] and 1 <= w[0][0] <= ngens:
+            continue  # a square the check above read; it would reduce to nothing
+        r = _letters(w, ngens)  # names a generator out of range
+        if r:
+            relators.append(r)
     subgroup_words = [w for w in (_letters(v, ngens) for v in subgroup) if w]
     return _hlt(ngens, relators, subgroup_words, max_cosets)
 

@@ -10,6 +10,8 @@ not from sorting directions.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+from typing import Sequence
 
 Point = tuple[Fraction, Fraction]
 
@@ -23,6 +25,54 @@ def orient(a: Point, b: Point, c: Point) -> int:
     """
     d = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
     return (d > 0) - (d < 0)
+
+
+def strictly_convex(corners: Sequence[Point], winding: int) -> bool:
+    """True when the closed polygon through ``corners`` is strictly convex and
+    winds by ``winding`` (+1 ccw, -1 cw).
+
+    Every corner must turn strictly with ``winding``, and the edge direction
+    must go round exactly once.  The turns are counted as passes of one
+    reference direction r, the first edge's: the step from edge u to the
+    next edge v turns by less than a half turn, so it passes r, meaning r
+    lies on the arc after u up to and including v, exactly when r is
+    strictly on the turning side of u and v is not strictly on the other
+    side of r.  The step from the last edge onto the first always passes r,
+    so the direction goes round once when no other step does.
+
+    Such a polygon is convex, hence simple.  Lift the edge directions to
+    angles that grow through less than one full turn, back to the first
+    edge's plus one turn.  Along the walk from the head of an edge e back
+    to its tail, each later edge f moves the distance from e's line, on the
+    turning side, by the cross product of e and f: strictly up while f is
+    less than a half turn past e, not at all at a half turn, strictly down
+    after it.  So that distance rises from 0 and falls back to 0, and every
+    corner off e lies strictly on e's turning side.  Two edges that are not
+    neighbours then cannot meet: the ends of each lie strictly on one side
+    of the other's line.  Neighbours meet only at their shared corner,
+    since the far end of each is strictly off the other's line.  A star
+    polygon such as {5/2} turns strictly at every corner, but its direction
+    goes round twice.
+
+    >>> strictly_convex([(0, 0), (2, 0), (2, 2), (0, 2)], 1)
+    True
+    >>> strictly_convex([(0, 0), (1, 0), (2, 0), (0, 2)], 1)
+    False
+    """
+    ax, ay = corners[-1]
+    bx, by = corners[0]
+    ux, uy = bx - ax, by - ay  # the edge into the current corner
+    cx, cy = corners[1]
+    rx, ry = cx - bx, cy - by  # the reference direction
+    passes = 0
+    for cx, cy in chain(corners[1:], corners[:1]):
+        vx, vy = cx - bx, cy - by
+        if winding * (ux * vy - uy * vx) <= 0:
+            return False
+        if winding * (ux * ry - uy * rx) > 0 and winding * (rx * vy - ry * vx) >= 0:
+            passes += 1
+        ux, uy, bx, by = vx, vy, cx, cy
+    return passes == 1
 
 
 def segments_conflict(a: Point, b: Point, c: Point, d: Point) -> bool:

@@ -194,6 +194,19 @@ def test_analyze_refuses_a_complex_file_with_a_fractional_coordinate(capsys, tmp
     )
 
 
+def test_analyze_refuses_a_complex_file_with_a_zero_denominator(capsys, tmp_path):
+    data = json.loads((DATA_DIR / "cases" / "u-0-4.json").read_text())["complex"]
+    data["vertices"][2][1][3] = 0
+    target = tmp_path / "zero.json"
+    target.write_text(json.dumps(data))
+    rc, out, err = run(capsys, "analyze", str(target))
+    entry = json.dumps(data["vertices"][2])
+    assert (rc, out) == (1, "")
+    assert err == (
+        f"degen: error: malformed complex JSON: vertices entry {entry} has denominator 0\n"
+    )
+
+
 def test_analyze_case_classifies_each_vertex_once(capsys, derivation_calls):
     rc, _, _ = run(capsys, "analyze", "U_{0,6,1}", "--format", "json")
     assert rc == 0

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -12,7 +13,7 @@ import degen.complexes
 import degen.geometry
 from degen.complexes import ComplexError, PlanarComplex, SingularPoint, json_text
 from degen.enumerator import CombinatorialMap, EnumeratorError, embed, enumerate_maps
-from degen.geometry import orient, segments_conflict
+from degen.geometry import orient, segments_conflict, strictly_convex
 from degen.invariants import BranchStats, InvariantError, chern
 from degen.relations import tangent_pairs
 from catalog_oracle import disjoint_line_pairs
@@ -319,7 +320,10 @@ def test_from_json_rejects_unknown_format():
         PlanarComplex.from_json({"format": "degen-complex/99", "vertices": {}})
 
 
-def test_certificate_agrees_with_pairwise_oracle(disks, records):
+@pytest.fixture(scope="module")
+def oracle_inputs(disks, records):
+    """The disks of 5 to 7 triangles and the catalog complexes, then 2000 copies
+    of them with one vertex moved along the line to another vertex."""
     base = [pc for n in (5, 6, 7) for pc in disks[n]] + [rec.complex for rec in records]
     rng = random.Random(2003)
     inputs = list(base)
@@ -329,8 +333,12 @@ def test_certificate_agrees_with_pairwise_oracle(disks, records):
         (x, y), (wx, wy) = pc.vertices[v], pc.vertices[w]
         t = Fraction(rng.randint(1, 24), 8)
         inputs.append(with_vertex_at(pc, v, (x + t * (wx - x), y + t * (wy - y))))
+    return inputs
+
+
+def test_certificate_agrees_with_pairwise_oracle(oracle_inputs):
     compared = rejected = 0
-    for pc in inputs:
+    for pc in oracle_inputs:
         report = pc.validate()
         if report.errors or pc._disk_violations():
             assert not report.ok
@@ -342,6 +350,21 @@ def test_certificate_agrees_with_pairwise_oracle(disks, records):
     # 114 of the 2139 inputs fail the structural or disk checks first; of
     # the rest, 1489 are rejected by both the certificate and the oracle.
     assert (compared, rejected) == (2025, 1489)
+
+
+def test_validate_reports_are_pinned(oracle_inputs, small_complexes, records):
+    """Every report's errors and violations, texts and order, on the 2139 oracle
+    inputs, the embedded disks of 6, 7 and 8 triangles and the catalog."""
+    embedded = [pc for pc in small_complexes[len(records) :] if 6 <= len(pc.triangles) <= 8]
+    complexes = oracle_inputs + embedded + [rec.complex for rec in records]
+    assert (len(oracle_inputs), len(embedded), len(records)) == (2139, 345, 29)
+    digest = hashlib.sha256()
+    for pc in complexes:
+        report = pc.validate()
+        digest.update(repr((report.errors, report.violations)).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "94c61ffa1d47c1c29ddfc3f4a8a92355fa528417e42d29ba1b5852a567284a24"
+    )
 
 
 def test_interior_vertex_moved_across_its_plane_names_that_plane(disks):
@@ -533,26 +556,174 @@ def square_with_lines(lines):
             square_json("triangles", [[1, [1, 2, 3]], [1, [1, 3, 4]]]),
             ("duplicate plane id 1",),
         ),
+        (
+            from_json_messages,
+            square_json(
+                "vertices",
+                [[1, [0, 0, 1, 1]], [2, [1, 0, 0, 1]], [3, [1, 1, 1, 0]], [4, [0, 1, 1, 1]]],
+            ),
+            ("malformed complex JSON: vertices entry [2, [1, 0, 0, 1]] has denominator 0",),
+        ),
     ],
     ids=[
         "edge-in-three-planes", "boundary-edge-numbered", "edge-numbered-twice",
         "interior-edge-unnumbered", "line-on-one-vertex", "line-on-three-vertices",
         "unorientable-gluing", "non-integral-chern", "json-vertex-not-an-int",
         "json-triangle-not-a-list", "json-line-vertex-none", "json-duplicate-plane",
+        "json-zero-denominator",
     ],
 )
 def test_structural_error_texts(check, subject, messages):
     assert check(subject) == messages
 
 
-def test_validate_tests_only_boundary_edge_pairs(disks, segment_calls):
+def walk_corners(pc):
+    """The boundary walk's corners on the complex's integer lattice."""
+    return [pc._lattice[v] for v in pc._disk[1]]
+
+
+def convex_by_definition(corners):
+    """The side every corner off an edge lies strictly on, the same for every
+    edge (+1 left, -1 right), or 0 when there is no such side."""
+    n = len(corners)
+    sides = {
+        orient(corners[i], corners[(i + 1) % n], corners[j])
+        for i in range(n)
+        for j in range(n)
+        if j not in (i, (i + 1) % n)
+    }
+    return sides.pop() if len(sides) == 1 else 0
+
+
+def test_validate_tests_only_boundary_edge_pairs(disks, records, segment_calls):
+    """None on a strictly convex boundary; at most b(b-1)/2 on any other."""
     for pc in disks[7]:
         segment_calls.clear()
         assert pc.validate().ok
+        assert convex_by_definition(walk_corners(pc))
+        assert segment_calls["segments_conflict"] == 0
+    tested = 0
+    for rec in records:
+        pc = rec.complex
+        segment_calls.clear()
+        assert pc.validate().ok
         b = len(boundary_edges(pc))
-        assert 0 < segment_calls["segments_conflict"] <= b * (b - 1) // 2
+        if convex_by_definition(walk_corners(pc)):
+            assert segment_calls["segments_conflict"] == 0, rec.name
+        else:
+            assert 0 < segment_calls["segments_conflict"] <= b * (b - 1) // 2, rec.name
+            tested += 1
+    assert tested == 17
     assert not hasattr(degen.complexes, "point_in_triangle")
     assert not hasattr(degen.geometry, "point_in_triangle")
+
+
+def cone(boundary):
+    """Planes from the origin, vertex 0, over each side of ``boundary``
+    (vertices 1..n in walk order); the lines are the spokes."""
+    n = len(boundary)
+    vertices = {0: (0, 0), **{k + 1: p for k, p in enumerate(boundary)}}
+    return PlanarComplex(vertices, *numbered([(0, k, k % n + 1) for k in range(1, n + 1)]))
+
+
+def star(n):
+    """The star polygon {n/2} on lattice points near a circle of radius 100."""
+    points = [
+        (round(100 * math.cos(2 * math.pi * k / n)), round(100 * math.sin(2 * math.pi * k / n)))
+        for k in range(n)
+    ]
+    return [points[2 * k % n] for k in range(n)]
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_polygon_wound_twice_is_not_certified_and_its_crossings_are_named(n, segment_calls):
+    for corners in (star(n), star(n)[::-1]):
+        winding = orient(*corners[:3])
+        turns = {orient(corners[i - 2], corners[i - 1], corners[i]) for i in range(n)}
+        assert turns == {winding}  # strict at every corner, the same way
+        assert not strictly_convex(corners, winding)
+        assert not strictly_convex(corners, -winding)
+        # coned from the origin: every plane winds with the boundary, which goes
+        # twice round the cone point
+        pc = cone(corners)
+        assert {orient(*(pc.vertices[v] for v in t)) for t in pc.triangles.values()} == {winding}
+        assert not pc._disk_violations()
+        segment_calls.clear()
+        named = pc.validate().violations
+        assert segment_calls["segments_conflict"] == n * (n - 1) // 2
+        sides = [(k, k % n + 1) for k in range(1, n + 1)]
+        crossing = [
+            f"boundary edges {tuple(sorted(e))} and {tuple(sorted(f))} overlap or cross"
+            for i, e in enumerate(sides)
+            for f in sides[i + 1 :]
+            if reference_segments_conflict(*(pc.vertices[v] for v in e + f))
+        ]
+        assert len(crossing) == n  # each side crosses the two sides next but one
+        assert named == tuple(crossing)
+
+
+@pytest.mark.parametrize("mirror", [1, -1])
+def test_collinear_boundary_corner_falls_back_to_the_pair_tests(mirror, segment_calls):
+    # vertex 2 is a boundary corner halfway along the side from 1 to 3
+    pc = PlanarComplex(
+        {1: (0, 0), 2: (2, 0), 3: (4, 0), 4: (2, 2 * mirror)},
+        *numbered([(1, 2, 4), (2, 3, 4)]),
+    )
+    corners = walk_corners(pc)
+    assert not strictly_convex(corners, 1) and not strictly_convex(corners, -1)
+    assert convex_by_definition(corners) == 0
+    assert pc.validate().ok
+    assert segment_calls["segments_conflict"] == 4 * 3 // 2
+
+
+@pytest.mark.parametrize("mirror", [1, -1])
+def test_strictly_convex_boundary_is_certified_in_both_windings(mirror, segment_calls):
+    strip = square_strip()
+    pc = PlanarComplex(
+        {v: (x, mirror * y) for v, (x, y) in strip.vertices.items()},
+        strip.triangles,
+        strip.line_numbering,
+    )
+    corners = walk_corners(pc)
+    winding = convex_by_definition(corners)
+    assert winding in (1, -1)
+    for poly, w in ((corners, winding), (corners[::-1], -winding)):
+        assert strictly_convex(poly, w)
+        assert not strictly_convex(poly, -w)
+    assert pc.validate().ok
+    assert segment_calls["segments_conflict"] == 0
+
+
+def parabola_polygon(xs, start, reverse):
+    """Distinct points of y = x^2 in order of x, closed: a strictly convex polygon."""
+    corners = [(x, x * x) for x in sorted(set(xs))]
+    corners = corners[start % len(corners) :] + corners[: start % len(corners)]
+    return corners[::-1] if reverse else corners
+
+
+lattice_points = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+small_polygons = st.lists(lattice_points, min_size=3, max_size=8) | st.builds(
+    parabola_polygon,
+    st.lists(st.integers(-4, 4), min_size=3, max_size=8).filter(lambda xs: len(set(xs)) >= 3),
+    st.integers(0, 7),
+    st.booleans(),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(small_polygons, st.sampled_from([1, -1]))
+@example([(0, 0), (2, 0), (2, 2), (0, 2)], 1)
+@example([(0, 0), (0, 2), (2, 2), (2, 0)], -1)
+@example(star(5), orient(*star(5)[:3]))
+def test_certified_polygons_are_convex_and_have_no_conflicting_edges(corners, winding):
+    certified = strictly_convex(corners, winding)
+    assert certified == (convex_by_definition(corners) == winding)
+    if certified:
+        n = len(corners)
+        sides = [(corners[i], corners[(i + 1) % n]) for i in range(n)]
+        for i, (a, b) in enumerate(sides):
+            for c, d in sides[i + 1 :]:
+                assert not segments_conflict(a, b, c, d)
 
 
 # text with non-ASCII letters, quotes, backslashes and control characters

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+import degen.fpgroup
 from degen.fpgroup import (
     EnumerationError,
     first_broken_relator,
@@ -129,6 +130,21 @@ def test_generator_outside_alphabet_rejected():
         todd_coxeter(bad)
     with pytest.raises(EnumerationError, match="generator 3 is not in the presentation"):
         todd_coxeter(coxeter_symmetric(3), subgroup=(word(3),))
+
+
+def test_squares_are_proved_and_never_encoded(monkeypatch):
+    pres = coxeter_symmetric(5)
+    expected = todd_coxeter(pres)
+    encoded = []
+    letters = degen.fpgroup._letters
+
+    def counted(w, ngens):
+        encoded.append(w)
+        return letters(w, ngens)
+
+    monkeypatch.setattr(degen.fpgroup, "_letters", counted)
+    assert todd_coxeter(pres) == expected
+    assert encoded == [w for w in pres.relators if w not in {word(g, g) for g in pres.generators}]
 
 
 def test_nonpositive_coset_limit_rejected():

@@ -1,13 +1,14 @@
 """Every function in `src/degen` runs under the commands a user types.
 
-A fixed list of `degen` commands, the README's library example and a stale
-catalog hint run in process under `sys.setprofile`, which records the code
-object of every Python call.  Each `def` in the package, nested ones too, is
-keyed by its file and first line (the first decorator's line for a decorated
-one), so the check needs no `co_qualname`, which Python 3.10 lacks.  The
-functions that never ran must be exactly `ALLOWED`: benchmark entry points,
-each named with its call site in `perfbench/workloads.py`.  A function that
-loses its last caller fails the test, and so does an entry that runs again.
+A fixed list of `degen` commands, `analyze` on a catalog disk written to a
+file, the README's library example and a stale catalog hint run in process
+under `sys.setprofile`, which records the code object of every Python call.
+Each `def` in the package, nested ones too, is keyed by its file and first
+line (the first decorator's line for a decorated one), so the check needs no
+`co_qualname`, which Python 3.10 lacks.  The functions that never ran must
+be exactly `ALLOWED`: benchmark entry points, each named with its call site
+in `perfbench/workloads.py`.  A function that loses its last caller fails the
+test, and so does an entry that runs again.
 """
 
 import ast
@@ -106,6 +107,12 @@ def exercise(tmp_path: Path, monkeypatch) -> None:
     # one of the 28 disks has an inner 6-point, which only catalog data can relate
     codes = [run_main(["analyze", str(p)]) for p in sorted(out_dir.glob("map-*.json"))]
     assert sorted(codes) == [0] * 27 + [1]
+    # a catalog disk whose boundary is not strictly convex, so validate tests
+    # its boundary edge pairs
+    by_name = {rec.name: rec for rec in degen.catalog.open_catalog()}
+    nonconvex = tmp_path / "u-0-4.json"
+    nonconvex.write_text(by_name["U_{0,4}"].complex.dumps(), encoding="utf-8")
+    assert run_main(["analyze", str(nonconvex)]) == 0
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     (example,) = re.findall(r"```python\n(.*?)```", readme, re.S)
     exec(compile(example, "README.md", "exec"), {})
