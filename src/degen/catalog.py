@@ -197,9 +197,13 @@ class Catalog:
             raise CatalogError(
                 f"malformed case {entry['name']} ({path.name}): {exc!r}"
             ) from exc
-        # records skip `validate`; a misnumbered line must not reach the group layer
+        # records skip `validate`; a plane that is no triangle or a misnumbered
+        # line must not reach the group layer
         lines = sorted(record.complex.line_numbering)
         try:
+            for plane, tri in sorted(record.complex.triangles.items()):
+                if len(tri) != 3:
+                    raise ComplexError(f"plane {plane} has {len(tri)} vertices, expected 3")
             if lines != list(range(1, len(lines) + 1)):
                 raise ComplexError(f"line indices are not 1..L: {lines}")
             record.complex.line_planes()  # cached: the group layer reads it again for free

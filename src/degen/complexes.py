@@ -13,21 +13,23 @@ The interchange JSON format ``degen-complex/1`` stores vertices as
 
 An edge is keyed by its ordered vertex pair ``(min, max)``, so a lookup
 builds no set; error texts print an edge as the list ``[a, b]``.  A line is
-looked up by its sorted vertex tuple, so a line that is not two distinct
-vertices keys no edge and is named as an error, never unpacked.
-`from_json` accepts exactly JSON integers for ids, coordinates and
-denominators, turns each coordinate into a ``Fraction`` once, and the
-constructor keeps a coordinate that already is one.  The constructor takes
-ids, plane corners and line endpoints only of type ``int``, never converting.
+looked up by its sorted vertex tuple, in the one edge → line table
+`line_by_edge`, so a line that is not two distinct vertices keys no edge and
+is named as an error, never unpacked.  `from_json` accepts exactly JSON
+integers for ids, coordinates and denominators and keeps them as written;
+the constructor takes ids, plane corners and line endpoints only of type
+``int``, never converting.  ``vertices`` is an exact ``Fraction`` view of
+the coordinates, built on first read by `to_json` or an error text.
 
 `json_text` writes every JSON degen prints or stores, byte for byte as
 ``json.dumps(obj, indent=2)``, whose indent forces the pure-Python encoder.
 
-The geometric checks run on an integer lattice: every coordinate times the
-lcm of all coordinate denominators.  Scaling by a positive constant keeps
+The geometric checks run on an integer lattice, built straight from the
+coordinates' integers: each coordinate times ``scale``, the lcm of all
+denominators as written.  ``scale // q`` is exact for any denominator ``q``,
+reduced or not, of either sign, and scaling by a positive constant keeps
 every orientation sign, coordinate equality and counterclockwise order, so
-the results are those of the rational coordinates, without normalising a
-``Fraction`` at every step.
+the results are those of the rational coordinates.
 
 ``orient_disk`` orients a set of planes alike and walks the one boundary
 cycle they direct; ``vertex_fans`` chains the oriented planes into each
@@ -91,8 +93,20 @@ def planes_by_edge(
     out: dict[tuple[int, int], list[int]] = {}
     for plane in sorted(planes):
         a, b, c = sorted(planes[plane])
-        for e in ((a, b), (b, c), (a, c)):
-            out.setdefault(e, []).append(plane)
+        out.setdefault((a, b), []).append(plane)
+        out.setdefault((b, c), []).append(plane)
+        out.setdefault((a, c), []).append(plane)
+    return out
+
+
+def line_by_edge(
+    line_numbering: Mapping[int, tuple[int, ...]]
+) -> dict[tuple[int, ...], int]:
+    """Map each numbered edge, keyed by its sorted vertex tuple, to the smallest
+    line numbering it, in line order."""
+    out: dict[tuple[int, ...], int] = {}
+    for index in sorted(line_numbering):
+        out.setdefault(tuple(sorted(line_numbering[index])), index)
     return out
 
 
@@ -162,14 +176,14 @@ def vertex_fans(oriented: Iterable[tuple[int, int, int]]) -> dict[int, list[int]
     neighbour the input gives.  Raises `ComplexError` on a pinched vertex.
     """
     succ: dict[int, dict[int, int]] = {}
-    for a, b, c in oriented:
-        for v, x, y in ((a, b, c), (b, c, a), (c, a, b)):
-            succ.setdefault(v, {})[x] = y
+    for a, b, c in oriented:  # each plane's wedge at each of its corners
+        succ.setdefault(a, {})[b] = c
+        succ.setdefault(b, {})[c] = a
+        succ.setdefault(c, {})[a] = b
     rot: dict[int, list[int]] = {}
     for v, wedges in succ.items():
-        targets = set(wedges.values())
-        starts = [x for x in wedges if x not in targets]
-        ring = [starts[0] if starts else next(iter(wedges))]
+        starts = wedges.keys() - wedges.values()  # the neighbours no wedge ends at
+        ring = [next(iter(starts or wedges))]
         x = wedges.get(ring[0])
         while x is not None and x != ring[0]:
             ring.append(x)
@@ -208,11 +222,12 @@ class ValidationReport(NamedTuple):
 class PlanarComplex:
     """An immutable planar triangle complex with numbered interior edges.
 
-    Derived incidence (the edge-to-planes map, the integer lattice, the
-    planes oriented alike with their boundary walk, the vertex classification,
-    each line's planes and each plane's lines) is computed once per instance,
-    on first use.  So ``vertices``, ``triangles`` and ``line_numbering`` must
-    not be mutated after construction.
+    Derived data (the ``Fraction`` view ``vertices``, the integer lattice,
+    the edge-to-planes map, the edge-to-line map, the planes oriented alike
+    with their boundary walk, the vertex classification, each line's planes
+    and each plane's lines) is computed once per instance, on first use.  So
+    ``vertices``, ``triangles`` and ``line_numbering`` must not be mutated
+    after construction.
     """
 
     def __init__(
@@ -224,12 +239,9 @@ class PlanarComplex:
         self.vertices: dict[int, Point] = {
             v: (_fraction(x), _fraction(y)) for v, (x, y) in vertices.items()
         }
-        self.triangles: dict[int, tuple[int, int, int]] = {
-            p: tuple(tri) for p, tri in triangles.items()
-        }
-        self.line_numbering: dict[int, tuple[int, int]] = {
-            i: tuple(pair) for i, pair in line_numbering.items()
-        }
+        coords = {v: (x.numerator, y.numerator, x.denominator, y.denominator)
+                  for v, (x, y) in self.vertices.items()}
+        self._incidence(coords, triangles, line_numbering)
         for name, ids in (
             ("vertices", self.vertices),
             ("triangles", chain(self.triangles, *self.triangles.values())),
@@ -239,7 +251,24 @@ class PlanarComplex:
                 if type(x) is not int:  # int() would truncate 1.7 and turn True into 1
                     raise ComplexError(f"{name} holds {x!r}, which is not an int")
 
+    def _incidence(self, coords, triangles, line_numbering) -> None:
+        """Copy each vertex's ``(px, py, qx, qy)``, nonzero ints, and the incidence."""
+        self._coords: dict[int, tuple[int, ...]] = {v: tuple(c) for v, c in coords.items()}
+        self.triangles: dict[int, tuple[int, int, int]] = {
+            p: tuple(tri) for p, tri in triangles.items()
+        }
+        self.line_numbering: dict[int, tuple[int, int]] = {
+            i: tuple(pair) for i, pair in line_numbering.items()
+        }
+
     # -- derived incidence data -------------------------------------------------
+
+    @cached_property
+    def vertices(self) -> dict[int, Point]:
+        """Each vertex's exact coordinates, as ``Fraction``s."""
+        return {
+            v: (Fraction(px, qx), Fraction(py, qy)) for v, (px, py, qx, qy) in self._coords.items()
+        }
 
     def edge_planes(self) -> dict[tuple[int, int], list[int]]:
         """Map each edge, keyed ``(min, max)``, to the planes containing it.
@@ -254,12 +283,17 @@ class PlanarComplex:
 
     @cached_property
     def _lattice(self) -> dict[int, tuple[int, int]]:
-        """Each vertex's coordinates times the lcm of all denominators, as ints."""
-        scale = lcm(*(c.denominator for p in self.vertices.values() for c in p))
+        """Each vertex's coordinates times the lcm of all denominators as written."""
+        coords, scale = self._coords, 1
+        for _, _, qx, qy in coords.values():
+            scale = lcm(scale, qx, qy)
         return {
-            v: (x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
-            for v, (x, y) in self.vertices.items()
+            v: (px * (scale // qx), py * (scale // qy)) for v, (px, py, qx, qy) in coords.items()
         }
+
+    @cached_property
+    def _line_of(self) -> dict[tuple[int, ...], int]:
+        return line_by_edge(self.line_numbering)
 
     @cached_property
     def _disk(self) -> tuple[dict[int, tuple[int, int, int]], tuple[int, ...]]:
@@ -276,21 +310,19 @@ class PlanarComplex:
 
     @cached_property
     def _line_planes(self) -> dict[int, tuple[int, int]]:
-        ep = self._edge_planes
-        numbered: dict[tuple[int, ...], int] = {}
-        out: dict[int, tuple[int, int]] = {}
-        for index in sorted(self.line_numbering):
-            pair = self.line_numbering[index]
-            e = tuple(sorted(pair))
-            planes = ep.get(e, ())
-            if len(planes) != 2:
-                raise ComplexError(
-                    f"line {index} {pair} is not an interior edge (in {len(planes)} planes)"
-                )
-            if numbered.setdefault(e, index) != index:
-                raise ComplexError(f"lines {numbered[e]} and {index} number the same edge")
-            out[index] = tuple(planes)
-        return out
+        ep, line_of = self._edge_planes, self._line_of
+        out = {index: tuple(ep.get(e, ())) for e, index in line_of.items()}
+        if len(out) != len(self.line_numbering) or any(len(ps) != 2 for ps in out.values()):
+            for index, pair in sorted(self.line_numbering.items()):  # the first bad line
+                e = tuple(sorted(pair))
+                planes = ep.get(e, ())
+                if len(planes) != 2:
+                    raise ComplexError(
+                        f"line {index} {pair} is not an interior edge (in {len(planes)} planes)"
+                    )
+                if line_of[e] != index:
+                    raise ComplexError(f"lines {line_of[e]} and {index} number the same edge")
+        return out  # one line per edge, in line order
 
     def plane_lines(self) -> dict[int, tuple[int, ...]]:
         """Each plane's sides that are lines, as ascending indices (computed once).
@@ -333,14 +365,13 @@ class PlanarComplex:
         are built only for the checks that fail.
         """
         lat = self._lattice
-        vertices = self.vertices
         errors: list[str] = []
         if len(set(lat.values())) != len(lat):
             seen_pts: dict[tuple[int, int], int] = {}
             for v, p in sorted(lat.items()):
                 if p in seen_pts:
                     errors.append(
-                        f"vertices {seen_pts[p]} and {v} share coordinates {vertices[v]}"
+                        f"vertices {seen_pts[p]} and {v} share coordinates {self.vertices[v]}"
                     )
                 seen_pts[p] = v
         seen_tris: dict[frozenset[int], int] = {}
@@ -349,8 +380,8 @@ class PlanarComplex:
                 errors.append(f"plane {plane} has {len(tri)} vertices, expected 3")
                 continue
             a, b, c = tri
-            if a not in vertices or b not in vertices or c not in vertices:
-                missing = [v for v in tri if v not in vertices]
+            if a not in lat or b not in lat or c not in lat:
+                missing = [v for v in tri if v not in lat]
                 errors.append(f"plane {plane} references unknown vertices {missing}")
                 continue
             if a == b or b == c or a == c:
@@ -369,23 +400,21 @@ class PlanarComplex:
 
         ep = self._edge_planes
         interior = {e for e, ps in ep.items() if len(ps) == 2}
-        if any(len(ps) > 2 for ps in ep.values()):
+        if max(map(len, ep.values())) > 2:
             for e, ps in sorted(ep.items()):
                 if len(ps) > 2:
                     errors.append(f"edge {list(e)} lies in {len(ps)} planes: {ps}")
-        numbered = {}
-        for i, pair in sorted(self.line_numbering.items()):
-            e = tuple(sorted(pair))
-            if len(e) != 2 or e[0] == e[1] or e[0] not in vertices or e[1] not in vertices:
-                errors.append(f"line {i} has bad endpoints {pair}")
-            elif e not in interior:
-                errors.append(f"line {i} {pair} is not an interior edge")
-            elif e in numbered:
-                errors.append(f"lines {numbered[e]} and {i} number the same edge")
-            else:
-                numbered[e] = i
-        if len(numbered) != len(interior):  # numbered holds interior edges only
-            for e in sorted(interior - numbered.keys()):
+        line_of = self._line_of  # unless each line numbers its own interior edge, name why
+        if len(line_of) != len(self.line_numbering) or line_of.keys() != interior:
+            for i, pair in sorted(self.line_numbering.items()):
+                e = tuple(sorted(pair))
+                if len(e) != 2 or e[0] == e[1] or e[0] not in lat or e[1] not in lat:
+                    errors.append(f"line {i} has bad endpoints {pair}")
+                elif e not in interior:
+                    errors.append(f"line {i} {pair} is not an interior edge")
+                elif line_of[e] != i:
+                    errors.append(f"lines {line_of[e]} and {i} number the same edge")
+            for e in sorted(interior - line_of.keys()):
                 errors.append(f"interior edge {list(e)} has no line number")
         indices = sorted(self.line_numbering)
         if indices != list(range(1, len(indices) + 1)):
@@ -410,7 +439,7 @@ class PlanarComplex:
         the count, but then a disk puts two of its vertices on one point,
         which the certificate rejects.
         """
-        euler = len(self.vertices) - len(self._edge_planes) + len(self.triangles)
+        euler = len(self._lattice) - len(self._edge_planes) + len(self.triangles)
         if euler != 1:
             return [f"Euler characteristic {euler} != 1 (support is not a disk)"]
         return []
@@ -476,9 +505,10 @@ class PlanarComplex:
         self.line_planes()
         oriented, walk = self._disk
         planes = list(oriented.values())
-        if orient(*(self._lattice[v] for v in planes[0])) < 0:
+        lat, (a, b, c) = self._lattice, planes[0]
+        if orient(lat[a], lat[b], lat[c]) < 0:
             planes = [t[::-1] for t in planes]
-        line_of = {tuple(sorted(p)): i for i, p in self.line_numbering.items()}
+        line_of = self._line_of
         on_boundary = set(walk)
         points: list[SingularPoint] = []
         for v, ring in sorted(vertex_fans(planes).items()):
@@ -538,17 +568,17 @@ class PlanarComplex:
                     if k in table:
                         raise ComplexError(f"duplicate {name} {k}")
                     table[k] = values
-            try:
-                vertices = {
-                    v: (Fraction(px, qx), Fraction(py, qy))
-                    for v, (px, py, qx, qy) in tables["vertices"].items()
-                }
-            except ZeroDivisionError:  # the first entry with a zero denominator
-                entry = next([v, c] for v, c in tables["vertices"].items() if 0 in c[2:])
-                raise ComplexError(
-                    f"malformed complex JSON: vertices entry {json.dumps(entry)} has denominator 0"
-                ) from None
-            return cls(vertices, tables["triangles"], tables["line_numbering"])
+            for v, c in tables["vertices"].items():  # [px, py, qx, qy]
+                if len(c) != 4 or c[2] == 0 or c[3] == 0:
+                    fault = "has denominator 0"
+                    if len(c) != 4:
+                        fault = f"holds {len(c)} values, expected 4"
+                    raise ComplexError(
+                        f"malformed complex JSON: vertices entry {json.dumps([v, c])} {fault}"
+                    )
+            complex_ = cls.__new__(cls)
+            complex_._incidence(*tables.values())  # vertices, triangles, line_numbering
+            return complex_
         except ComplexError:
             raise
         except (KeyError, TypeError, ValueError) as exc:

@@ -28,22 +28,26 @@ def small_complexes(records):
 
 @pytest.fixture
 def derivation_calls(monkeypatch):
-    """Count builds of a complex's edge-to-planes map (`PlanarComplex.edge_planes`)
-    and of its oriented planes (`orient_disk`, through `degen.complexes`)."""
+    """Count builds of a complex's edge-to-planes map (`PlanarComplex.edge_planes`),
+    of its oriented planes (`orient_disk`) and of its edge-to-line map
+    (`line_by_edge`), and the ``Fraction``s made, all through `degen.complexes`."""
     calls = Counter()
-    orient_disk = degen.complexes.orient_disk
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in ("orient_disk", "line_by_edge", "Fraction"):
+        monkeypatch.setattr(
+            degen.complexes, name, counted(name, getattr(degen.complexes, name))
+        )
     edge_planes = degen.complexes.PlanarComplex.edge_planes
-
-    def counted_orient_disk(*args):
-        calls["orient_disk"] += 1
-        return orient_disk(*args)
-
-    def counted_edge_planes(self):
-        calls["edge_planes"] += 1
-        return edge_planes(self)
-
-    monkeypatch.setattr(degen.complexes, "orient_disk", counted_orient_disk)
-    monkeypatch.setattr(degen.complexes.PlanarComplex, "edge_planes", counted_edge_planes)
+    monkeypatch.setattr(
+        degen.complexes.PlanarComplex, "edge_planes", counted("edge_planes", edge_planes)
+    )
     return calls
 
 

@@ -168,6 +168,27 @@ def test_catalog_line_on_a_numbered_edge_is_refused(capsys, tmp_path, monkeypatc
     )
 
 
+def drop_the_third_corner_of_plane_one(data):
+    for plane, corners in data["complex"]["triangles"]:
+        if plane == 1:
+            del corners[2:]
+
+
+@pytest.mark.parametrize(
+    "argv", [["analyze", "U_{0,4}"], ["table"], ["list"]], ids=["analyze", "table", "list"]
+)
+def test_catalog_plane_without_three_corners_is_refused(capsys, tmp_path, monkeypatch, argv):
+    """Records skip `validate`, so reading the case refuses the plane before its
+    edges are read, and the error names the case and the plane."""
+    edited_catalog(tmp_path, monkeypatch, "u-0-4", drop_the_third_corner_of_plane_one)
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out, err) == (
+        1,
+        "",
+        "degen: error: malformed case U_{0,4} (u-0-4.json): plane 1 has 2 vertices, expected 3\n",
+    )
+
+
 def test_analyze_accepts_complex_file(capsys, tmp_path):
     case = json.loads((DATA_DIR / "cases" / "u-0-4.json").read_text())
     pc = PlanarComplex.from_json(case["complex"])
@@ -207,10 +228,24 @@ def test_analyze_refuses_a_complex_file_with_a_zero_denominator(capsys, tmp_path
     )
 
 
+def test_analyze_refuses_a_complex_file_with_a_vertex_of_five_values(capsys, tmp_path):
+    data = json.loads((DATA_DIR / "cases" / "u-0-4.json").read_text())["complex"]
+    data["vertices"][0][1].append(1)
+    target = tmp_path / "five.json"
+    target.write_text(json.dumps(data))
+    rc, out, err = run(capsys, "analyze", str(target))
+    entry = json.dumps(data["vertices"][0])
+    assert (rc, out) == (1, "")
+    assert err == (
+        f"degen: error: malformed complex JSON: vertices entry {entry} holds 5 values,"
+        " expected 4\n"
+    )
+
+
 def test_analyze_case_classifies_each_vertex_once(capsys, derivation_calls):
     rc, _, _ = run(capsys, "analyze", "U_{0,6,1}", "--format", "json")
     assert rc == 0
-    assert derivation_calls == {"edge_planes": 1, "orient_disk": 1}
+    assert derivation_calls == {"edge_planes": 1, "orient_disk": 1, "line_by_edge": 1}
 
 
 def test_analyze_file_validates_and_classifies_each_vertex_once(
@@ -223,7 +258,7 @@ def test_analyze_file_validates_and_classifies_each_vertex_once(
     assert rc == 0
     # validate, the classification and the plane lines share one edge map and
     # the planes oriented once
-    assert derivation_calls == {"edge_planes": 1, "orient_disk": 1}
+    assert derivation_calls == {"edge_planes": 1, "orient_disk": 1, "line_by_edge": 1}
 
 
 def test_analyze_all_builds_one_presentation_per_case(capsys, monkeypatch):

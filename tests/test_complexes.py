@@ -15,6 +15,7 @@ from degen.complexes import ComplexError, PlanarComplex, SingularPoint, json_tex
 from degen.enumerator import CombinatorialMap, EnumeratorError, embed, enumerate_maps
 from degen.geometry import orient, segments_conflict, strictly_convex
 from degen.invariants import BranchStats, InvariantError, chern
+from degen.pipeline import decide
 from degen.relations import tangent_pairs
 from catalog_oracle import disjoint_line_pairs
 from rotation_oracles import rotation_transversal_pairs
@@ -154,6 +155,40 @@ def test_round_trip_preserves_exact_fractions():
     assert back.vertices[3][1] == Fraction(7, 2)
 
 
+def loaded_and_built(written, triangles):
+    """The complex loaded from vertices ``written`` as ``[px, py, qx, qy]``, and
+    the one the constructor builds from the same ``Fraction``s."""
+    data = {
+        "format": "degen-complex/1",
+        "vertices": [[v, c] for v, c in written.items()],
+        "triangles": [[p, list(t)] for p, t in triangles.items()],
+        "line_numbering": [[1, [1, 3]]],
+    }
+    points = {v: (Fraction(px, qx), Fraction(py, qy)) for v, (px, py, qx, qy) in written.items()}
+    return PlanarComplex.loads(json.dumps(data)), PlanarComplex(points, triangles, {1: (1, 3)})
+
+
+def test_lattice_from_written_integers_keeps_fraction_semantics():
+    """Coordinates written unreduced or with a negative denominator, and one
+    point written two ways, load to what the constructor gives for the same
+    ``Fraction``s: the same view, text and report."""
+    written = {1: [2, 4, 4, 8], 2: [1, -1, -2, 3], 3: [3, 0, 1, 1], 4: [1, 1, 2, 1]}
+    triangles = {1: (1, 2, 3), 2: (1, 3, 4)}
+    doubled = loaded_and_built({**written, 5: [2, 2, 4, 2]}, {**triangles, 3: (1, 3, 5)})
+    for loaded, built in (loaded_and_built(written, triangles), doubled):
+        assert loaded.vertices == built.vertices
+        assert loaded.dumps() == built.dumps()
+        assert loaded.validate() == built.validate()
+    loaded, built = loaded_and_built(written, triangles)
+    assert loaded.vertices[1] == (Fraction(1, 2), Fraction(1, 2))
+    assert loaded.vertices[2] == (Fraction(-1, 2), Fraction(-1, 3))
+    assert loaded.validate().ok
+    assert loaded.classify_vertices() == built.classify_vertices()
+    assert doubled[0].validate().errors == (
+        "vertices 4 and 5 share coordinates (Fraction(1, 2), Fraction(1, 1))",
+    )
+
+
 def test_vertex_sharing_without_edge_is_rejected():
     pc = PlanarComplex(
         vertices={1: (0, 0), 2: (1, 0), 3: (0, 1), 4: (-1, 0), 5: (0, -1)},
@@ -201,12 +236,18 @@ def test_plane_without_three_vertices_is_named(tri):
 
 
 def test_classification_is_computed_once(by_name, derivation_calls):
-    pc = PlanarComplex.from_json(by_name["U_{0,6,1}"].complex.to_json())
+    """A loaded complex's derived tables are each built once, from its JSON
+    integers: no ``Fraction`` is made on the way to a verdict."""
+    data = by_name["U_{0,6,1}"].complex.to_json()
+    derivation_calls.clear()
+    pc = PlanarComplex.from_json(data)
     assert pc.validate().ok
     points = pc.classify_vertices()
     assert pc.classify_vertices() is points
+    assert pc.line_planes() is pc.line_planes()
     assert pc.plane_lines() is pc.plane_lines()
-    assert derivation_calls == {"edge_planes": 1, "orient_disk": 1}
+    assert decide(pc, use_hints=False).outcome == "trivial"
+    assert derivation_calls == {"edge_planes": 1, "orient_disk": 1, "line_by_edge": 1}
 
 
 def test_line_planes_and_plane_lines_are_one_dual_graph(small_complexes):
@@ -564,13 +605,22 @@ def square_with_lines(lines):
             ),
             ("malformed complex JSON: vertices entry [2, [1, 0, 0, 1]] has denominator 0",),
         ),
+        (
+            from_json_messages,
+            square_json(
+                "vertices",
+                [[1, [0, 0, 1, 1, 1]], [2, [1, 0, 1, 1]], [3, [1, 1, 1, 1]], [4, [0, 1, 1, 1]]],
+            ),
+            ("malformed complex JSON: vertices entry [1, [0, 0, 1, 1, 1]] holds 5 values,"
+             " expected 4",),
+        ),
     ],
     ids=[
         "edge-in-three-planes", "boundary-edge-numbered", "edge-numbered-twice",
         "interior-edge-unnumbered", "line-on-one-vertex", "line-on-three-vertices",
         "unorientable-gluing", "non-integral-chern", "json-vertex-not-an-int",
         "json-triangle-not-a-list", "json-line-vertex-none", "json-duplicate-plane",
-        "json-zero-denominator",
+        "json-zero-denominator", "json-vertex-of-five-values",
     ],
 )
 def test_structural_error_texts(check, subject, messages):
