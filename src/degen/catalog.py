@@ -192,18 +192,22 @@ class Catalog:
         if hashlib.sha256(blob).hexdigest() != entry["sha256"]:
             raise CatalogError(f"checksum mismatch for {entry['name']} ({path.name})")
         try:
-            record = CaseRecord.from_json(json.loads(blob.decode("utf-8")))
+            data = json.loads(blob.decode("utf-8"))
+            record = CaseRecord.from_json(data)
         except (KeyError, TypeError, ValueError) as exc:
             raise CatalogError(
                 f"malformed case {entry['name']} ({path.name}): {exc!r}"
             ) from exc
-        # records skip `validate`; a plane that is no triangle or a misnumbered
-        # line must not reach the group layer
+        # records skip `validate`; a plane that is no triangle or names no
+        # listed vertex, or a misnumbered line, must not reach the group layer
+        known = {v for v, _ in data["complex"]["vertices"]}
         lines = sorted(record.complex.line_numbering)
         try:
             for plane, tri in sorted(record.complex.triangles.items()):
                 if len(tri) != 3:
                     raise ComplexError(f"plane {plane} has {len(tri)} vertices, expected 3")
+                if missing := [v for v in tri if v not in known]:
+                    raise ComplexError(f"plane {plane} references unknown vertices {missing}")
             if lines != list(range(1, len(lines) + 1)):
                 raise ComplexError(f"line indices are not 1..L: {lines}")
             record.complex.line_planes()  # cached: the group layer reads it again for free

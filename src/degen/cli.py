@@ -244,14 +244,11 @@ def _analysis_body(name: str, complex_: PlanarComplex, source, args) -> dict[str
         }
         for p in complex_.classify_vertices()
     ]
-    pres = verdict.presentation
-    if pres is None:  # decide stopped before building one
-        extra = getattr(source, "extra_inner_relators", None)
-        pres = reduced_presentation(complex_, inner6_relators=extra)
+    extra = getattr(source, "extra_inner_relators", None)
     return {
         "name": name,
         "points": points,
-        "presentation": pres.counts(),
+        "presentation": reduced_presentation(complex_, inner6_relators=extra).counts(),
         "verdict": verdict.to_json(),
         "branch_stats": {
             "n": stats.n, "m": stats.m, "mu": stats.mu, "d": stats.d, "rho": stats.rho,

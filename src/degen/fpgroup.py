@@ -6,16 +6,20 @@ coset budget; running out of room is a normal, reportable outcome, not an
 error, and both come back as `EnumerationStats`.
 The pipeline enumerates over a subgroup of known order, so the index times
 that order is the group order.
-It is a single HLT (relator-first) enumerator for groups generated by
-involutions, which the reduced presentations are: every generator's square is
-a relator, so a generator is its own inverse and gets one table column, and
-coincidence processing keeps every table entry pointing at a live coset.
+It is one HLT (relator-first) enumerator, and only for groups generated by
+involutions: a `Presentation` is a simply-laced Coxeter group modulo
+inner-point words, so each generator is its own inverse by construction and
+gets one table column, each pair relator goes straight into columns as
+(g_i g_j)^3 or (g_i g_j)^2, and only the inner-point and subgroup words are
+encoded from letters.  Coincidence processing keeps every table entry
+pointing at a live coset (Holt, Eick & O'Brien, Handbook of Computational
+Group Theory, 2005, 5.1).
 The map onto the symmetric group of the planes sends each line to the
 transposition of the two planes it bounds, as `PlanarComplex.line_planes`
 gives them.  `first_broken_relator` checks that those transpositions kill
-the relators it is given, so a presentation whose numbering breaks one is
+the words it is given, so a presentation whose numbering breaks one is
 refused before any coset is enumerated.  The pipeline gives it only the
-inner-point relators: under any numbering the involutions, braid relators
+inner-point words: under any numbering the involutions, braid relators
 and commutators die in S_n (proved in `pipeline.decide`).
 """
 
@@ -208,31 +212,22 @@ def todd_coxeter(
 ) -> EnumerationStats:
     """Enumerate cosets of the subgroup generated by `subgroup` words.
 
-    Every generator must be an involution: `g g` or `g^-1 g^-1` must be a
-    relator, as `reduced_presentation` makes it for every line.  With an
-    empty subgroup the completed order is the group order.  The budget
-    counts every coset ever defined, including ones later merged away, so at
-    overflow `cosets_defined` equals `max_cosets`.
+    The relators are scanned in the order `Presentation.relators` lists
+    them, less the involutions, which the one column per generator already
+    holds.  With an empty subgroup the completed order is the group order.
+    The budget counts every coset ever defined, including ones later merged
+    away, so at overflow `cosets_defined` equals `max_cosets`.
     """
     if max_cosets < 1:
         raise EnumerationError("max_cosets must be positive")
-    gens = presentation.generators
-    if tuple(gens) != tuple(range(1, len(gens) + 1)):
+    ngens = len(presentation.generators)
+    if tuple(presentation.generators) != tuple(range(1, ngens + 1)):
         raise EnumerationError("generators must be numbered 1..n contiguously")
-    squares = {w[0][0] for w in presentation.relators if len(w) == 2 and w[0] == w[1]}
-    for g in gens:
-        if g not in squares:
-            raise EnumerationError(
-                f"generator {g} is not an involution: its square is not a relator"
-            )
-    ngens = len(gens)
-    relators = []
-    for w in presentation.relators:
-        if len(w) == 2 and w[0] == w[1] and 1 <= w[0][0] <= ngens:
-            continue  # a square the check above read; it would reduce to nothing
-        r = _letters(w, ngens)  # names a generator out of range
-        if r:
-            relators.append(r)
+    if stray := [g for pair in presentation.tangent for g in pair if not 1 <= g <= ngens]:
+        raise EnumerationError(f"generator {stray[0]} is not in the presentation")
+    relators = [(i - 1, j - 1) * 3 for i, j in presentation.tangent]
+    relators += [(i - 1, j - 1) * 2 for i, j in presentation.commuting()]
+    relators += [w for w in (_letters(v, ngens) for v in presentation.words) if w]
     subgroup_words = [w for w in (_letters(v, ngens) for v in subgroup) if w]
     return _hlt(ngens, relators, subgroup_words, max_cosets)
 
@@ -243,15 +238,15 @@ def todd_coxeter(
 
 
 def first_broken_relator(
-    presentation: Presentation, line_planes: Mapping[int, tuple[int, int]]
+    words: Sequence[Word], line_planes: Mapping[int, tuple[int, int]]
 ) -> int | None:
-    """Index of the first relator not mapped to the identity, or None.
+    """Index of the first word not mapped to the identity, or None.
 
     Each letter swaps its generator's two planes, under any labels.  A word
     of involutions is the identity read either way, so exponents and
     composition order do not matter.
     """
-    for k, w in enumerate(presentation.relators):
+    for k, w in enumerate(words):
         at: dict[int, int] = {}
         for g, _ in w:
             a, b = line_planes[g]

@@ -20,7 +20,6 @@ The verdict combines three ingredients, applied strictly in this order:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from .complexes import PlanarComplex, SingularPoint
@@ -31,7 +30,6 @@ from .fpgroup import (
     todd_coxeter,
 )
 from .relations import (
-    Presentation,
     UnsupportedCaseError,
     Word,
     inner_point_relators,
@@ -204,13 +202,10 @@ def fork_certificate(complex_: PlanarComplex) -> ForkVertex | None:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)  # a NamedTuple would compare `presentation` too
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of the pipeline together with everything needed to audit it.
 
-    `subgroup` is the line chain whose cosets were enumerated.  `presentation`
-    is the presentation that was enumerated, if any; it takes no part in
-    equality and is left out of `to_json`.
+    `subgroup` is the line chain whose cosets were enumerated.
     """
 
     outcome: str
@@ -220,7 +215,6 @@ class Verdict:
     equalities: EqualityFacts
     enumeration: EnumerationStats | None = None
     subgroup: tuple[int, ...] = ()
-    presentation: Presentation | None = field(default=None, compare=False)
 
     def to_json(self) -> dict:
         out = {
@@ -392,9 +386,7 @@ def decide(
     pres = reduced_presentation(complex_, inner6_relators=extra)
     n = len(complex_.triangles)
     line_planes = complex_.line_planes()
-    start = len(pres.relators) - pres.annotations.count("inner-point")  # they come last
-    inner = Presentation(pres.generators, pres.relators[start:], pres.annotations[start:])
-    broken = first_broken_relator(inner, line_planes)
+    broken = first_broken_relator(pres.words, line_planes)
     if broken is not None:
         rel, vertex = inner_point_relators(points, extra)[broken]
         raise UnsupportedCaseError(
@@ -403,8 +395,7 @@ def decide(
         )
     chain = _coxeter_chain(line_planes)
     stats = todd_coxeter(pres, [word(l) for l in chain], max_cosets=max_cosets)
-    verdict = enumeration_verdict(
+    return enumeration_verdict(
         stats, math.factorial(n), engine_mode=engine_mode, equalities=facts,
         subgroup=chain,
     )
-    return replace(verdict, presentation=pres)

@@ -4,7 +4,11 @@ After regeneration, each line ``i`` contributes two braid-monodromy
 generators that the plane identification collapses to a single involution
 ``g_i``.  Two lines are tangent when they bound a common plane; every other
 pair commutes, whether the two lines cross at a singular point or, sharing
-no vertex, meet parasitically after regeneration.  The induced relators are:
+no vertex, meet parasitically after regeneration.  So the reduced group is
+the simply-laced Coxeter group of the tangency graph modulo one word per
+inner point (Rowen, Teicher & Vishne, Coxeter covers of the symmetric
+groups, 2005), and `Presentation` keeps just that: the generators, the
+tangent pairs and the inner-point words.  Its relators, in this order, are
 
 * ``g_i g_i`` for every line (involution),
 * the braid relation ``g_i g_j g_i g_j^-1 g_i^-1 g_j^-1`` for tangent pairs,
@@ -17,13 +21,15 @@ read by the pipeline's fork certificate, not turned into a relator.
 
 The projective relation is omitted throughout: under the plane
 identification and the involutions it freely reduces to the identity.
+Every group presented here is generated by involutions, the only kind
+`fpgroup.todd_coxeter` enumerates (HLT with one column per generator; Holt,
+Eick & O'Brien, Handbook of Computational Group Theory, 2005, 5.1).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .complexes import PlanarComplex, SingularPoint
 
@@ -130,23 +136,42 @@ def inner_point_relators(
     return tuple(out)
 
 
-@dataclass(frozen=True)  # a NamedTuple cannot run the arity check on construction
-class Presentation:
-    """A finite presentation with one annotation tag per relator."""
+class Presentation(NamedTuple):
+    """<g_1..g_L | g_i^2, (g_i g_j)^3 for each tangent pair, (g_i g_j)^2 for
+    every other pair, words>, each tangent pair ascending.
+
+    `relators` spells the relators out in the module docstring's order,
+    triples in `tangent` order and commutators in `combinations` order;
+    `annotations` tags each one and `counts` tallies the tags, leaving out a
+    tag with no relator.
+    """
 
     generators: tuple[int, ...]
-    relators: tuple[Word, ...]
-    annotations: tuple[str, ...]
+    tangent: tuple[tuple[int, int], ...]
+    words: tuple[Word, ...]
 
-    def __post_init__(self):
-        if len(self.relators) != len(self.annotations):
-            raise ValueError("each relator needs exactly one annotation")
+    def commuting(self) -> list[tuple[int, int]]:
+        """The pairs of generators that are not tangent, in `combinations` order."""
+        is_tangent = set(self.tangent)
+        return [p for p in combinations(self.generators, 2) if p not in is_tangent]
+
+    @property
+    def relators(self) -> tuple[Word, ...]:
+        return (
+            tuple(involution_relator(i) for i in self.generators)
+            + tuple(triple_relator(i, j) for i, j in self.tangent)
+            + tuple(commutator_relator(i, j) for i, j in self.commuting())
+            + self.words
+        )
+
+    @property
+    def annotations(self) -> tuple[str, ...]:
+        return tuple(tag for tag, n in self.counts().items() for _ in range(n))
 
     def counts(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for tag in self.annotations:
-            out[tag] = out.get(tag, 0) + 1
-        return out
+        counts = {"involution": len(self.generators), "triple": len(self.tangent),
+                  "commutator": len(self.commuting()), "inner-point": len(self.words)}
+        return {tag: n for tag, n in counts.items() if n}
 
 
 def reduced_presentation(
@@ -158,33 +183,21 @@ def reduced_presentation(
 
     Generators are the line indices; the presented group surjects onto the
     symmetric group on the planes by sending each line to the transposition
-    of its two planes.  Every generator's square is a relator.  An inner-point
-    relator that names a generator which is not a line (possible only in
-    catalogue data) is refused with `UnsupportedCaseError`.
+    of its two planes.  An inner-point relator that names a generator which
+    is not a line (possible only in catalogue data) is refused with
+    `UnsupportedCaseError`.
     """
     points = complex_.classify_vertices()
-    generators = tuple(sorted(complex_.line_numbering))
     tangent = tangent_pairs(complex_)
-    relators = [involution_relator(i) for i in generators]
-    relators += [triple_relator(i, j) for i, j in tangent]
-    is_tangent = set(tangent)
-    relators += [
-        commutator_relator(i, j)
-        for i, j in combinations(generators, 2)
-        if (i, j) not in is_tangent
-    ]
-    tags = ["involution"] * len(generators) + ["triple"] * len(tangent)
-    tags += ["commutator"] * (len(relators) - len(tags))
+    words = []
     for rel, vertex in inner_point_relators(points, extra=inner6_relators):
-        for g, _ in rel:
-            if g not in complex_.line_numbering:
-                raise UnsupportedCaseError(
-                    f"inner-point relator {word_text(rel)} at vertex {vertex}"
-                    f" names g{g}, which is not a line"
-                )
-        relators.append(rel)
-        tags.append("inner-point")
-    return Presentation(generators, tuple(relators), tuple(tags))
+        if stray := [g for g, _ in rel if g not in complex_.line_numbering]:
+            raise UnsupportedCaseError(
+                f"inner-point relator {word_text(rel)} at vertex {vertex}"
+                f" names g{stray[0]}, which is not a line"
+            )
+        words.append(rel)
+    return Presentation(tuple(sorted(complex_.line_numbering)), tangent, tuple(words))
 
 
 # -- serialization ---------------------------------------------------------------
@@ -196,12 +209,10 @@ def word_text(w: Word) -> str:
 
 def presentation_text(p: Presentation) -> str:
     lines = ["generators: " + " ".join(f"g{g}" for g in p.generators)]
-    last_tag = None
-    for rel, tag in zip(p.relators, p.annotations):
-        if tag != last_tag:
-            lines.append(f"# {tag}")
-            last_tag = tag
-        lines.append(word_text(rel))
+    relators = iter(p.relators)
+    for tag, n in p.counts().items():
+        lines.append(f"# {tag}")
+        lines += [word_text(next(relators)) for _ in range(n)]
     return "\n".join(lines) + "\n"
 
 

@@ -8,7 +8,9 @@ reads the abelianized kernel off the relation matrix: `_unit_eliminate`
 strikes the +-1 pivots and `smith_normal_form` factors the rest (Holt, Eick &
 O'Brien, Handbook of Computational Group Theory, 2005).  It is a second engine,
 independent of coset enumeration, that tests check `todd_coxeter` and the
-pipeline's verdicts against; it takes any generators, not only involutions.
+pipeline's verdicts against.  It reads only `generators` and `relators`, so
+it takes a `Presentation` or any `Relators`, whose generators need not be
+involutions.
 """
 
 from __future__ import annotations
@@ -18,7 +20,14 @@ from typing import Mapping, NamedTuple, Sequence
 
 from degen.complexes import PlanarComplex
 from degen.fpgroup import EnumerationError, first_broken_relator
-from degen.relations import Presentation
+from degen.relations import Word
+
+
+class Relators(NamedTuple):
+    """A presentation spelled out as relators, with no relator implied."""
+
+    generators: tuple[int, ...]
+    relators: tuple[Word, ...]
 
 
 class KernelAbelianization(NamedTuple):
@@ -151,7 +160,7 @@ def _unit_eliminate(
 
 
 def kernel_abelianization(
-    presentation: Presentation,
+    presentation: Relators,
     transpositions: Mapping[int, tuple[int, int]],
     degree: int,
 ) -> KernelAbelianization:
@@ -175,7 +184,7 @@ def kernel_abelianization(
         perm = list(range(degree))
         perm[a - 1], perm[b - 1] = b - 1, a - 1
         perms.append(perm)
-    broken = first_broken_relator(presentation, transpositions)
+    broken = first_broken_relator(presentation.relators, transpositions)
     if broken is not None:
         w = presentation.relators[broken]
         raise EnumerationError(f"relator {w} does not map to the identity")

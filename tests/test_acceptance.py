@@ -22,7 +22,7 @@ from degen.enumerator import (
 from degen.fpgroup import todd_coxeter
 from degen.invariants import CONTRIBUTIONS, branch_stats, chern
 from degen.pipeline import decide
-from degen.relations import Presentation, reduced_presentation, tangent_pairs, word
+from degen.relations import Presentation, reduced_presentation, tangent_pairs
 from enumeration_helpers import match_catalog
 from kernel_oracle import kernel_abelianization, line_transpositions, smith_normal_form
 from rotation_oracles import rotation_transversal_pairs
@@ -58,17 +58,7 @@ SPOT_VALUES = {
 
 def _coxeter_symmetric(n):
     gens = tuple(range(1, n))
-    relators = []
-    for i in gens:
-        relators.append(word(i, i))
-    for i in gens:
-        for j in gens:
-            if i < j:
-                if j == i + 1:
-                    relators.append(word(i, j, i, j, i, j))
-                else:
-                    relators.append(word(i, j, i, j))
-    return Presentation(gens, tuple(relators), ("",) * len(relators))
+    return Presentation(gens, tuple((i, i + 1) for i in gens[:-1]), ())
 
 
 def _presentation(rec):

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -189,6 +190,26 @@ def test_catalog_plane_without_three_corners_is_refused(capsys, tmp_path, monkey
     )
 
 
+def drop_vertex_eight(data):
+    data["complex"]["vertices"] = [v for v in data["complex"]["vertices"] if v[0] != 8]
+
+
+@pytest.mark.parametrize(
+    "argv", [["analyze", "U_{0,4}"], ["table"], ["list"]], ids=["analyze", "table", "list"]
+)
+def test_catalog_plane_on_an_unlisted_vertex_is_refused(capsys, tmp_path, monkeypatch, argv):
+    """Planes 5 and 6 of U_{0,4} name vertex 8; without it in the vertices
+    table the case is refused in `validate`'s words, naming the first plane."""
+    edited_catalog(tmp_path, monkeypatch, "u-0-4", drop_vertex_eight)
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out, err) == (
+        1,
+        "",
+        "degen: error: malformed case U_{0,4} (u-0-4.json):"
+        " plane 5 references unknown vertices [8]\n",
+    )
+
+
 def test_analyze_accepts_complex_file(capsys, tmp_path):
     case = json.loads((DATA_DIR / "cases" / "u-0-4.json").read_text())
     pc = PlanarComplex.from_json(case["complex"])
@@ -262,19 +283,26 @@ def test_analyze_file_validates_and_classifies_each_vertex_once(
 
 
 def test_analyze_all_builds_one_presentation_per_case(capsys, monkeypatch):
-    built = []
+    """The report reads its counts from one presentation per case; `decide`
+    builds its own only for the 20 cases it enumerates."""
+    built = Counter()
     original = degen.relations.reduced_presentation
 
-    def counted(complex_, **kwargs):
-        built.append(complex_)
-        return original(complex_, **kwargs)
+    def counted(module):
+        def wrapper(complex_, **kwargs):
+            built[module.__name__] += 1
+            return original(complex_, **kwargs)
+
+        return wrapper
 
     for module in (degen.pipeline, degen.cli):
-        monkeypatch.setattr(module, "reduced_presentation", counted)
+        monkeypatch.setattr(module, "reduced_presentation", counted(module))
     rc, out, _ = run(capsys, "analyze", "--all", "--format", "json")
     assert rc == 0
-    assert len(json.loads(out)) == 29
-    assert len(built) == 29
+    rows = json.loads(out)
+    assert len(rows) == 29
+    assert sum("enumeration" in row["verdict"] for row in rows) == 20
+    assert built == {"degen.cli": 29, "degen.pipeline": 20}
 
 
 def test_analyze_missing_file_fails_cleanly(capsys, tmp_path):

@@ -4,39 +4,33 @@ import pytest
 from hypothesis import given, strategies as st
 
 import degen.fpgroup
+from degen.enumerator import embed, enumerate_maps
 from degen.fpgroup import (
     EnumerationError,
+    _hlt,
+    _letters,
     first_broken_relator,
     todd_coxeter,
 )
+from degen.pipeline import _coxeter_chain
 from degen.relations import (
     Presentation,
     UnsupportedCaseError,
     reduced_presentation,
     word,
 )
-from kernel_oracle import kernel_abelianization, line_transpositions, smith_normal_form
+from kernel_oracle import (
+    Relators,
+    kernel_abelianization,
+    line_transpositions,
+    smith_normal_form,
+)
 
 
 def coxeter_symmetric(n):
     """Presentation of the symmetric group S_n on adjacent transpositions."""
     gens = tuple(range(1, n))
-    relators = []
-    annotations = []
-    for i in gens:
-        relators.append(word(i, i))
-        annotations.append("involution")
-    for i in gens:
-        for j in gens:
-            if i >= j:
-                continue
-            if j == i + 1:
-                relators.append(word(i, j, i, j, i, j))
-                annotations.append("triple")
-            else:
-                relators.append(word(i, j, i, j))
-                annotations.append("commutator")
-    return Presentation(gens, tuple(relators), tuple(annotations))
+    return Presentation(gens, tuple((i, i + 1) for i in gens[:-1]), ())
 
 
 def completed_order(out):
@@ -52,20 +46,16 @@ def test_coxeter_symmetric_group_order(n):
 
 
 def reorder(presentation, order):
-    """The presentation with its relators as written or reversed."""
+    """The presentation with its tangent pairs as listed or reversed."""
     if order == "relator-first":
         return presentation
-    return Presentation(
-        presentation.generators,
-        presentation.relators[::-1],
-        presentation.annotations[::-1],
-    )
+    return presentation._replace(tangent=presentation.tangent[::-1])
 
 
 # The ids are the names of the two strategies these cases once ran under.
-# Each now names a relator order for the one engine: as written (squares
-# first), or reversed, so the long braid relators are scanned first and
-# coincidences come sooner.  Neither order may change the group.
+# Each now names an order of the tangent pairs, and so of the braid relators
+# the engine scans: as listed, or reversed.  Neither order may change the
+# group.
 RELATOR_ORDERS = ("relator-first", "coincidence-first")
 
 
@@ -81,25 +71,6 @@ def test_symmetric_group_six(order):
     assert completed_order(out) == 720
     assert out.live_cosets == 720
     assert out.coincidences > 0
-
-
-def test_generator_that_is_not_an_involution_is_refused():
-    s3 = Presentation(
-        (1, 2),
-        (word(1, 1, 1), word(2, 2), word(1, 2, 1, 2)),
-        ("power", "involution", "dihedral"),
-    )
-    with pytest.raises(EnumerationError, match="generator 1 is not an involution"):
-        todd_coxeter(s3)
-
-
-def test_inverse_involution_relator_also_shares_a_column():
-    braid = word(1, 2, 1, 2, 1, 2)
-    squares = Presentation((1, 2), (word(1, 1), word(2, 2), braid), ("", "", ""))
-    inverse = Presentation((1, 2), (word(-1, -1), word(2, 2), braid), ("", "", ""))
-    out = todd_coxeter(inverse)
-    assert completed_order(out) == 6
-    assert out == todd_coxeter(squares)
 
 
 def test_cosets_relative_to_subgroup():
@@ -125,26 +96,70 @@ def test_budget_counts_every_coset_defined():
 
 
 def test_generator_outside_alphabet_rejected():
-    bad = Presentation((1, 2), (word(1, 1), word(2, 2), word(3, 3)), ("",) * 3)
-    with pytest.raises(EnumerationError, match="generator 3 is not in the presentation"):
-        todd_coxeter(bad)
-    with pytest.raises(EnumerationError, match="generator 3 is not in the presentation"):
-        todd_coxeter(coxeter_symmetric(3), subgroup=(word(3),))
+    """A generator out of range is named, in a tangent pair, a word or the subgroup."""
+    for pres, subgroup in (
+        (Presentation((1, 2), ((2, 3),), ()), ()),
+        (Presentation((1, 2), ((1, 2),), (word(3, 3),)), ()),
+        (coxeter_symmetric(3), (word(3),)),
+    ):
+        with pytest.raises(EnumerationError, match="generator 3 is not in the presentation"):
+            todd_coxeter(pres, subgroup)
 
 
 def test_squares_are_proved_and_never_encoded(monkeypatch):
-    pres = coxeter_symmetric(5)
-    expected = todd_coxeter(pres)
+    """Only the inner-point words and the subgroup go through `_letters`;
+    the squares and the pair relators are columns by construction."""
+    pres = coxeter_symmetric(5)._replace(words=(word(1, 3, -1, -3),))
+    expected = todd_coxeter(pres, [word(2)])
     encoded = []
-    letters = degen.fpgroup._letters
 
     def counted(w, ngens):
         encoded.append(w)
-        return letters(w, ngens)
+        return _letters(w, ngens)
 
     monkeypatch.setattr(degen.fpgroup, "_letters", counted)
-    assert todd_coxeter(pres) == expected
-    assert encoded == [w for w in pres.relators if w not in {word(g, g) for g in pres.generators}]
+    assert todd_coxeter(pres, [word(2)]) == expected
+    assert encoded == [word(1, 3, -1, -3), word(2)]
+
+
+def reference_enumeration(presentation, subgroup, max_cosets):
+    """The HLT engine run over every relator `Presentation.relators` spells
+    out, each encoded by `_letters` (an involution reduces to nothing and is
+    dropped): the reference for `todd_coxeter`, which builds the pair columns
+    without letters."""
+    ngens = len(presentation.generators)
+    relators = [w for w in (_letters(r, ngens) for r in presentation.relators) if w]
+    subgroup = [w for w in (_letters(v, ngens) for v in subgroup) if w]
+    return _hlt(ngens, relators, subgroup, max_cosets)
+
+
+def test_coxeter_columns_match_the_spelled_out_relators(records):
+    """On the 29 catalog cases and the seven-triangle disks whose presentation
+    builds, `todd_coxeter` counts exactly what the spelled-out relators give,
+    over the chain subgroup `decide` picks and, on the catalog, over the
+    trivial one.  The budget of 5000 cosets closes every table of order 720
+    and stops the infinite ones, so overflows are compared too."""
+    runs = []
+    for rec in records:
+        pres = reduced_presentation(
+            rec.complex, inner6_relators=rec.extra_inner_relators or None
+        )
+        runs += [(pres, _coxeter_chain(rec.complex.line_planes())), (pres, ())]
+    disks = [embed(m) for m in enumerate_maps(7)]
+    assert len(disks) == 73
+    for pc in disks:
+        try:
+            runs.append((reduced_presentation(pc), _coxeter_chain(pc.line_planes())))
+        except UnsupportedCaseError:  # an inner 7-point
+            continue
+    assert len(runs) == 2 * 29 + 70
+    outcomes = set()
+    for k, (pres, chain) in enumerate(runs):
+        subgroup = [word(l) for l in chain]
+        out = todd_coxeter(pres, subgroup, max_cosets=5000)
+        assert out == reference_enumeration(pres, subgroup, 5000), k
+        outcomes.add(out.completed)
+    assert outcomes == {True, False}
 
 
 def test_nonpositive_coset_limit_rejected():
@@ -204,27 +219,27 @@ def test_smith_invariant_under_row_operation(matrix, i, j, k):
 
 
 def test_kernel_of_free_group_onto_order_two():
-    free = Presentation((1, 2), (), ())
+    free = Relators((1, 2), ())
     flip = {1: (1, 2), 2: (1, 2)}
     ka = kernel_abelianization(free, flip, degree=2)
     assert (ka.index, ka.rank, ka.torsion) == (2, 3, ())
 
 
 def test_kernel_of_cyclic_four_onto_order_two():
-    z4 = Presentation((1,), (word(1, 1, 1, 1),), ("power",))
+    z4 = Relators((1,), (word(1, 1, 1, 1),))
     ka = kernel_abelianization(z4, {1: (1, 2)}, degree=2)
     assert (ka.index, ka.rank, ka.torsion) == (2, 0, (2,))
 
 
 def test_kernel_of_free_group_onto_symmetric_three():
-    free = Presentation((1, 2), (), ())
+    free = Relators((1, 2), ())
     ka = kernel_abelianization(free, {1: (1, 2), 2: (2, 3)}, degree=3)
     assert (ka.index, ka.rank, ka.torsion) == (6, 7, ())
 
 
 @pytest.mark.parametrize("pair", [(1, 1), (1, 4)])
 def test_kernel_needs_two_distinct_planes_in_range(pair):
-    free = Presentation((1, 2), (), ())
+    free = Relators((1, 2), ())
     with pytest.raises(EnumerationError, match="generator 2 "):
         kernel_abelianization(free, {1: (1, 2), 2: pair}, degree=3)
 
@@ -245,10 +260,8 @@ def test_kernel_has_positive_rank_for_a_nontrivial_case(by_name):
 
 
 def test_relators_hold_detects_violation():
-    pres = Presentation((1,), (word(1, 1),), ("involution",))
-    assert first_broken_relator(pres, {1: (1, 2)}) is None
-    product = Presentation((1, 2), (word(1, 2),), ("product",))
-    assert first_broken_relator(product, {1: (1, 2), 2: (2, 3)}) == 0
+    assert first_broken_relator((word(1, 1),), {1: (1, 2)}) is None
+    assert first_broken_relator((word(1, 1), word(1, 2)), {1: (1, 2), 2: (2, 3)}) == 1
 
 
 def test_line_images_are_transpositions(by_name):
@@ -294,7 +307,7 @@ def test_swapping_agrees_with_permutation_composition(small_complexes):
         except UnsupportedCaseError:
             continue
         transpositions = line_transpositions(pc)
-        found = first_broken_relator(pres, transpositions)
+        found = first_broken_relator(pres.relators, transpositions)
         assert found == reference_first_broken_relator(
             pres, transpositions, len(pc.triangles)
         ), k

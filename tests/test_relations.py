@@ -144,7 +144,7 @@ def test_all_relators_die_in_symmetric_group(records):
         pres = reduced_presentation(
             pc, inner6_relators=rec.extra_inner_relators or None,
         )
-        assert first_broken_relator(pres, pc.line_planes()) is None, rec.name
+        assert first_broken_relator(pres.relators, pc.line_planes()) is None, rec.name
 
 
 def test_inner_six_point_needs_catalogue_relators(by_name):
@@ -163,15 +163,20 @@ def test_presentation_text_format(by_name):
 
 
 def test_presentation_json_round_trip(by_name):
-    pres = reduced_presentation(by_name["U_{0,5,1}"].complex)
-    data = presentation_json(pres)
-    assert data["format"] == "degen-presentation/1"
-    back = Presentation(
-        generators=tuple(data["generators"]),
-        relators=tuple(word_from_json(r["word"]) for r in data["relators"]),
-        annotations=tuple(r["annotation"] for r in data["relators"]),
-    )
-    assert back == pres
+    """The JSON spells out every relator with its tag; the tangent pairs and
+    the inner-point words read back from it rebuild the presentation."""
+    for name in ("U_{0,5,1}", "U_{3,2}"):
+        pres = reduced_presentation(by_name[name].complex)
+        data = presentation_json(pres)
+        assert data["format"] == "degen-presentation/1"
+        relators = [(word_from_json(r["word"]), r["annotation"]) for r in data["relators"]]
+        back = Presentation(
+            generators=tuple(data["generators"]),
+            tangent=tuple((w[0][0], w[1][0]) for w, tag in relators if tag == "triple"),
+            words=tuple(w for w, tag in relators if tag == "inner-point"),
+        )
+        assert back == pres, name
+        assert relators == list(zip(back.relators, back.annotations)), name
 
 
 def test_word_text_uses_caret_inverses():
