@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterator, Mapping, NamedTuple
 
-from .complexes import ComplexError, PlanarComplex
+from .complexes import PlanarComplex
 from .relations import Word, word_from_json
 
 ENV_CATALOG_DIR = "DEGEN_CATALOG_DIR"
@@ -192,27 +192,14 @@ class Catalog:
         if hashlib.sha256(blob).hexdigest() != entry["sha256"]:
             raise CatalogError(f"checksum mismatch for {entry['name']} ({path.name})")
         try:
-            data = json.loads(blob.decode("utf-8"))
-            record = CaseRecord.from_json(data)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CatalogError(
-                f"malformed case {entry['name']} ({path.name}): {exc!r}"
-            ) from exc
-        # records skip `validate`; a plane that is no triangle or names no
-        # listed vertex, or a misnumbered line, must not reach the group layer
-        known = {v for v, _ in data["complex"]["vertices"]}
-        lines = sorted(record.complex.line_numbering)
-        try:
-            for plane, tri in sorted(record.complex.triangles.items()):
-                if len(tri) != 3:
-                    raise ComplexError(f"plane {plane} has {len(tri)} vertices, expected 3")
-                if missing := [v for v in tri if v not in known]:
-                    raise ComplexError(f"plane {plane} references unknown vertices {missing}")
-            if lines != list(range(1, len(lines) + 1)):
-                raise ComplexError(f"line indices are not 1..L: {lines}")
+            record = CaseRecord.from_json(json.loads(blob.decode("utf-8")))
+            # records skip `validate`, but building the complex refused any
+            # plane or line without a complex's shape; the line → planes table
+            # refuses a line on no interior edge or on another line's edge
             record.complex.line_planes()  # cached: the group layer reads it again for free
-        except ComplexError as exc:
-            raise CatalogError(f"malformed case {entry['name']} ({path.name}): {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:  # ComplexError is a ValueError
+            fault = f"missing key {exc}" if type(exc) is KeyError else exc
+            raise CatalogError(f"malformed case {entry['name']} ({path.name}): {fault}") from exc
         return record
 
     def load(self, name: str) -> CaseRecord:

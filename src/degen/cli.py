@@ -217,7 +217,10 @@ def _analyze_file(path: str, args: argparse.Namespace) -> dict[str, Any]:
             data = json.load(fh)
     except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
         raise ComplexError(f"{path} is not UTF-8 JSON: {exc}") from exc
-    complex_ = PlanarComplex.from_json(data)
+    try:
+        complex_ = PlanarComplex.from_json(data)
+    except ComplexError as exc:
+        raise ComplexError(f"{path}: {exc}") from exc
     report = complex_.validate()
     if not report.ok:
         raise ComplexError(f"{path}: {'; '.join(report.errors + report.violations)}")

@@ -11,15 +11,19 @@ The interchange JSON format ``degen-complex/1`` stores vertices as
 ``[id, [px, py, qx, qy]]`` with coordinates ``(px/qx, py/qy)``, triangles as
 ``[plane, [v1, v2, v3]]``, and lines as ``[index, [v1, v2]]``.
 
+A complex's shape is refused where it is built: the constructor and
+`from_json` share one step that names a plane that is not three listed
+vertices, a line that is not two, and more (see `_incidence`), then builds
+the base tables, which no later query can fail on.  `from_json` first names
+any table or entry that is not a list of ``[int, [int, ...]]`` entries and
+keeps the integers as written; the constructor takes ids, plane corners and
+line endpoints only of type ``int``.  ``vertices`` is an exact ``Fraction``
+view of the coordinates, built on first read by `to_json` or an error text.
+
 An edge is keyed by its ordered vertex pair ``(min, max)``, so a lookup
 builds no set; error texts print an edge as the list ``[a, b]``.  A line is
 looked up by its sorted vertex tuple, in the one edge → line table
-`line_by_edge`, so a line that is not two distinct vertices keys no edge and
-is named as an error, never unpacked.  `from_json` accepts exactly JSON
-integers for ids, coordinates and denominators and keeps them as written;
-the constructor takes ids, plane corners and line endpoints only of type
-``int``, never converting.  ``vertices`` is an exact ``Fraction`` view of
-the coordinates, built on first read by `to_json` or an error text.
+`line_by_edge`.
 
 `json_text` writes every JSON degen prints or stores, byte for byte as
 ``json.dumps(obj, indent=2)``, whose indent forces the pure-Python encoder.
@@ -222,12 +226,12 @@ class ValidationReport(NamedTuple):
 class PlanarComplex:
     """An immutable planar triangle complex with numbered interior edges.
 
-    Derived data (the ``Fraction`` view ``vertices``, the integer lattice,
-    the edge-to-planes map, the edge-to-line map, the planes oriented alike
-    with their boundary walk, the vertex classification, each line's planes
-    and each plane's lines) is computed once per instance, on first use.  So
-    ``vertices``, ``triangles`` and ``line_numbering`` must not be mutated
-    after construction.
+    Construction refuses data without a complex's shape and builds the
+    integer lattice, the edge-to-planes map and the edge-to-line map.  Other
+    derived data (the ``Fraction`` view ``vertices``, the planes oriented
+    alike with their boundary walk, the vertex classification, each line's
+    planes and each plane's lines) is computed once, on first use.  So
+    ``vertices``, ``triangles`` and ``line_numbering`` must not be mutated.
     """
 
     def __init__(
@@ -239,27 +243,55 @@ class PlanarComplex:
         self.vertices: dict[int, Point] = {
             v: (_fraction(x), _fraction(y)) for v, (x, y) in vertices.items()
         }
-        coords = {v: (x.numerator, y.numerator, x.denominator, y.denominator)
-                  for v, (x, y) in self.vertices.items()}
-        self._incidence(coords, triangles, line_numbering)
         for name, ids in (
             ("vertices", self.vertices),
-            ("triangles", chain(self.triangles, *self.triangles.values())),
-            ("line_numbering", chain(self.line_numbering, *self.line_numbering.values())),
+            ("triangles", chain(triangles, *triangles.values())),
+            ("line_numbering", chain(line_numbering, *line_numbering.values())),
         ):
             for x in ids:
                 if type(x) is not int:  # int() would truncate 1.7 and turn True into 1
                     raise ComplexError(f"{name} holds {x!r}, which is not an int")
+        coords = {v: (x.numerator, y.numerator, x.denominator, y.denominator)
+                  for v, (x, y) in self.vertices.items()}
+        self._incidence(coords, triangles, line_numbering)
 
     def _incidence(self, coords, triangles, line_numbering) -> None:
-        """Copy each vertex's ``(px, py, qx, qy)``, nonzero ints, and the incidence."""
-        self._coords: dict[int, tuple[int, ...]] = {v: tuple(c) for v, c in coords.items()}
-        self.triangles: dict[int, tuple[int, int, int]] = {
-            p: tuple(tri) for p, tri in triangles.items()
+        """Copy each vertex's ``(px, py, qx, qy)``, nonzero ints, and the incidence,
+        refuse what has no complex's shape, and build the base tables.
+
+        Refuses, in `validate`'s words and naming the first bad plane or line,
+        no planes, a plane that is not three listed vertices, a line that is
+        not two, and line indices that are not 1..L.  A pass that neither
+        sorts nor allocates finds a fault; only then is it sought in order.
+        """
+        known = self._coords = {v: tuple(c) for v, c in coords.items()}
+        tris = self.triangles = {p: tuple(tri) for p, tri in triangles.items()}
+        lines = self.line_numbering = {i: tuple(pair) for i, pair in line_numbering.items()}
+        if not tris:
+            raise ComplexError("no triangles")
+        for t in tris.values():
+            if len(t) != 3 or t[0] not in known or t[1] not in known or t[2] not in known:
+                for plane, tri in sorted(tris.items()):
+                    if len(tri) != 3:
+                        raise ComplexError(f"plane {plane} has {len(tri)} vertices, expected 3")
+                    if missing := [v for v in tri if v not in known]:
+                        raise ComplexError(f"plane {plane} references unknown vertices {missing}")
+        for e in lines.values():
+            if len(e) != 2 or e[0] not in known or e[1] not in known:
+                for i, pair in sorted(lines.items()):
+                    if len(pair) != 2 or pair[0] not in known or pair[1] not in known:
+                        raise ComplexError(f"line {i} has bad endpoints {pair}")
+        if lines and (min(lines) != 1 or max(lines) != len(lines)):  # L distinct ints
+            raise ComplexError(f"line indices are not 1..L: {sorted(lines)}")
+
+        scale = 1  # the lcm of all denominators as written
+        for _, _, qx, qy in known.values():
+            scale = lcm(scale, qx, qy)
+        self._lattice: dict[int, tuple[int, int]] = {
+            v: (px * (scale // qx), py * (scale // qy)) for v, (px, py, qx, qy) in known.items()
         }
-        self.line_numbering: dict[int, tuple[int, int]] = {
-            i: tuple(pair) for i, pair in line_numbering.items()
-        }
+        self._edge_planes = self.edge_planes()
+        self._line_of = line_by_edge(lines)
 
     # -- derived incidence data -------------------------------------------------
 
@@ -276,24 +308,6 @@ class PlanarComplex:
         Builds the map afresh; the complex's own queries share one build.
         """
         return planes_by_edge(self.triangles)
-
-    @cached_property
-    def _edge_planes(self) -> dict[tuple[int, int], list[int]]:
-        return self.edge_planes()
-
-    @cached_property
-    def _lattice(self) -> dict[int, tuple[int, int]]:
-        """Each vertex's coordinates times the lcm of all denominators as written."""
-        coords, scale = self._coords, 1
-        for _, _, qx, qy in coords.values():
-            scale = lcm(scale, qx, qy)
-        return {
-            v: (px * (scale // qx), py * (scale // qy)) for v, (px, py, qx, qy) in coords.items()
-        }
-
-    @cached_property
-    def _line_of(self) -> dict[tuple[int, ...], int]:
-        return line_by_edge(self.line_numbering)
 
     @cached_property
     def _disk(self) -> tuple[dict[int, tuple[int, int, int]], tuple[int, ...]]:
@@ -376,14 +390,7 @@ class PlanarComplex:
                 seen_pts[p] = v
         seen_tris: dict[frozenset[int], int] = {}
         for plane, tri in sorted(self.triangles.items()):
-            if len(tri) != 3:
-                errors.append(f"plane {plane} has {len(tri)} vertices, expected 3")
-                continue
             a, b, c = tri
-            if a not in lat or b not in lat or c not in lat:
-                missing = [v for v in tri if v not in lat]
-                errors.append(f"plane {plane} references unknown vertices {missing}")
-                continue
             if a == b or b == c or a == c:
                 errors.append(f"plane {plane} repeats a vertex: {tri}")
                 continue
@@ -393,8 +400,6 @@ class PlanarComplex:
             if key in seen_tris:
                 errors.append(f"planes {seen_tris[key]} and {plane} share all vertices")
             seen_tris[key] = plane
-        if not self.triangles:
-            errors.append("no triangles")
         if errors:
             return ValidationReport(tuple(errors), ())
 
@@ -408,7 +413,7 @@ class PlanarComplex:
         if len(line_of) != len(self.line_numbering) or line_of.keys() != interior:
             for i, pair in sorted(self.line_numbering.items()):
                 e = tuple(sorted(pair))
-                if len(e) != 2 or e[0] == e[1] or e[0] not in lat or e[1] not in lat:
+                if e[0] == e[1]:
                     errors.append(f"line {i} has bad endpoints {pair}")
                 elif e not in interior:
                     errors.append(f"line {i} {pair} is not an interior edge")
@@ -416,9 +421,6 @@ class PlanarComplex:
                     errors.append(f"lines {line_of[e]} and {i} number the same edge")
             for e in sorted(interior - line_of.keys()):
                 errors.append(f"interior edge {list(e)} has no line number")
-        indices = sorted(self.line_numbering)
-        if indices != list(range(1, len(indices) + 1)):
-            errors.append(f"line indices are not 1..L: {indices}")
         if errors:
             return ValidationReport(tuple(errors), ())
 
@@ -551,38 +553,41 @@ class PlanarComplex:
                 if isinstance(data, dict)
                 else "complex JSON must be an object"
             )
-        try:
-            tables: dict[str, dict[int, list]] = {}
-            for key, name in (
-                ("vertices", "vertex id"), ("triangles", "plane id"), ("line_numbering", "line index")
-            ):
-                table = tables[key] = {}
-                for entry in data[key]:  # [id, [int, ...]]
-                    k, values = entry
-                    for x in chain((k,), values):  # int() would truncate 0.5
-                        if type(x) is not int:
-                            raise ComplexError(
-                                f"malformed complex JSON: {key} entry {json.dumps(entry)}"
-                                f" holds {json.dumps(x)}, which is not an integer"
-                            )
-                    if k in table:
-                        raise ComplexError(f"duplicate {name} {k}")
-                    table[k] = values
-            for v, c in tables["vertices"].items():  # [px, py, qx, qy]
-                if len(c) != 4 or c[2] == 0 or c[3] == 0:
-                    fault = "has denominator 0"
-                    if len(c) != 4:
-                        fault = f"holds {len(c)} values, expected 4"
+        tables: dict[str, dict[int, list]] = {}
+        for key, name in (
+            ("vertices", "vertex id"), ("triangles", "plane id"), ("line_numbering", "line index")
+        ):
+            entries = data.get(key)
+            if type(entries) is not list:
+                fault = f"{key} is not a list" if key in data else f"missing key {key!r}"
+                raise ComplexError(f"malformed complex JSON: {fault}")
+            table = tables[key] = {}
+            for entry in entries:  # [id, [int, ...]]; a vertex's ints are [px, py, qx, qy]
+                if type(entry) is not list or len(entry) != 2 or type(entry[1]) is not list:
                     raise ComplexError(
-                        f"malformed complex JSON: vertices entry {json.dumps([v, c])} {fault}"
+                        f"malformed complex JSON: {key} entry {json.dumps(entry)}"
+                        " is not of the form [int, [int, ...]]"
                     )
-            complex_ = cls.__new__(cls)
-            complex_._incidence(*tables.values())  # vertices, triangles, line_numbering
-            return complex_
-        except ComplexError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ComplexError(f"malformed complex JSON: {exc}") from exc
+                k, values = entry
+                for x in chain((k,), values):  # int() would truncate 0.5
+                    if type(x) is not int:
+                        raise ComplexError(
+                            f"malformed complex JSON: {key} entry {json.dumps(entry)}"
+                            f" holds {json.dumps(x)}, which is not an integer"
+                        )
+                if key == "vertices" and (len(values) != 4 or values[2] == 0 or values[3] == 0):
+                    fault = "has denominator 0"
+                    if len(values) != 4:
+                        fault = f"holds {len(values)} values, expected 4"
+                    raise ComplexError(
+                        f"malformed complex JSON: vertices entry {json.dumps(entry)} {fault}"
+                    )
+                if k in table:
+                    raise ComplexError(f"duplicate {name} {k}")
+                table[k] = values
+        complex_ = cls.__new__(cls)
+        complex_._incidence(*tables.values())  # vertices, triangles, line_numbering
+        return complex_
 
     @classmethod
     def loads(cls, text: str) -> "PlanarComplex":

@@ -1,13 +1,19 @@
+import copy
 import hashlib
+import io
 import json
 import os
+import random
+import re
 import shutil
 import subprocess
 import sys
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import degen.catalog
 import degen.cli
@@ -210,6 +216,35 @@ def test_catalog_plane_on_an_unlisted_vertex_is_refused(capsys, tmp_path, monkey
     )
 
 
+def halve_the_first_coordinate(data):
+    data["complex"]["vertices"][0][1][0] = 0.5
+
+
+def drop_the_hints(data):
+    del data["hints"]
+
+
+@pytest.mark.parametrize(
+    "stem, edit, fault",
+    [
+        (
+            "u-0-4",
+            halve_the_first_coordinate,
+            "U_{0,4} (u-0-4.json): malformed complex JSON: vertices entry [1, [0.5, 0, 1, 1]]"
+            " holds 0.5, which is not an integer",
+        ),
+        ("u-0-5-1", drop_the_hints, "U_{0,5,1} (u-0-5-1.json): missing key 'hints'"),
+    ],
+    ids=["fractional-coordinate", "no-hints"],
+)
+def test_catalog_refusals_print_no_python_repr(capsys, tmp_path, monkeypatch, stem, edit, fault):
+    """A malformed record is refused in words: a `ComplexError` by its text and
+    a missing key by its name, never as ``ComplexError(...)`` or ``KeyError(...)``."""
+    edited_catalog(tmp_path, monkeypatch, stem, edit)
+    rc, out, err = run(capsys, "table")
+    assert (rc, out, err) == (1, "", f"degen: error: malformed case {fault}\n")
+
+
 def test_analyze_accepts_complex_file(capsys, tmp_path):
     case = json.loads((DATA_DIR / "cases" / "u-0-4.json").read_text())
     pc = PlanarComplex.from_json(case["complex"])
@@ -231,7 +266,7 @@ def test_analyze_refuses_a_complex_file_with_a_fractional_coordinate(capsys, tmp
     entry = json.dumps(data["vertices"][0])
     assert (rc, out) == (1, "")
     assert err == (
-        f"degen: error: malformed complex JSON: vertices entry {entry} holds 0.5,"
+        f"degen: error: {target}: malformed complex JSON: vertices entry {entry} holds 0.5,"
         " which is not an integer\n"
     )
 
@@ -245,7 +280,8 @@ def test_analyze_refuses_a_complex_file_with_a_zero_denominator(capsys, tmp_path
     entry = json.dumps(data["vertices"][2])
     assert (rc, out) == (1, "")
     assert err == (
-        f"degen: error: malformed complex JSON: vertices entry {entry} has denominator 0\n"
+        f"degen: error: {target}: malformed complex JSON: vertices entry {entry}"
+        " has denominator 0\n"
     )
 
 
@@ -258,9 +294,144 @@ def test_analyze_refuses_a_complex_file_with_a_vertex_of_five_values(capsys, tmp
     entry = json.dumps(data["vertices"][0])
     assert (rc, out) == (1, "")
     assert err == (
-        f"degen: error: malformed complex JSON: vertices entry {entry} holds 5 values,"
+        f"degen: error: {target}: malformed complex JSON: vertices entry {entry} holds 5 values,"
         " expected 4\n"
     )
+
+
+CASE_COMPLEXES = tuple(
+    json.loads(path.read_text())["complex"] for path in sorted((DATA_DIR / "cases").glob("*.json"))
+)
+TABLES = ("vertices", "triangles", "line_numbering")
+MUTATIONS = (
+    "drop", "append", "duplicate", "lengthen", "shorten", "retype", "object", "null", "remove"
+)
+ODD_VALUES = (0.5, "1", None, True, [], {}, [1])
+RAW_PYTHON = re.compile(r"unpack|not iterable|NoneType|\b[A-Z]\w*(Error|Exception)\(")
+
+
+@st.composite
+def mutated_complexes(draw):
+    """A catalog complex's JSON after one to three edits of its tables."""
+    data = copy.deepcopy(draw(st.sampled_from(CASE_COMPLEXES)))
+    for _ in range(draw(st.integers(1, 3))):
+        key, mutation = draw(st.sampled_from(TABLES)), draw(st.sampled_from(MUTATIONS))
+        table = data.get(key)
+        if mutation == "remove":
+            data.pop(key, None)
+            continue
+        if mutation in ("object", "null"):
+            data[key] = {} if mutation == "object" else None
+            continue
+        if type(table) is not list or not table:
+            continue
+        i = draw(st.integers(0, len(table) - 1))
+        entry = table[i]
+        shaped = type(entry) is list and len(entry) == 2 and type(entry[1]) is list
+        if mutation == "drop":
+            del table[i]
+        elif mutation == "duplicate":
+            table.append(copy.deepcopy(entry))
+        elif mutation == "append":
+            ids, values = st.integers(-1, 20), st.lists(st.integers(-1, 20), max_size=5)
+            table.append([draw(ids), draw(values)])
+        elif mutation == "lengthen" and shaped:
+            entry[1].append(draw(st.integers(-1, 20)))
+        elif mutation == "shorten" and shaped and entry[1]:
+            entry[1].pop()
+        elif mutation == "retype":
+            odd = draw(st.sampled_from(ODD_VALUES))
+            where = draw(st.sampled_from(("entry", "id", "values", "value")))
+            if where == "entry" or not shaped:
+                table[i] = odd
+            elif where == "id":
+                entry[0] = odd
+            elif where == "values" or not entry[1]:
+                entry[1] = odd
+            else:
+                entry[1][draw(st.integers(0, len(entry[1]) - 1))] = odd
+    return data
+
+
+def u04_complex(**tables):
+    """`U_{0,4}`'s complex JSON with ``tables`` replaced; a value None drops the key."""
+    data = json.loads((DATA_DIR / "cases" / "u-0-4.json").read_text())["complex"]
+    return {k: v for k, v in {**data, **tables}.items() if v is not None}
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "mutated.json"
+
+
+@settings(deadline=None, max_examples=200, suppress_health_check=[HealthCheck.too_slow])
+@given(data=mutated_complexes())
+@example(data=u04_complex(triangles=[[1, 5]]))
+@example(data=u04_complex(triangles=[[1, [1, 2, 3], 4]]))
+@example(data=u04_complex(triangles=[[1]]))
+@example(data=u04_complex(triangles=None))
+@example(data=u04_complex(line_numbering={}))
+@example(data=u04_complex(triangles=[[1, [1, 2]]]))
+@example(data=u04_complex(line_numbering=[[1, [1, 2, 3]]]))
+def test_analyze_refuses_mutated_complex_files_in_words(fuzz_path, data):
+    """Whatever edit a complex file takes, `analyze` gives a report or a
+    refusal that names the file, with no exception outside `_ERRORS` and no
+    raw Python text."""
+    fuzz_path.write_text(json.dumps(data))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(["analyze", str(fuzz_path), "--format", "json"])
+    if rc == 0:
+        assert json.loads(out.getvalue())["verdict"]["outcome"]
+        return
+    message = err.getvalue()
+    assert (rc, out.getvalue()) == (1, ""), message
+    assert message.startswith(f"degen: error: {fuzz_path}: "), message
+    assert message.count("\n") == 1 and not RAW_PYTHON.search(message), message
+
+
+def relabelled(pc, rng):
+    """``pc`` as JSON under random vertex and plane ids, reflected in x half the
+    time; each line keeps its index on its relabelled edge."""
+    vertex = dict(zip(pc.vertices, rng.sample(range(1, 3 * len(pc.vertices)), len(pc.vertices))))
+    planes = rng.sample(range(1, 3 * len(pc.triangles)), len(pc.triangles))
+    sign = rng.choice((1, -1))
+    return {
+        "format": "degen-complex/1",
+        "vertices": [
+            [vertex[v], [sign * x.numerator, y.numerator, x.denominator, y.denominator]]
+            for v, (x, y) in pc.vertices.items()
+        ],
+        "triangles": [
+            [p, [vertex[v] for v in rng.sample(t, 3)]]
+            for p, t in zip(planes, pc.triangles.values())
+        ],
+        "line_numbering": [[i, [vertex[v] for v in e]] for i, e in pc.line_numbering.items()],
+    }
+
+
+def test_lemmas_only_outcome_and_chern_numbers_ignore_labels_and_reflection(capsys, tmp_path):
+    """Up to 7 triangles, relabelling vertices and planes and reflecting in x
+    leave `analyze <file> --no-hints` with the same exit code, outcome and
+    Chern numbers."""
+    rng = random.Random(12)
+    path = tmp_path / "disk.json"
+
+    def outcome(data):
+        path.write_text(json.dumps(data))
+        rc, out, _ = run(capsys, "analyze", str(path), "--no-hints", "--format", "json")
+        report = json.loads(out) if rc == 0 else {"verdict": {}, "chern": None}
+        return rc, report["verdict"].get("outcome"), report["chern"]
+
+    checked = 0
+    for n in range(1, 8):
+        for map_ in enumerate_maps(n):
+            pc = embed(map_)
+            expected = outcome(pc.to_json())
+            for _ in range(2):
+                assert outcome(relabelled(pc, rng)) == expected, pc.dumps()
+                checked += 1
+    assert checked == 2 * 119
 
 
 def test_analyze_case_classifies_each_vertex_once(capsys, derivation_calls):

@@ -227,12 +227,13 @@ def test_pinch_made_up_by_a_vertex_in_no_plane_is_rejected():
 
 @pytest.mark.parametrize("tri", [(1, 2), (1, 2, 3, 4)])
 def test_plane_without_three_vertices_is_named(tri):
-    pc = PlanarComplex(
-        vertices={1: (0, 0), 2: (1, 0), 3: (1, 1), 4: (0, 1)},
-        triangles={1: tri},
-        line_numbering={},
-    )
-    assert pc.validate().errors == (f"plane 1 has {len(tri)} vertices, expected 3",)
+    with pytest.raises(ComplexError) as info:
+        PlanarComplex(
+            vertices={1: (0, 0), 2: (1, 0), 3: (1, 1), 4: (0, 1)},
+            triangles={1: tri},
+            line_numbering={},
+        )
+    assert str(info.value) == f"plane 1 has {len(tri)} vertices, expected 3"
 
 
 def test_classification_is_computed_once(by_name, derivation_calls):
@@ -522,6 +523,13 @@ def square_with_lines(lines):
     return PlanarComplex(strip.vertices, strip.triangles, lines)
 
 
+def constructor_refusal(tables):
+    """What the constructor says about ``(vertices, triangles, line_numbering)``."""
+    with pytest.raises(ComplexError) as info:
+        PlanarComplex(*tables)
+    return (str(info.value),)
+
+
 @pytest.mark.parametrize(
     "check, subject, messages",
     [
@@ -551,9 +559,14 @@ def square_with_lines(lines):
             ("line 1 has bad endpoints (3, 3)", "interior edge [1, 3] has no line number"),
         ),
         (
-            validation_messages,
-            square_with_lines({1: (1, 3), 2: (1, 2, 3)}),
+            constructor_refusal,
+            (square_strip().vertices, square_strip().triangles, {1: (1, 3), 2: (1, 2, 3)}),
             ("line 2 has bad endpoints (1, 2, 3)",),
+        ),
+        (
+            constructor_refusal,
+            (square_strip().vertices, {1: (1, 2, 9), 2: (1, 3, 4)}, {1: (1, 3)}),
+            ("plane 1 references unknown vertices [9]",),
         ),
         (
             validation_messages,
@@ -582,7 +595,10 @@ def square_with_lines(lines):
         (
             from_json_messages,
             square_json("triangles", [[1, 5], [2, [1, 3, 4]]]),
-            ("malformed complex JSON: 'int' object is not iterable",),
+            (
+                "malformed complex JSON: triangles entry [1, 5]"
+                " is not of the form [int, [int, ...]]",
+            ),
         ),
         (
             from_json_messages,
@@ -614,13 +630,24 @@ def square_with_lines(lines):
             ("malformed complex JSON: vertices entry [1, [0, 0, 1, 1, 1]] holds 5 values,"
              " expected 4",),
         ),
+        (
+            from_json_messages,
+            square_json("line_numbering", {}),
+            ("malformed complex JSON: line_numbering is not a list",),
+        ),
+        (
+            from_json_messages,
+            {k: v for k, v in square_strip().to_json().items() if k != "triangles"},
+            ("malformed complex JSON: missing key 'triangles'",),
+        ),
     ],
     ids=[
         "edge-in-three-planes", "boundary-edge-numbered", "edge-numbered-twice",
         "interior-edge-unnumbered", "line-on-one-vertex", "line-on-three-vertices",
-        "unorientable-gluing", "non-integral-chern", "json-vertex-not-an-int",
-        "json-triangle-not-a-list", "json-line-vertex-none", "json-duplicate-plane",
-        "json-zero-denominator", "json-vertex-of-five-values",
+        "plane-on-an-unlisted-vertex", "unorientable-gluing", "non-integral-chern",
+        "json-vertex-not-an-int", "json-triangle-not-a-list", "json-line-vertex-none",
+        "json-duplicate-plane", "json-zero-denominator", "json-vertex-of-five-values",
+        "json-table-an-object", "json-table-missing",
     ],
 )
 def test_structural_error_texts(check, subject, messages):

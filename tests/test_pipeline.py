@@ -336,17 +336,26 @@ def test_only_an_inner_point_relator_can_break(small_complexes):
     "lines, message",
     [
         ({1: (3, 3)}, "line 1 (3, 3) is not an interior edge (in 0 planes)"),
-        ({1: (1, 2, 3)}, "line 1 (1, 2, 3) is not an interior edge (in 0 planes)"),
+        ({1: (1, 2, 3)}, "line 1 has bad endpoints (1, 2, 3)"),
         ({1: (1, 3), 2: (3, 3)}, "line 2 (3, 3) is not an interior edge (in 0 planes)"),
-        ({1: (1, 3), 2: (1, 2, 3)}, "line 2 (1, 2, 3) is not an interior edge (in 0 planes)"),
+        ({1: (1, 3), 2: (1, 2, 3)}, "line 2 has bad endpoints (1, 2, 3)"),
+    ],
+    # The case names from when `decide` raised every one of these texts.
+    ids=[
+        "lines0-line 1 (3, 3) is not an interior edge (in 0 planes)",
+        "lines1-line 1 (1, 2, 3) is not an interior edge (in 0 planes)",
+        "lines2-line 2 (3, 3) is not an interior edge (in 0 planes)",
+        "lines3-line 2 (1, 2, 3) is not an interior edge (in 0 planes)",
     ],
 )
 def test_line_that_is_not_two_distinct_vertices_is_a_named_error(lines, message):
-    """`decide` never validates; a malformed line still ends in a `ComplexError`."""
-    pc = PlanarComplex(
-        {1: (0, 0), 2: (1, 0), 3: (1, 1), 4: (0, 1)}, {1: (1, 2, 3), 2: (1, 3, 4)}, lines
-    )
+    """The constructor refuses a line that is not two listed vertices; a line
+    on one vertex is built, and `decide`, which never validates, still ends
+    in a `ComplexError`."""
     with pytest.raises(ComplexError) as info:
+        pc = PlanarComplex(
+            {1: (0, 0), 2: (1, 0), 3: (1, 1), 4: (0, 1)}, {1: (1, 2, 3), 2: (1, 3, 4)}, lines
+        )
         decide(pc, use_hints=False)
     assert str(info.value) == message
 
