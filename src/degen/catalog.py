@@ -29,6 +29,46 @@ class CatalogError(ValueError):
     """Missing case, malformed file, or checksum mismatch."""
 
 
+_KINDS = {int: "an integer", str: "a string", bool: "true or false", list: "a list",
+          dict: "an object", Fraction: "a fraction in a string"}
+_PI1 = ("trivial", "nontrivial", "undecided")
+
+
+def _json(field: str, value, shape):
+    """``value``, its lists made tuples, if it has ``shape``; else a refusal
+    that names ``field``.  A type matches exactly, so ``true`` is no integer;
+    `Fraction` matches a string it reads, such as ``"-4/3"``; ``[s]`` is a list
+    of entries of shape ``s``, and a tuple of shapes a list of one entry each."""
+    if type(shape) is list:  # one entry shape for every entry
+        kinds, s = type(value) is list and {*map(type, value)}, shape[0]
+        if kinds and type(s) is type and kinds <= {s}:  # a column of one type, checked at once
+            return tuple(value)
+        if kinds == {list} and type(s) is list and {type(x) for v in value for x in v} <= {s[0]}:
+            return tuple(map(tuple, value))  # and a table of one cell type
+        shape = tuple(shape * len(value)) if type(value) is list else list
+    if shape is Fraction and type(value) is str:
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    elif type(shape) is type and type(value) is shape:
+        return value
+    elif type(shape) is tuple and type(value) is list and len(value) == len(shape):
+        return tuple(x if type(x) is s else _json(f"{field}[{i}]", x, s)
+                     for i, (x, s) in enumerate(zip(value, shape)))
+    what = f"a list of {len(shape)} entries" if type(shape) is tuple else _KINDS[shape]
+    raise CatalogError(f"{field} is {json.dumps(value)}, not {what}")
+
+
+_EXPECTED = {  # the shape of each field of a case's "expected" object but pi1
+    "m": int, "mu": int, "d": int, "rho": int, "forks_complete": bool,
+    "c1_sq_coeff": Fraction, "c2_coeff": Fraction, "chi_coeff": Fraction,
+    "points": [(int, str, int, [int])], "parasitic": [[int]], "triples": [[int]],
+    "commutators": [[int]], "inner_relators": [([int], [int])], "forks": [[int]],
+}
+_NULLABLE = {"triples", "commutators", "inner_relators", "forks"}  # a case may leave open
+
+
 class ExpectedResults(NamedTuple):
     """Published values a recomputation is checked against."""
 
@@ -50,37 +90,14 @@ class ExpectedResults(NamedTuple):
 
     @classmethod
     def from_json(cls, data: Mapping) -> "ExpectedResults":
-        def pairs(key):
-            if data[key] is None:
-                return None
-            return tuple(tuple(int(x) for x in item) for item in data[key])
-
-        inner = None
-        if data["inner_relators"] is not None:
-            inner = tuple(
-                (tuple(int(x) for x in lhs), tuple(int(x) for x in rhs))
-                for lhs, rhs in data["inner_relators"]
-            )
-        return cls(
-            pi1=str(data["pi1"]),
-            m=int(data["m"]),
-            mu=int(data["mu"]),
-            d=int(data["d"]),
-            rho=int(data["rho"]),
-            c1_sq_coeff=Fraction(data["c1_sq_coeff"]),
-            c2_coeff=Fraction(data["c2_coeff"]),
-            chi_coeff=Fraction(data["chi_coeff"]),
-            points=tuple(
-                (int(v), str(kind), int(k), tuple(int(x) for x in lines))
-                for v, kind, k, lines in data["points"]
-            ),
-            parasitic=pairs("parasitic"),
-            triples=pairs("triples"),
-            commutators=pairs("commutators"),
-            inner_relators=inner,
-            forks=pairs("forks"),
-            forks_complete=bool(data["forks_complete"]),
-        )
+        if _json("expected", data, dict)["pi1"] not in _PI1:
+            pi1 = json.dumps(data["pi1"])
+            raise CatalogError(f"expected.pi1 is {pi1}, not one of {', '.join(_PI1)}")
+        return cls(pi1=data["pi1"], **{
+            key: None if data[key] is None and key in _NULLABLE
+            else _json(f"expected.{key}", data[key], shape)
+            for key, shape in _EXPECTED.items()
+        })
 
 
 class CaseHint(NamedTuple):
@@ -97,9 +114,9 @@ class CaseHint(NamedTuple):
     @classmethod
     def from_json(cls, data: Mapping) -> "CaseHint":
         return cls(
-            line=int(data["line"]),
-            preconditions=frozenset(int(x) for x in data["preconditions"]),
-            citation=str(data["citation"]),
+            line=_json("hint.line", _json("hint", data, dict)["line"], int),
+            preconditions=frozenset(_json("hint.preconditions", data["preconditions"], [int])),
+            citation=_json("hint.citation", data["citation"], str),
         )
 
     def to_json(self) -> dict:
@@ -124,19 +141,19 @@ class CaseRecord(NamedTuple):
 
     @classmethod
     def from_json(cls, data: Mapping) -> "CaseRecord":
-        if data.get("format") != CASE_FORMAT:
+        """Read a case file's object, refusing by name a field of the wrong JSON type."""
+        if _json("case", data, dict).get("format") != CASE_FORMAT:
             raise CatalogError(f"unsupported case format {data.get('format')!r}")
+        words = _json("extra_inner_relators", data["extra_inner_relators"], list)
         return cls(
-            name=str(data["name"]),
-            aliases=tuple(str(a) for a in data["aliases"]),
-            external_result=bool(data["external_result"]),
+            name=_json("name", data["name"], str),
+            aliases=_json("aliases", data["aliases"], [str]),
+            external_result=_json("external_result", data["external_result"], bool),
             complex=PlanarComplex.from_json(data["complex"]),
-            hints=tuple(CaseHint.from_json(h) for h in data["hints"]),
-            extra_inner_relators=tuple(
-                word_from_json(w) for w in data["extra_inner_relators"]
-            ),
+            hints=tuple(map(CaseHint.from_json, _json("hints", data["hints"], list))),
+            extra_inner_relators=tuple(map(word_from_json, words)),
             expected=ExpectedResults.from_json(data["expected"]),
-            notes=tuple(str(n) for n in data["notes"]),
+            notes=_json("notes", data["notes"], [str]),
         )
 
 
@@ -192,15 +209,10 @@ class Catalog:
         if hashlib.sha256(blob).hexdigest() != entry["sha256"]:
             raise CatalogError(f"checksum mismatch for {entry['name']} ({path.name})")
         try:
-            record = CaseRecord.from_json(json.loads(blob.decode("utf-8")))
-            # records skip `validate`, but building the complex refused any
-            # plane or line without a complex's shape; the line → planes table
-            # refuses a line on no interior edge or on another line's edge
-            record.complex.line_planes()  # cached: the group layer reads it again for free
+            return CaseRecord.from_json(json.loads(blob.decode("utf-8")))
         except (KeyError, TypeError, ValueError) as exc:  # ComplexError is a ValueError
             fault = f"missing key {exc}" if type(exc) is KeyError else exc
             raise CatalogError(f"malformed case {entry['name']} ({path.name}): {fault}") from exc
-        return record
 
     def load(self, name: str) -> CaseRecord:
         key = _normalize(name)

@@ -217,14 +217,14 @@ def _analyze_file(path: str, args: argparse.Namespace) -> dict[str, Any]:
             data = json.load(fh)
     except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
         raise ComplexError(f"{path} is not UTF-8 JSON: {exc}") from exc
-    try:
+    try:  # every refusal, from the file's shape to its verdict, names the file
         complex_ = PlanarComplex.from_json(data)
-    except ComplexError as exc:
+        report = complex_.validate()
+        if not report.ok:
+            raise ComplexError("; ".join(report.errors + report.violations))
+        report = _analysis_body(path, complex_, complex_, args)
+    except _ERRORS as exc:
         raise ComplexError(f"{path}: {exc}") from exc
-    report = complex_.validate()
-    if not report.ok:
-        raise ComplexError(f"{path}: {'; '.join(report.errors + report.violations)}")
-    report = _analysis_body(path, complex_, complex_, args)
     report["expected_pi1"] = None
     report["consistent"] = None
     return report

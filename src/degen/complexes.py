@@ -11,14 +11,15 @@ The interchange JSON format ``degen-complex/1`` stores vertices as
 ``[id, [px, py, qx, qy]]`` with coordinates ``(px/qx, py/qy)``, triangles as
 ``[plane, [v1, v2, v3]]``, and lines as ``[index, [v1, v2]]``.
 
-A complex's shape is refused where it is built: the constructor and
-`from_json` share one step that names a plane that is not three listed
-vertices, a line that is not two, and more (see `_incidence`), then builds
-the base tables, which no later query can fail on.  `from_json` first names
-any table or entry that is not a list of ``[int, [int, ...]]`` entries and
-keeps the integers as written; the constructor takes ids, plane corners and
-line endpoints only of type ``int``.  ``vertices`` is an exact ``Fraction``
-view of the coordinates, built on first read by `to_json` or an error text.
+A complex's shape and incidence are refused where it is built: the
+constructor and `from_json` share one step, `_incidence`, that names a plane
+off the vertex table, an edge in three planes, an interior edge with no line
+and more, then builds the base tables, the dual graph among them, which no
+later query can fail on; `validate` certifies only the embedding.  `from_json`
+first names any table or entry that is not a list of ``[int, [int, ...]]``
+entries and keeps the integers as written; the constructor takes ids, plane
+corners and line endpoints only as ``int``.  ``vertices``, an exact
+``Fraction`` view of the coordinates, is built on first read.
 
 An edge is keyed by its ordered vertex pair ``(min, max)``, so a lookup
 builds no set; error texts print an edge as the list ``[a, b]``.  A line is
@@ -226,12 +227,13 @@ class ValidationReport(NamedTuple):
 class PlanarComplex:
     """An immutable planar triangle complex with numbered interior edges.
 
-    Construction refuses data without a complex's shape and builds the
-    integer lattice, the edge-to-planes map and the edge-to-line map.  Other
-    derived data (the ``Fraction`` view ``vertices``, the planes oriented
-    alike with their boundary walk, the vertex classification, each line's
-    planes and each plane's lines) is computed once, on first use.  So
-    ``vertices``, ``triangles`` and ``line_numbering`` must not be mutated.
+    Construction refuses data that is not a triangulated surface with
+    numbered interior edges and builds the integer lattice, the edge-to-planes
+    and edge-to-line maps, and the dual graph: each line's planes and each
+    plane's lines.  The rest (the ``Fraction`` view ``vertices``, the planes
+    oriented alike with their boundary walk, the vertex classification) is
+    computed once, on first use.  So ``vertices``, ``triangles`` and
+    ``line_numbering`` must not be mutated.
     """
 
     def __init__(
@@ -257,12 +259,15 @@ class PlanarComplex:
 
     def _incidence(self, coords, triangles, line_numbering) -> None:
         """Copy each vertex's ``(px, py, qx, qy)``, nonzero ints, and the incidence,
-        refuse what has no complex's shape, and build the base tables.
+        refuse any that is not a triangulated surface whose interior edges are
+        numbered, and build the base tables, the dual graph among them.
 
-        Refuses, in `validate`'s words and naming the first bad plane or line,
-        no planes, a plane that is not three listed vertices, a line that is
-        not two, and line indices that are not 1..L.  A pass that neither
-        sorts nor allocates finds a fault; only then is it sought in order.
+        Refuses, in `validate`'s words and naming the first fault in this
+        order: no planes; a plane that is not three listed vertices; a line
+        that is not two; line indices that are not 1..L; a plane that repeats
+        a vertex; an edge in over two planes; a line on one vertex, off the
+        interior edges or on another line's edge; an interior edge with no
+        line.  Counts and one ``max`` find a fault; only then is it sought.
         """
         known = self._coords = {v: tuple(c) for v, c in coords.items()}
         tris = self.triangles = {p: tuple(tri) for p, tri in triangles.items()}
@@ -283,6 +288,35 @@ class PlanarComplex:
                         raise ComplexError(f"line {i} has bad endpoints {pair}")
         if lines and (min(lines) != 1 or max(lines) != len(lines)):  # L distinct ints
             raise ComplexError(f"line indices are not 1..L: {sorted(lines)}")
+        for a, b, c in tris.values():
+            if a == b or b == c or a == c:
+                plane = min(p for p, tri in tris.items() if len(set(tri)) != 3)
+                raise ComplexError(f"plane {plane} repeats a vertex: {tris[plane]}")
+
+        ep = self._edge_planes = self.edge_planes()
+        line_of = self._line_of = line_by_edge(lines)
+        line_planes = self._line_planes = {i: tuple(ep.get(e, ())) for e, i in line_of.items()}
+        # with edges in at most two planes, the lines are distinct interior edges
+        # iff 2L planes bound them, and all of them iff 3 * planes = edges + L
+        if (
+            max(map(len, ep.values())) > 2
+            or sum(map(len, line_planes.values())) != 2 * len(lines)
+            or len(ep) + len(lines) != 3 * len(tris)
+        ):
+            for e, ps in sorted(ep.items()):
+                if len(ps) > 2:
+                    raise ComplexError(f"edge {list(e)} lies in {len(ps)} planes: {ps}")
+            for i, pair in sorted(lines.items()):
+                e = tuple(sorted(pair))
+                if e[0] == e[1]:
+                    raise ComplexError(f"line {i} has bad endpoints {pair}")
+                if len(ep.get(e, ())) != 2:
+                    raise ComplexError(f"line {i} {pair} is not an interior edge")
+                if line_of[e] != i:
+                    raise ComplexError(f"lines {line_of[e]} and {i} number the same edge")
+            for e, ps in sorted(ep.items()):
+                if len(ps) == 2 and e not in line_of:
+                    raise ComplexError(f"interior edge {list(e)} has no line number")
 
         scale = 1  # the lcm of all denominators as written
         for _, _, qx, qy in known.values():
@@ -290,8 +324,11 @@ class PlanarComplex:
         self._lattice: dict[int, tuple[int, int]] = {
             v: (px * (scale // qx), py * (scale // qy)) for v, (px, py, qx, qy) in known.items()
         }
-        self._edge_planes = self.edge_planes()
-        self._line_of = line_by_edge(lines)
+        sides: dict[int, list[int]] = {p: [] for p in sorted(tris)}
+        for index, (p, q) in line_planes.items():  # one line per edge, in line order
+            sides[p].append(index)
+            sides[q].append(index)
+        self._plane_lines = {p: tuple(ls) for p, ls in sides.items()}
 
     # -- derived incidence data -------------------------------------------------
 
@@ -315,60 +352,35 @@ class PlanarComplex:
         return orient_disk(self.triangles, self._edge_planes)
 
     def line_planes(self) -> dict[int, tuple[int, int]]:
-        """Each line's two planes, ascending, in line order (computed once).
+        """Each line's two planes, ascending, in line order (built with the complex).
 
-        Refuses a line that is not an interior edge or numbers another line's
-        edge, so distinct lines are distinct edges and share at most one vertex.
+        Distinct lines are distinct interior edges, so they share at most one vertex.
         """
         return self._line_planes
 
-    @cached_property
-    def _line_planes(self) -> dict[int, tuple[int, int]]:
-        ep, line_of = self._edge_planes, self._line_of
-        out = {index: tuple(ep.get(e, ())) for e, index in line_of.items()}
-        if len(out) != len(self.line_numbering) or any(len(ps) != 2 for ps in out.values()):
-            for index, pair in sorted(self.line_numbering.items()):  # the first bad line
-                e = tuple(sorted(pair))
-                planes = ep.get(e, ())
-                if len(planes) != 2:
-                    raise ComplexError(
-                        f"line {index} {pair} is not an interior edge (in {len(planes)} planes)"
-                    )
-                if line_of[e] != index:
-                    raise ComplexError(f"lines {line_of[e]} and {index} number the same edge")
-        return out  # one line per edge, in line order
-
     def plane_lines(self) -> dict[int, tuple[int, ...]]:
-        """Each plane's sides that are lines, as ascending indices (computed once).
+        """Each plane's sides that are lines, as ascending indices (built with the complex).
 
         Every plane is a key, in plane order; a plane with no line maps to ``()``.
         With `line_planes` it is the dual graph: planes joined by lines.
         """
         return self._plane_lines
 
-    @cached_property
-    def _plane_lines(self) -> dict[int, tuple[int, ...]]:
-        sides: dict[int, list[int]] = {p: [] for p in sorted(self.triangles)}
-        for index, planes in self.line_planes().items():
-            for p in planes:
-                sides[p].append(index)
-        return {p: tuple(lines) for p, lines in sides.items()}
-
     # -- public queries ----------------------------------------------------------
 
     def validate(self) -> ValidationReport:
-        """Check that the complex is a straight-line triangulated disk.
+        """Check that the complex's incidence is embedded as a straight-line disk.
 
-        ``errors`` name data that does not describe a complex; ``violations``
-        name a complex that is not a planar degeneration.  After the checks
-        that every edge lies in at most two planes and that the Euler
-        characteristic is 1, and the certificate's own check that the planes
-        chain along lines and orient alike around one boundary cycle, the
-        complex is a triangulated disk: a pinched vertex would take the Euler
-        characteristic below 1 (see `_disk_violations`).  A piecewise-linear
-        map of a disk whose planes all keep one orientation sign, and whose
-        boundary is a simple polygon of that sign, has degree 1 on the
-        polygon's interior, and so it is injective (Floater, "One-to-one
+        Construction refused any incidence but a triangulated surface.
+        ``errors`` name vertices on one point, collinear planes and planes on
+        one vertex set; ``violations`` name a complex that is not a planar
+        degeneration.  Once the Euler characteristic is 1 and the certificate
+        finds the planes chain along lines and orient alike around one
+        boundary cycle, the complex is a triangulated disk: a pinched vertex
+        would take the Euler characteristic below 1 (see `_disk_violations`).
+        A piecewise-linear map of a disk whose planes all keep one orientation
+        sign, and whose boundary is a simple polygon of that sign, has degree
+        1 on the polygon's interior, and so it is injective (Floater, "One-to-one
         piecewise linear mappings over triangulations", Math. Comp. 72, 2003).
 
         Two facts keep the certificate cheap.  A boundary whose every corner
@@ -391,36 +403,12 @@ class PlanarComplex:
         seen_tris: dict[frozenset[int], int] = {}
         for plane, tri in sorted(self.triangles.items()):
             a, b, c = tri
-            if a == b or b == c or a == c:
-                errors.append(f"plane {plane} repeats a vertex: {tri}")
-                continue
             if orient(lat[a], lat[b], lat[c]) == 0:
                 errors.append(f"plane {plane} is degenerate (collinear): {tri}")
             key = frozenset(tri)
             if key in seen_tris:
                 errors.append(f"planes {seen_tris[key]} and {plane} share all vertices")
             seen_tris[key] = plane
-        if errors:
-            return ValidationReport(tuple(errors), ())
-
-        ep = self._edge_planes
-        interior = {e for e, ps in ep.items() if len(ps) == 2}
-        if max(map(len, ep.values())) > 2:
-            for e, ps in sorted(ep.items()):
-                if len(ps) > 2:
-                    errors.append(f"edge {list(e)} lies in {len(ps)} planes: {ps}")
-        line_of = self._line_of  # unless each line numbers its own interior edge, name why
-        if len(line_of) != len(self.line_numbering) or line_of.keys() != interior:
-            for i, pair in sorted(self.line_numbering.items()):
-                e = tuple(sorted(pair))
-                if e[0] == e[1]:
-                    errors.append(f"line {i} has bad endpoints {pair}")
-                elif e not in interior:
-                    errors.append(f"line {i} {pair} is not an interior edge")
-                elif line_of[e] != i:
-                    errors.append(f"lines {line_of[e]} and {i} number the same edge")
-            for e in sorted(interior - line_of.keys()):
-                errors.append(f"interior edge {list(e)} has no line number")
         if errors:
             return ValidationReport(tuple(errors), ())
 
@@ -502,9 +490,10 @@ class PlanarComplex:
 
         A vertex off the boundary walk has a closed fan of lines; any other
         vertex has an open fan whose two extreme edges are boundary edges.
-        A line that `line_planes` refuses is refused before any fan is read.
+        No lookup can fail: the walk covers every boundary edge, so a vertex
+        off it has only interior edges, each of which construction numbered;
+        an open fan's end edges lie in one plane each, every other in two.
         """
-        self.line_planes()
         oriented, walk = self._disk
         planes = list(oriented.values())
         lat, (a, b, c) = self._lattice, planes[0]
@@ -514,18 +503,12 @@ class PlanarComplex:
         on_boundary = set(walk)
         points: list[SingularPoint] = []
         for v, ring in sorted(vertex_fans(planes).items()):
-            lines = [line_of.get((v, w) if v < w else (w, v)) for w in ring]
             if v not in on_boundary:
-                if None in lines:
-                    raise ComplexError(f"inner vertex {v} has an unnumbered edge")
+                lines = [line_of[(v, w) if v < w else (w, v)] for w in ring]
                 start = lines.index(min(lines))
                 cyc = lines[start:] + lines[:start]
                 points.append(SingularPoint(v, "inner", len(cyc), tuple(cyc)))
-                continue
-            head, *fan, tail = lines
-            if head is not None or tail is not None or None in fan:
-                raise ComplexError(f"vertex {v}: boundary/line pattern is inconsistent")
-            if fan:
+            elif fan := [line_of[(v, w) if v < w else (w, v)] for w in ring[1:-1]]:
                 points.append(SingularPoint(v, "outer", len(fan), tuple(fan)))
         return tuple(points)
 

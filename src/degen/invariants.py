@@ -4,7 +4,7 @@ After regenerating a degeneration with ``n`` planes and ``L`` lines, the
 branch curve has degree ``m = 2L`` and carries cusps, nodes and branch points
 whose counts decompose as sums of local contributions over the singular
 points, plus four nodes per parasitic (disjoint) line pair.  Distinct lines
-are distinct edges (`PlanarComplex.line_planes` refuses two lines on one
+are distinct edges (a `PlanarComplex` is refused with two lines on one
 edge), so two lines meet in at most one vertex, and the k_v lines at a
 singular point v meet pairwise there: the parasitic pairs number
 C(L, 2) - sum over v of C(k_v, 2).  The Chern

@@ -245,6 +245,86 @@ def test_catalog_refusals_print_no_python_repr(capsys, tmp_path, monkeypatch, st
     assert (rc, out, err) == (1, "", f"degen: error: malformed case {fault}\n")
 
 
+@pytest.mark.parametrize(
+    "stem, path, value, fault",
+    [
+        ("u-0-5-1", ("hints",), None, "U_{0,5,1} (u-0-5-1.json): hints is null, not a list"),
+        (
+            "u-0-5-1",
+            ("expected", "points"),
+            None,
+            "U_{0,5,1} (u-0-5-1.json): expected.points is null, not a list",
+        ),
+        ("u-0-5-1", ("notes",), 5, "U_{0,5,1} (u-0-5-1.json): notes is 5, not a list"),
+        (
+            "u-0-5-1",
+            ("expected", "pi1"),
+            None,
+            "U_{0,5,1} (u-0-5-1.json): expected.pi1 is null,"
+            " not one of trivial, nontrivial, undecided",
+        ),
+        (
+            "u-0-6-2",
+            ("hints", 0, "line"),
+            1.9,
+            "U_{0,6,2} (u-0-6-2.json): hint.line is 1.9, not an integer",
+        ),
+        *(
+            ("u-0-5-1", ("expected", "m"), m, f"U_{{0,5,1}} (u-0-5-1.json): expected.m is {text},"
+             " not an integer")
+            for m, text in (("3", '"3"'), (2.7, "2.7"), (True, "true"))
+        ),
+        (
+            "u-0-5-1",
+            ("expected", "chi_coeff"),
+            1.5,
+            "U_{0,5,1} (u-0-5-1.json): expected.chi_coeff is 1.5, not a fraction in a string",
+        ),
+        (
+            "u-0-5-1",
+            ("expected", "chi_coeff"),
+            "4/0",
+            'U_{0,5,1} (u-0-5-1.json): expected.chi_coeff is "4/0", not a fraction in a string',
+        ),
+        (
+            "u-0-5-1",
+            ("expected", "parasitic", 1),
+            [1, "5"],
+            'U_{0,5,1} (u-0-5-1.json): expected.parasitic[1][1] is "5", not an integer',
+        ),
+        (
+            "u-6",
+            ("extra_inner_relators", 0, 1),
+            [2, 2],
+            "U_6 (u-6.json): word [[1, 1], [2, 2], [3, 1], [4, 1], [5, 1], [6, 1], [5, 1],"
+            " [4, 1], [3, 1], [2, 1]] is not a list of [generator, +1 or -1] pairs",
+        ),
+    ],
+    ids=[
+        "hints-null", "points-null", "notes-an-int", "pi1-null", "hint-line-fractional",
+        "m-a-string", "m-fractional", "m-a-bool", "chi-a-float", "chi-over-zero",
+        "parasitic-pair-a-string", "word-exponent-two",
+    ],
+)
+def test_catalog_record_fields_are_checked_not_coerced(
+    capsys, tmp_path, monkeypatch, stem, path, value, fault
+):
+    """A record field of the wrong JSON type is refused by its name: no raw
+    Python text, no ``str(None)`` verdict to mismatch, and no ``int()`` that
+    turns 1.9 into line 1."""
+
+    def edit(data):
+        *parents, key = path
+        for step in parents:
+            data = data[step]
+        data[key] = value
+
+    edited_catalog(tmp_path, monkeypatch, stem, edit)
+    name = fault.split(" (")[0]
+    rc, out, err = run(capsys, "analyze", name)
+    assert (rc, out, err) == (1, "", f"degen: error: malformed case {fault}\n")
+
+
 def test_analyze_accepts_complex_file(capsys, tmp_path):
     case = json.loads((DATA_DIR / "cases" / "u-0-4.json").read_text())
     pc = PlanarComplex.from_json(case["complex"])
@@ -304,7 +384,8 @@ CASE_COMPLEXES = tuple(
 )
 TABLES = ("vertices", "triangles", "line_numbering")
 MUTATIONS = (
-    "drop", "append", "duplicate", "lengthen", "shorten", "retype", "object", "null", "remove"
+    "drop", "append", "duplicate", "lengthen", "shorten", "retype", "object", "null", "remove",
+    "move",
 )
 ODD_VALUES = (0.5, "1", None, True, [], {}, [1])
 RAW_PYTHON = re.compile(r"unpack|not iterable|NoneType|\b[A-Z]\w*(Error|Exception)\(")
@@ -339,6 +420,16 @@ def mutated_complexes(draw):
             entry[1].append(draw(st.integers(-1, 20)))
         elif mutation == "shorten" and shaped and entry[1]:
             entry[1].pop()
+        elif mutation == "move" and shaped and entry[1] and key != "vertices":
+            # a line onto two corners of a plane, or a plane corner onto another vertex
+            other = data.get("triangles" if key == "line_numbering" else "vertices")
+            if type(other) is list and other:
+                o = draw(st.sampled_from(other))
+                if key == "line_numbering" and type(o) is list and len(o) == 2:
+                    if type(o[1]) is list and len(o[1]) >= 2:
+                        entry[1] = draw(st.permutations(o[1]))[:2]
+                elif key == "triangles" and type(o) is list and o:
+                    entry[1][draw(st.integers(0, len(entry[1]) - 1))] = o[0]
         elif mutation == "retype":
             odd = draw(st.sampled_from(ODD_VALUES))
             where = draw(st.sampled_from(("entry", "id", "values", "value")))
@@ -359,6 +450,13 @@ def u04_complex(**tables):
     return {k: v for k, v in {**data, **tables}.items() if v is not None}
 
 
+def u04_moved(key, index, values):
+    """`U_{0,4}`'s complex JSON with entry ``index`` of table ``key`` set to ``values``."""
+    data = u04_complex()
+    data[key][index][1] = values
+    return data
+
+
 @pytest.fixture(scope="module")
 def fuzz_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "mutated.json"
@@ -373,6 +471,13 @@ def fuzz_path(tmp_path_factory):
 @example(data=u04_complex(line_numbering={}))
 @example(data=u04_complex(triangles=[[1, [1, 2]]]))
 @example(data=u04_complex(line_numbering=[[1, [1, 2, 3]]]))
+@example(data=u04_moved("triangles", 0, [1, 2, 2]))  # plane 1 repeats a vertex
+@example(data=u04_moved("triangles", 5, [2, 6, 5]))  # edge [2, 6] in three planes
+@example(data=u04_moved("line_numbering", 0, [1, 1]))  # line 1 on one vertex
+@example(data=u04_moved("line_numbering", 0, [1, 2]))  # line 1 on a boundary edge
+@example(data=u04_moved("line_numbering", 4, [2, 6]))  # lines 2 and 5 on one edge
+@example(data=u04_complex(line_numbering=u04_complex()["line_numbering"][:4]))  # [3, 8] unnumbered
+@example(data=json.loads((DATA_DIR / "cases" / "u-6.json").read_text())["complex"])  # a 6-point
 def test_analyze_refuses_mutated_complex_files_in_words(fuzz_path, data):
     """Whatever edit a complex file takes, `analyze` gives a report or a
     refusal that names the file, with no exception outside `_ERRORS` and no

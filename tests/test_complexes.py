@@ -174,7 +174,9 @@ def test_lattice_from_written_integers_keeps_fraction_semantics():
     ``Fraction``s: the same view, text and report."""
     written = {1: [2, 4, 4, 8], 2: [1, -1, -2, 3], 3: [3, 0, 1, 1], 4: [1, 1, 2, 1]}
     triangles = {1: (1, 2, 3), 2: (1, 3, 4)}
-    doubled = loaded_and_built({**written, 5: [2, 2, 4, 2]}, {**triangles, 3: (1, 3, 5)})
+    doubled = loaded_and_built(
+        {**written, 5: [2, 2, 4, 2], 6: [6, 9, 2, 3]}, {**triangles, 3: (2, 5, 6)}
+    )
     for loaded, built in (loaded_and_built(written, triangles), doubled):
         assert loaded.vertices == built.vertices
         assert loaded.dumps() == built.dumps()
@@ -238,10 +240,12 @@ def test_plane_without_three_vertices_is_named(tri):
 
 def test_classification_is_computed_once(by_name, derivation_calls):
     """A loaded complex's derived tables are each built once, from its JSON
-    integers: no ``Fraction`` is made on the way to a verdict."""
+    integers: no ``Fraction`` is made on the way to a verdict.  The dual graph
+    is built with the complex, not on first read."""
     data = by_name["U_{0,6,1}"].complex.to_json()
     derivation_calls.clear()
     pc = PlanarComplex.from_json(data)
+    assert {"_line_planes", "_plane_lines"} <= vars(pc).keys()
     assert pc.validate().ok
     points = pc.classify_vertices()
     assert pc.classify_vertices() is points
@@ -518,9 +522,9 @@ def square_json(key, entries):
 
 
 def square_with_lines(lines):
-    """`square_strip`'s two planes under another line numbering."""
+    """`square_strip`'s tables under another line numbering."""
     strip = square_strip()
-    return PlanarComplex(strip.vertices, strip.triangles, lines)
+    return strip.vertices, strip.triangles, lines
 
 
 def constructor_refusal(tables):
@@ -534,8 +538,8 @@ def constructor_refusal(tables):
     "check, subject, messages",
     [
         (
-            validation_messages,
-            PlanarComplex(
+            constructor_refusal,
+            (
                 {1: (0, 0), 2: (1, 0), 3: (0, 1), 4: (1, 1), 5: (-1, -1)},
                 {1: (1, 2, 3), 2: (2, 1, 4), 3: (1, 2, 5)},
                 {},
@@ -543,20 +547,25 @@ def constructor_refusal(tables):
             ("edge [1, 2] lies in 3 planes: [1, 2, 3]",),
         ),
         (
-            validation_messages,
+            constructor_refusal,
             square_with_lines({1: (2, 1)}),
-            ("line 1 (2, 1) is not an interior edge", "interior edge [1, 3] has no line number"),
+            ("line 1 (2, 1) is not an interior edge",),
         ),
         (
-            validation_messages,
+            constructor_refusal,
             square_with_lines({1: (1, 3), 2: (3, 1)}),
             ("lines 1 and 2 number the same edge",),
         ),
-        (validation_messages, square_with_lines({}), ("interior edge [1, 3] has no line number",)),
+        (constructor_refusal, square_with_lines({}), ("interior edge [1, 3] has no line number",)),
         (
-            validation_messages,
+            constructor_refusal,
             square_with_lines({1: (3, 3)}),
-            ("line 1 has bad endpoints (3, 3)", "interior edge [1, 3] has no line number"),
+            ("line 1 has bad endpoints (3, 3)",),
+        ),
+        (
+            constructor_refusal,
+            (square_strip().vertices, {1: (1, 2, 3), 2: (1, 3, 3)}, {1: (1, 3)}),
+            ("plane 2 repeats a vertex: (1, 3, 3)",),
         ),
         (
             constructor_refusal,
@@ -643,7 +652,8 @@ def constructor_refusal(tables):
     ],
     ids=[
         "edge-in-three-planes", "boundary-edge-numbered", "edge-numbered-twice",
-        "interior-edge-unnumbered", "line-on-one-vertex", "line-on-three-vertices",
+        "interior-edge-unnumbered", "line-on-one-vertex", "plane-repeats-a-vertex",
+        "line-on-three-vertices",
         "plane-on-an-unlisted-vertex", "unorientable-gluing", "non-integral-chern",
         "json-vertex-not-an-int", "json-triangle-not-a-list", "json-line-vertex-none",
         "json-duplicate-plane", "json-zero-denominator", "json-vertex-of-five-values",
