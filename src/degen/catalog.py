@@ -188,12 +188,13 @@ class Catalog:
         self.entries: list[dict] = list(manifest["cases"])
         self._by_key: dict[str, dict] = {}
         for pos, entry in enumerate(self.entries):
-            where = f"manifest {manifest_path}: cases[{pos}]"
             if not isinstance(entry, dict):
-                raise CatalogError(f"{where} is not an object")
+                raise CatalogError(f"manifest {manifest_path}: cases[{pos}] is not an object")
             for key in ("name", "file", "sha256"):
                 if not isinstance(entry.get(key), str):
-                    raise CatalogError(f"{where} has no string {key!r}")
+                    raise CatalogError(
+                        f"manifest {manifest_path}: cases[{pos}] has no string {key!r}"
+                    )
             key = _normalize(entry["name"])
             if key in self._by_key:
                 raise CatalogError(f"ambiguous case label {entry['name']!r}")
@@ -209,7 +210,11 @@ class Catalog:
         if hashlib.sha256(blob).hexdigest() != entry["sha256"]:
             raise CatalogError(f"checksum mismatch for {entry['name']} ({path.name})")
         try:
-            return CaseRecord.from_json(json.loads(blob.decode("utf-8")))
+            record = CaseRecord.from_json(json.loads(blob.decode("utf-8")))
+            report = record.complex.validate()  # construction certified the rest
+            if not report.ok:
+                raise CatalogError("; ".join(report.errors + report.violations))
+            return record
         except (KeyError, TypeError, ValueError) as exc:  # ComplexError is a ValueError
             fault = f"missing key {exc}" if type(exc) is KeyError else exc
             raise CatalogError(f"malformed case {entry['name']} ({path.name}): {fault}") from exc

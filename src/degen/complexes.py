@@ -11,11 +11,13 @@ The interchange JSON format ``degen-complex/1`` stores vertices as
 ``[id, [px, py, qx, qy]]`` with coordinates ``(px/qx, py/qy)``, triangles as
 ``[plane, [v1, v2, v3]]``, and lines as ``[index, [v1, v2]]``.
 
-A complex's shape and incidence are refused where it is built: the
+A complex's shape, incidence and topology are refused where it is built: the
 constructor and `from_json` share one step, `_incidence`, that names a plane
-off the vertex table, an edge in three planes, an interior edge with no line
-and more, then builds the base tables, the dual graph among them, which no
-later query can fail on; `validate` certifies only the embedding.  `from_json`
+off the vertex table, an edge in three planes, an interior edge with no line,
+a vertex in no plane, an Euler characteristic other than 1, planes that do
+not orient alike around one boundary cycle and more, then builds the base
+tables, the dual graph and the oriented disk among them, which no later
+query can fail on; `validate` certifies only the geometry.  `from_json`
 first names any table or entry that is not a list of ``[int, [int, ...]]``
 entries and keeps the integers as written; the constructor takes ids, plane
 corners and line endpoints only as ``int``.  ``vertices``, an exact
@@ -38,9 +40,10 @@ the results are those of the rational coordinates.
 
 ``orient_disk`` orients a set of planes alike and walks the one boundary
 cycle they direct; ``vertex_fans`` chains the oriented planes into each
-vertex's fan.  A complex orients its planes once: ``validate`` certifies the
-embedding from them and ``classify_vertices`` reads the fans.  The enumerator
-builds each combinatorial map's rotations and boundary walk the same way.
+vertex's fan.  A complex orients its planes once, where it is built:
+``validate`` certifies the embedding from them and ``classify_vertices``
+reads the fans.  The enumerator builds each combinatorial map's rotations
+and boundary walk the same way.
 """
 
 from __future__ import annotations
@@ -216,8 +219,8 @@ class SingularPoint(NamedTuple):
 
 
 class ValidationReport(NamedTuple):
-    errors: tuple[str, ...]  # structural: the data does not describe a complex
-    violations: tuple[str, ...]  # semantic: not a valid planar degeneration
+    errors: tuple[str, ...]  # degenerate: vertices on one point, collinear planes
+    violations: tuple[str, ...]  # not embedded: flipped planes, a boundary that crosses
 
     @property
     def ok(self) -> bool:
@@ -227,11 +230,11 @@ class ValidationReport(NamedTuple):
 class PlanarComplex:
     """An immutable planar triangle complex with numbered interior edges.
 
-    Construction refuses data that is not a triangulated surface with
-    numbered interior edges and builds the integer lattice, the edge-to-planes
-    and edge-to-line maps, and the dual graph: each line's planes and each
-    plane's lines.  The rest (the ``Fraction`` view ``vertices``, the planes
-    oriented alike with their boundary walk, the vertex classification) is
+    Construction refuses data that is not a triangulated disk with numbered
+    interior edges and builds the integer lattice, the edge-to-planes and
+    edge-to-line maps, the dual graph (each line's planes and each plane's
+    lines) and the planes oriented alike with their boundary walk.  The rest
+    (the ``Fraction`` view ``vertices``, the vertex classification) is
     computed once, on first use.  So ``vertices``, ``triangles`` and
     ``line_numbering`` must not be mutated.
     """
@@ -259,15 +262,24 @@ class PlanarComplex:
 
     def _incidence(self, coords, triangles, line_numbering) -> None:
         """Copy each vertex's ``(px, py, qx, qy)``, nonzero ints, and the incidence,
-        refuse any that is not a triangulated surface whose interior edges are
-        numbered, and build the base tables, the dual graph among them.
+        refuse any that is not a triangulated disk whose interior edges are
+        numbered, and build the base tables, the dual graph and the oriented
+        disk among them.
 
-        Refuses, in `validate`'s words and naming the first fault in this
-        order: no planes; a plane that is not three listed vertices; a line
-        that is not two; line indices that are not 1..L; a plane that repeats
-        a vertex; an edge in over two planes; a line on one vertex, off the
-        interior edges or on another line's edge; an interior edge with no
-        line.  Counts and one ``max`` find a fault; only then is it sought.
+        Refuses, naming the first fault in this order: no planes; a plane that
+        is not three listed vertices; a line that is not two; line indices
+        that are not 1..L; a plane that repeats a vertex; an edge in over two
+        planes; a line on one vertex, off the interior edges or on another
+        line's edge; an interior edge with no line; a vertex in no plane; an
+        Euler characteristic other than 1; then whatever `orient_disk` names.
+        Counts and one ``max`` find an incidence fault; only then is it sought.
+
+        What passes is a disk, so no pinch needs a check of its own.  Split
+        each pinched vertex into one vertex per fan: the surface left is
+        connected and has a boundary, since `orient_disk` chains the planes
+        along lines and walks one, so its Euler characteristic is at most 1,
+        and each pinch lowers the complex's by one.  With every vertex in a
+        plane, Euler characteristic 1 leaves no pinch.
         """
         known = self._coords = {v: tuple(c) for v, c in coords.items()}
         tris = self.triangles = {p: tuple(tri) for p, tri in triangles.items()}
@@ -317,6 +329,11 @@ class PlanarComplex:
             for e, ps in sorted(ep.items()):
                 if len(ps) == 2 and e not in line_of:
                     raise ComplexError(f"interior edge {list(e)} has no line number")
+        if len(corners := {v for t in tris.values() for v in t}) != len(known):
+            raise ComplexError(f"vertex {min(known.keys() - corners)} lies in no plane")
+        if (euler := len(known) - len(ep) + len(tris)) != 1:
+            raise ComplexError(f"Euler characteristic {euler} != 1 (support is not a disk)")
+        self._disk = orient_disk(tris, ep)
 
         scale = 1  # the lcm of all denominators as written
         for _, _, qx, qy in known.values():
@@ -346,11 +363,6 @@ class PlanarComplex:
         """
         return planes_by_edge(self.triangles)
 
-    @cached_property
-    def _disk(self) -> tuple[dict[int, tuple[int, int, int]], tuple[int, ...]]:
-        """The planes oriented alike and their boundary walk, by `orient_disk`."""
-        return orient_disk(self.triangles, self._edge_planes)
-
     def line_planes(self) -> dict[int, tuple[int, int]]:
         """Each line's two planes, ascending, in line order (built with the complex).
 
@@ -369,15 +381,15 @@ class PlanarComplex:
     # -- public queries ----------------------------------------------------------
 
     def validate(self) -> ValidationReport:
-        """Check that the complex's incidence is embedded as a straight-line disk.
+        """Check that the complex's disk is embedded by its straight-line map.
 
-        Construction refused any incidence but a triangulated surface.
-        ``errors`` name vertices on one point, collinear planes and planes on
-        one vertex set; ``violations`` name a complex that is not a planar
-        degeneration.  Once the Euler characteristic is 1 and the certificate
-        finds the planes chain along lines and orient alike around one
-        boundary cycle, the complex is a triangulated disk: a pinched vertex
-        would take the Euler characteristic below 1 (see `_disk_violations`).
+        Construction refused anything but a triangulated disk and oriented
+        its planes (see `_incidence`), so only the geometry is left.
+        ``errors`` name vertices on one point and collinear planes;
+        ``violations`` name flipped planes and a boundary that is not a simple
+        polygon.  Two planes on one vertex set need no check: each of their
+        edges would lie in both and in no other plane, so they would be the
+        whole complex, a sphere that construction refused.
         A piecewise-linear map of a disk whose planes all keep one orientation
         sign, and whose boundary is a simple polygon of that sign, has degree
         1 on the polygon's interior, and so it is injective (Floater, "One-to-one
@@ -400,45 +412,19 @@ class PlanarComplex:
                         f"vertices {seen_pts[p]} and {v} share coordinates {self.vertices[v]}"
                     )
                 seen_pts[p] = v
-        seen_tris: dict[frozenset[int], int] = {}
         for plane, tri in sorted(self.triangles.items()):
             a, b, c = tri
             if orient(lat[a], lat[b], lat[c]) == 0:
                 errors.append(f"plane {plane} is degenerate (collinear): {tri}")
-            key = frozenset(tri)
-            if key in seen_tris:
-                errors.append(f"planes {seen_tris[key]} and {plane} share all vertices")
-            seen_tris[key] = plane
         if errors:
             return ValidationReport(tuple(errors), ())
-
-        violations = self._disk_violations()
-        if not violations:
-            violations = self._orientation_violations()
-        return ValidationReport((), tuple(violations))
-
-    def _disk_violations(self) -> list[str]:
-        """Euler characteristic 1.
-
-        Connectivity needs no check of its own: `orient_disk`, which the
-        certificate runs next, names planes that do not chain along lines.
-        Nor do pinches.  Split each pinched vertex into one vertex per fan:
-        the surface left is connected and has a boundary (else `orient_disk`
-        finds no boundary walk), so its Euler characteristic is at most 1,
-        and each pinch lowers it by one.  A vertex in no plane can make up
-        the count, but then a disk puts two of its vertices on one point,
-        which the certificate rejects.
-        """
-        euler = len(self._lattice) - len(self._edge_planes) + len(self.triangles)
-        if euler != 1:
-            return [f"Euler characteristic {euler} != 1 (support is not a disk)"]
-        return []
+        return ValidationReport((), tuple(self._orientation_violations()))
 
     def _orientation_violations(self) -> list[str]:
-        """Certify the straight-line map of a connected complex as an embedding.
+        """Certify the straight-line map of the complex's disk as an embedding.
 
-        Takes the planes oriented alike and their boundary cycle from
-        `orient_disk`, and requires every plane to wind with that cycle and
+        Takes the planes oriented alike and their boundary cycle that
+        construction built, and requires every plane to wind with that cycle and
         the cycle to be a simple polygon.  The cycle's signed area is the sum
         of the planes', so once every plane winds with it, it winds with
         every plane.  Names every flipped plane, in plane order.
@@ -449,10 +435,7 @@ class PlanarComplex:
         simple polygon that finds nothing, and on any other it names every
         pair that overlaps or crosses.
         """
-        try:
-            oriented, walk = self._disk
-        except ComplexError as exc:
-            return [str(exc)]
+        oriented, walk = self._disk
         lat = self._lattice
         corners = [lat[v] for v in walk]
         twice_area = sum(
@@ -490,9 +473,11 @@ class PlanarComplex:
 
         A vertex off the boundary walk has a closed fan of lines; any other
         vertex has an open fan whose two extreme edges are boundary edges.
-        No lookup can fail: the walk covers every boundary edge, so a vertex
-        off it has only interior edges, each of which construction numbered;
-        an open fan's end edges lie in one plane each, every other in two.
+        No step can fail: construction certified a disk, which has no pinch,
+        so `vertex_fans` chains each vertex's planes into one fan; the walk
+        covers every boundary edge, so a vertex off it has only interior
+        edges, each of which construction numbered; an open fan's end edges
+        lie in one plane each, every other in two.
         """
         oriented, walk = self._disk
         planes = list(oriented.values())
@@ -566,7 +551,10 @@ class PlanarComplex:
                         f"malformed complex JSON: vertices entry {json.dumps(entry)} {fault}"
                     )
                 if k in table:
-                    raise ComplexError(f"duplicate {name} {k}")
+                    raise ComplexError(
+                        f"malformed complex JSON: {key} entry {json.dumps(entry)}"
+                        f" repeats {name} {k}"
+                    )
                 table[k] = values
         complex_ = cls.__new__(cls)
         complex_._incidence(*tables.values())  # vertices, triangles, line_numbering

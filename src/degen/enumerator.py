@@ -330,9 +330,10 @@ def embed(map_: CombinatorialMap) -> PlanarComplex:
     """Synthesize exact coordinates and return a validated complex.
 
     Boundary vertices go on a circle in walk order; interior vertices solve
-    the neighbor-average equations exactly.  Any validation failure is a
-    real bug in the generated map and is raised, never swallowed.  The class
-    check reads rings and walk off the planes `validate` oriented alike.
+    the neighbor-average equations exactly.  Any refusal by the constructor
+    or by `validate` is a real bug in the generated map and is raised, never
+    swallowed.  The class check reads rings and walk off the planes the
+    constructor oriented alike.
     """
     rot = map_.rotation_dict
     boundary = list(map_.boundary)
@@ -356,14 +357,17 @@ def embed(map_: CombinatorialMap) -> PlanarComplex:
         if v < w and frozenset((v, w)) not in outer_edges
     )
     numbering = {i + 1: e for i, e in enumerate(interior_edges)}
-    complex_ = PlanarComplex(coords, triangles, numbering)
+    try:
+        complex_ = PlanarComplex(coords, triangles, numbering)
+    except ComplexError as exc:
+        raise EnumeratorError(f"synthesized embedding failed validation: {exc}") from exc
     report = complex_.validate()
     if not report.ok:
         raise EnumeratorError(
             f"synthesized embedding failed validation: {report.errors}"
             f" {report.violations}"
         )
-    oriented, walk = complex_._disk  # the orientation validate certified
+    oriented, walk = complex_._disk  # the orientation construction certified
     embedded = _Candidate(vertex_fans(oriented.values()), _map_walk(oriented, walk))
     if canonical_form(embedded) != canonical_form(map_):
         raise EnumeratorError("embedding changed the isomorphism class")

@@ -35,8 +35,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .complexes import PlanarComplex, SingularPoint
 
 # A word is a tuple of (generator, exponent) letters with exponent +1 or -1.
-Letter = tuple[int, int]
-Word = tuple[Letter, ...]
+Word = tuple[tuple[int, int], ...]
 
 
 class UnsupportedCaseError(ValueError):
@@ -46,20 +45,6 @@ class UnsupportedCaseError(ValueError):
 def word(*letters: int) -> Word:
     """Build a word from signed generator indices: ``word(1, -2)`` is g1 g2^-1."""
     return tuple((abs(g), 1 if g > 0 else -1) for g in letters)
-
-
-def inverse(w: Word) -> Word:
-    return tuple((g, -e) for g, e in reversed(w))
-
-
-def free_reduce(w: Word) -> Word:
-    out: list[Letter] = []
-    for g, e in w:
-        if out and out[-1][0] == g and out[-1][1] == -e:
-            out.pop()
-        else:
-            out.append((g, e))
-    return tuple(out)
 
 
 def involution_relator(i: int) -> Word:
@@ -105,6 +90,9 @@ def inner_point_relators(
     * k=5: ``g_l1 g_l2 g_l1 = g_l4 g_l5 g_l3 g_l5 g_l4``
     * k=6: no printed closed form; the relators are taken from catalogue
       data and must be passed in via ``extra`` (``None`` or empty refuses).
+
+    Each k=3..5 relator is spelt out as ``lhs rhs^-1``; its lines are
+    distinct, so no letter stands next to its inverse and it is reduced.
     """
     out: list[tuple[Word, int]] = []
     extra_used = False
@@ -114,13 +102,13 @@ def inner_point_relators(
         ls = sorted(pt.lines_cyclic)
         if pt.multiplicity == 3:
             a, b, c = ls
-            rel = free_reduce(word(a, b, a) + inverse(word(c)))
+            rel = word(a, b, a, -c)
         elif pt.multiplicity == 4:
             a, b, c, d = ls
-            rel = free_reduce(word(a, b, a) + inverse(word(d, c, d)))
+            rel = word(a, b, a, -d, -c, -d)
         elif pt.multiplicity == 5:
             a, b, c, d, e = ls
-            rel = free_reduce(word(a, b, a) + inverse(word(d, e, c, e, d)))
+            rel = word(a, b, a, -d, -e, -c, -e, -d)
         elif pt.multiplicity == 6:
             if not extra or extra_used:
                 raise UnsupportedCaseError(

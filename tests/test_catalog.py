@@ -118,6 +118,21 @@ def test_verify_names_the_case_missing_a_key(catalog_copy):
     assert report.problems[0].startswith("U_{0,4}:")
 
 
+def test_case_whose_vertices_share_a_point_is_refused_by_name(catalog_copy, capsys):
+    """A record is certified as an embedded disk where it is read."""
+    data = json.loads((catalog_copy / "cases" / "u-0-4.json").read_text())
+    vertices = dict(data["complex"]["vertices"])
+    vertices[2] = vertices[1]
+    data["complex"]["vertices"] = [[v, c] for v, c in sorted(vertices.items())]
+    rewrite_case(catalog_copy, json.dumps(data, ensure_ascii=False).encode())
+    assert main(["analyze", "U_{0,4}"]) == 1
+    assert capsys.readouterr().err == (
+        "degen: error: malformed case U_{0,4} (u-0-4.json): vertices 1 and 2 share"
+        " coordinates (Fraction(0, 1), Fraction(0, 1)); plane 1 is degenerate (collinear):"
+        " (1, 2, 6)\n"
+    )
+
+
 def test_undecodable_case_file_is_a_named_error(catalog_copy):
     rewrite_case(catalog_copy, b"\xff not utf-8")
     with pytest.raises(CatalogError, match=r"u-0-4\.json"):

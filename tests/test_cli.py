@@ -21,8 +21,9 @@ import degen.pipeline
 import degen.relations
 from catalog_oracle import verify_catalog
 from degen.cli import main
-from degen.complexes import PlanarComplex
+from degen.complexes import ComplexError, PlanarComplex
 from degen.enumerator import embed, enumerate_maps
+from gluings import ANNULUS, BOWTIE, HEMI_ICOSAHEDRON, MOEBIUS_BAND, OCTAHEDRON, gluing_json
 
 DATA_DIR = Path(degen.catalog.__file__).parent / "data"
 SRC = Path(degen.catalog.__file__).parents[1]
@@ -185,8 +186,8 @@ def drop_the_third_corner_of_plane_one(data):
     "argv", [["analyze", "U_{0,4}"], ["table"], ["list"]], ids=["analyze", "table", "list"]
 )
 def test_catalog_plane_without_three_corners_is_refused(capsys, tmp_path, monkeypatch, argv):
-    """Records skip `validate`, so reading the case refuses the plane before its
-    edges are read, and the error names the case and the plane."""
+    """Reading the case refuses the plane where its complex is built, before
+    its edges are read, and the error names the case and the plane."""
     edited_catalog(tmp_path, monkeypatch, "u-0-4", drop_the_third_corner_of_plane_one)
     rc, out, err = run(capsys, *argv)
     assert (rc, out, err) == (
@@ -385,7 +386,7 @@ CASE_COMPLEXES = tuple(
 TABLES = ("vertices", "triangles", "line_numbering")
 MUTATIONS = (
     "drop", "append", "duplicate", "lengthen", "shorten", "retype", "object", "null", "remove",
-    "move",
+    "move", "isolate",
 )
 ODD_VALUES = (0.5, "1", None, True, [], {}, [1])
 RAW_PYTHON = re.compile(r"unpack|not iterable|NoneType|\b[A-Z]\w*(Error|Exception)\(")
@@ -430,6 +431,9 @@ def mutated_complexes(draw):
                         entry[1] = draw(st.permutations(o[1]))[:2]
                 elif key == "triangles" and type(o) is list and o:
                     entry[1][draw(st.integers(0, len(entry[1]) - 1))] = o[0]
+        elif mutation == "isolate" and key == "vertices":  # a vertex in no plane
+            point = [draw(st.integers(-1, 20)), draw(st.integers(-1, 20)), 1, 1]
+            table.append([1000 + i, point])
         elif mutation == "retype":
             odd = draw(st.sampled_from(ODD_VALUES))
             where = draw(st.sampled_from(("entry", "id", "values", "value")))
@@ -478,10 +482,15 @@ def fuzz_path(tmp_path_factory):
 @example(data=u04_moved("line_numbering", 4, [2, 6]))  # lines 2 and 5 on one edge
 @example(data=u04_complex(line_numbering=u04_complex()["line_numbering"][:4]))  # [3, 8] unnumbered
 @example(data=json.loads((DATA_DIR / "cases" / "u-6.json").read_text())["complex"])  # a 6-point
+@example(data=gluing_json(OCTAHEDRON))
+@example(data=gluing_json(HEMI_ICOSAHEDRON))
+@example(data=gluing_json(MOEBIUS_BAND))
+@example(data=gluing_json(ANNULUS))
+@example(data=gluing_json(BOWTIE))
 def test_analyze_refuses_mutated_complex_files_in_words(fuzz_path, data):
     """Whatever edit a complex file takes, `analyze` gives a report or a
     refusal that names the file, with no exception outside `_ERRORS` and no
-    raw Python text."""
+    raw Python text; a file the constructor refuses gets its words."""
     fuzz_path.write_text(json.dumps(data))
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -493,6 +502,10 @@ def test_analyze_refuses_mutated_complex_files_in_words(fuzz_path, data):
     assert (rc, out.getvalue()) == (1, ""), message
     assert message.startswith(f"degen: error: {fuzz_path}: "), message
     assert message.count("\n") == 1 and not RAW_PYTHON.search(message), message
+    try:
+        PlanarComplex.from_json(data)
+    except ComplexError as exc:
+        assert message == f"degen: error: {fuzz_path}: {exc}\n"
 
 
 def relabelled(pc, rng):

@@ -2,7 +2,6 @@ import hashlib
 import json
 import math
 import random
-from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -18,6 +17,10 @@ from degen.invariants import BranchStats, InvariantError, chern
 from degen.pipeline import decide
 from degen.relations import tangent_pairs
 from catalog_oracle import disjoint_line_pairs
+from gluings import (
+    ANNULUS, BOWTIE, HEMI_ICOSAHEDRON, MOEBIUS_BAND, OCTAHEDRON, PINCHED_SPHERE, gluing_json,
+    numbered,
+)
 from rotation_oracles import rotation_transversal_pairs
 
 
@@ -110,16 +113,6 @@ def with_vertex_at(pc, v, point):
     return PlanarComplex({**pc.vertices, v: point}, pc.triangles, pc.line_numbering)
 
 
-def numbered(triangles):
-    """Planes 1..n and their interior edges numbered 1..L in sorted order."""
-    count = Counter(frozenset(e) for t in triangles for e in combinations(t, 2))
-    interior = sorted(tuple(sorted(e)) for e, k in count.items() if k == 2)
-    return (
-        {i + 1: t for i, t in enumerate(triangles)},
-        {i + 1: e for i, e in enumerate(interior)},
-    )
-
-
 def square_strip():
     """Two triangles on a unit square, one interior line."""
     return PlanarComplex(
@@ -157,15 +150,17 @@ def test_round_trip_preserves_exact_fractions():
 
 def loaded_and_built(written, triangles):
     """The complex loaded from vertices ``written`` as ``[px, py, qx, qy]``, and
-    the one the constructor builds from the same ``Fraction``s."""
+    the one the constructor builds from the same ``Fraction``s, on the planes
+    ``triangles`` with their interior edges `numbered`."""
+    planes, lines = numbered(triangles)
     data = {
         "format": "degen-complex/1",
         "vertices": [[v, c] for v, c in written.items()],
-        "triangles": [[p, list(t)] for p, t in triangles.items()],
-        "line_numbering": [[1, [1, 3]]],
+        "triangles": [[p, list(t)] for p, t in planes.items()],
+        "line_numbering": [[i, list(e)] for i, e in lines.items()],
     }
     points = {v: (Fraction(px, qx), Fraction(py, qy)) for v, (px, py, qx, qy) in written.items()}
-    return PlanarComplex.loads(json.dumps(data)), PlanarComplex(points, triangles, {1: (1, 3)})
+    return PlanarComplex.loads(json.dumps(data)), PlanarComplex(points, planes, lines)
 
 
 def test_lattice_from_written_integers_keeps_fraction_semantics():
@@ -173,9 +168,9 @@ def test_lattice_from_written_integers_keeps_fraction_semantics():
     point written two ways, load to what the constructor gives for the same
     ``Fraction``s: the same view, text and report."""
     written = {1: [2, 4, 4, 8], 2: [1, -1, -2, 3], 3: [3, 0, 1, 1], 4: [1, 1, 2, 1]}
-    triangles = {1: (1, 2, 3), 2: (1, 3, 4)}
+    triangles = [(1, 2, 3), (1, 3, 4)]
     doubled = loaded_and_built(
-        {**written, 5: [2, 2, 4, 2], 6: [6, 9, 2, 3]}, {**triangles, 3: (2, 5, 6)}
+        {**written, 5: [2, 2, 4, 2], 6: [6, 9, 2, 3]}, triangles + [(3, 6, 4), (2, 5, 3)]
     )
     for loaded, built in (loaded_and_built(written, triangles), doubled):
         assert loaded.vertices == built.vertices
@@ -192,12 +187,13 @@ def test_lattice_from_written_integers_keeps_fraction_semantics():
 
 
 def test_vertex_sharing_without_edge_is_rejected():
-    pc = PlanarComplex(
-        vertices={1: (0, 0), 2: (1, 0), 3: (0, 1), 4: (-1, 0), 5: (0, -1)},
-        triangles={1: (1, 2, 3), 2: (1, 4, 5)},
-        line_numbering={},
-    )
-    assert not pc.validate().ok
+    with pytest.raises(ComplexError) as info:
+        PlanarComplex(
+            vertices={1: (0, 0), 2: (1, 0), 3: (0, 1), 4: (-1, 0), 5: (0, -1)},
+            triangles=dict(enumerate(BOWTIE, 1)),
+            line_numbering={},
+        )
+    assert str(info.value) == "interior is disconnected (planes do not chain along lines)"
 
 
 def test_overlapping_triangles_are_rejected():
@@ -211,8 +207,8 @@ def test_overlapping_triangles_are_rejected():
 
 def test_pinch_made_up_by_a_vertex_in_no_plane_is_rejected():
     # An eight-plane disk with its two interior vertices merged into vertex 7,
-    # which then has two closed fans; vertex 8 lies in no plane and keeps the
-    # Euler characteristic at 1, so only the certificate can reject the pinch.
+    # which then has two closed fans; vertex 8 lies in no plane and would keep
+    # the Euler characteristic at 1, so construction refuses it first.
     vertices = {
         1: (-4, -2), 2: (-1, -5), 3: (3, -4), 4: (5, 0),
         5: (2, 4), 6: (-2, 4), 7: (0, 0), 8: (9, 9),
@@ -220,11 +216,13 @@ def test_pinch_made_up_by_a_vertex_in_no_plane_is_rejected():
     triangles, lines = numbered(
         [(1, 4, 2), (1, 5, 4), (1, 7, 5), (1, 7, 6), (2, 7, 3), (4, 2, 7), (4, 7, 3), (7, 5, 6)]
     )
-    pc = PlanarComplex(vertices, triangles, lines)
-    assert not pc._disk_violations()
-    assert not pc.validate().ok
-    with pytest.raises(ComplexError, match="pinched vertex 7"):
-        pc.classify_vertices()
+    with pytest.raises(ComplexError) as info:
+        PlanarComplex(vertices, triangles, lines)
+    assert str(info.value) == "vertex 8 lies in no plane"
+    del vertices[8]
+    with pytest.raises(ComplexError) as info:
+        PlanarComplex(vertices, triangles, lines)
+    assert str(info.value) == "Euler characteristic 0 != 1 (support is not a disk)"
 
 
 @pytest.mark.parametrize("tri", [(1, 2), (1, 2, 3, 4)])
@@ -386,15 +384,15 @@ def test_certificate_agrees_with_pairwise_oracle(oracle_inputs):
     compared = rejected = 0
     for pc in oracle_inputs:
         report = pc.validate()
-        if report.errors or pc._disk_violations():
+        if report.errors:
             assert not report.ok
             continue
         conflicts = pairwise_conflicts(pc)
         assert report.ok == (not conflicts), (report.violations, conflicts)
         compared += 1
         rejected += bool(conflicts)
-    # 114 of the 2139 inputs fail the structural or disk checks first; of
-    # the rest, 1489 are rejected by both the certificate and the oracle.
+    # 114 of the 2139 inputs fail the structural checks first; of the rest,
+    # 1489 are rejected by both the certificate and the oracle.
     assert (compared, rejected) == (2025, 1489)
 
 
@@ -425,8 +423,6 @@ def test_interior_vertex_moved_across_its_plane_names_that_plane(disks):
                 (ax, ay), (bx, by) = (pc.vertices[w] for w in tri if w != v)
                 mx, my = (ax + bx) / 2, (ay + by) / 2
                 moved = with_vertex_at(pc, v, (mx + (mx - px) / 4, my + (my - py) / 4))
-                if moved._disk_violations():
-                    continue
                 assert (
                     f"plane {plane} is flipped: it winds against the boundary"
                     in moved.validate().violations
@@ -448,7 +444,6 @@ def test_self_overlapping_strip_names_its_crossing_boundary_edges():
     )
     pc = PlanarComplex(vertices, triangles, lines)
     assert {orient(*(pc.vertices[v] for v in t)) for t in triangles.values()} == {1}
-    assert not pc._disk_violations()
     assert pc.validate().violations == (
         "boundary edges (1, 2) and (4, 5) overlap or cross",
         "boundary edges (1, 2) and (5, 9) overlap or cross",
@@ -463,45 +458,39 @@ def test_self_overlapping_strip_names_its_crossing_boundary_edges():
     ]
 
 
-OCTAHEDRON = [
-    (1, 3, 5), (3, 2, 5), (2, 4, 5), (4, 1, 5),
-    (3, 1, 6), (2, 3, 6), (4, 2, 6), (1, 4, 6),
-]
-HEMI_ICOSAHEDRON = [  # the projective plane on 6 vertices
-    (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 6, 2),
-    (2, 3, 5), (3, 4, 6), (4, 5, 2), (5, 6, 3), (6, 2, 4),
-]
+UNORIENTABLE = "planes 4 and 9 cannot be oriented alike across edge [5, 6] (unorientable gluing)"
+NO_BOUNDARY = "no boundary: the planes close up into a surface"
 
 
 @pytest.mark.parametrize(
-    "triangles, message",
+    "triangles, refusal, map_refusal",
     [
-        (OCTAHEDRON, "no boundary: the planes close up into a surface"),
-        (HEMI_ICOSAHEDRON, "(unorientable gluing)"),
-        ([(1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 5, 1), (5, 1, 2)], "(unorientable gluing)"),
+        (OCTAHEDRON, "Euler characteristic 2 != 1 (support is not a disk)", NO_BOUNDARY),
+        (HEMI_ICOSAHEDRON, UNORIENTABLE, UNORIENTABLE),
         (
-            [t for t in OCTAHEDRON if t not in ((1, 3, 5), (4, 2, 6))],
+            MOEBIUS_BAND,
+            "Euler characteristic 0 != 1 (support is not a disk)",
+            "planes 4 and 3 cannot be oriented alike across edge [4, 5] (unorientable gluing)",
+        ),
+        (
+            ANNULUS,
+            "Euler characteristic 0 != 1 (support is not a disk)",
             "boundary is not one cycle: the walk from vertex 1 covers 3 of 6 boundary edges",
         ),
+        (PINCHED_SPHERE, NO_BOUNDARY, NO_BOUNDARY),
     ],
-    ids=["closed", "projective-plane", "moebius-band", "annulus"],
+    ids=["closed", "projective-plane", "moebius-band", "annulus", "pinched-sphere"],
 )
-def test_gluing_that_is_not_a_disk_is_named_and_never_accepted(triangles, message):
-    vertices = {1: (0, 0), 2: (10, 1), 3: (3, 7), 4: (-5, 4), 5: (-2, -6), 6: (7, -5)}
-    pc = PlanarComplex(vertices, *numbered(triangles))
-    assert not pc.validate().ok
-    (named,) = pc._orientation_violations()
-    assert named.endswith(message)
+def test_gluing_that_is_not_a_disk_is_named_and_never_accepted(triangles, refusal, map_refusal):
+    """Construction refuses every gluing but a disk, Euler characteristic first;
+    the map builder, which counts no Euler characteristic, names what
+    `orient_disk` finds."""
+    with pytest.raises(ComplexError) as info:
+        PlanarComplex.from_json(gluing_json(triangles))
+    assert str(info.value) == refusal
     with pytest.raises(EnumeratorError) as info:
         CombinatorialMap.from_triangles(triangles)
-    assert str(info.value) == named
-    if not pc.validate().errors and not pc._disk_violations():
-        assert pc.validate().violations == (named,)
-
-
-def validation_messages(pc):
-    report = pc.validate()
-    return report.errors + report.violations
+    assert str(info.value) == map_refusal
 
 
 def chern_refusal(stats):
@@ -578,15 +567,17 @@ def constructor_refusal(tables):
             ("plane 1 references unknown vertices [9]",),
         ),
         (
-            validation_messages,
-            PlanarComplex(
-                {1: (0, 0), 2: (10, 1), 3: (3, 7), 4: (-5, 4), 5: (-2, -6), 6: (7, -5)},
-                *numbered([(1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 5, 1), (5, 1, 2)]),
-            ),
+            constructor_refusal,
             (
-                "planes 4 and 3 cannot be oriented alike across edge [4, 5]"
-                " (unorientable gluing)",
+                {v: (k, k * k) for k, v in enumerate(range(1, 7))},
+                *numbered(HEMI_ICOSAHEDRON),
             ),
+            (UNORIENTABLE,),
+        ),
+        (
+            constructor_refusal,
+            ({1: (0, 0), 2: (1, 0), 3: (0, 1)}, *numbered([(1, 2, 3), (3, 2, 1)])),
+            ("Euler characteristic 2 != 1 (support is not a disk)",),
         ),
         (
             chern_refusal,
@@ -620,7 +611,7 @@ def constructor_refusal(tables):
         (
             from_json_messages,
             square_json("triangles", [[1, [1, 2, 3]], [1, [1, 3, 4]]]),
-            ("duplicate plane id 1",),
+            ("malformed complex JSON: triangles entry [1, [1, 3, 4]] repeats plane id 1",),
         ),
         (
             from_json_messages,
@@ -654,7 +645,8 @@ def constructor_refusal(tables):
         "edge-in-three-planes", "boundary-edge-numbered", "edge-numbered-twice",
         "interior-edge-unnumbered", "line-on-one-vertex", "plane-repeats-a-vertex",
         "line-on-three-vertices",
-        "plane-on-an-unlisted-vertex", "unorientable-gluing", "non-integral-chern",
+        "plane-on-an-unlisted-vertex", "unorientable-gluing", "planes-on-one-vertex-set",
+        "non-integral-chern",
         "json-vertex-not-an-int", "json-triangle-not-a-list", "json-line-vertex-none",
         "json-duplicate-plane", "json-zero-denominator", "json-vertex-of-five-values",
         "json-table-an-object", "json-table-missing",
@@ -734,7 +726,6 @@ def test_polygon_wound_twice_is_not_certified_and_its_crossings_are_named(n, seg
         # twice round the cone point
         pc = cone(corners)
         assert {orient(*(pc.vertices[v] for v in t)) for t in pc.triangles.values()} == {winding}
-        assert not pc._disk_violations()
         segment_calls.clear()
         named = pc.validate().violations
         assert segment_calls["segments_conflict"] == n * (n - 1) // 2

@@ -359,7 +359,7 @@ def test_line_that_is_not_two_distinct_vertices_is_a_named_error(lines, message)
 
 @pytest.mark.parametrize("name", ["U_{0,6,2}", "U_{3,5}"])
 def test_line_on_a_numbered_edge_is_refused_before_any_verdict(by_name, name):
-    """Catalog records skip `validate`; an extra index on line 1's edge would
+    """A complex that skips `validate` reaches `decide`; an extra index on line 1's edge would
     make a fork through the phantom line and add parasitic nodes.  The
     constructor refuses it, so no verdict, presentation or count can read it."""
     rec = by_name[name]
