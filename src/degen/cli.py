@@ -248,10 +248,14 @@ def _analysis_body(name: str, complex_: PlanarComplex, source, args) -> dict[str
         for p in complex_.classify_vertices()
     ]
     extra = getattr(source, "extra_inner_relators", None)
+    try:  # a verdict needs no relators for an inner 6-point; the presentation does
+        counts = reduced_presentation(complex_, inner6_relators=extra).counts()
+    except UnsupportedCaseError:
+        counts = None
     return {
         "name": name,
         "points": points,
-        "presentation": reduced_presentation(complex_, inner6_relators=extra).counts(),
+        "presentation": counts,
         "verdict": verdict.to_json(),
         "branch_stats": {
             "n": stats.n, "m": stats.m, "mu": stats.mu, "d": stats.d, "rho": stats.rho,
@@ -294,25 +298,21 @@ def _render_analysis(report: dict[str, Any], *, verbose: bool) -> str:
         f" c2 = {ch['c2_coeff']}*{fact} = {ch['c2']},"
         f" chi = {ch['chi_coeff']}*{fact} = {ch['chi']}"
     )
-    counts = ", ".join(f"{kind} {n}" for kind, n in report["presentation"].items())
-    lines.append(f"- presentation: {counts}")
+    counts = report["presentation"]
+    text = "none" if counts is None else ", ".join(f"{kind} {n}" for kind, n in counts.items())
+    lines.append(f"- presentation: {text}")
     lines.append("")
-    lines.append("| vertex | kind | k | lines |")
-    lines.append("| --- | --- | --- | --- |")
-    for p in report["points"]:
-        lines.append(
-            f"| {p['vertex']} | {p['kind']} | {p['multiplicity']} |"
-            f" {' '.join(map(str, p['lines']))} |"
-        )
+    lines.append(_md_table(("vertex", "kind", "k", "lines"), [
+        (p["vertex"], p["kind"], p["multiplicity"], " ".join(map(str, p["lines"])))
+        for p in report["points"]
+    ]))
     if verbose:
-        eq = verdict["equalities"]
-        if eq is not None:
-            lines.append("")
-            lines.append("derivation steps:")
-            for step in eq["steps"]:
-                used = f" via {step['used']}" if step["used"] else ""
-                src = step.get("citation") or f"vertex {step['vertex']}"
-                lines.append(f"  - line {step['line']}: {step['rule']} ({src}){used}")
+        lines.append("")
+        lines.append("derivation steps:")
+        for step in verdict["equalities"]["steps"]:
+            used = f" via {step['used']}" if step["used"] else ""
+            src = step.get("citation") or f"vertex {step['vertex']}"
+            lines.append(f"  - line {step['line']}: {step['rule']} ({src}){used}")
     return "\n".join(lines) + "\n"
 
 

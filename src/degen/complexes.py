@@ -19,9 +19,9 @@ not orient alike around one boundary cycle and more, then builds the base
 tables, the dual graph and the oriented disk among them, which no later
 query can fail on; `validate` certifies only the geometry.  `from_json`
 first names any table or entry that is not a list of ``[int, [int, ...]]``
-entries and keeps the integers as written; the constructor takes ids, plane
-corners and line endpoints only as ``int``.  ``vertices``, an exact
-``Fraction`` view of the coordinates, is built on first read.
+entries; the constructor takes ids, plane corners and line endpoints only as
+``int``, and each coordinate only as an ``int`` or a ``Fraction``, whose
+numerator and denominator it reads as written.
 
 An edge is keyed by its ordered vertex pair ``(min, max)``, so a lookup
 builds no set; error texts print an edge as the list ``[a, b]``.  A line is
@@ -31,12 +31,14 @@ looked up by its sorted vertex tuple, in the one edge → line table
 `json_text` writes every JSON degen prints or stores, byte for byte as
 ``json.dumps(obj, indent=2)``, whose indent forces the pure-Python encoder.
 
-The geometric checks run on an integer lattice, built straight from the
-coordinates' integers: each coordinate times ``scale``, the lcm of all
+A complex keeps its coordinates once, on an integer lattice built straight
+from their integers: each coordinate times ``scale``, the lcm of all
 denominators as written.  ``scale // q`` is exact for any denominator ``q``,
 reduced or not, of either sign, and scaling by a positive constant keeps
 every orientation sign, coordinate equality and counterclockwise order, so
-the results are those of the rational coordinates.
+the geometric checks give the results of the rational coordinates.
+``vertices``, their exact ``Fraction`` view ``Fraction(x, scale)``, is built
+on first read, and only for output.
 
 ``orient_disk`` orients a set of planes alike and walks the one boundary
 cycle they direct; ``vertex_fans`` chains the oriented planes into each
@@ -87,11 +89,6 @@ def json_text(obj, _indent: str = "\n") -> str:
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
     return ends[0] + inner + ("," + inner).join(items) + _indent + ends[1] if items else ends
-
-
-def _fraction(c) -> Fraction:
-    """``c`` as a ``Fraction``, converting only a coordinate that is not one yet."""
-    return c if type(c) is Fraction else Fraction(c)
 
 
 def planes_by_edge(
@@ -245,26 +242,26 @@ class PlanarComplex:
         triangles: Mapping[int, tuple[int, int, int]],
         line_numbering: Mapping[int, tuple[int, int]],
     ):
-        self.vertices: dict[int, Point] = {
-            v: (_fraction(x), _fraction(y)) for v, (x, y) in vertices.items()
-        }
         for name, ids in (
-            ("vertices", self.vertices),
+            ("vertices", vertices),
             ("triangles", chain(triangles, *triangles.values())),
             ("line_numbering", chain(line_numbering, *line_numbering.values())),
         ):
             for x in ids:
                 if type(x) is not int:  # int() would truncate 1.7 and turn True into 1
                     raise ComplexError(f"{name} holds {x!r}, which is not an int")
+        for x in chain(*vertices.values()):  # a float 0.1 is not one tenth
+            if type(x) not in (int, Fraction):
+                raise ComplexError(f"vertices holds {x!r}, which is not an int or a Fraction")
         coords = {v: (x.numerator, y.numerator, x.denominator, y.denominator)
-                  for v, (x, y) in self.vertices.items()}
+                  for v, (x, y) in vertices.items()}
         self._incidence(coords, triangles, line_numbering)
 
     def _incidence(self, coords, triangles, line_numbering) -> None:
-        """Copy each vertex's ``(px, py, qx, qy)``, nonzero ints, and the incidence,
-        refuse any that is not a triangulated disk whose interior edges are
-        numbered, and build the base tables, the dual graph and the oriented
-        disk among them.
+        """Put each vertex's ``(px, py, qx, qy)``, ints with ``qx`` and ``qy``
+        nonzero, on the integer lattice, copy the incidence, refuse any that is
+        not a triangulated disk whose interior edges are numbered, and build
+        the base tables, the dual graph and the oriented disk among them.
 
         Refuses, naming the first fault in this order: no planes; a plane that
         is not three listed vertices; a line that is not two; line indices
@@ -281,7 +278,11 @@ class PlanarComplex:
         and each pinch lowers the complex's by one.  With every vertex in a
         plane, Euler characteristic 1 leaves no pinch.
         """
-        known = self._coords = {v: tuple(c) for v, c in coords.items()}
+        # the lcm of all denominators as written
+        scale = self._scale = lcm(*(q for c in coords.values() for q in c[2:]))
+        known = self._lattice = {
+            v: (px * (scale // qx), py * (scale // qy)) for v, (px, py, qx, qy) in coords.items()
+        }
         tris = self.triangles = {p: tuple(tri) for p, tri in triangles.items()}
         lines = self.line_numbering = {i: tuple(pair) for i, pair in line_numbering.items()}
         if not tris:
@@ -305,7 +306,7 @@ class PlanarComplex:
                 plane = min(p for p, tri in tris.items() if len(set(tri)) != 3)
                 raise ComplexError(f"plane {plane} repeats a vertex: {tris[plane]}")
 
-        ep = self._edge_planes = self.edge_planes()
+        ep = self.edge_planes()
         line_of = self._line_of = line_by_edge(lines)
         line_planes = self._line_planes = {i: tuple(ep.get(e, ())) for e, i in line_of.items()}
         # with edges in at most two planes, the lines are distinct interior edges
@@ -334,13 +335,6 @@ class PlanarComplex:
         if (euler := len(known) - len(ep) + len(tris)) != 1:
             raise ComplexError(f"Euler characteristic {euler} != 1 (support is not a disk)")
         self._disk = orient_disk(tris, ep)
-
-        scale = 1  # the lcm of all denominators as written
-        for _, _, qx, qy in known.values():
-            scale = lcm(scale, qx, qy)
-        self._lattice: dict[int, tuple[int, int]] = {
-            v: (px * (scale // qx), py * (scale // qy)) for v, (px, py, qx, qy) in known.items()
-        }
         sides: dict[int, list[int]] = {p: [] for p in sorted(tris)}
         for index, (p, q) in line_planes.items():  # one line per edge, in line order
             sides[p].append(index)
@@ -351,10 +345,9 @@ class PlanarComplex:
 
     @cached_property
     def vertices(self) -> dict[int, Point]:
-        """Each vertex's exact coordinates, as ``Fraction``s."""
-        return {
-            v: (Fraction(px, qx), Fraction(py, qy)) for v, (px, py, qx, qy) in self._coords.items()
-        }
+        """Each vertex's exact coordinates, as ``Fraction``s read off the lattice."""
+        s = self._scale
+        return {v: (Fraction(x, s), Fraction(y, s)) for v, (x, y) in self._lattice.items()}
 
     def edge_planes(self) -> dict[tuple[int, int], list[int]]:
         """Map each edge, keyed ``(min, max)``, to the planes containing it.

@@ -330,10 +330,12 @@ def embed(map_: CombinatorialMap) -> PlanarComplex:
     """Synthesize exact coordinates and return a validated complex.
 
     Boundary vertices go on a circle in walk order; interior vertices solve
-    the neighbor-average equations exactly.  Any refusal by the constructor
-    or by `validate` is a real bug in the generated map and is raised, never
-    swallowed.  The class check reads rings and walk off the planes the
-    constructor oriented alike.
+    the neighbor-average equations exactly, a convex-combination map and so
+    injective (Floater, Math. Comp. 72, 2003).  Edges in two planes are
+    numbered 1..L in sorted order.
+    Any refusal by the constructor or by `validate` is a real bug in the
+    generated map and is raised, never swallowed.  The class check reads
+    rings and walk off the planes the constructor oriented alike.
     """
     rot = map_.rotation_dict
     boundary = list(map_.boundary)
@@ -344,19 +346,13 @@ def embed(map_: CombinatorialMap) -> PlanarComplex:
     for pos, v in zip(_circle_points(len(boundary)), boundary):
         coords[relabel[v]] = pos
     if interior:
-        coords.update(_tutte_positions(rot, boundary, interior, relabel, coords))
+        coords.update(_tutte_positions(rot, interior, relabel, coords))
 
     triangles = {
         i + 1: tuple(relabel[v] for v in t) for i, t in enumerate(map_.triangles)
     }
-    outer_edges = {frozenset(e) for e in zip(boundary, boundary[1:] + boundary[:1])}
-    interior_edges = sorted(
-        tuple(sorted((relabel[v], relabel[w])))
-        for v, ring in rot.items()
-        for w in ring
-        if v < w and frozenset((v, w)) not in outer_edges
-    )
-    numbering = {i + 1: e for i, e in enumerate(interior_edges)}
+    interior_edges = [e for e, ps in sorted(planes_by_edge(triangles).items()) if len(ps) == 2]
+    numbering = dict(enumerate(interior_edges, 1))
     try:
         complex_ = PlanarComplex(coords, triangles, numbering)
     except ComplexError as exc:
@@ -376,39 +372,33 @@ def embed(map_: CombinatorialMap) -> PlanarComplex:
 
 def _tutte_positions(
     rot: Mapping[int, Sequence[int]],
-    boundary: Sequence[int],
     interior: Sequence[int],
     relabel: Mapping[int, int],
     fixed: Mapping[int, tuple[Fraction, Fraction]],
 ) -> dict[int, tuple[Fraction, Fraction]]:
     index = {v: i for i, v in enumerate(interior)}
     n = len(interior)
-    rows = []
+    mat = []
     for v in interior:
-        neigh = rot[v]
-        row = [Fraction(0)] * n
-        rhs = [Fraction(0), Fraction(0)]
-        row[index[v]] = Fraction(len(neigh))
-        for w in neigh:
+        row = [0] * (n + 2)  # the Laplacian's row, then the x and y sums it equals
+        row[index[v]] = Fraction(len(rot[v]))
+        for w in rot[v]:
             if w in index:
                 row[index[w]] -= 1
             else:
                 px, py = fixed[relabel[w]]
-                rhs[0] += px
-                rhs[1] += py
-        rows.append((row, rhs))
-    # exact Gaussian elimination on the (diagonally dominant) system
-    mat = [list(row) + list(rhs) for row, rhs in rows]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if mat[r][col] != 0)
-        mat[col], mat[pivot] = mat[pivot], mat[col]
-        pv = mat[col][col]
-        mat[col] = [x / pv for x in mat[col]]
-        for r in range(n):
-            if r != col and mat[r][col]:
-                factor = mat[r][col]
-                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[col])]
+                row[n] += px
+                row[n + 1] += py
+        mat.append(row)
+    # Gauss-Jordan in place with no pivot search: the matrix is the interior vertices'
+    # Dirichlet Laplacian, symmetric positive definite because every interior
+    # component touches the boundary, so elimination in order meets no zero pivot
+    for col, pivot in enumerate(mat):
+        for row in mat:
+            if row is not pivot and row[col]:
+                factor = row[col] / pivot[col]
+                row[col:] = [x - factor * y for x, y in zip(row[col:], pivot[col:])]
     return {
-        relabel[v]: (mat[index[v]][n], mat[index[v]][n + 1]) for v in interior
+        relabel[v]: (row[n] / row[i], row[n + 1] / row[i])
+        for i, (v, row) in enumerate(zip(interior, mat))
     }
-

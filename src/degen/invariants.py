@@ -73,22 +73,17 @@ class ChernData(NamedTuple):
     chi_coeff: Fraction
 
 
-def local_contribution(kind: str, multiplicity: int) -> tuple[int, int, int]:
-    try:
-        return CONTRIBUTIONS[(kind, multiplicity)]
-    except KeyError:
-        raise InvariantError(
-            f"no catalogued contribution for {kind} {multiplicity}-points"
-        ) from None
-
-
 def branch_stats(complex_: PlanarComplex) -> BranchStats:
     n = len(complex_.triangles)
     m = 2 * len(complex_.line_numbering)
     mu = d = rho = 0
     parasitic = math.comb(len(complex_.line_numbering), 2)
     for pt in complex_.classify_vertices():
-        cmu, cd, crho = local_contribution(pt.kind, pt.multiplicity)
+        if (pt.kind, pt.multiplicity) not in CONTRIBUTIONS:
+            raise InvariantError(
+                f"no catalogued contribution for {pt.kind} {pt.multiplicity}-points"
+            )
+        cmu, cd, crho = CONTRIBUTIONS[(pt.kind, pt.multiplicity)]
         mu += cmu
         d += cd
         rho += crho

@@ -23,6 +23,9 @@ from catalog_oracle import verify_catalog
 from degen.cli import main
 from degen.complexes import ComplexError, PlanarComplex
 from degen.enumerator import embed, enumerate_maps
+from degen.invariants import branch_stats, chern
+from degen.pipeline import decide
+from degen.relations import UnsupportedCaseError, reduced_presentation
 from gluings import ANNULUS, BOWTIE, HEMI_ICOSAHEDRON, MOEBIUS_BAND, OCTAHEDRON, gluing_json
 
 DATA_DIR = Path(degen.catalog.__file__).parent / "data"
@@ -550,6 +553,43 @@ def test_lemmas_only_outcome_and_chern_numbers_ignore_labels_and_reflection(caps
                 assert outcome(relabelled(pc, rng)) == expected, pc.dumps()
                 checked += 1
     assert checked == 2 * 119
+
+
+def test_analyze_file_keeps_every_verdict_it_computes(capsys, tmp_path, monkeypatch):
+    """On the 73 seven-triangle disks, `analyze <file>` exits 0 exactly when
+    `decide` and `chern` succeed, and reports no presentation exactly where
+    `reduced_presentation` refuses: an inner 6-point has no catalogued words,
+    but its disk still has a verdict and Chern numbers."""
+    monkeypatch.chdir(tmp_path)
+    refused, without_presentation = [], []
+    for i, map_ in enumerate(enumerate_maps(7), 1):
+        pc = embed(map_)
+        try:
+            decide(pc, use_hints=False)
+            chern(branch_stats(pc))
+            settled = True
+        except degen.cli._ERRORS:
+            settled = False
+        try:
+            reduced_presentation(pc)
+            presented = True
+        except UnsupportedCaseError:
+            presented = False
+            without_presentation.append(i)
+        Path("disk.json").write_text(pc.dumps(), encoding="utf-8")
+        rc, out, err = run(capsys, "analyze", "disk.json", "--no-hints", "--format", "json")
+        assert rc == (0 if settled else 1), (i, err)
+        if settled:
+            presentation = json.loads(out)["presentation"]
+            assert (presentation is None) == (not presented), i
+            rc, out, _ = run(capsys, "analyze", "disk.json", "--no-hints")
+            assert rc == 0
+            assert ("- presentation: none\n" in out) == (presentation is None), i
+        else:
+            assert err.startswith("degen: error: disk.json: "), i
+            refused.append(i)
+    assert refused == [1, 5, 43, 66]
+    assert without_presentation == [5, 15, 29]
 
 
 def test_analyze_case_classifies_each_vertex_once(capsys, derivation_calls):

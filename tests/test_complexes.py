@@ -13,7 +13,7 @@ import degen.geometry
 from degen.complexes import ComplexError, PlanarComplex, SingularPoint, json_text
 from degen.enumerator import CombinatorialMap, EnumeratorError, embed, enumerate_maps
 from degen.geometry import orient, segments_conflict, strictly_convex
-from degen.invariants import BranchStats, InvariantError, chern
+from degen.invariants import BranchStats, InvariantError, branch_stats, chern
 from degen.pipeline import decide
 from degen.relations import tangent_pairs
 from catalog_oracle import disjoint_line_pairs
@@ -253,6 +253,24 @@ def test_classification_is_computed_once(by_name, derivation_calls):
     assert derivation_calls == {"edge_planes": 1, "orient_disk": 1, "line_by_edge": 1}
 
 
+def test_constructor_makes_no_fraction(by_name, derivation_calls):
+    """A complex built from integer coordinates keeps them on its lattice:
+    checking it, deciding it and counting its branch data make no ``Fraction``.
+    Its ``Fraction`` view, read later, holds the coordinates as given."""
+    pc = by_name["U_{0,6,1}"].complex
+    scale = math.lcm(*(c.denominator for xy in pc.vertices.values() for c in xy))
+    ints = {v: (int(x * scale), int(y * scale) - 7) for v, (x, y) in pc.vertices.items()}
+    derivation_calls.clear()
+    built = PlanarComplex(ints, pc.triangles, pc.line_numbering)
+    assert built.validate().ok
+    assert decide(built, use_hints=False).outcome == "trivial"
+    assert branch_stats(built) == branch_stats(pc)
+    assert derivation_calls["Fraction"] == 0
+    view = built.vertices
+    assert view == {v: (Fraction(x), Fraction(y)) for v, (x, y) in ints.items()}
+    assert {type(c) for xy in view.values() for c in xy} == {Fraction}
+
+
 def test_line_planes_and_plane_lines_are_one_dual_graph(small_complexes):
     for k, pc in enumerate(small_complexes):
         line_planes = pc.line_planes()
@@ -344,19 +362,26 @@ def test_from_json_accepts_only_integers(key, path, bad):
 
 
 @pytest.mark.parametrize(
-    "triangles, lines, message",
+    "moved, triangles, lines, message",
     [
-        ({1: (1, 2, 3), 2: (1, 3, 4)}, {1.7: (1, 3.9)}, "line_numbering holds 1.7"),
-        ({True: (1, 2, 3), 2: (1, 3, 4)}, {1: (1, 3)}, "triangles holds True"),
+        ({}, {1: (1, 2, 3), 2: (1, 3, 4)}, {1.7: (1, 3.9)},
+         "line_numbering holds 1.7, which is not an int"),
+        ({}, {True: (1, 2, 3), 2: (1, 3, 4)}, {1: (1, 3)},
+         "triangles holds True, which is not an int"),
+        ({2: (0.5, 0)}, {1: (1, 2, 3), 2: (1, 3, 4)}, {1: (1, 3)},
+         "vertices holds 0.5, which is not an int or a Fraction"),
+        ({4: (0, True)}, {1: (1, 2, 3), 2: (1, 3, 4)}, {1: (1, 3)},
+         "vertices holds True, which is not an int or a Fraction"),
     ],
-    ids=["fractional-line", "bool-plane-id"],
+    ids=["fractional-line", "bool-plane-id", "float-coordinate", "bool-coordinate"],
 )
-def test_constructor_refuses_ids_that_are_not_ints(triangles, lines, message):
-    """`int()` would store line 1.7 as 1 with endpoints (1, 3), and plane True as 1."""
+def test_constructor_refuses_ids_that_are_not_ints(moved, triangles, lines, message):
+    """`int()` would store line 1.7 as 1 with endpoints (1, 3), and plane True as 1;
+    `Fraction()` would take the float 0.1 as 3602879701896397/2**55, not one tenth."""
     strip = square_strip()
     with pytest.raises(ComplexError) as info:
-        PlanarComplex(strip.vertices, triangles, lines)
-    assert str(info.value) == f"{message}, which is not an int"
+        PlanarComplex({**strip.vertices, **moved}, triangles, lines)
+    assert str(info.value) == message
 
 
 def test_from_json_rejects_unknown_format():

@@ -41,7 +41,12 @@ GOLDEN_FORMS = {
     8: "b32ce4defc7013fd",
     10: "ed968c1a54eba9dd",
 }
-GOLDEN_EMBEDS = {6: "6d158afb46af2802", 7: "87835bdc2c2c39ee", 8: "9565ac0781b8fc04"}
+GOLDEN_EMBEDS = {
+    6: "6d158afb46af2802",
+    7: "87835bdc2c2c39ee",
+    8: "9565ac0781b8fc04",
+    9: "7eca4680afafa572",
+}
 GOLDEN_POINTS = {6: "00f3e68214b0c975", 7: "5b62086380341261", 8: "c5a662479fbb08c4"}
 # The same for every embedding's lemmas-only verdict as JSON, or its refusal:
 # it pins the coset counts the enumeration engine reaches on these disks.
@@ -239,7 +244,9 @@ def test_canonical_forms_match_golden_digest(num_triangles):
 
 @pytest.mark.parametrize("num_triangles", sorted(GOLDEN_EMBEDS))
 def test_embeddings_match_golden_digest(num_triangles):
-    dumps = "".join(embed(m).dumps() for m in enumerate_maps(num_triangles))
+    dumps = "".join(
+        embed(m).dumps() for m in enumerate_maps(num_triangles, guard=num_triangles)
+    )
     assert digest(dumps) == GOLDEN_EMBEDS[num_triangles]
 
 
