@@ -374,6 +374,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             print("degen: error: full mode needs --out-dir (or pass --count-only)",
                   file=sys.stderr)
             return EXIT_ERROR
+        os.makedirs(args.out_dir, exist_ok=True)  # a file at the path fails here
         held = len(list(Path(args.out_dir).glob("map-*.json")))
         if held:
             print(f"degen: error: {args.out_dir} already holds {held} map-*.json files;"
@@ -384,7 +385,6 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.count_only:
         print(len(maps))
         return EXIT_OK
-    os.makedirs(args.out_dir, exist_ok=True)
     width = max(2, len(str(len(maps))))
     for i, map_ in enumerate(maps, 1):
         path = os.path.join(args.out_dir, f"map-{i:0{width}d}.json")

@@ -38,7 +38,7 @@ reduced or not, of either sign, and scaling by a positive constant keeps
 every orientation sign, coordinate equality and counterclockwise order, so
 the geometric checks give the results of the rational coordinates.
 ``vertices``, their exact ``Fraction`` view ``Fraction(x, scale)``, is built
-on first read, and only for output.
+on first read, and ``to_json`` reduces ``x / scale`` off the lattice.
 
 ``orient_disk`` orients a set of planes alike and walks the one boundary
 cycle they direct; ``vertex_fans`` chains the oriented planes into each
@@ -55,12 +55,13 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, NamedTuple
 
 from .geometry import Point, orient, segments_conflict, strictly_convex
 
 FORMAT = "degen-complex/1"
+_COORDINATE_TYPES = (int, Fraction)  # bound once, at import: the check reads no rebound name
 
 
 class ComplexError(ValueError):
@@ -251,7 +252,7 @@ class PlanarComplex:
                 if type(x) is not int:  # int() would truncate 1.7 and turn True into 1
                     raise ComplexError(f"{name} holds {x!r}, which is not an int")
         for x in chain(*vertices.values()):  # a float 0.1 is not one tenth
-            if type(x) not in (int, Fraction):
+            if type(x) not in _COORDINATE_TYPES:
                 raise ComplexError(f"vertices holds {x!r}, which is not an int or a Fraction")
         coords = {v: (x.numerator, y.numerator, x.denominator, y.denominator)
                   for v, (x, y) in vertices.items()}
@@ -493,11 +494,13 @@ class PlanarComplex:
     # -- interchange ------------------------------------------------------------
 
     def to_json(self) -> dict:
+        s = self._scale  # positive, an lcm, so each reduced denominator is too
         return {
             "format": FORMAT,
             "vertices": [
-                [v, [x.numerator, y.numerator, x.denominator, y.denominator]]
-                for v, (x, y) in sorted(self.vertices.items())
+                [v, [x // g, y // h, s // g, s // h]]
+                for v, (x, y) in sorted(self._lattice.items())
+                for g, h in [(gcd(x, s), gcd(y, s))]
             ],
             "triangles": [[p, list(t)] for p, t in sorted(self.triangles.items())],
             "line_numbering": [[i, list(p)] for i, p in sorted(self.line_numbering.items())],

@@ -8,7 +8,8 @@ no vertex, meet parasitically after regeneration.  So the reduced group is
 the simply-laced Coxeter group of the tangency graph modulo one word per
 inner point (Rowen, Teicher & Vishne, Coxeter covers of the symmetric
 groups, 2005), and `Presentation` keeps just that: the generators, the
-tangent pairs and the inner-point words.  Its relators, in this order, are
+tangent pairs and the inner-point words.  Its relators, tagged and spelled
+once in `Presentation.kinds`, are in this order
 
 * ``g_i g_i`` for every line (involution),
 * the braid relation ``g_i g_j g_i g_j^-1 g_i^-1 g_j^-1`` for tangent pairs,
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import json
 from itertools import combinations
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .complexes import PlanarComplex, SingularPoint
 
@@ -45,23 +46,6 @@ class UnsupportedCaseError(ValueError):
 def word(*letters: int) -> Word:
     """Build a word from signed generator indices: ``word(1, -2)`` is g1 g2^-1."""
     return tuple((abs(g), 1 if g > 0 else -1) for g in letters)
-
-
-def involution_relator(i: int) -> Word:
-    return ((i, 1), (i, 1))
-
-
-def triple_relator(i: int, j: int) -> Word:
-    """Braid relation for a tangent pair, in commutator-like form."""
-    if i > j:
-        i, j = j, i
-    return ((i, 1), (j, 1), (i, 1), (j, -1), (i, -1), (j, -1))
-
-
-def commutator_relator(i: int, j: int) -> Word:
-    if i > j:
-        i, j = j, i
-    return ((i, 1), (j, 1), (i, -1), (j, -1))
 
 
 def tangent_pairs(complex_: PlanarComplex) -> tuple[tuple[int, int], ...]:
@@ -129,10 +113,10 @@ class Presentation(NamedTuple):
     """<g_1..g_L | g_i^2, (g_i g_j)^3 for each tangent pair, (g_i g_j)^2 for
     every other pair, words>, each tangent pair ascending.
 
-    `relators` spells the relators out in the module docstring's order,
-    triples in `tangent` order and commutators in `combinations` order;
-    `annotations` tags each one and `counts` tallies the tags, leaving out a
-    tag with no relator.
+    `kinds` lists the relator kinds once, in the module docstring's order;
+    `relators` spells their items (triples in `tangent` order, commutators in
+    `combinations` order), `annotations` tags each relator and `counts` takes
+    each kind's length, spelling no word and leaving out an empty kind.
     """
 
     generators: tuple[int, ...]
@@ -144,23 +128,26 @@ class Presentation(NamedTuple):
         is_tangent = set(self.tangent)
         return [p for p in combinations(self.generators, 2) if p not in is_tangent]
 
-    @property
-    def relators(self) -> tuple[Word, ...]:
+    def kinds(self) -> tuple[tuple[str, Sequence, Callable[..., Word]], ...]:
+        """Each relator kind in `relators` order: its tag, the generators, pairs
+        or words its relators are spelled from, and the spelling of one."""
         return (
-            tuple(involution_relator(i) for i in self.generators)
-            + tuple(triple_relator(i, j) for i, j in self.tangent)
-            + tuple(commutator_relator(i, j) for i, j in self.commuting())
-            + self.words
+            ("involution", self.generators, lambda i: word(i, i)),
+            ("triple", self.tangent, lambda p: word(p[0], p[1], p[0], -p[1], -p[0], -p[1])),
+            ("commutator", self.commuting(), lambda p: word(p[0], p[1], -p[0], -p[1])),
+            ("inner-point", self.words, lambda w: w),
         )
 
     @property
+    def relators(self) -> tuple[Word, ...]:
+        return tuple(spell(x) for _, items, spell in self.kinds() for x in items)
+
+    @property
     def annotations(self) -> tuple[str, ...]:
-        return tuple(tag for tag, n in self.counts().items() for _ in range(n))
+        return tuple(tag for tag, items, _ in self.kinds() for _ in items)
 
     def counts(self) -> dict[str, int]:
-        counts = {"involution": len(self.generators), "triple": len(self.tangent),
-                  "commutator": len(self.commuting()), "inner-point": len(self.words)}
-        return {tag: n for tag, n in counts.items() if n}
+        return {tag: len(items) for tag, items, _ in self.kinds() if items}
 
 
 def reduced_presentation(

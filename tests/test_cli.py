@@ -698,6 +698,25 @@ def test_enumerate_refuses_a_directory_that_holds_maps(capsys, tmp_path):
     assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
 
 
+@pytest.mark.parametrize("under", ["", "maps"], ids=["a-file", "under-a-file"])
+def test_enumerate_refuses_an_out_dir_it_cannot_make_before_enumerating(
+    capsys, tmp_path, monkeypatch, under
+):
+    """An --out-dir that names a regular file, or a path under one, is refused
+    before any enumeration runs."""
+    def no_enumeration(*args, **kwargs):
+        pytest.fail("enumerate_maps ran before the output directory was made")
+
+    monkeypatch.setattr(degen.cli, "enumerate_maps", no_enumeration)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept\n", encoding="utf-8")
+    out_dir = blocker / under if under else blocker
+    rc, out, err = run(capsys, "enumerate", "--triangles", "6", "--out-dir", str(out_dir))
+    assert (rc, out) == (1, "")
+    assert err.startswith("degen: error: ") and str(blocker) in err, err
+    assert blocker.read_text(encoding="utf-8") == "kept\n"
+
+
 def test_enumerate_refuses_count_only_with_out_dir(capsys, tmp_path):
     out_dir = tmp_path / "x4"
     with pytest.raises(SystemExit) as info:

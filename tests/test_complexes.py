@@ -265,10 +265,19 @@ def test_constructor_makes_no_fraction(by_name, derivation_calls):
     assert built.validate().ok
     assert decide(built, use_hints=False).outcome == "trivial"
     assert branch_stats(built) == branch_stats(pc)
+    assert PlanarComplex.loads(built.dumps()).dumps() == built.dumps()
     assert derivation_calls["Fraction"] == 0
     view = built.vertices
     assert view == {v: (Fraction(x), Fraction(y)) for v, (x, y) in ints.items()}
     assert {type(c) for xy in view.values() for c in xy} == {Fraction}
+
+
+def test_fraction_coordinates_pass_the_type_check_under_the_fraction_count(derivation_calls):
+    """The coordinate types are bound at import, so swapping the module's
+    ``Fraction`` name for a counter refuses no ``Fraction`` coordinate."""
+    pc = PlanarComplex({1: (Fraction(1, 2), 0), 2: (1, 0), 3: (0, 1)}, {1: (1, 2, 3)}, {})
+    assert pc.to_json()["vertices"] == [[1, [1, 0, 2, 1]], [2, [1, 0, 1, 1]], [3, [0, 1, 1, 1]]]
+    assert derivation_calls["Fraction"] == 0
 
 
 def test_line_planes_and_plane_lines_are_one_dual_graph(small_complexes):

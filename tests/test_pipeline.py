@@ -24,11 +24,8 @@ from degen.pipeline import (
 from degen.relations import (
     Presentation,
     UnsupportedCaseError,
-    commutator_relator,
-    involution_relator,
     reduced_presentation,
     tangent_pairs,
-    triple_relator,
     word,
 )
 from kernel_oracle import kernel_abelianization, line_transpositions
@@ -298,12 +295,12 @@ def test_line_renumberings_never_contradict(small_complexes):
 
 def pair_relators(pc):
     """The involution, braid and commutator relators of `pc`: all but the
-    inner-point ones, built from the relator functions directly."""
+    inner-point ones, spelled out directly."""
     generators = tuple(sorted(pc.line_numbering))
     tangent = set(tangent_pairs(pc))
-    relators = [involution_relator(i) for i in generators]
+    relators = [word(i, i) for i in generators]
     relators += [
-        triple_relator(i, j) if (i, j) in tangent else commutator_relator(i, j)
+        word(i, j, i, -j, -i, -j) if (i, j) in tangent else word(i, j, -i, -j)
         for i, j in combinations(generators, 2)
     ]
     return relators
@@ -432,11 +429,12 @@ def test_reduced_presentation_holds_every_chain_relator(small_complexes):
         except UnsupportedCaseError:
             continue
         chain = _coxeter_chain(pc.line_planes())
-        needed = {involution_relator(a) for a in chain}
-        needed |= {triple_relator(a, b) for a, b in zip(chain, chain[1:])}
-        needed |= {
-            commutator_relator(a, b) for i, a in enumerate(chain) for b in chain[i + 2:]
-        }
+        needed = {word(a, a) for a in chain}
+        for i, a in enumerate(chain):
+            for b in chain[i + 1:]:
+                lo, hi = sorted((a, b))
+                braid = b == chain[i + 1]  # consecutive chain lines are tangent
+                needed.add(word(lo, hi, lo, -hi, -lo, -hi) if braid else word(lo, hi, -lo, -hi))
         assert needed <= relators, k
         checked += 1
     assert checked == 373

@@ -32,7 +32,17 @@ ALLOWED = {
     ("complexes.py", "PlanarComplex.loads"): "mods.complexes.PlanarComplex.loads(text)",
 }
 
-# (argv, exit code); `None` stands for the directory `enumerate` writes to
+# a disk whose vertices 1 and 4 lie on one point, which `validate` names
+SHARED_POINT = {
+    "format": "degen-complex/1",
+    "vertices": [[1, [0, 0, 1, 1]], [2, [1, 0, 1, 1]], [3, [0, 1, 1, 1]], [4, [0, 0, 1, 1]]],
+    "triangles": [[1, [1, 2, 3]], [2, [2, 4, 3]]],
+    "line_numbering": [[1, [2, 3]]],
+}
+SHARED = "<shared-point file>"
+
+# (argv, exit code); `None` stands for the directory `enumerate` writes to and
+# SHARED for a file holding SHARED_POINT
 COMMANDS = [
     (["list"], 0),
     (["list", "--format", "json"], 0),
@@ -47,6 +57,8 @@ COMMANDS = [
     (["enumerate", "--triangles", "6"], 1),
     (["enumerate", "--triangles", "6", "--count-only"], 0),
     (["enumerate", "--triangles", "6", "--out-dir", None], 0),
+    (["enumerate", "--triangles", "6", "--out-dir", SHARED], 1),
+    (["analyze", SHARED], 1),
     (["analyze", "--all", "U_6"], 1),
     (["analyze", "no-such-case"], 1),
     (["analyze", "--all", "--max-cosets", "0"], 1),
@@ -100,10 +112,12 @@ def stale_hint_catalog(tmp_path: Path) -> Path:
 
 
 def exercise(tmp_path: Path, monkeypatch) -> None:
-    out_dir = tmp_path / "maps"
+    paths = {None: tmp_path / "maps", SHARED: tmp_path / "shared-point.json"}
+    paths[SHARED].write_text(json.dumps(SHARED_POINT), encoding="utf-8")
     for argv, code in COMMANDS:
-        argv = [str(out_dir) if a is None else a for a in argv]
+        argv = [str(paths[a]) if a in paths else a for a in argv]
         assert run_main(argv) == code, argv
+    out_dir = paths[None]
     # one of the 28 disks has an inner 6-point, which only catalog data can relate
     codes = [run_main(["analyze", str(p)]) for p in sorted(out_dir.glob("map-*.json"))]
     assert sorted(codes) == [0] * 27 + [1]

@@ -1,17 +1,17 @@
+from collections import Counter
+from itertools import combinations
+
 import pytest
 
 from degen.fpgroup import first_broken_relator
 from degen.relations import (
     Presentation,
     UnsupportedCaseError,
-    commutator_relator,
     inner_point_relators,
-    involution_relator,
     presentation_json,
     presentation_text,
     reduced_presentation,
     tangent_pairs,
-    triple_relator,
     word,
     word_from_json,
     word_text,
@@ -25,9 +25,36 @@ def inverse(w):
 
 
 def test_relator_shapes():
-    assert involution_relator(3) == word(3, 3)
-    assert triple_relator(1, 2) == word(1, 2, 1, -2, -1, -2)
-    assert commutator_relator(4, 6) == word(4, 6, -4, -6)
+    spell = {tag: s for tag, _, s in Presentation((), (), ()).kinds()}
+    assert spell["involution"](3) == word(3, 3)
+    assert spell["triple"]((1, 2)) == word(1, 2, 1, -2, -1, -2)
+    assert spell["commutator"]((4, 6)) == word(4, 6, -4, -6)
+    assert spell["inner-point"](word(1, 2, 1, -3)) == word(1, 2, 1, -3)
+
+
+def test_kinds_order_tags_and_counts(records):
+    """On every catalog presentation the tags run involution, triple,
+    commutator, inner-point; `annotations` tags `relators` one for one, each
+    relator spelled as its tag says, and `counts` is the tally of
+    `annotations`, in the same order."""
+    order = ["involution", "triple", "commutator", "inner-point"]
+    for rec in records:
+        pres = reduced_presentation(
+            rec.complex, inner6_relators=rec.extra_inner_relators or None
+        )
+        assert [tag for tag, _, _ in pres.kinds()] == order, rec.name
+        assert len(pres.annotations) == len(pres.relators), rec.name
+        ranks = [order.index(tag) for tag in pres.annotations]
+        assert ranks == sorted(ranks), rec.name
+        tangent = set(pres.tangent)
+        expected = [word(i, i) for i in pres.generators]
+        expected += [word(i, j, i, -j, -i, -j) for i, j in pres.tangent]
+        expected += [
+            word(i, j, -i, -j)
+            for i, j in combinations(pres.generators, 2) if (i, j) not in tangent
+        ]
+        assert list(pres.relators) == expected + list(pres.words), rec.name
+        assert list(pres.counts().items()) == list(Counter(pres.annotations).items()), rec.name
 
 
 def test_reduced_presentation_counts_example(by_name):
