@@ -107,7 +107,7 @@ def _build_parser() -> _Parser:
     add_format(p_tab)
 
     p_enum = sub.add_parser("enumerate", help="classify maps by triangle count")
-    p_enum.add_argument("--triangles", type=int, required=True, metavar="N")
+    p_enum.add_argument("--triangles", type=_positive_int, required=True, metavar="N")
     mode = p_enum.add_mutually_exclusive_group()
     mode.add_argument("--count-only", action="store_true", help="emit just the class count")
     mode.add_argument(

@@ -22,10 +22,17 @@ new.  Only then does it get its state, its sorted triangles and a map, and
 become the class's representative, once turned and started like
 `CombinatorialMap.from_triangles` of its state: its boundary walk and
 triangles equal that map's byte for byte, and its rings are the same
-cyclic orders, possibly started elsewhere.  The canonical form encodes only
-roots whose tail has the least boundary degree, and when that tail is an ear
-(a boundary vertex of degree 2), only those whose head has the least degree
-among the ear roots; it drops each code as soon as it is above the best one
+cyclic orders, possibly started elsewhere.  A grown state that its level
+has already reached, the same labelled triangle set grown from another
+parent, is skipped before its form is computed: it has the first copy's
+rings and walk, up to mirror image and where each ring starts, so the same
+form, and the first copy was keyed already.  Each triangle met gets one
+bit, and a state is looked up by the OR of its triangles' bits.
+
+The canonical form encodes only roots whose tail has the least boundary
+degree, and when that tail is an ear (a boundary vertex of degree 2), only
+those whose head has the least degree among the ear roots, picked in one
+pass over the walk; it drops each code as soon as it is above the best one
 so far.
 
 Generated maps are purely combinatorial; `embed` synthesizes exact rational
@@ -176,15 +183,23 @@ def canonical_form(map_: CombinatorialMap) -> tuple[int, ...]:
     rot = map_.rotation_dict
     b = map_.boundary
     deg = [len(rot[v]) for v in b]
-    low = min(deg)
     n = len(b)
     # (tail, head, mirrored) as walk positions: forward roots run along the
-    # walk, mirrored roots against it
-    tails = [i for i in range(n) if deg[i] == low]
-    roots = [(i, (i + 1) % n, False) for i in tails] + [(i, i - 1, True) for i in tails]
-    if low == 2:
-        head = min(deg[j] for _i, j, _mirrored in roots)
-        roots = [r for r in roots if deg[r[1]] == head]
+    # walk, mirrored roots against it; one pass keeps those of the least
+    # tail degree and, for an ear, the least head degree
+    low = head = len(rot)  # above every degree
+    roots = []
+    for i, d in enumerate(deg):
+        if d > low:
+            continue
+        if d < low:
+            low, head, roots = d, len(rot), []
+        for j, mirrored in ((i + 1) % n, False), (i - 1, True):
+            h = deg[j] if d == 2 else 0
+            if h < head:
+                head, roots = h, [(i, j, mirrored)]
+            elif h == head:
+                roots.append((i, j, mirrored))
     best = None
     for i, j, mirrored in roots:
         best = _rooted_code(rot, (b[i], b[j]), mirrored, best) or best
@@ -286,6 +301,8 @@ def enumerate_maps(
     `CombinatorialMap.from_triangles` of that state, byte for byte; its rings
     are that map's cyclic orders, possibly started elsewhere.  A candidate
     is its rings and walk until its class is new; a duplicate never gets a map.
+    A candidate whose triangle set the level has already reached gets no
+    canonical form either: it would have the form of that set's first copy.
 
     `guard` bounds the requested size (resource guard; raise it consciously
     for bigger runs).
@@ -297,22 +314,31 @@ def enumerate_maps(
             f"num_triangles {num_triangles} exceeds the guard {guard};"
             " pass a larger guard explicitly for big runs"
         )
-    seed = frozenset({frozenset({1, 2, 3})})
-    level: dict[tuple[int, ...], tuple[frozenset[Triangle], CombinatorialMap]] = {}
+    seed_triangle = frozenset({1, 2, 3})
+    seed = frozenset({seed_triangle})
+    # one bit per distinct triangle met; a state's mask is its triangles' bits
+    bits: dict[Triangle, int] = {seed_triangle: 1}
+    level: dict[tuple[int, ...], tuple[frozenset[Triangle], int, CombinatorialMap]] = {}
     first = CombinatorialMap.from_triangles(seed)
-    level[canonical_form(first)] = (seed, first)
+    level[canonical_form(first)] = (seed, 1, first)
     for _ in range(2, num_triangles + 1):
-        nxt: dict[tuple[int, ...], tuple[frozenset[Triangle], CombinatorialMap]] = {}
-        for state, map_ in level.values():
+        nxt: dict[tuple[int, ...], tuple[frozenset[Triangle], int, CombinatorialMap]] = {}
+        reached: set[int] = set()
+        for state, mask, map_ in level.values():
             for tri, candidate in _grow(map_):
+                added = frozenset(tri)
+                grown_mask = mask | bits.setdefault(added, 1 << len(bits))
+                if grown_mask in reached:
+                    continue  # the same triangle set, hence the same form
+                reached.add(grown_mask)
                 key = canonical_form(candidate)
                 if key in nxt:
                     continue
-                grown = state | {frozenset(tri)}
+                grown = state | {added}
                 triangles = tuple(sorted(map_.triangles + (tuple(sorted(tri)),)))
-                nxt[key] = (grown, _as_built(grown, candidate, triangles))
+                nxt[key] = (grown, grown_mask, _as_built(grown, candidate, triangles))
         level = nxt
-    return [map_ for _state, map_ in level.values()]
+    return [map_ for _state, _mask, map_ in level.values()]
 
 
 # ----------------------------------------------------------------------

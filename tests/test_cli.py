@@ -730,6 +730,22 @@ def test_enumerate_refuses_count_only_with_out_dir(capsys, tmp_path):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_enumerate_refuses_a_triangle_count_below_one_before_making_out_dir(
+    capsys, tmp_path, count
+):
+    out_dir = tmp_path / "new"
+    with pytest.raises(SystemExit) as info:
+        main(["enumerate", "--triangles", count, "--out-dir", str(out_dir)])
+    assert info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        f"degen: error: argument --triangles: expected a positive integer, got '{count}'\n"
+    )
+    assert not out_dir.exists()
+
+
 def test_enumerate_without_out_dir_fails(capsys):
     rc, _, err = run(capsys, "enumerate", "--triangles", "4")
     assert rc == 1

@@ -55,6 +55,8 @@ GOLDEN_FORMS_NINE = "d491b888389237c4"
 # The same for the repr of every representative at 9 triangles: its rings,
 # walk and triangles, in enumeration order.
 GOLDEN_MAPS_NINE = "ca99b2705ec9b38e"
+# The same at 10 triangles.
+GOLDEN_MAPS_TEN = "425b784488456bec"
 
 
 def exhaustive_maps(num_triangles):
@@ -324,6 +326,13 @@ def test_representatives_at_nine_match_golden_digest():
     assert digest(maps) == GOLDEN_MAPS_NINE
 
 
+def test_representatives_at_ten_match_golden_digest():
+    maps = enumerate_maps(10, guard=10)
+    assert digest("\n".join(repr(m) for m in maps)) == GOLDEN_MAPS_TEN
+    # no class is emitted twice
+    assert len({canonical_form(m) for m in maps}) == len(maps) == 2805
+
+
 def test_duplicate_candidates_build_no_map(monkeypatch):
     # a candidate becomes a map only when its class is new, and then only
     # its representative: one map per class kept, plus the seed
@@ -343,7 +352,11 @@ def test_duplicate_candidates_build_no_map(monkeypatch):
 
 def test_enumeration_calls_canonical_form_once_per_candidate(monkeypatch):
     # perfbench's tracer counts `enumerator.candidates` as the calls to this
-    # module-level name, so enumeration must call it once per candidate
+    # module-level name, so enumeration must call it once per candidate: the
+    # seed, then each distinct triangle set a level reaches, since a set the
+    # level has already reached is skipped before its form is computed
+    # states of different sizes differ, so one set counts every level's
+    distinct = 1 + len({state for state, _map in candidates(7)})
     calls = 0
 
     def counted(map_):
@@ -353,7 +366,7 @@ def test_enumeration_calls_canonical_form_once_per_candidate(monkeypatch):
 
     monkeypatch.setattr(degen.enumerator, "canonical_form", counted)
     assert len(enumerate_maps(7)) == 73
-    assert calls == 1 + 3 + 6 + 11 + 43 + 85 + 307
+    assert calls == distinct == 1 + 3 + 6 + 11 + 37 + 74 + 254
 
 
 def full_code(rot, root):
