@@ -57,6 +57,15 @@ GOLDEN_FORMS_NINE = "d491b888389237c4"
 GOLDEN_MAPS_NINE = "ca99b2705ec9b38e"
 # The same at 10 triangles.
 GOLDEN_MAPS_TEN = "425b784488456bec"
+# The same for every class's canonical form as text, sorted: it pins each level's set
+# of classes, whatever order and representatives generation picks.
+GOLDEN_CLASS_SETS = {
+    6: "407a5175f8db4a61",
+    7: "cc784846064e945b",
+    8: "f9d5bee18bd4184f",
+    9: "ba8245df6875191f",
+    10: "371d49a4312c842f",
+}
 
 
 def exhaustive_maps(num_triangles):
@@ -242,6 +251,13 @@ def test_canonical_forms_match_golden_digest(num_triangles):
         for m in enumerate_maps(num_triangles, guard=num_triangles)
     )
     assert digest(forms) == GOLDEN_FORMS[num_triangles]
+
+
+@pytest.mark.parametrize("num_triangles", sorted(GOLDEN_CLASS_SETS))
+def test_sorted_canonical_forms_match_golden_digest(num_triangles):
+    maps = enumerate_maps(num_triangles, guard=num_triangles)
+    forms = "\n".join(sorted(",".join(map(str, canonical_form(m))) for m in maps))
+    assert digest(forms) == GOLDEN_CLASS_SETS[num_triangles]
 
 
 @pytest.mark.parametrize("num_triangles", sorted(GOLDEN_EMBEDS))
