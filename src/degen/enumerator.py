@@ -18,16 +18,17 @@ Most grown states are isomorphs of one already kept, so none is built from
 scratch: each candidate's rotations and walk are derived from its parent's
 by the few local edits that the growth move makes, and a candidate is only
 those rings and that walk, all a canonical form reads, until its class is
-new.  Only then does it get its state, its sorted triangles and a map, and
-become the class's representative, once turned and started like
-`CombinatorialMap.from_triangles` of its state: its boundary walk and
+new.  Only then does it get its sorted triangles and a map, and become the
+class's representative.  Growth keeps the winding of the seed (1, 2, 3),
+and `CombinatorialMap.from_triangles` winds every plane like the least of
+its sorted triangles, which is always that seed, so each representative is
+wound like `from_triangles` of its own triangles: its boundary walk and
 triangles equal that map's byte for byte, and its rings are the same
-cyclic orders, possibly started elsewhere.  A grown state that its level
-has already reached, the same labelled triangle set grown from another
-parent, is skipped before its form is computed: it has the first copy's
-rings and walk, up to mirror image and where each ring starts, so the same
-form, and the first copy was keyed already.  Each triangle met gets one
-bit, and a state is looked up by the OR of its triangles' bits.
+cyclic orders, possibly started elsewhere.  A grown triangle set that its
+level has already reached, grown from another parent, is skipped before
+its form is computed: it has the first copy's rings and walk, up to where
+each starts, so the same form, and the first copy was keyed already.  Each
+triangle met gets one bit, and a set is looked up by the OR of its bits.
 
 The canonical form encodes only roots whose tail has the least boundary
 degree, and when that tail is an ear (a boundary vertex of degree 2), only
@@ -49,8 +50,6 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 from .complexes import ComplexError, PlanarComplex, orient_disk, planes_by_edge, vertex_fans
 
 MAX_TRIANGLES_GUARD = 8
-
-Triangle = frozenset  # of three vertex labels
 
 
 class EnumeratorError(ValueError):
@@ -92,15 +91,14 @@ class CombinatorialMap(NamedTuple):
             raise EnumeratorError(str(exc)) from exc
         return cls(
             rotations=tuple(sorted((v, tuple(ring)) for v, ring in rot.items())),
-            boundary=_map_walk(oriented, walk),
+            boundary=_map_walk(walk),
             triangles=tuple(sorted(planes.values())),
         )
 
 
-def _map_walk(oriented: Mapping, walk: tuple[int, ...]) -> tuple[int, ...]:
-    """A map's walk from `orient_disk`'s: it runs against the planes, from the
-    same vertex; a lone triangle's walk runs either way round, so it keeps its own."""
-    return walk if len(oriented) == 1 else walk[:1] + walk[:0:-1]
+def _map_walk(walk: tuple[int, ...]) -> tuple[int, ...]:
+    """A map's walk from `orient_disk`'s: it runs against the planes, from the same vertex."""
+    return walk[:1] + walk[:0:-1]
 
 
 class _Candidate(NamedTuple):
@@ -219,10 +217,11 @@ def _grow(map_: CombinatorialMap) -> Iterator[tuple[tuple[int, int, int], _Candi
     u, v, w takes v off the walk.  A boundary vertex that gains a neighbour
     y takes y into its ring right after its successor on the walk: its ring
     passes the outer face from its successor to its predecessor, and every
-    new neighbour comes from the outer face.  `CombinatorialMap.from_triangles`
-    of the grown state gives the same rings and walk or their mirror image,
-    up to where each ring and the walk start, which no canonical form sees;
-    `_as_built` turns and starts a map that is kept like that one.  A
+    new neighbour comes from the outer face.  No ring is ever reversed, so a
+    candidate keeps the seed's winding and is wound like
+    `CombinatorialMap.from_triangles` of its own triangles: that map has the
+    same rings and walk, up to where each starts, which no canonical form
+    sees; `_as_built` starts a kept candidate's walk like that map's.  A
     candidate is only the rings and walk, all that a canonical form reads.
     """
     rot = map_.rotation_dict
@@ -254,33 +253,12 @@ def _grow(map_: CombinatorialMap) -> Iterator[tuple[tuple[int, int, int], _Candi
 
 
 def _as_built(
-    state: Iterable[Iterable[int]], candidate: _Candidate, triangles: tuple[tuple[int, ...], ...]
+    candidate: _Candidate, triangles: tuple[tuple[int, int, int], ...]
 ) -> CombinatorialMap:
-    """`candidate`, grown for `state`, turned and started as `from_triangles(state)`.
-
-    `from_triangles` keeps the vertex order (a, b, c) of the state's first
-    triangle, sorted, so c follows b in the ring of a, a follows c in the
-    ring of b and b follows a in the ring of c; if `candidate` winds the
-    other way, every ring and the walk are reversed.  The winding is read at a
-    corner whose ring has at least 3 entries, since a ring (b, c) reads both
-    ways; with 2 or more triangles one edge of the first is shared, so its
-    two ends qualify.  The walk then starts at its least vertex.  Boundary
-    and `triangles` (the state's, sorted) come out equal to
-    `from_triangles(state)`'s; each ring is the same cycle, possibly from
-    another start.
-
-    A hidden choice: the first triangle is the first of the frozenset `state`
-    in CPython's iteration order.  That order picks each representative's
-    winding, hence its embedding, line numbering and verdicts; winding by
-    the seed (1, 2, 3) instead decides one more disk at 7 triangles.
-    """
+    """`candidate`, whose sorted triangles are `triangles`, as a map: its rings
+    sorted by vertex and its walk started at its least vertex, as
+    `from_triangles(triangles)` has them; it is wound like that map already."""
     rot, walk = candidate
-    a, b, c = sorted(next(iter(state)))
-    v, x, y = next(t for t in ((a, b, c), (b, c, a), (c, a, b)) if len(rot[t[0]]) > 2)
-    ring = rot[v]
-    if ring[(ring.index(x) + 1) % len(ring)] != y:
-        rot = {u: r[::-1] for u, r in rot.items()}
-        walk = walk[::-1]
     i = walk.index(min(walk))
     return CombinatorialMap(
         rotations=tuple(sorted(rot.items())),
@@ -296,13 +274,14 @@ def enumerate_maps(
 ) -> list[CombinatorialMap]:
     """One representative per isomorphism class with the given triangle count.
 
-    Each representative is the map derived for the first state of its class
-    that growth reaches, and has the boundary walk and triangles of
-    `CombinatorialMap.from_triangles` of that state, byte for byte; its rings
-    are that map's cyclic orders, possibly started elsewhere.  A candidate
-    is its rings and walk until its class is new; a duplicate never gets a map.
-    A candidate whose triangle set the level has already reached gets no
-    canonical form either: it would have the form of that set's first copy.
+    Each representative is the map derived for the first triangle set of its
+    class that growth reaches, wound like `CombinatorialMap.from_triangles`
+    of its own triangles: it has that map's boundary walk and triangles, byte
+    for byte, and its rings are that map's cyclic orders, possibly started
+    elsewhere.  A candidate is its rings and walk until its class is new; a
+    duplicate never gets a map.  A candidate whose triangle set the level has
+    already reached gets no canonical form either: it would have the form of
+    that set's first copy.
 
     `guard` bounds the requested size (resource guard; raise it consciously
     for bigger runs).
@@ -314,31 +293,26 @@ def enumerate_maps(
             f"num_triangles {num_triangles} exceeds the guard {guard};"
             " pass a larger guard explicitly for big runs"
         )
-    seed_triangle = frozenset({1, 2, 3})
-    seed = frozenset({seed_triangle})
+    first = CombinatorialMap.from_triangles([(1, 2, 3)])
     # one bit per distinct triangle met; a state's mask is its triangles' bits
-    bits: dict[Triangle, int] = {seed_triangle: 1}
-    level: dict[tuple[int, ...], tuple[frozenset[Triangle], int, CombinatorialMap]] = {}
-    first = CombinatorialMap.from_triangles(seed)
-    level[canonical_form(first)] = (seed, 1, first)
+    bits = {first.triangles[0]: 1}
+    level = {canonical_form(first): (1, first)}
     for _ in range(2, num_triangles + 1):
-        nxt: dict[tuple[int, ...], tuple[frozenset[Triangle], int, CombinatorialMap]] = {}
+        nxt: dict[tuple[int, ...], tuple[int, CombinatorialMap]] = {}
         reached: set[int] = set()
-        for state, mask, map_ in level.values():
+        for mask, map_ in level.values():
             for tri, candidate in _grow(map_):
-                added = frozenset(tri)
+                added = tuple(sorted(tri))
                 grown_mask = mask | bits.setdefault(added, 1 << len(bits))
                 if grown_mask in reached:
                     continue  # the same triangle set, hence the same form
                 reached.add(grown_mask)
                 key = canonical_form(candidate)
-                if key in nxt:
-                    continue
-                grown = state | {added}
-                triangles = tuple(sorted(map_.triangles + (tuple(sorted(tri)),)))
-                nxt[key] = (grown, grown_mask, _as_built(grown, candidate, triangles))
+                if key not in nxt:
+                    triangles = tuple(sorted(map_.triangles + (added,)))
+                    nxt[key] = (grown_mask, _as_built(candidate, triangles))
         level = nxt
-    return [map_ for _state, _mask, map_ in level.values()]
+    return [map_ for _mask, map_ in level.values()]
 
 
 # ----------------------------------------------------------------------
@@ -395,7 +369,7 @@ def embed(map_: CombinatorialMap) -> PlanarComplex:
             f" {report.violations}"
         )
     oriented, walk = complex_._disk  # the orientation construction certified
-    embedded = _Candidate(vertex_fans(oriented.values()), _map_walk(oriented, walk))
+    embedded = _Candidate(vertex_fans(oriented.values()), _map_walk(walk))
     if canonical_form(embedded) != canonical_form(map_):
         raise EnumeratorError("embedding changed the isomorphism class")
     return complex_

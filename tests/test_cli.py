@@ -698,6 +698,24 @@ def test_enumerate_refuses_a_directory_that_holds_maps(capsys, tmp_path):
     assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
 
 
+def test_enumerate_writes_the_same_files_under_any_hash_seed(tmp_path):
+    """No hash order reaches the representatives, their embeddings or their files."""
+    written = []
+    for seed in ("0", "12345"):
+        out_dir = tmp_path / f"seed-{seed}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "degen", "enumerate", "--triangles", "7", "--out-dir",
+             str(out_dir)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": seed},
+        )
+        assert proc.returncode == 0, proc.stderr
+        written.append({p.name: p.read_bytes() for p in out_dir.iterdir()})
+    assert len(written[0]) == 73
+    assert written[0] == written[1]
+
+
 @pytest.mark.parametrize("under", ["", "maps"], ids=["a-file", "under-a-file"])
 def test_enumerate_refuses_an_out_dir_it_cannot_make_before_enumerating(
     capsys, tmp_path, monkeypatch, under
@@ -890,7 +908,7 @@ GOLDEN_JSON_OTHER = {
     "list": "d793a2f3a9b6a4d8aa374b369ccf35b5459e465718e9930549d7a003f43f4e8b",
     "table": "6b240eefdc4c6e07905be1d69412be1e332a7408e11c6c2efef6f2a5503b98b6",
     "export": "402037f241d348a35f93a2e485ce7080ee033daef9312f0872f391306b2b1c5b",
-    "analyze-file": "cbf36fbdf9518bd2549e6fead70ad379bb32b61b9fc84946d599c91e2f958e24",
+    "analyze-file": "bf8ae6b3c4490dfdad7bbb60ee88b2918b6b3d11cce10e659186dcd9c5eeab18",
 }
 
 

@@ -425,9 +425,9 @@ def test_certificate_agrees_with_pairwise_oracle(oracle_inputs):
         assert report.ok == (not conflicts), (report.violations, conflicts)
         compared += 1
         rejected += bool(conflicts)
-    # 114 of the 2139 inputs fail the structural checks first; of the rest,
-    # 1489 are rejected by both the certificate and the oracle.
-    assert (compared, rejected) == (2025, 1489)
+    # 113 of the 2139 inputs fail the structural checks first; of the rest,
+    # 1490 are rejected by both the certificate and the oracle.
+    assert (compared, rejected) == (2026, 1490)
 
 
 def test_validate_reports_are_pinned(oracle_inputs, small_complexes, records):
@@ -441,7 +441,7 @@ def test_validate_reports_are_pinned(oracle_inputs, small_complexes, records):
         report = pc.validate()
         digest.update(repr((report.errors, report.violations)).encode() + b"\n")
     assert digest.hexdigest() == (
-        "94c61ffa1d47c1c29ddfc3f4a8a92355fa528417e42d29ba1b5852a567284a24"
+        "29232ae226b41ea05bc7f0de4b5cc8cb9cbab0352ea41369dbee9bfce6291cdc"
     )
 
 

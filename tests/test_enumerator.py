@@ -21,8 +21,6 @@ from degen.relations import UnsupportedCaseError
 from degen.enumerator import (
     CombinatorialMap,
     EnumeratorError,
-    _Candidate,
-    _as_built,
     _grow,
     canonical_form,
     embed,
@@ -36,27 +34,27 @@ MIRROR_PAIR = ("U_{0,5,1}", "U_{0,5,3}")
 # every class's embedding, and of the singular points of every embedding, in
 # enumeration order.
 GOLDEN_FORMS = {
-    6: "19133f7f85a46eab",
-    7: "f545c4de63b8eb31",
-    8: "b32ce4defc7013fd",
-    10: "ed968c1a54eba9dd",
+    6: "af45a3c6f22e91d8",
+    7: "2914d7c29ec49f55",
+    8: "44cc8b8d7101bab7",
+    10: "1470b5d1fb660225",
 }
 GOLDEN_EMBEDS = {
-    6: "6d158afb46af2802",
-    7: "87835bdc2c2c39ee",
-    8: "9565ac0781b8fc04",
-    9: "7eca4680afafa572",
+    6: "c03baa1a74715800",
+    7: "c669a2768bf1fe9b",
+    8: "c06a25386dce1945",
+    9: "b4f5361f9b3bd84d",
 }
-GOLDEN_POINTS = {6: "00f3e68214b0c975", 7: "5b62086380341261", 8: "c5a662479fbb08c4"}
+GOLDEN_POINTS = {6: "0ff380f80802bb48", 7: "42fc63ab971da527", 8: "7611e13281c9fdd5"}
 # The same for every embedding's lemmas-only verdict as JSON, or its refusal:
 # it pins the coset counts the enumeration engine reaches on these disks.
-GOLDEN_VERDICTS = {6: "e12182bab548294e", 7: "a155141519debbe5", 8: "66fdd2b50d0bd266"}
-GOLDEN_FORMS_NINE = "d491b888389237c4"
+GOLDEN_VERDICTS = {6: "3ebab2df9ab4dd8a", 7: "ef44b153230c976b", 8: "d7dcbe2d35216a24"}
+GOLDEN_FORMS_NINE = "7150a3ccf88b9415"
 # The same for the repr of every representative at 9 triangles: its rings,
 # walk and triangles, in enumeration order.
-GOLDEN_MAPS_NINE = "ca99b2705ec9b38e"
+GOLDEN_MAPS_NINE = "4204ef5a2dd88643"
 # The same at 10 triangles.
-GOLDEN_MAPS_TEN = "425b784488456bec"
+GOLDEN_MAPS_TEN = "90e0900efc642fd7"
 # The same for every class's canonical form as text, sorted: it pins each level's set
 # of classes, whatever order and representatives generation picks.
 GOLDEN_CLASS_SETS = {
@@ -371,8 +369,8 @@ def test_enumeration_calls_canonical_form_once_per_candidate(monkeypatch):
     # module-level name, so enumeration must call it once per candidate: the
     # seed, then each distinct triangle set a level reaches, since a set the
     # level has already reached is skipped before its form is computed
-    # states of different sizes differ, so one set counts every level's
-    distinct = 1 + len({state for state, _map in candidates(7)})
+    # sets of different sizes differ, so one set counts every level's
+    distinct = 1 + len({map_.triangles for map_ in candidates(7)})
     calls = 0
 
     def counted(map_):
@@ -382,7 +380,7 @@ def test_enumeration_calls_canonical_form_once_per_candidate(monkeypatch):
 
     monkeypatch.setattr(degen.enumerator, "canonical_form", counted)
     assert len(enumerate_maps(7)) == 73
-    assert calls == distinct == 1 + 3 + 6 + 11 + 37 + 74 + 254
+    assert calls == distinct == 1 + 3 + 6 + 11 + 37 + 74 + 256
 
 
 def full_code(rot, root):
@@ -421,16 +419,15 @@ def unpruned_form(map_):
 
 
 def candidates(up_to):
-    """Every grown state and derived map that enumeration tests, up to `up_to` triangles.
+    """Every derived map that enumeration tests, up to `up_to` triangles.
 
     `_grow` yields each added triangle with only the rings and walk of the
     candidate; its full map is rebuilt here from the parent's triangles.
     """
     for n in range(1, up_to):
         for map_ in enumerate_maps(n):
-            state = frozenset(map(frozenset, map_.triangles))
             for tri, candidate in _grow(map_):
-                yield state | {frozenset(tri)}, CombinatorialMap(
+                yield CombinatorialMap(
                     rotations=tuple(candidate.rotation_dict.items()),
                     boundary=candidate.boundary,
                     triangles=tuple(sorted(map_.triangles + (tuple(sorted(tri)),))),
@@ -462,7 +459,7 @@ def mirror_image(map_):
 
 
 def test_pruned_form_equals_unpruned_minimum(records):
-    maps = [m for _state, m in candidates(8)]
+    maps = list(candidates(8))
     maps += [
         CombinatorialMap.from_triangles(rec.complex.triangles.values()) for rec in records
     ]
@@ -475,7 +472,7 @@ def test_ear_rooted_codes_start_with_the_head_degree():
     # an ear u, between p and s on the walk, read from (u, s) or, mirrored,
     # from (u, p) begins 1, 2, -1, 0, 2, 3, ..., k, -1 with k = deg s or deg p
     eared = 0
-    for _state, map_ in candidates(8):
+    for map_ in candidates(8):
         rot = map_.rotation_dict
         mirror = mirror_image(map_).rotation_dict
         b = map_.boundary
@@ -492,53 +489,28 @@ def test_ear_rooted_codes_start_with_the_head_degree():
 
 
 def test_derived_candidates_are_the_maps_of_their_states():
-    # either map may be the mirror image of the other: orientation is arbitrary
-    for grown, derived in candidates(8):
-        built = CombinatorialMap.from_triangles(grown)
-        assert same_rotation_system(derived, built) or same_rotation_system(
-            derived, mirror_image(built)
-        ), grown
+    # growth keeps the seed's winding, which `from_triangles` gives every map
+    for derived in candidates(8):
+        built = CombinatorialMap.from_triangles(derived.triangles)
+        assert same_rotation_system(derived, built), derived.triangles
         assert canonical_form(derived) == canonical_form(built)
 
 
-def assert_built_from(map_, state):
-    """`map_` has the walk and triangles of `from_triangles(state)`, and its rings as cycles."""
-    built = CombinatorialMap.from_triangles(state)
-    assert map_.boundary == built.boundary, state
-    assert map_.triangles == built.triangles, state
+def assert_built_from(map_, triangles):
+    """`map_` has the walk and triangles of `from_triangles(triangles)`, and its rings
+    as cycles."""
+    built = CombinatorialMap.from_triangles(triangles)
+    assert map_.boundary == built.boundary, triangles
+    assert map_.triangles == built.triangles, triangles
     rings = built.rotation_dict
-    assert [v for v, _ring in map_.rotations] == sorted(rings), state
-    assert all(same_cycle(ring, rings[v]) for v, ring in map_.rotations), state
+    assert [v for v, _ring in map_.rotations] == sorted(rings), triangles
+    assert all(same_cycle(ring, rings[v]) for v, ring in map_.rotations), triangles
 
 
-def test_representatives_are_the_maps_their_states_build(monkeypatch):
-    states = {}
-
-    def recorded(state, candidate, triangles):
-        states[triangles] = state
-        return _as_built(state, candidate, triangles)
-
-    monkeypatch.setattr(degen.enumerator, "_as_built", recorded)
-    for num_triangles in range(2, 9):
-        for map_ in enumerate_maps(num_triangles):
-            assert_built_from(map_, states[map_.triangles])
-
-
-def test_winding_is_read_where_a_ring_has_three_entries():
-    # vertex 1, the least of the first triangle, has the ring (2, 3), which
-    # reads both ways; the mirror image must still be turned back
-    state = [(1, 2, 3), (2, 3, 4)]
-    built = CombinatorialMap.from_triangles(state)
-    assert len(built.rotation_dict[1]) == 2
-    mirrored = mirror_image(built)
-    started_elsewhere = CombinatorialMap(
-        rotations=mirrored.rotations[::-1],
-        boundary=mirrored.boundary[1:] + mirrored.boundary[:1],
-        triangles=mirrored.triangles,
-    )
-    for derived in (built, mirrored, started_elsewhere):
-        candidate = _Candidate(derived.rotation_dict, derived.boundary)
-        assert_built_from(_as_built(state, candidate, derived.triangles), state)
+def test_representatives_are_the_maps_their_triangles_build():
+    for num_triangles in range(1, 10):
+        for map_ in enumerate_maps(num_triangles, guard=9):
+            assert_built_from(map_, map_.triangles)
 
 
 def test_embed_orients_each_complex_once(monkeypatch):
@@ -563,7 +535,7 @@ def test_embed_class_check_sees_a_walk_that_runs_with_the_planes(monkeypatch):
     # the check is live: with a walk that runs with the planes instead of
     # against them, no six-triangle disk reads as its own class
     maps = enumerate_maps(6)
-    monkeypatch.setattr(degen.enumerator, "_map_walk", lambda oriented, walk: walk)
+    monkeypatch.setattr(degen.enumerator, "_map_walk", lambda walk: walk)
     for map_ in maps:
         with pytest.raises(EnumeratorError, match="changed the isomorphism class"):
             embed(map_)

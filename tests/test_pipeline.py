@@ -229,7 +229,7 @@ def test_enumerated_disks_never_fail_after_enumerating(triangles):
             continue
         assert verdict.outcome in ("trivial", "nontrivial", "undecided")
     broken = [r for r in refusals if r.startswith("line numbering breaks")]
-    assert len(broken) == {6: 0, 7: 2, 8: 3}[triangles], refusals
+    assert len(broken) == {6: 0, 7: 2, 8: 2}[triangles], refusals
     assert all("inner-point relator" in r and "at vertex" in r for r in broken)
 
 
@@ -310,7 +310,7 @@ def test_only_an_inner_point_relator_can_break(small_complexes):
     """`decide` checks only the inner-point relators in S_n: the others die
     under every line numbering.  Checked on the catalog and every disk of up
     to 8 triangles, as numbered and under four random renumberings each,
-    including the 55 disks whose numbering breaks an inner-point relator."""
+    including the 64 disks whose numbering breaks an inner-point relator."""
     rng = random.Random(24)
     inner_broken = 0
     for k, pc in enumerate(small_complexes):
@@ -325,7 +325,7 @@ def test_only_an_inner_point_relator_can_break(small_complexes):
         if broken is not None:
             assert pres.annotations[broken] == "inner-point", k
             inner_broken += 1
-    assert inner_broken == 55
+    assert inner_broken == 64
 
 
 @pytest.mark.parametrize(
