@@ -196,8 +196,12 @@ class Catalog:
                         f"manifest {manifest_path}: cases[{pos}] has no string {key!r}"
                     )
             key = _normalize(entry["name"])
-            if key in self._by_key:
-                raise CatalogError(f"ambiguous case label {entry['name']!r}")
+            if (other := self._by_key.get(key)) is not None:
+                raise CatalogError(
+                    f"manifest {manifest_path}: ambiguous case label {entry['name']!r}:"
+                    f" cases[{pos}] and cases[{self.entries.index(other)}] {other['name']!r}"
+                    " look up alike"
+                )
             self._by_key[key] = entry
 
     def names(self) -> tuple[str, ...]:
@@ -211,6 +215,8 @@ class Catalog:
             raise CatalogError(f"checksum mismatch for {entry['name']} ({path.name})")
         try:
             record = CaseRecord.from_json(json.loads(blob.decode("utf-8")))
+            if record.name != entry["name"]:
+                raise CatalogError(f"its file names it {record.name}")
             report = record.complex.validate()  # construction certified the rest
             if not report.ok:
                 raise CatalogError("; ".join(report.errors + report.violations))

@@ -131,7 +131,12 @@ def main(argv: list[str] | None = None) -> int:
         "export": cmd_export,
     }[args.command]
     try:
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()  # so a closed pipe is met here, not as Python exits
+        return code
+    except BrokenPipeError:  # the reader closed stdout: nothing is left to report
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_ERROR
     except _ERRORS as exc:
         print(f"degen: error: {exc}", file=sys.stderr)
         return EXIT_ERROR

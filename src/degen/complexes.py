@@ -16,12 +16,12 @@ constructor and `from_json` share one step, `_incidence`, that names a plane
 off the vertex table, an edge in three planes, an interior edge with no line,
 a vertex in no plane, an Euler characteristic other than 1, planes that do
 not orient alike around one boundary cycle and more, then builds the base
-tables, the dual graph and the oriented disk among them, which no later
-query can fail on; `validate` certifies only the geometry.  `from_json`
-first names any table or entry that is not a list of ``[int, [int, ...]]``
-entries; the constructor takes ids, plane corners and line endpoints only as
-``int``, and each coordinate only as an ``int`` or a ``Fraction``, whose
-numerator and denominator it reads as written.
+tables, the dual graph, the oriented disk and the singular points among
+them, which no later query can fail on; `validate` certifies only the
+geometry.  `from_json` first names any table or entry that is not a list of
+``[int, [int, ...]]`` entries; the constructor takes ids, plane corners and
+line endpoints only as ``int``, and each coordinate only as an ``int`` or a
+``Fraction``, whose numerator and denominator it reads as written.
 
 An edge is keyed by its ordered vertex pair ``(min, max)``, so a lookup
 builds no set; error texts print an edge as the list ``[a, b]``.  A line is
@@ -42,10 +42,10 @@ on first read, and ``to_json`` reduces ``x / scale`` off the lattice.
 
 ``orient_disk`` orients a set of planes alike and walks the one boundary
 cycle they direct; ``vertex_fans`` chains the oriented planes into each
-vertex's fan.  A complex orients its planes once, where it is built:
-``validate`` certifies the embedding from them and ``classify_vertices``
-reads the fans.  The enumerator builds each combinatorial map's rotations
-and boundary walk the same way.
+vertex's fan.  A complex orients its planes and chains their fans once,
+where it is built: ``validate`` certifies the embedding from the planes, and
+the singular points and `embed`'s class check are read off the fans.  The
+enumerator builds each combinatorial map's rotations and walk the same way.
 """
 
 from __future__ import annotations
@@ -231,9 +231,9 @@ class PlanarComplex:
     Construction refuses data that is not a triangulated disk with numbered
     interior edges and builds the integer lattice, the edge-to-planes and
     edge-to-line maps, the dual graph (each line's planes and each plane's
-    lines) and the planes oriented alike with their boundary walk.  The rest
-    (the ``Fraction`` view ``vertices``, the vertex classification) is
-    computed once, on first use.  So ``vertices``, ``triangles`` and
+    lines), the planes oriented alike with their boundary walk, each vertex's
+    fan and the singular points.  Only the ``Fraction`` view ``vertices`` is
+    computed on first use.  So ``vertices``, ``triangles`` and
     ``line_numbering`` must not be mutated.
     """
 
@@ -262,7 +262,8 @@ class PlanarComplex:
         """Put each vertex's ``(px, py, qx, qy)``, ints with ``qx`` and ``qy``
         nonzero, on the integer lattice, copy the incidence, refuse any that is
         not a triangulated disk whose interior edges are numbered, and build
-        the base tables, the dual graph and the oriented disk among them.
+        the base tables, the dual graph, the oriented disk, each vertex's fan
+        and the singular points among them.
 
         Refuses, naming the first fault in this order: no planes; a plane that
         is not three listed vertices; a line that is not two; line indices
@@ -278,6 +279,12 @@ class PlanarComplex:
         along lines and walks one, so its Euler characteristic is at most 1,
         and each pinch lowers the complex's by one.  With every vertex in a
         plane, Euler characteristic 1 leaves no pinch.
+
+        So no step of the classification can fail: each vertex's planes chain
+        into one fan; a vertex off the walk, which covers every boundary edge,
+        has only numbered interior edges; an open fan's end edges alone lie in
+        one plane.  A ring read backwards, when the first plane turns
+        clockwise, is the reversed planes' ring up to where a cycle starts.
         """
         # the lcm of all denominators as written
         scale = self._scale = lcm(*(q for c in coords.values() for q in c[2:]))
@@ -308,7 +315,7 @@ class PlanarComplex:
                 raise ComplexError(f"plane {plane} repeats a vertex: {tris[plane]}")
 
         ep = self.edge_planes()
-        line_of = self._line_of = line_by_edge(lines)
+        line_of = line_by_edge(lines)
         line_planes = self._line_planes = {i: tuple(ep.get(e, ())) for e, i in line_of.items()}
         # with edges in at most two planes, the lines are distinct interior edges
         # iff 2L planes bound them, and all of them iff 3 * planes = edges + L
@@ -335,7 +342,21 @@ class PlanarComplex:
             raise ComplexError(f"vertex {min(known.keys() - corners)} lies in no plane")
         if (euler := len(known) - len(ep) + len(tris)) != 1:
             raise ComplexError(f"Euler characteristic {euler} != 1 (support is not a disk)")
-        self._disk = orient_disk(tris, ep)
+        oriented, walk = self._disk = orient_disk(tris, ep)
+        fans = self._fans = vertex_fans(oriented.values())
+        turn = -1 if orient(*(known[v] for v in oriented[min(tris)])) < 0 else 1
+        on_boundary = set(walk)
+        points: list[SingularPoint] = []
+        for v, ring in sorted(fans.items()):
+            ring = ring[::turn]
+            if v not in on_boundary:
+                around = [line_of[(v, w) if v < w else (w, v)] for w in ring]
+                start = around.index(min(around))
+                cyc = around[start:] + around[:start]
+                points.append(SingularPoint(v, "inner", len(cyc), tuple(cyc)))
+            elif fan := [line_of[(v, w) if v < w else (w, v)] for w in ring[1:-1]]:
+                points.append(SingularPoint(v, "outer", len(fan), tuple(fan)))
+        self._points = tuple(points)
         sides: dict[int, list[int]] = {p: [] for p in sorted(tris)}
         for index, (p, q) in line_planes.items():  # one line per edge, in line order
             sides[p].append(index)
@@ -458,38 +479,8 @@ class PlanarComplex:
         return out
 
     def classify_vertices(self) -> tuple[SingularPoint, ...]:
-        """One ``SingularPoint`` per vertex met by at least one line (computed once)."""
-        return self._classification
-
-    @cached_property
-    def _classification(self) -> tuple[SingularPoint, ...]:
-        """Read each vertex's fan from the planes turned counterclockwise.
-
-        A vertex off the boundary walk has a closed fan of lines; any other
-        vertex has an open fan whose two extreme edges are boundary edges.
-        No step can fail: construction certified a disk, which has no pinch,
-        so `vertex_fans` chains each vertex's planes into one fan; the walk
-        covers every boundary edge, so a vertex off it has only interior
-        edges, each of which construction numbered; an open fan's end edges
-        lie in one plane each, every other in two.
-        """
-        oriented, walk = self._disk
-        planes = list(oriented.values())
-        lat, (a, b, c) = self._lattice, planes[0]
-        if orient(lat[a], lat[b], lat[c]) < 0:
-            planes = [t[::-1] for t in planes]
-        line_of = self._line_of
-        on_boundary = set(walk)
-        points: list[SingularPoint] = []
-        for v, ring in sorted(vertex_fans(planes).items()):
-            if v not in on_boundary:
-                lines = [line_of[(v, w) if v < w else (w, v)] for w in ring]
-                start = lines.index(min(lines))
-                cyc = lines[start:] + lines[:start]
-                points.append(SingularPoint(v, "inner", len(cyc), tuple(cyc)))
-            elif fan := [line_of[(v, w) if v < w else (w, v)] for w in ring[1:-1]]:
-                points.append(SingularPoint(v, "outer", len(fan), tuple(fan)))
-        return tuple(points)
+        """One ``SingularPoint`` per vertex met by a line (built with the complex)."""
+        return self._points
 
     # -- interchange ------------------------------------------------------------
 

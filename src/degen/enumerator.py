@@ -339,8 +339,8 @@ def embed(map_: CombinatorialMap) -> PlanarComplex:
     injective (Floater, Math. Comp. 72, 2003).  Edges in two planes are
     numbered 1..L in sorted order.
     Any refusal by the constructor or by `validate` is a real bug in the
-    generated map and is raised, never swallowed.  The class check reads
-    rings and walk off the planes the constructor oriented alike.
+    generated map and is raised, never swallowed, its faults joined by
+    ``"; "``.  The class check reads the fans and walk the constructor built.
     """
     rot = map_.rotation_dict
     boundary = list(map_.boundary)
@@ -364,12 +364,9 @@ def embed(map_: CombinatorialMap) -> PlanarComplex:
         raise EnumeratorError(f"synthesized embedding failed validation: {exc}") from exc
     report = complex_.validate()
     if not report.ok:
-        raise EnumeratorError(
-            f"synthesized embedding failed validation: {report.errors}"
-            f" {report.violations}"
-        )
-    oriented, walk = complex_._disk  # the orientation construction certified
-    embedded = _Candidate(vertex_fans(oriented.values()), _map_walk(walk))
+        faults = "; ".join(report.errors + report.violations)
+        raise EnumeratorError(f"synthesized embedding failed validation: {faults}")
+    embedded = _Candidate(complex_._fans, _map_walk(complex_._disk[1]))
     if canonical_form(embedded) != canonical_form(map_):
         raise EnumeratorError("embedding changed the isomorphism class")
     return complex_

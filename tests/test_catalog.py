@@ -102,6 +102,32 @@ def drop_expected_key(catalog_dir, key):
     rewrite_case(catalog_dir, json.dumps(data, ensure_ascii=False).encode())
 
 
+def test_record_must_carry_its_manifest_name(catalog_copy, capsys):
+    data = json.loads((catalog_copy / "cases" / "u-0-4.json").read_text())
+    data["name"] = "U_{9,9}"
+    rewrite_case(catalog_copy, json.dumps(data, ensure_ascii=False).encode())
+    refusal = "degen: error: malformed case U_{0,4} (u-0-4.json): its file names it U_{9,9}\n"
+    for argv in (["list"], ["analyze", "U_{0,4}"]):
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", refusal)
+    assert main(["analyze", "U_{9,9}"]) == 1
+    assert "no case named 'U_{9,9}'" in capsys.readouterr().err
+
+
+def test_manifest_refuses_two_entries_that_look_up_alike(catalog_copy):
+    manifest_path = catalog_copy / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    pos = next(i for i, c in enumerate(manifest["cases"]) if c["name"] == "U_{0,4}")
+    manifest["cases"].insert(pos + 1, {**manifest["cases"][pos], "name": "U_{04}"})
+    manifest_path.write_text(json.dumps(manifest, ensure_ascii=False))
+    with pytest.raises(CatalogError) as info:
+        open_catalog()
+    assert str(info.value) == (
+        f"manifest {manifest_path}: ambiguous case label 'U_{{04}}':"
+        f" cases[{pos + 1}] and cases[{pos}] 'U_{{0,4}}' look up alike"
+    )
+
+
 def test_case_missing_a_key_is_a_named_error(catalog_copy, capsys):
     drop_expected_key(catalog_copy, "rho")
     assert main(["analyze", "U_{0,4}"]) == 1

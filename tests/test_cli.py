@@ -837,6 +837,25 @@ def test_module_entry_point():
     assert len(json.loads(proc.stdout)) == 29
 
 
+@pytest.mark.parametrize(
+    "argv, kept", [(["analyze", "--all", "--format", "json"], 10), (["list"], 0)]
+)
+def test_a_closed_stdout_is_no_operational_error(argv, kept):
+    # `analyze --all --format json` writes some 80 KB, more than a pipe holds,
+    # so its writes outlast a reader that closes after `kept` bytes
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "degen", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert len(proc.stdout.read(kept)) == kept
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (1, b"")
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         ["degen", "list", "--format", "json"], capture_output=True, text=True

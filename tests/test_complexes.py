@@ -3,6 +3,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 import pytest
@@ -239,11 +240,11 @@ def test_plane_without_three_vertices_is_named(tri):
 def test_classification_is_computed_once(by_name, derivation_calls):
     """A loaded complex's derived tables are each built once, from its JSON
     integers: no ``Fraction`` is made on the way to a verdict.  The dual graph
-    is built with the complex, not on first read."""
+    and the singular points are built with the complex, not on first read."""
     data = by_name["U_{0,6,1}"].complex.to_json()
     derivation_calls.clear()
     pc = PlanarComplex.from_json(data)
-    assert {"_line_planes", "_plane_lines"} <= vars(pc).keys()
+    assert {"_line_planes", "_plane_lines", "_points"} <= vars(pc).keys()
     assert pc.validate().ok
     points = pc.classify_vertices()
     assert pc.classify_vertices() is points
@@ -251,6 +252,54 @@ def test_classification_is_computed_once(by_name, derivation_calls):
     assert pc.plane_lines() is pc.plane_lines()
     assert decide(pc, use_hints=False).outcome == "trivial"
     assert derivation_calls == {"edge_planes": 1, "orient_disk": 1, "line_by_edge": 1}
+
+
+def test_only_the_fraction_view_is_built_on_first_use():
+    lazy = [k for k, v in vars(PlanarComplex).items() if isinstance(v, cached_property)]
+    assert lazy == ["vertices"]
+
+
+def test_classification_is_read_off_the_built_fans(by_name, monkeypatch):
+    """Once a complex is built, its singular points chain no fan and read no
+    orientation: construction read them off the fans it chained."""
+    pc = PlanarComplex.from_json(by_name["U_{0,6,1}"].complex.to_json())
+
+    def refuse(*args):
+        raise AssertionError("classify_vertices derived a table again")
+
+    monkeypatch.setattr(degen.complexes, "vertex_fans", refuse)
+    monkeypatch.setattr(degen.complexes, "orient", refuse)
+    assert pc.classify_vertices() == by_name["U_{0,6,1}"].complex.classify_vertices()
+
+
+def test_reversed_rings_classify_as_the_reversed_planes(records):
+    """Reading each ring backwards gives the points that chaining the reversed
+    planes gives, for every catalog complex and its mirror image, whose first
+    plane turns the other way."""
+    for record in records:
+        pc = record.complex
+        mirrored = PlanarComplex(
+            {v: (-x, y) for v, (x, y) in pc.vertices.items()}, pc.triangles, pc.line_numbering
+        )
+        for built in (pc, mirrored):
+            oriented, walk = built._disk
+            planes = list(oriented.values())
+            a, b, c = planes[0]
+            lat = built._lattice
+            if orient(lat[a], lat[b], lat[c]) < 0:
+                planes = [t[::-1] for t in planes]
+            line_of = degen.complexes.line_by_edge(built.line_numbering)
+            points = []
+            for v, ring in sorted(degen.complexes.vertex_fans(planes).items()):
+                lines = [line_of.get(tuple(sorted((v, w)))) for w in ring]
+                if v not in walk:
+                    start = lines.index(min(lines))
+                    points.append((v, "inner", tuple(lines[start:] + lines[:start])))
+                elif len(ring) > 2:  # an open fan's end edges are boundary edges
+                    points.append((v, "outer", tuple(lines[1:-1])))
+            assert [(p.vertex, p.kind, p.lines_cyclic) for p in built.classify_vertices()] == (
+                points
+            ), record.name
 
 
 def test_constructor_makes_no_fraction(by_name, derivation_calls):

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 import degen.complexes
 import degen.enumerator
 from degen.catalog import open_catalog
+from degen.complexes import PlanarComplex, ValidationReport
 from degen.pipeline import decide
 from degen.relations import UnsupportedCaseError
 from degen.enumerator import (
@@ -529,6 +530,41 @@ def test_embed_orients_each_complex_once(monkeypatch):
     for map_ in maps:
         embed(map_)
     assert calls == len(maps) == 28
+
+
+def test_embed_chains_each_complex_fans_once(monkeypatch):
+    # the class check reads the fans the constructor chained
+    maps = enumerate_maps(6)
+    calls = 0
+    vertex_fans = degen.complexes.vertex_fans
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return vertex_fans(*args)
+
+    def refuse(*args):
+        raise AssertionError("embed chained the fans again")
+
+    monkeypatch.setattr(degen.complexes, "vertex_fans", counted)
+    monkeypatch.setattr(degen.enumerator, "vertex_fans", refuse)
+    for map_ in maps:
+        embed(map_)
+    assert calls == len(maps) == 28
+
+
+def test_embed_refusal_joins_its_faults(monkeypatch):
+    report = ValidationReport(
+        ("plane 1 is degenerate (collinear): (1, 2, 3)",),
+        ("plane 2 is flipped: it winds against the boundary",),
+    )
+    monkeypatch.setattr(PlanarComplex, "validate", lambda self: report)
+    with pytest.raises(EnumeratorError) as info:
+        embed(enumerate_maps(2)[0])
+    assert str(info.value) == (
+        "synthesized embedding failed validation: plane 1 is degenerate (collinear):"
+        " (1, 2, 3); plane 2 is flipped: it winds against the boundary"
+    )
 
 
 def test_embed_class_check_sees_a_walk_that_runs_with_the_planes(monkeypatch):
