@@ -20,8 +20,9 @@ tables, the dual graph, the oriented disk and the singular points among
 them, which no later query can fail on; `validate` certifies only the
 geometry.  `from_json` first names any table or entry that is not a list of
 ``[int, [int, ...]]`` entries; the constructor takes ids, plane corners and
-line endpoints only as ``int``, and each coordinate only as an ``int`` or a
-``Fraction``, whose numerator and denominator it reads as written.
+line endpoints only as ``int``, each vertex only as a pair of coordinates,
+and each coordinate only as an ``int`` or a ``Fraction``, whose numerator and
+denominator it reads as written.
 
 An edge is keyed by its ordered vertex pair ``(min, max)``, so a lookup
 builds no set; error texts print an edge as the list ``[a, b]``.  A line is
@@ -38,14 +39,16 @@ reduced or not, of either sign, and scaling by a positive constant keeps
 every orientation sign, coordinate equality and counterclockwise order, so
 the geometric checks give the results of the rational coordinates.
 ``vertices``, their exact ``Fraction`` view ``Fraction(x, scale)``, is built
-on first read, and ``to_json`` reduces ``x / scale`` off the lattice.
+on first read; degen reads it only to word vertices on one point, as exact
+fractions ``(1/2, 1)``.  ``to_json`` reduces ``x / scale`` off the lattice.
 
 ``orient_disk`` orients a set of planes alike and walks the one boundary
 cycle they direct; ``vertex_fans`` chains the oriented planes into each
 vertex's fan.  A complex orients its planes and chains their fans once,
-where it is built: ``validate`` certifies the embedding from the planes, and
-the singular points and `embed`'s class check are read off the fans.  The
-enumerator builds each combinatorial map's rotations and walk the same way.
+where it is built: ``validate`` certifies the embedding from the planes,
+with one orientation sign per plane, and the singular points and `embed`'s
+class check are read off the fans.  The enumerator builds each combinatorial
+map's rotations and walk the same way.
 """
 
 from __future__ import annotations
@@ -225,6 +228,13 @@ class ValidationReport(NamedTuple):
         return not self.errors and not self.violations
 
 
+def _refuse_non_ints(name: str, ids: Iterable) -> None:
+    """Name the first of ``ids``, from the table ``name``, that is not an ``int``."""
+    for x in ids:
+        if type(x) is not int:  # int() would truncate 1.7 and turn True into 1
+            raise ComplexError(f"{name} holds {x!r}, which is not an int")
+
+
 class PlanarComplex:
     """An immutable planar triangle complex with numbered interior edges.
 
@@ -232,8 +242,9 @@ class PlanarComplex:
     interior edges and builds the integer lattice, the edge-to-planes and
     edge-to-line maps, the dual graph (each line's planes and each plane's
     lines), the planes oriented alike with their boundary walk, each vertex's
-    fan and the singular points.  Only the ``Fraction`` view ``vertices`` is
-    computed on first use.  So ``vertices``, ``triangles`` and
+    fan and the singular points.  It keeps ``triangles`` and
+    ``line_numbering`` in id order.  Only the ``Fraction`` view ``vertices``
+    is computed on first use.  So ``vertices``, ``triangles`` and
     ``line_numbering`` must not be mutated.
     """
 
@@ -243,27 +254,39 @@ class PlanarComplex:
         triangles: Mapping[int, tuple[int, int, int]],
         line_numbering: Mapping[int, tuple[int, int]],
     ):
-        for name, ids in (
-            ("vertices", vertices),
-            ("triangles", chain(triangles, *triangles.values())),
-            ("line_numbering", chain(line_numbering, *line_numbering.values())),
+        _refuse_non_ints("vertices", vertices)
+        for name, item, table in (
+            ("triangles", "plane", triangles), ("line_numbering", "line", line_numbering)
         ):
-            for x in ids:
-                if type(x) is not int:  # int() would truncate 1.7 and turn True into 1
-                    raise ComplexError(f"{name} holds {x!r}, which is not an int")
-        for x in chain(*vertices.values()):  # a float 0.1 is not one tenth
-            if type(x) not in _COORDINATE_TYPES:
-                raise ComplexError(f"vertices holds {x!r}, which is not an int or a Fraction")
-        coords = {v: (x.numerator, y.numerator, x.denominator, y.denominator)
-                  for v, (x, y) in vertices.items()}
+            _refuse_non_ints(name, table)
+            for k, ids in table.items():
+                try:
+                    _refuse_non_ints(name, ids)
+                except TypeError:  # 5 is no sequence
+                    raise ComplexError(
+                        f"{name} holds {ids!r} at {item} {k},"
+                        " which is not a sequence of vertex ids"
+                    ) from None
+        coords = {}
+        for v, point in vertices.items():
+            try:
+                x, y = point
+            except (TypeError, ValueError):  # 5, or three coordinates
+                raise ComplexError(
+                    f"vertices holds {point!r} at vertex {v}, which is not a point (x, y)"
+                ) from None
+            if type(x) not in _COORDINATE_TYPES or type(y) not in _COORDINATE_TYPES:
+                bad = y if type(x) in _COORDINATE_TYPES else x  # a float 0.1 is not one tenth
+                raise ComplexError(f"vertices holds {bad!r}, which is not an int or a Fraction")
+            coords[v] = (x.numerator, y.numerator, x.denominator, y.denominator)
         self._incidence(coords, triangles, line_numbering)
 
     def _incidence(self, coords, triangles, line_numbering) -> None:
         """Put each vertex's ``(px, py, qx, qy)``, ints with ``qx`` and ``qy``
-        nonzero, on the integer lattice, copy the incidence, refuse any that is
-        not a triangulated disk whose interior edges are numbered, and build
-        the base tables, the dual graph, the oriented disk, each vertex's fan
-        and the singular points among them.
+        nonzero, on the integer lattice, copy the incidence in id order,
+        refuse any that is not a triangulated disk whose interior edges are
+        numbered, and build the base tables, the dual graph, the oriented
+        disk, each vertex's fan and the singular points among them.
 
         Refuses, naming the first fault in this order: no planes; a plane that
         is not three listed vertices; a line that is not two; line indices
@@ -271,7 +294,9 @@ class PlanarComplex:
         planes; a line on one vertex, off the interior edges or on another
         line's edge; an interior edge with no line; a vertex in no plane; an
         Euler characteristic other than 1; then whatever `orient_disk` names.
-        Counts and one ``max`` find an incidence fault; only then is it sought.
+        Each check is one pass over the ids in ascending order that words the
+        first fault it finds; only an unnumbered interior edge is counted
+        first.
 
         What passes is a disk, so no pinch needs a check of its own.  Split
         each pinched vertex into one vertex per fan: the surface left is
@@ -291,50 +316,42 @@ class PlanarComplex:
         known = self._lattice = {
             v: (px * (scale // qx), py * (scale // qy)) for v, (px, py, qx, qy) in coords.items()
         }
-        tris = self.triangles = {p: tuple(tri) for p, tri in triangles.items()}
-        lines = self.line_numbering = {i: tuple(pair) for i, pair in line_numbering.items()}
+        tris = self.triangles = {p: tuple(triangles[p]) for p in sorted(triangles)}
+        lines = self.line_numbering = {i: tuple(line_numbering[i]) for i in sorted(line_numbering)}
         if not tris:
             raise ComplexError("no triangles")
-        for t in tris.values():
-            if len(t) != 3 or t[0] not in known or t[1] not in known or t[2] not in known:
-                for plane, tri in sorted(tris.items()):
-                    if len(tri) != 3:
-                        raise ComplexError(f"plane {plane} has {len(tri)} vertices, expected 3")
-                    if missing := [v for v in tri if v not in known]:
-                        raise ComplexError(f"plane {plane} references unknown vertices {missing}")
-        for e in lines.values():
-            if len(e) != 2 or e[0] not in known or e[1] not in known:
-                for i, pair in sorted(lines.items()):
-                    if len(pair) != 2 or pair[0] not in known or pair[1] not in known:
-                        raise ComplexError(f"line {i} has bad endpoints {pair}")
+        for plane, tri in tris.items():
+            if len(tri) != 3:
+                raise ComplexError(f"plane {plane} has {len(tri)} vertices, expected 3")
+            if tri[0] not in known or tri[1] not in known or tri[2] not in known:
+                missing = [v for v in tri if v not in known]
+                raise ComplexError(f"plane {plane} references unknown vertices {missing}")
+        for i, pair in lines.items():
+            if len(pair) != 2 or pair[0] not in known or pair[1] not in known:
+                raise ComplexError(f"line {i} has bad endpoints {pair}")
         if lines and (min(lines) != 1 or max(lines) != len(lines)):  # L distinct ints
-            raise ComplexError(f"line indices are not 1..L: {sorted(lines)}")
-        for a, b, c in tris.values():
+            raise ComplexError(f"line indices are not 1..L: {list(lines)}")
+        for plane, (a, b, c) in tris.items():
             if a == b or b == c or a == c:
-                plane = min(p for p, tri in tris.items() if len(set(tri)) != 3)
-                raise ComplexError(f"plane {plane} repeats a vertex: {tris[plane]}")
+                raise ComplexError(f"plane {plane} repeats a vertex: {(a, b, c)}")
 
         ep = self.edge_planes()
+        for e in sorted(ep):
+            if len(ep[e]) > 2:
+                raise ComplexError(f"edge {list(e)} lies in {len(ep[e])} planes: {ep[e]}")
         line_of = line_by_edge(lines)
-        line_planes = self._line_planes = {i: tuple(ep.get(e, ())) for e, i in line_of.items()}
-        # with edges in at most two planes, the lines are distinct interior edges
-        # iff 2L planes bound them, and all of them iff 3 * planes = edges + L
-        if (
-            max(map(len, ep.values())) > 2
-            or sum(map(len, line_planes.values())) != 2 * len(lines)
-            or len(ep) + len(lines) != 3 * len(tris)
-        ):
-            for e, ps in sorted(ep.items()):
-                if len(ps) > 2:
-                    raise ComplexError(f"edge {list(e)} lies in {len(ps)} planes: {ps}")
-            for i, pair in sorted(lines.items()):
-                e = tuple(sorted(pair))
-                if e[0] == e[1]:
-                    raise ComplexError(f"line {i} has bad endpoints {pair}")
-                if len(ep.get(e, ())) != 2:
-                    raise ComplexError(f"line {i} {pair} is not an interior edge")
-                if line_of[e] != i:
-                    raise ComplexError(f"lines {line_of[e]} and {i} number the same edge")
+        line_planes = self._line_planes = {}
+        for i, (a, b) in lines.items():
+            e = (a, b) if a < b else (b, a)
+            if a == b:
+                raise ComplexError(f"line {i} has bad endpoints {(a, b)}")
+            if len(ps := ep.get(e, ())) != 2:
+                raise ComplexError(f"line {i} {(a, b)} is not an interior edge")
+            if line_of[e] != i:
+                raise ComplexError(f"lines {line_of[e]} and {i} number the same edge")
+            line_planes[i] = tuple(ps)
+        # the lines number distinct interior edges, of which there are 3 * planes - edges
+        if len(ep) + len(lines) != 3 * len(tris):
             for e, ps in sorted(ep.items()):
                 if len(ps) == 2 and e not in line_of:
                     raise ComplexError(f"interior edge {list(e)} has no line number")
@@ -357,7 +374,7 @@ class PlanarComplex:
             elif fan := [line_of[(v, w) if v < w else (w, v)] for w in ring[1:-1]]:
                 points.append(SingularPoint(v, "outer", len(fan), tuple(fan)))
         self._points = tuple(points)
-        sides: dict[int, list[int]] = {p: [] for p in sorted(tris)}
+        sides: dict[int, list[int]] = {p: [] for p in tris}
         for index, (p, q) in line_planes.items():  # one line per edge, in line order
             sides[p].append(index)
             sides[q].append(index)
@@ -398,13 +415,17 @@ class PlanarComplex:
     def validate(self) -> ValidationReport:
         """Check that the complex's disk is embedded by its straight-line map.
 
-        Construction refused anything but a triangulated disk and oriented
-        its planes (see `_incidence`), so only the geometry is left.
-        ``errors`` name vertices on one point and collinear planes;
-        ``violations`` name flipped planes and a boundary that is not a simple
-        polygon.  Two planes on one vertex set need no check: each of their
-        edges would lie in both and in no other plane, so they would be the
-        whole complex, a sphere that construction refused.
+        Construction refused anything but a triangulated disk, oriented its
+        planes alike and walked their boundary cycle (see `_incidence`), so
+        only the geometry is left.  ``errors`` name vertices on one point and
+        collinear planes; ``violations`` name every flipped plane, in plane
+        order, or else a boundary that is not a simple polygon.  Two planes on
+        one vertex set need no check: each of their edges would lie in both
+        and in no other plane, so they would be the whole complex, a sphere
+        that construction refused.  Each oriented plane's orientation sign is
+        computed once: 0 is a collinear plane, and one against the boundary's
+        winding a flipped one.  The cycle's signed area is the sum of the
+        planes', so once every plane winds with it, it winds with every plane.
         A piecewise-linear map of a disk whose planes all keep one orientation
         sign, and whose boundary is a simple polygon of that sign, has degree
         1 on the polygon's interior, and so it is injective (Floater, "One-to-one
@@ -413,70 +434,46 @@ class PlanarComplex:
         Two facts keep the certificate cheap.  A boundary whose every corner
         turns strictly with its winding, and whose edge direction goes round
         exactly once, is convex and so simple (proved at `strictly_convex`);
-        every disk `embed` builds has one, on a circle, and only another
-        boundary pays for the test of every pair of its edges.  Error texts
-        are built only for the checks that fail.
+        every disk `embed` builds has one, on a circle.  Only a boundary that
+        `strictly_convex` refuses has each pair of its edges tested with
+        `segments_conflict`, which names every pair that overlaps or crosses.
+        Error texts are built only for the checks that fail.
         """
         lat = self._lattice
+        oriented, walk = self._disk
         errors: list[str] = []
-        if len(set(lat.values())) != len(lat):
-            seen_pts: dict[tuple[int, int], int] = {}
-            for v, p in sorted(lat.items()):
-                if p in seen_pts:
-                    errors.append(
-                        f"vertices {seen_pts[p]} and {v} share coordinates {self.vertices[v]}"
-                    )
-                seen_pts[p] = v
-        for plane, tri in sorted(self.triangles.items()):
-            a, b, c = tri
-            if orient(lat[a], lat[b], lat[c]) == 0:
-                errors.append(f"plane {plane} is degenerate (collinear): {tri}")
+        seen: dict[tuple[int, int], int] = {}
+        for v, point in sorted(lat.items()):
+            if point in seen:
+                x, y = self.vertices[v]
+                errors.append(f"vertices {seen[point]} and {v} share coordinates ({x}, {y})")
+            seen[point] = v
+        signs = {p: orient(lat[a], lat[b], lat[c]) for p, (a, b, c) in sorted(oriented.items())}
+        for p, sign in signs.items():
+            if sign == 0:
+                errors.append(f"plane {p} is degenerate (collinear): {self.triangles[p]}")
         if errors:
             return ValidationReport(tuple(errors), ())
-        return ValidationReport((), tuple(self._orientation_violations()))
 
-    def _orientation_violations(self) -> list[str]:
-        """Certify the straight-line map of the complex's disk as an embedding.
-
-        Takes the planes oriented alike and their boundary cycle that
-        construction built, and requires every plane to wind with that cycle and
-        the cycle to be a simple polygon.  The cycle's signed area is the sum
-        of the planes', so once every plane winds with it, it winds with
-        every plane.  Names every flipped plane, in plane order.
-
-        A boundary that `strictly_convex` certifies is a convex polygon, hence
-        simple (the proof is in its docstring), so only a boundary it refuses
-        has each pair of its edges tested with `segments_conflict`; on a
-        simple polygon that finds nothing, and on any other it names every
-        pair that overlaps or crosses.
-        """
-        oriented, walk = self._disk
-        lat = self._lattice
         corners = [lat[v] for v in walk]
         twice_area = sum(
             p[0] * q[1] - p[1] * q[0] for p, q in zip(corners, corners[1:] + corners[:1])
         )
         winding = (twice_area > 0) - (twice_area < 0)
-        flipped = [
+        flipped = tuple(
             f"plane {p} is flipped: it winds against the boundary"
-            for p, (a, b, c) in sorted(oriented.items())
-            if orient(lat[a], lat[b], lat[c]) != winding
-        ]
-        if flipped:
-            return flipped
-        if strictly_convex(corners, winding):
-            return []
-
+            for p, sign in signs.items()
+            if sign != winding
+        )
+        if flipped or strictly_convex(corners, winding):
+            return ValidationReport((), flipped)
         edges = list(zip(walk, walk[1:] + walk[:1]))
-        out: list[str] = []
-        for i, (a, b) in enumerate(edges):
-            for c, d in edges[i + 1 :]:
-                if segments_conflict(lat[a], lat[b], lat[c], lat[d]):
-                    out.append(
-                        f"boundary edges {tuple(sorted((a, b)))} and"
-                        f" {tuple(sorted((c, d)))} overlap or cross"
-                    )
-        return out
+        return ValidationReport((), tuple(
+            f"boundary edges {tuple(sorted((a, b)))} and {tuple(sorted((c, d)))} overlap or cross"
+            for i, (a, b) in enumerate(edges)
+            for c, d in edges[i + 1 :]
+            if segments_conflict(lat[a], lat[b], lat[c], lat[d])
+        ))
 
     def classify_vertices(self) -> tuple[SingularPoint, ...]:
         """One ``SingularPoint`` per vertex met by a line (built with the complex)."""

@@ -154,7 +154,7 @@ def test_case_whose_vertices_share_a_point_is_refused_by_name(catalog_copy, caps
     assert main(["analyze", "U_{0,4}"]) == 1
     assert capsys.readouterr().err == (
         "degen: error: malformed case U_{0,4} (u-0-4.json): vertices 1 and 2 share"
-        " coordinates (Fraction(0, 1), Fraction(0, 1)); plane 1 is degenerate (collinear):"
+        " coordinates (0, 0); plane 1 is degenerate (collinear):"
         " (1, 2, 6)\n"
     )
 

@@ -392,7 +392,7 @@ MUTATIONS = (
     "move", "isolate",
 )
 ODD_VALUES = (0.5, "1", None, True, [], {}, [1])
-RAW_PYTHON = re.compile(r"unpack|not iterable|NoneType|\b[A-Z]\w*(Error|Exception)\(")
+RAW_PYTHON = re.compile(r"unpack|not iterable|NoneType|Fraction\(|\b[A-Z]\w*(Error|Exception)\(")
 
 
 @st.composite
@@ -483,6 +483,7 @@ def fuzz_path(tmp_path_factory):
 @example(data=u04_moved("line_numbering", 0, [1, 1]))  # line 1 on one vertex
 @example(data=u04_moved("line_numbering", 0, [1, 2]))  # line 1 on a boundary edge
 @example(data=u04_moved("line_numbering", 4, [2, 6]))  # lines 2 and 5 on one edge
+@example(data=u04_moved("vertices", 1, [0, 0, 1, 1]))  # vertex 2 on vertex 1
 @example(data=u04_complex(line_numbering=u04_complex()["line_numbering"][:4]))  # [3, 8] unnumbered
 @example(data=json.loads((DATA_DIR / "cases" / "u-6.json").read_text())["complex"])  # a 6-point
 @example(data=gluing_json(OCTAHEDRON))

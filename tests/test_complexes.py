@@ -183,7 +183,7 @@ def test_lattice_from_written_integers_keeps_fraction_semantics():
     assert loaded.validate().ok
     assert loaded.classify_vertices() == built.classify_vertices()
     assert doubled[0].validate().errors == (
-        "vertices 4 and 5 share coordinates (Fraction(1, 2), Fraction(1, 1))",
+        "vertices 4 and 5 share coordinates (1/2, 1)",
     )
 
 
@@ -270,6 +270,23 @@ def test_classification_is_read_off_the_built_fans(by_name, monkeypatch):
     monkeypatch.setattr(degen.complexes, "vertex_fans", refuse)
     monkeypatch.setattr(degen.complexes, "orient", refuse)
     assert pc.classify_vertices() == by_name["U_{0,6,1}"].complex.classify_vertices()
+
+
+def test_each_plane_is_oriented_once(records, monkeypatch):
+    """Building a catalog complex reads one orientation, its first plane's turn;
+    `validate` reads one per plane, for both the collinear and the flipped check."""
+    calls = []
+
+    def counted(a, b, c):
+        calls.append(1)
+        return orient(a, b, c)
+
+    monkeypatch.setattr(degen.complexes, "orient", counted)
+    for record in records:
+        data = record.complex.to_json()
+        calls.clear()
+        assert PlanarComplex.from_json(data).validate().ok
+        assert len(calls) == len(record.complex.triangles) + 1, record.name
 
 
 def test_reversed_rings_classify_as_the_reversed_planes(records):
@@ -430,12 +447,24 @@ def test_from_json_accepts_only_integers(key, path, bad):
          "vertices holds 0.5, which is not an int or a Fraction"),
         ({4: (0, True)}, {1: (1, 2, 3), 2: (1, 3, 4)}, {1: (1, 3)},
          "vertices holds True, which is not an int or a Fraction"),
+        ({1: (0, 0, 0)}, {1: (1, 2, 3), 2: (1, 3, 4)}, {1: (1, 3)},
+         "vertices holds (0, 0, 0) at vertex 1, which is not a point (x, y)"),
+        ({2: 5}, {1: (1, 2, 3), 2: (1, 3, 4)}, {1: (1, 3)},
+         "vertices holds 5 at vertex 2, which is not a point (x, y)"),
+        ({}, {1: (1, 2, 3), 2: 5}, {1: (1, 3)},
+         "triangles holds 5 at plane 2, which is not a sequence of vertex ids"),
+        ({}, {1: (1, 2, 3), 2: (1, 3, 4)}, {1: 5},
+         "line_numbering holds 5 at line 1, which is not a sequence of vertex ids"),
     ],
-    ids=["fractional-line", "bool-plane-id", "float-coordinate", "bool-coordinate"],
+    ids=[
+        "fractional-line", "bool-plane-id", "float-coordinate", "bool-coordinate",
+        "three-coordinates", "int-point", "int-plane", "int-line",
+    ],
 )
 def test_constructor_refuses_ids_that_are_not_ints(moved, triangles, lines, message):
     """`int()` would store line 1.7 as 1 with endpoints (1, 3), and plane True as 1;
-    `Fraction()` would take the float 0.1 as 3602879701896397/2**55, not one tenth."""
+    `Fraction()` would take the float 0.1 as 3602879701896397/2**55, not one tenth.
+    A point, plane or line of the wrong shape is named in words, not by unpacking."""
     strip = square_strip()
     with pytest.raises(ComplexError) as info:
         PlanarComplex({**strip.vertices, **moved}, triangles, lines)
@@ -490,7 +519,7 @@ def test_validate_reports_are_pinned(oracle_inputs, small_complexes, records):
         report = pc.validate()
         digest.update(repr((report.errors, report.violations)).encode() + b"\n")
     assert digest.hexdigest() == (
-        "29232ae226b41ea05bc7f0de4b5cc8cb9cbab0352ea41369dbee9bfce6291cdc"
+        "c8607beda263cffeb72e09ff6b5e26d6025d8010fed9ad24704ea21844d36a64"
     )
 
 
@@ -723,6 +752,26 @@ def constructor_refusal(tables):
             {k: v for k, v in square_strip().to_json().items() if k != "triangles"},
             ("malformed complex JSON: missing key 'triangles'",),
         ),
+        (
+            constructor_refusal,
+            (square_strip().vertices, {3: (1, 2), 2: (1, 3, 9), 1: (1, 2, 3)}, {1: (1, 3)}),
+            ("plane 2 references unknown vertices [9]",),
+        ),
+        (
+            constructor_refusal,
+            square_with_lines({2: (1, 2), 1: (3, 3)}),
+            ("line 1 has bad endpoints (3, 3)",),
+        ),
+        (
+            constructor_refusal,
+            square_with_lines({2: (3, 1), 1: (1, 3)}),
+            ("lines 1 and 2 number the same edge",),
+        ),
+        (
+            constructor_refusal,
+            (square_strip().vertices, {2: (1, 3, 3), 1: (1, 2, 3)}, {1: (1, 2, 3)}),
+            ("line 1 has bad endpoints (1, 2, 3)",),
+        ),
     ],
     ids=[
         "edge-in-three-planes", "boundary-edge-numbered", "edge-numbered-twice",
@@ -733,6 +782,8 @@ def constructor_refusal(tables):
         "json-vertex-not-an-int", "json-triangle-not-a-list", "json-line-vertex-none",
         "json-duplicate-plane", "json-zero-denominator", "json-vertex-of-five-values",
         "json-table-an-object", "json-table-missing",
+        "short-plane-after-unlisted-vertex", "line-on-one-vertex-before-boundary-line",
+        "edge-numbered-twice-out-of-order", "three-vertex-line-before-repeated-vertex",
     ],
 )
 def test_structural_error_texts(check, subject, messages):

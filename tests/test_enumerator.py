@@ -8,7 +8,9 @@ could silently orphan would show up as a count mismatch here.
 import hashlib
 import json
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations, product
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -407,16 +409,20 @@ def full_code(rot, root):
     return tuple(out)
 
 
-def unpruned_form(map_):
-    """The least full code over every boundary dart of the map and of its mirror."""
+def boundary_codes(map_):
+    """The full code at every boundary dart of the map and, reversed, of its mirror."""
     rot = map_.rotation_dict
     mirror = mirror_image(map_).rotation_dict
     b = map_.boundary
     darts = list(zip(b, b[1:] + b[:1]))
-    return min(
-        [full_code(rot, (u, v)) for u, v in darts]
-        + [full_code(mirror, (v, u)) for u, v in darts]
-    )
+    return [full_code(rot, (u, v)) for u, v in darts] + [
+        full_code(mirror, (v, u)) for u, v in darts
+    ]
+
+
+def unpruned_form(map_):
+    """The least full code over every boundary dart of the map and of its mirror."""
+    return min(boundary_codes(map_))
 
 
 def candidates(up_to):
@@ -457,6 +463,35 @@ def mirror_image(map_):
         boundary=map_.boundary[::-1],
         triangles=map_.triangles,
     )
+
+
+def automorphisms(map_):
+    """|Aut| of the map with its reflections: the boundary roots, in both
+    directions, whose full rooted code ties the least."""
+    codes = boundary_codes(map_)
+    return codes.count(min(codes))
+
+
+def brown(n, m):
+    """ψ(n, m): rooted triangulations of a disk with n interior and m + 3
+    boundary vertices (W. G. Brown, Proc. London Math. Soc. (3) 14, 1964)."""
+    return 2 * factorial(2 * m + 3) * factorial(4 * n + 2 * m + 1) // (
+        factorial(n) * factorial(m) * factorial(m + 2) * factorial(3 * n + 2 * m + 3)
+    )
+
+
+@pytest.mark.parametrize("num_triangles", range(1, 10))
+def test_rootings_match_browns_census(num_triangles):
+    """A class with B boundary vertices has 2B / |Aut| rootings, so each
+    (B, I) with 2I + B - 2 triangles sums to Brown's count ψ(I, B - 3): every
+    class is found, and found once, with no exhaustive search."""
+    rootings = Counter()
+    for map_ in enumerate_maps(num_triangles, guard=9):
+        b = len(map_.boundary)
+        rootings[b, len(map_.rotations) - b] += Fraction(2 * b, automorphisms(map_))
+    shapes = {(num_triangles + 2 - 2 * i, i) for i in range((num_triangles + 1) // 2)}
+    assert rootings.keys() == shapes
+    assert {(b, i): brown(i, b - 3) for b, i in shapes} == rootings
 
 
 def test_pruned_form_equals_unpruned_minimum(records):
