@@ -34,18 +34,20 @@ _KINDS = {int: "an integer", str: "a string", bool: "true or false", list: "a li
 _PI1 = ("trivial", "nontrivial", "undecided")
 
 
-def _json(field: str, value, shape):
+def _json(field, value, shape):
     """``value``, its lists made tuples, if it has ``shape``; else a refusal
     that names ``field``.  A type matches exactly, so ``true`` is no integer;
     `Fraction` matches a string it reads, such as ``"-4/3"``; ``[s]`` is a list
-    of entries of shape ``s``, and a tuple of shapes a list of one entry each."""
+    of entries of shape ``s``, and a tuple of shapes a list of one entry each.
+    A field inside another is the pair (that field, its key or index), so its
+    path, such as ``expected.points[2][3]``, is worded only on refusal."""
     if type(shape) is list:  # one entry shape for every entry
         kinds, s = type(value) is list and {*map(type, value)}, shape[0]
         if kinds and type(s) is type and kinds <= {s}:  # a column of one type, checked at once
             return tuple(value)
         if kinds == {list} and type(s) is list and {type(x) for v in value for x in v} <= {s[0]}:
             return tuple(map(tuple, value))  # and a table of one cell type
-        shape = tuple(shape * len(value)) if type(value) is list else list
+        shape = (s,) * len(value) if type(value) is list else list
     if shape is Fraction and type(value) is str:
         try:
             return Fraction(value)
@@ -54,10 +56,14 @@ def _json(field: str, value, shape):
     elif type(shape) is type and type(value) is shape:
         return value
     elif type(shape) is tuple and type(value) is list and len(value) == len(shape):
-        return tuple(x if type(x) is s else _json(f"{field}[{i}]", x, s)
-                     for i, (x, s) in enumerate(zip(value, shape)))
+        return tuple([x if type(x) is s else _json((field, i), x, s)
+                      for i, (x, s) in enumerate(zip(value, shape))])
     what = f"a list of {len(shape)} entries" if type(shape) is tuple else _KINDS[shape]
-    raise CatalogError(f"{field} is {json.dumps(value)}, not {what}")
+    path = ""
+    while type(field) is tuple:
+        field, at = field
+        path = (f".{at}" if type(at) is str else f"[{at}]") + path
+    raise CatalogError(f"{field}{path} is {json.dumps(value)}, not {what}")
 
 
 _EXPECTED = {  # the shape of each field of a case's "expected" object but pi1
@@ -95,7 +101,7 @@ class ExpectedResults(NamedTuple):
             raise CatalogError(f"expected.pi1 is {pi1}, not one of {', '.join(_PI1)}")
         return cls(pi1=data["pi1"], **{
             key: None if data[key] is None and key in _NULLABLE
-            else _json(f"expected.{key}", data[key], shape)
+            else _json(("expected", key), data[key], shape)
             for key, shape in _EXPECTED.items()
         })
 
@@ -157,50 +163,60 @@ class CaseRecord(NamedTuple):
         )
 
 
-_SEPARATORS = str.maketrans("", "", "$\\{}_ \t,-")
+_SEPARATORS = b"$\\{}_ \t,-"
 
 
 def _normalize(name: str) -> str:
-    """Collapse TeX markup, separators, and case so lookups are forgiving."""
-    return name.strip().lower().translate(_SEPARATORS).replace("cup", "∪")
+    """Collapse TeX markup, separators, and case so lookups are forgiving.
+
+    The separators are ASCII and UTF-8 spells every other character in bytes
+    over 0x7f, so deleting them from the bytes deletes them from the text;
+    ``surrogatepass`` carries a lone surrogate through unchanged."""
+    text = name.strip().lower().encode("utf-8", "surrogatepass")
+    return text.translate(None, _SEPARATORS).decode("utf-8", "surrogatepass").replace("cup", "∪")
 
 
 class Catalog:
     """A manifest plus lazily loaded case files."""
 
     def __init__(self, root: Path) -> None:
-        self.root = Path(root)
-        manifest_path = self.root / "manifest.json"
-        if not manifest_path.is_file():
-            raise CatalogError(f"no manifest.json under {self.root}")
-        try:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        self.root = root if isinstance(root, Path) else Path(root)
+        try:  # text mode, as a refusal words its position in the text
+            with open(os.path.join(self.root, "manifest.json"), encoding="utf-8") as fh:
+                manifest = json.loads(fh.read())
+        except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+            raise CatalogError(f"no manifest.json under {self.root}") from None
         except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
-            raise CatalogError(f"manifest {manifest_path} is not UTF-8 JSON: {exc}") from exc
+            raise CatalogError(
+                f"manifest {self.root / 'manifest.json'} is not UTF-8 JSON: {exc}"
+            ) from exc
         if not isinstance(manifest, dict):
-            raise CatalogError(f"manifest {manifest_path} is not a JSON object")
+            raise CatalogError(f"manifest {self.root / 'manifest.json'} is not a JSON object")
         if manifest.get("format") != MANIFEST_FORMAT:
             raise CatalogError(
                 f"unsupported manifest format {manifest.get('format')!r}"
             )
         if not isinstance(manifest.get("cases"), list):
-            raise CatalogError(f"manifest {manifest_path} has no list of cases")
+            raise CatalogError(f"manifest {self.root / 'manifest.json'} has no list of cases")
         self.entries: list[dict] = list(manifest["cases"])
         self._by_key: dict[str, dict] = {}
         for pos, entry in enumerate(self.entries):
             if not isinstance(entry, dict):
-                raise CatalogError(f"manifest {manifest_path}: cases[{pos}] is not an object")
+                raise CatalogError(
+                    f"manifest {self.root / 'manifest.json'}: cases[{pos}] is not an object"
+                )
             for key in ("name", "file", "sha256"):
                 if not isinstance(entry.get(key), str):
                     raise CatalogError(
-                        f"manifest {manifest_path}: cases[{pos}] has no string {key!r}"
+                        f"manifest {self.root / 'manifest.json'}: cases[{pos}]"
+                        f" has no string {key!r}"
                     )
             key = _normalize(entry["name"])
             if (other := self._by_key.get(key)) is not None:
                 raise CatalogError(
-                    f"manifest {manifest_path}: ambiguous case label {entry['name']!r}:"
-                    f" cases[{pos}] and cases[{self.entries.index(other)}] {other['name']!r}"
-                    " look up alike"
+                    f"manifest {self.root / 'manifest.json'}: ambiguous case label"
+                    f" {entry['name']!r}: cases[{pos}] and"
+                    f" cases[{self.entries.index(other)}] {other['name']!r} look up alike"
                 )
             self._by_key[key] = entry
 
@@ -209,10 +225,17 @@ class Catalog:
         return tuple(e["name"] for e in self.entries)
 
     def _read(self, entry: dict) -> CaseRecord:
-        path = self.root / entry["file"]
-        blob = path.read_bytes()
+        try:
+            with open(os.path.join(self.root, entry["file"]), "rb") as fh:
+                blob = fh.read()
+        except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+            raise CatalogError(
+                f"missing case file for {entry['name']} ({(self.root / entry['file']).name})"
+            ) from None
         if hashlib.sha256(blob).hexdigest() != entry["sha256"]:
-            raise CatalogError(f"checksum mismatch for {entry['name']} ({path.name})")
+            raise CatalogError(
+                f"checksum mismatch for {entry['name']} ({(self.root / entry['file']).name})"
+            )
         try:
             record = CaseRecord.from_json(json.loads(blob.decode("utf-8")))
             if record.name != entry["name"]:
@@ -223,16 +246,18 @@ class Catalog:
             return record
         except (KeyError, TypeError, ValueError) as exc:  # ComplexError is a ValueError
             fault = f"missing key {exc}" if type(exc) is KeyError else exc
-            raise CatalogError(f"malformed case {entry['name']} ({path.name}): {fault}") from exc
+            raise CatalogError(
+                f"malformed case {entry['name']} ({(self.root / entry['file']).name}): {fault}"
+            ) from exc
 
     def load(self, name: str) -> CaseRecord:
         key = _normalize(name)
         entry = self._by_key.get(key)
-        if entry is None:
-            # fall back to filename stems
+        if entry is None:  # fall back to file stems: the name after the last "/", less its suffix
             for cand in self.entries:
-                stem = Path(cand["file"]).stem
-                if _normalize(stem) == key:
+                base = cand["file"].rpartition("/")[2]
+                dot = base.rfind(".")
+                if _normalize(base[:dot] if 0 < dot < len(base) - 1 else base) == key:
                     entry = cand
                     break
         if entry is None:

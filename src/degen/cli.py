@@ -254,7 +254,10 @@ def _analysis_body(name: str, complex_: PlanarComplex, source, args) -> dict[str
     ]
     extra = getattr(source, "extra_inner_relators", None)
     try:  # a verdict needs no relators for an inner 6-point; the presentation does
-        counts = reduced_presentation(complex_, inner6_relators=extra).counts()
+        pres = verdict.presentation  # the one `decide` enumerated in, if it built one
+        if pres is None:
+            pres = reduced_presentation(complex_, inner6_relators=extra)
+        counts = pres.counts()
     except UnsupportedCaseError:
         counts = None
     return {

@@ -25,9 +25,9 @@ and each coordinate only as an ``int`` or a ``Fraction``, whose numerator and
 denominator it reads as written.
 
 An edge is keyed by its ordered vertex pair ``(min, max)``, so a lookup
-builds no set; error texts print an edge as the list ``[a, b]``.  A line is
-looked up by its sorted vertex tuple, in the one edge → line table
-`line_by_edge`.
+builds no set; error texts print an edge as the list ``[a, b]``.  The edge →
+line table is filled by the loop that checks the lines, with each line's edge
+both ways round, so a fan's spoke ``(v, w)`` is looked up as it stands.
 
 `json_text` writes every JSON degen prints or stores, byte for byte as
 ``json.dumps(obj, indent=2)``, whose indent forces the pure-Python encoder.
@@ -44,11 +44,12 @@ fractions ``(1/2, 1)``.  ``to_json`` reduces ``x / scale`` off the lattice.
 
 ``orient_disk`` orients a set of planes alike and walks the one boundary
 cycle they direct; ``vertex_fans`` chains the oriented planes into each
-vertex's fan.  A complex orients its planes and chains their fans once,
-where it is built: ``validate`` certifies the embedding from the planes,
-with one orientation sign per plane, and the singular points and `embed`'s
-class check are read off the fans.  The enumerator builds each combinatorial
-map's rotations and walk the same way.
+vertex's fan, and starts a boundary vertex's open fan at its successor on
+that walk.  A complex orients its planes and chains their fans once, where
+it is built: ``validate`` certifies the embedding from the planes, with one
+orientation sign per plane, and the singular points and `embed`'s class
+check are read off the fans.  The enumerator builds each combinatorial map's
+rotations and walk with the same two routines.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from functools import cached_property
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import gcd, lcm
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .geometry import Point, orient, segments_conflict, strictly_convex
 
@@ -105,17 +106,6 @@ def planes_by_edge(
         out.setdefault((a, b), []).append(plane)
         out.setdefault((b, c), []).append(plane)
         out.setdefault((a, c), []).append(plane)
-    return out
-
-
-def line_by_edge(
-    line_numbering: Mapping[int, tuple[int, ...]]
-) -> dict[tuple[int, ...], int]:
-    """Map each numbered edge, keyed by its sorted vertex tuple, to the smallest
-    line numbering it, in line order."""
-    out: dict[tuple[int, ...], int] = {}
-    for index in sorted(line_numbering):
-        out.setdefault(tuple(sorted(line_numbering[index])), index)
     return out
 
 
@@ -176,28 +166,35 @@ def orient_disk(
     return oriented, tuple(walk)
 
 
-def vertex_fans(oriented: Iterable[tuple[int, int, int]]) -> dict[int, list[int]]:
+def vertex_fans(
+    oriented: Iterable[tuple[int, int, int]], walk: Sequence[int]
+) -> dict[int, list[int]]:
     """Chain each vertex's triangle wedges into one fan, closed cyclically.
 
-    The triangles are oriented alike, so no dart repeats and each vertex
-    maps each neighbour to at most one successor.  An open fan runs from one
-    boundary neighbour to the other; a closed fan starts at the first
-    neighbour the input gives.  Raises `ComplexError` on a pinched vertex.
+    The triangles are oriented alike and ``walk`` is the boundary cycle they
+    direct, as `orient_disk` returns them, so no dart repeats and each vertex
+    maps each neighbour to at most one successor.  A vertex on the walk has
+    an open fan, which starts at its successor on the walk: the boundary edge
+    to it lies in one plane, which runs it the walk's way, so no wedge ends
+    there.  Any other vertex has a closed fan, which starts at the first
+    neighbour the input gives.  Raises `ComplexError` on a pinched vertex,
+    whose wedges do not chain into that one fan.
     """
     succ: dict[int, dict[int, int]] = {}
     for a, b, c in oriented:  # each plane's wedge at each of its corners
         succ.setdefault(a, {})[b] = c
         succ.setdefault(b, {})[c] = a
         succ.setdefault(c, {})[a] = b
+    after = dict(zip(walk, walk[1:] + walk[:1]))
     rot: dict[int, list[int]] = {}
     for v, wedges in succ.items():
-        starts = wedges.keys() - wedges.values()  # the neighbours no wedge ends at
-        ring = [next(iter(starts or wedges))]
+        start = after.get(v)
+        ring = [next(iter(wedges)) if start is None else start]
         x = wedges.get(ring[0])
         while x is not None and x != ring[0]:
             ring.append(x)
             x = wedges.get(x)
-        if len(starts) > 1 or len(ring) != len(wedges) + len(starts):
+        if len(ring) != len(wedges) + (start is not None):
             raise ComplexError(f"pinched vertex {v}")
         rot[v] = ring
     return rot
@@ -288,6 +285,10 @@ class PlanarComplex:
         numbered, and build the base tables, the dual graph, the oriented
         disk, each vertex's fan and the singular points among them.
 
+        The loop that checks the lines fills the edge → line table, each edge
+        both ways round, and the fans are chained once from the planes just
+        oriented and their walk; the singular points read both.
+
         Refuses, naming the first fault in this order: no planes; a plane that
         is not three listed vertices; a line that is not two; line indices
         that are not 1..L; a plane that repeats a vertex; an edge in over two
@@ -339,16 +340,16 @@ class PlanarComplex:
         for e in sorted(ep):
             if len(ep[e]) > 2:
                 raise ComplexError(f"edge {list(e)} lies in {len(ep[e])} planes: {ep[e]}")
-        line_of = line_by_edge(lines)
+        line_of: dict[tuple[int, int], int] = {}  # each line's edge, both ways round
         line_planes = self._line_planes = {}
         for i, (a, b) in lines.items():
-            e = (a, b) if a < b else (b, a)
             if a == b:
                 raise ComplexError(f"line {i} has bad endpoints {(a, b)}")
-            if len(ps := ep.get(e, ())) != 2:
+            if len(ps := ep.get((a, b) if a < b else (b, a), ())) != 2:
                 raise ComplexError(f"line {i} {(a, b)} is not an interior edge")
-            if line_of[e] != i:
-                raise ComplexError(f"lines {line_of[e]} and {i} number the same edge")
+            if (j := line_of.get((a, b))) is not None:
+                raise ComplexError(f"lines {j} and {i} number the same edge")
+            line_of[a, b] = line_of[b, a] = i
             line_planes[i] = tuple(ps)
         # the lines number distinct interior edges, of which there are 3 * planes - edges
         if len(ep) + len(lines) != 3 * len(tris):
@@ -360,18 +361,18 @@ class PlanarComplex:
         if (euler := len(known) - len(ep) + len(tris)) != 1:
             raise ComplexError(f"Euler characteristic {euler} != 1 (support is not a disk)")
         oriented, walk = self._disk = orient_disk(tris, ep)
-        fans = self._fans = vertex_fans(oriented.values())
+        fans = self._fans = vertex_fans(oriented.values(), walk)
         turn = -1 if orient(*(known[v] for v in oriented[min(tris)])) < 0 else 1
         on_boundary = set(walk)
         points: list[SingularPoint] = []
         for v, ring in sorted(fans.items()):
             ring = ring[::turn]
             if v not in on_boundary:
-                around = [line_of[(v, w) if v < w else (w, v)] for w in ring]
+                around = [line_of[v, w] for w in ring]
                 start = around.index(min(around))
                 cyc = around[start:] + around[:start]
                 points.append(SingularPoint(v, "inner", len(cyc), tuple(cyc)))
-            elif fan := [line_of[(v, w) if v < w else (w, v)] for w in ring[1:-1]]:
+            elif fan := [line_of[v, w] for w in ring[1:-1]]:
                 points.append(SingularPoint(v, "outer", len(fan), tuple(fan)))
         self._points = tuple(points)
         sides: dict[int, list[int]] = {p: [] for p in tris}

@@ -86,7 +86,7 @@ class CombinatorialMap(NamedTuple):
         try:
             oriented, walk = orient_disk(planes, planes_by_edge(planes))
             # input order, not search order, fixes where each closed fan starts
-            rot = vertex_fans([oriented[i] for i in planes])
+            rot = vertex_fans([oriented[i] for i in planes], walk)
         except ComplexError as exc:
             raise EnumeratorError(str(exc)) from exc
         return cls(

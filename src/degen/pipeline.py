@@ -30,6 +30,7 @@ from .fpgroup import (
     todd_coxeter,
 )
 from .relations import (
+    Presentation,
     UnsupportedCaseError,
     Word,
     inner_point_relators,
@@ -205,7 +206,9 @@ def fork_certificate(complex_: PlanarComplex) -> ForkVertex | None:
 class Verdict(NamedTuple):
     """Outcome of the pipeline together with everything needed to audit it.
 
-    `subgroup` is the line chain whose cosets were enumerated.
+    `subgroup` is the line chain whose cosets were enumerated, and
+    `presentation` the presentation they were enumerated in, which a report
+    reads its relator counts from; neither is part of `to_json`.
     """
 
     outcome: str
@@ -215,6 +218,7 @@ class Verdict(NamedTuple):
     equalities: EqualityFacts
     enumeration: EnumerationStats | None = None
     subgroup: tuple[int, ...] = ()
+    presentation: Presentation | None = None
 
     def to_json(self) -> dict:
         out = {
@@ -398,4 +402,4 @@ def decide(
     return enumeration_verdict(
         stats, math.factorial(n), engine_mode=engine_mode, equalities=facts,
         subgroup=chain,
-    )
+    )._replace(presentation=pres)

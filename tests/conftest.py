@@ -29,8 +29,8 @@ def small_complexes(records):
 @pytest.fixture
 def derivation_calls(monkeypatch):
     """Count builds of a complex's edge-to-planes map (`PlanarComplex.edge_planes`),
-    of its oriented planes (`orient_disk`) and of its edge-to-line map
-    (`line_by_edge`), and the ``Fraction``s made, all through `degen.complexes`."""
+    of its oriented planes (`orient_disk`) and of its fans (`vertex_fans`), and
+    the ``Fraction``s made, all through `degen.complexes`."""
     calls = Counter()
 
     def counted(name, original):
@@ -40,7 +40,7 @@ def derivation_calls(monkeypatch):
 
         return wrapper
 
-    for name in ("orient_disk", "line_by_edge", "Fraction"):
+    for name in ("orient_disk", "vertex_fans", "Fraction"):
         monkeypatch.setattr(
             degen.complexes, name, counted(name, getattr(degen.complexes, name))
         )

@@ -165,6 +165,42 @@ def test_undecodable_case_file_is_a_named_error(catalog_copy):
         load_case("U_{0,4}")
 
 
+def test_utf16_case_file_is_refused_as_not_utf8(catalog_copy):
+    """A case file is decoded as UTF-8 only, so a UTF-16 copy of it, with its
+    byte order mark, is refused though `json.loads` would read its bytes."""
+    text = (catalog_copy / "cases" / "u-0-4.json").read_text(encoding="utf-8")
+    rewrite_case(catalog_copy, text.encode("utf-16"))
+    with pytest.raises(CatalogError) as info:
+        load_case("U_{0,4}")
+    assert str(info.value).startswith(
+        "malformed case U_{0,4} (u-0-4.json): 'utf-8' codec can't decode byte 0x"
+    )
+
+
+@pytest.mark.parametrize("directory", [False, True], ids=["missing", "a-directory"])
+def test_missing_case_file_is_refused_by_name(catalog_copy, capsys, directory):
+    (catalog_copy / "cases" / "u-0-4.json").unlink()
+    if directory:
+        (catalog_copy / "cases" / "u-0-4.json").mkdir()
+    refusal = "degen: error: missing case file for U_{0,4} (u-0-4.json)\n"
+    for argv in (["analyze", "U_{0,4}"], ["table"], ["list"]):
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", refusal)
+
+
+@pytest.mark.parametrize("directory", [False, True], ids=["missing", "a-directory"])
+def test_catalog_without_a_manifest_file_is_refused(catalog_copy, capsys, directory):
+    manifest_path = catalog_copy / "manifest.json"
+    manifest_path.unlink()
+    if directory:
+        manifest_path.mkdir()
+    with pytest.raises(CatalogError) as info:
+        open_catalog()
+    assert str(info.value) == f"no manifest.json under {catalog_copy}"
+    assert main(["list"]) == 1
+    assert capsys.readouterr() == ("", f"degen: error: no manifest.json under {catalog_copy}\n")
+
+
 def test_manifest_without_cases_is_a_catalog_error(catalog_copy):
     manifest_path = catalog_copy / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
@@ -207,8 +243,11 @@ def test_malformed_manifest_entry_is_a_catalog_error(catalog_copy, capsys, key, 
         (b"[]", "is not a JSON object"),
         (b"\xff", "is not UTF-8 JSON: "),
         (b"{", "is not UTF-8 JSON: "),
+        # a manifest `json.loads` would read from its bytes
+        ('{"format": "degen-catalog/1", "cases": []}'.encode("utf-16"),
+         "is not UTF-8 JSON: 'utf-8' codec can't decode byte 0x"),
     ],
-    ids=["list", "not-utf8", "malformed"],
+    ids=["list", "not-utf8", "malformed", "utf-16"],
 )
 def test_manifest_that_is_not_a_json_object_is_a_catalog_error(
     catalog_copy, capsys, blob, reason

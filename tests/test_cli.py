@@ -297,6 +297,18 @@ def test_catalog_refusals_print_no_python_repr(capsys, tmp_path, monkeypatch, st
             'U_{0,5,1} (u-0-5-1.json): expected.parasitic[1][1] is "5", not an integer',
         ),
         (
+            "u-0-5-1",
+            ("expected", "points", 2, 1),
+            7,
+            "U_{0,5,1} (u-0-5-1.json): expected.points[2][1] is 7, not a string",
+        ),
+        (
+            "u-3-1",
+            ("expected", "inner_relators", 0, 1, 2),
+            3.5,
+            "U_{3,1} (u-3-1.json): expected.inner_relators[0][1][2] is 3.5, not an integer",
+        ),
+        (
             "u-6",
             ("extra_inner_relators", 0, 1),
             [2, 2],
@@ -307,7 +319,8 @@ def test_catalog_refusals_print_no_python_repr(capsys, tmp_path, monkeypatch, st
     ids=[
         "hints-null", "points-null", "notes-an-int", "pi1-null", "hint-line-fractional",
         "m-a-string", "m-fractional", "m-a-bool", "chi-a-float", "chi-over-zero",
-        "parasitic-pair-a-string", "word-exponent-two",
+        "parasitic-pair-a-string", "point-kind-an-int", "inner-relator-letter-fractional",
+        "word-exponent-two",
     ],
 )
 def test_catalog_record_fields_are_checked_not_coerced(
@@ -596,7 +609,7 @@ def test_analyze_file_keeps_every_verdict_it_computes(capsys, tmp_path, monkeypa
 def test_analyze_case_classifies_each_vertex_once(capsys, derivation_calls):
     rc, _, _ = run(capsys, "analyze", "U_{0,6,1}", "--format", "json")
     assert rc == 0
-    assert derivation_calls == {"edge_planes": 1, "orient_disk": 1, "line_by_edge": 1}
+    assert derivation_calls == {"edge_planes": 1, "orient_disk": 1, "vertex_fans": 1}
 
 
 def test_analyze_file_validates_and_classifies_each_vertex_once(
@@ -609,12 +622,13 @@ def test_analyze_file_validates_and_classifies_each_vertex_once(
     assert rc == 0
     # validate, the classification and the plane lines share one edge map and
     # the planes oriented once
-    assert derivation_calls == {"edge_planes": 1, "orient_disk": 1, "line_by_edge": 1}
+    assert derivation_calls == {"edge_planes": 1, "orient_disk": 1, "vertex_fans": 1}
 
 
 def test_analyze_all_builds_one_presentation_per_case(capsys, monkeypatch):
-    """The report reads its counts from one presentation per case; `decide`
-    builds its own only for the 20 cases it enumerates."""
+    """The report reads its counts from one presentation per case: the one
+    `decide` enumerated in for the 20 cases that reach Todd-Coxeter, else one
+    of its own."""
     built = Counter()
     original = degen.relations.reduced_presentation
 
@@ -632,7 +646,7 @@ def test_analyze_all_builds_one_presentation_per_case(capsys, monkeypatch):
     rows = json.loads(out)
     assert len(rows) == 29
     assert sum("enumeration" in row["verdict"] for row in rows) == 20
-    assert built == {"degen.cli": 29, "degen.pipeline": 20}
+    assert built == {"degen.cli": 9, "degen.pipeline": 20}
 
 
 def test_analyze_missing_file_fails_cleanly(capsys, tmp_path):

@@ -251,7 +251,7 @@ def test_classification_is_computed_once(by_name, derivation_calls):
     assert pc.line_planes() is pc.line_planes()
     assert pc.plane_lines() is pc.plane_lines()
     assert decide(pc, use_hints=False).outcome == "trivial"
-    assert derivation_calls == {"edge_planes": 1, "orient_disk": 1, "line_by_edge": 1}
+    assert derivation_calls == {"edge_planes": 1, "orient_disk": 1, "vertex_fans": 1}
 
 
 def test_only_the_fraction_view_is_built_on_first_use():
@@ -304,11 +304,11 @@ def test_reversed_rings_classify_as_the_reversed_planes(records):
             a, b, c = planes[0]
             lat = built._lattice
             if orient(lat[a], lat[b], lat[c]) < 0:
-                planes = [t[::-1] for t in planes]
-            line_of = degen.complexes.line_by_edge(built.line_numbering)
+                planes, walk = [t[::-1] for t in planes], walk[::-1]
+            line_of = {frozenset(ends): i for i, ends in built.line_numbering.items()}
             points = []
-            for v, ring in sorted(degen.complexes.vertex_fans(planes).items()):
-                lines = [line_of.get(tuple(sorted((v, w)))) for w in ring]
+            for v, ring in sorted(degen.complexes.vertex_fans(planes, walk).items()):
+                lines = [line_of.get(frozenset((v, w))) for w in ring]
                 if v not in walk:
                     start = lines.index(min(lines))
                     points.append((v, "inner", tuple(lines[start:] + lines[:start])))

@@ -567,25 +567,18 @@ def test_embed_orients_each_complex_once(monkeypatch):
     assert calls == len(maps) == 28
 
 
-def test_embed_chains_each_complex_fans_once(monkeypatch):
+def test_embed_chains_each_complex_fans_once(monkeypatch, derivation_calls):
     # the class check reads the fans the constructor chained
     maps = enumerate_maps(6)
-    calls = 0
-    vertex_fans = degen.complexes.vertex_fans
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return vertex_fans(*args)
 
     def refuse(*args):
         raise AssertionError("embed chained the fans again")
 
-    monkeypatch.setattr(degen.complexes, "vertex_fans", counted)
     monkeypatch.setattr(degen.enumerator, "vertex_fans", refuse)
+    derivation_calls.clear()
     for map_ in maps:
         embed(map_)
-    assert calls == len(maps) == 28
+    assert derivation_calls["vertex_fans"] == len(maps) == 28
 
 
 def test_embed_refusal_joins_its_faults(monkeypatch):
