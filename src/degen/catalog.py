@@ -9,6 +9,7 @@ catalogs are fed to the command-line tools.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import os
@@ -163,60 +164,57 @@ class CaseRecord(NamedTuple):
         )
 
 
-_SEPARATORS = b"$\\{}_ \t,-"
+_SEPARATORS = str.maketrans("", "", "$\\{}_ \t,-")
 
 
 def _normalize(name: str) -> str:
-    """Collapse TeX markup, separators, and case so lookups are forgiving.
+    """Collapse TeX markup, separators, and case so lookups are forgiving."""
+    return name.strip().lower().translate(_SEPARATORS).replace("cup", "∪")
 
-    The separators are ASCII and UTF-8 spells every other character in bytes
-    over 0x7f, so deleting them from the bytes deletes them from the text;
-    ``surrogatepass`` carries a lone surrogate through unchanged."""
-    text = name.strip().lower().encode("utf-8", "surrogatepass")
-    return text.translate(None, _SEPARATORS).decode("utf-8", "surrogatepass").replace("cup", "∪")
+
+# a path open() finds no regular file at: absent, a directory, or a symlink loop
+_NO_FILE = frozenset({errno.ENOENT, errno.EISDIR, errno.ENOTDIR, errno.ELOOP})
 
 
 class Catalog:
     """A manifest plus lazily loaded case files."""
 
     def __init__(self, root: Path) -> None:
-        self.root = root if isinstance(root, Path) else Path(root)
+        self.root = Path(root)
+        manifest_path = self.root / "manifest.json"
         try:  # text mode, as a refusal words its position in the text
-            with open(os.path.join(self.root, "manifest.json"), encoding="utf-8") as fh:
+            with open(manifest_path, encoding="utf-8") as fh:
                 manifest = json.loads(fh.read())
-        except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
-            raise CatalogError(f"no manifest.json under {self.root}") from None
         except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
-            raise CatalogError(
-                f"manifest {self.root / 'manifest.json'} is not UTF-8 JSON: {exc}"
-            ) from exc
+            raise CatalogError(f"manifest {manifest_path} is not UTF-8 JSON: {exc}") from exc
+        except OSError as exc:
+            if exc.errno not in _NO_FILE:
+                raise
+            raise CatalogError(f"no manifest.json under {self.root}") from None
         if not isinstance(manifest, dict):
-            raise CatalogError(f"manifest {self.root / 'manifest.json'} is not a JSON object")
+            raise CatalogError(f"manifest {manifest_path} is not a JSON object")
         if manifest.get("format") != MANIFEST_FORMAT:
             raise CatalogError(
                 f"unsupported manifest format {manifest.get('format')!r}"
             )
         if not isinstance(manifest.get("cases"), list):
-            raise CatalogError(f"manifest {self.root / 'manifest.json'} has no list of cases")
+            raise CatalogError(f"manifest {manifest_path} has no list of cases")
         self.entries: list[dict] = list(manifest["cases"])
         self._by_key: dict[str, dict] = {}
         for pos, entry in enumerate(self.entries):
             if not isinstance(entry, dict):
-                raise CatalogError(
-                    f"manifest {self.root / 'manifest.json'}: cases[{pos}] is not an object"
-                )
+                raise CatalogError(f"manifest {manifest_path}: cases[{pos}] is not an object")
             for key in ("name", "file", "sha256"):
                 if not isinstance(entry.get(key), str):
                     raise CatalogError(
-                        f"manifest {self.root / 'manifest.json'}: cases[{pos}]"
-                        f" has no string {key!r}"
+                        f"manifest {manifest_path}: cases[{pos}] has no string {key!r}"
                     )
             key = _normalize(entry["name"])
             if (other := self._by_key.get(key)) is not None:
                 raise CatalogError(
-                    f"manifest {self.root / 'manifest.json'}: ambiguous case label"
-                    f" {entry['name']!r}: cases[{pos}] and"
-                    f" cases[{self.entries.index(other)}] {other['name']!r} look up alike"
+                    f"manifest {manifest_path}: ambiguous case label {entry['name']!r}:"
+                    f" cases[{pos}] and cases[{self.entries.index(other)}] {other['name']!r}"
+                    " look up alike"
                 )
             self._by_key[key] = entry
 
@@ -228,7 +226,9 @@ class Catalog:
         try:
             with open(os.path.join(self.root, entry["file"]), "rb") as fh:
                 blob = fh.read()
-        except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+        except OSError as exc:
+            if exc.errno not in _NO_FILE:
+                raise
             raise CatalogError(
                 f"missing case file for {entry['name']} ({(self.root / entry['file']).name})"
             ) from None
@@ -253,11 +253,11 @@ class Catalog:
     def load(self, name: str) -> CaseRecord:
         key = _normalize(name)
         entry = self._by_key.get(key)
-        if entry is None:  # fall back to file stems: the name after the last "/", less its suffix
+        if entry is None:
+            # fall back to filename stems
             for cand in self.entries:
-                base = cand["file"].rpartition("/")[2]
-                dot = base.rfind(".")
-                if _normalize(base[:dot] if 0 < dot < len(base) - 1 else base) == key:
+                stem = Path(cand["file"]).stem
+                if _normalize(stem) == key:
                     entry = cand
                     break
         if entry is None:

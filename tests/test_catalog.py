@@ -177,23 +177,31 @@ def test_utf16_case_file_is_refused_as_not_utf8(catalog_copy):
     )
 
 
-@pytest.mark.parametrize("directory", [False, True], ids=["missing", "a-directory"])
-def test_missing_case_file_is_refused_by_name(catalog_copy, capsys, directory):
-    (catalog_copy / "cases" / "u-0-4.json").unlink()
-    if directory:
-        (catalog_copy / "cases" / "u-0-4.json").mkdir()
+def _unmake_file(path, instead):
+    """Remove the file at ``path`` and leave ``instead`` in its place: nothing,
+    a directory, or a symlink to itself, which no open() can follow."""
+    path.unlink()
+    if instead == "a-directory":
+        path.mkdir()
+    elif instead == "a-symlink-loop":
+        path.symlink_to(path.name)
+
+
+NO_FILE = ["missing", "a-directory", "a-symlink-loop"]
+
+
+@pytest.mark.parametrize("instead", NO_FILE)
+def test_missing_case_file_is_refused_by_name(catalog_copy, capsys, instead):
+    _unmake_file(catalog_copy / "cases" / "u-0-4.json", instead)
     refusal = "degen: error: missing case file for U_{0,4} (u-0-4.json)\n"
     for argv in (["analyze", "U_{0,4}"], ["table"], ["list"]):
         assert main(argv) == 1
         assert capsys.readouterr() == ("", refusal)
 
 
-@pytest.mark.parametrize("directory", [False, True], ids=["missing", "a-directory"])
-def test_catalog_without_a_manifest_file_is_refused(catalog_copy, capsys, directory):
-    manifest_path = catalog_copy / "manifest.json"
-    manifest_path.unlink()
-    if directory:
-        manifest_path.mkdir()
+@pytest.mark.parametrize("instead", NO_FILE)
+def test_catalog_without_a_manifest_file_is_refused(catalog_copy, capsys, instead):
+    _unmake_file(catalog_copy / "manifest.json", instead)
     with pytest.raises(CatalogError) as info:
         open_catalog()
     assert str(info.value) == f"no manifest.json under {catalog_copy}"
