@@ -14,7 +14,6 @@ import hashlib
 import json
 import os
 from fractions import Fraction
-from pathlib import Path
 from typing import Iterator, Mapping, NamedTuple
 
 from .complexes import PlanarComplex
@@ -179,9 +178,9 @@ _NO_FILE = frozenset({errno.ENOENT, errno.EISDIR, errno.ENOTDIR, errno.ELOOP})
 class Catalog:
     """A manifest plus lazily loaded case files."""
 
-    def __init__(self, root: Path) -> None:
-        self.root = Path(root)
-        manifest_path = self.root / "manifest.json"
+    def __init__(self, root: str) -> None:
+        self.root = root
+        manifest_path = os.path.join(root, "manifest.json")
         try:  # text mode, as a refusal words its position in the text
             with open(manifest_path, encoding="utf-8") as fh:
                 manifest = json.loads(fh.read())
@@ -190,7 +189,7 @@ class Catalog:
         except OSError as exc:
             if exc.errno not in _NO_FILE:
                 raise
-            raise CatalogError(f"no manifest.json under {self.root}") from None
+            raise CatalogError(f"no manifest.json under {root}") from None
         if not isinstance(manifest, dict):
             raise CatalogError(f"manifest {manifest_path} is not a JSON object")
         if manifest.get("format") != MANIFEST_FORMAT:
@@ -223,31 +222,30 @@ class Catalog:
         return tuple(e["name"] for e in self.entries)
 
     def _read(self, entry: dict) -> CaseRecord:
+        path = os.path.join(self.root, entry["file"])
         try:
-            with open(os.path.join(self.root, entry["file"]), "rb") as fh:
+            with open(path, "rb") as fh:
                 blob = fh.read()
         except OSError as exc:
             if exc.errno not in _NO_FILE:
                 raise
             raise CatalogError(
-                f"missing case file for {entry['name']} ({(self.root / entry['file']).name})"
+                f"missing case file for {entry['name']} ({os.path.basename(path)})"
             ) from None
         if hashlib.sha256(blob).hexdigest() != entry["sha256"]:
             raise CatalogError(
-                f"checksum mismatch for {entry['name']} ({(self.root / entry['file']).name})"
+                f"checksum mismatch for {entry['name']} ({os.path.basename(path)})"
             )
         try:
             record = CaseRecord.from_json(json.loads(blob.decode("utf-8")))
             if record.name != entry["name"]:
                 raise CatalogError(f"its file names it {record.name}")
-            report = record.complex.validate()  # construction certified the rest
-            if not report.ok:
-                raise CatalogError("; ".join(report.errors + report.violations))
+            record.complex.check_embedded()  # construction certified the rest
             return record
         except (KeyError, TypeError, ValueError) as exc:  # ComplexError is a ValueError
             fault = f"missing key {exc}" if type(exc) is KeyError else exc
             raise CatalogError(
-                f"malformed case {entry['name']} ({(self.root / entry['file']).name}): {fault}"
+                f"malformed case {entry['name']} ({os.path.basename(path)}): {fault}"
             ) from exc
 
     def load(self, name: str) -> CaseRecord:
@@ -256,7 +254,7 @@ class Catalog:
         if entry is None:
             # fall back to filename stems
             for cand in self.entries:
-                stem = Path(cand["file"]).stem
+                stem = os.path.splitext(os.path.basename(cand["file"]))[0]
                 if _normalize(stem) == key:
                     entry = cand
                     break
@@ -269,12 +267,11 @@ class Catalog:
             yield self._read(entry)
 
 
-def catalog_root() -> Path:
-    """Resolve the catalog directory: ``DEGEN_CATALOG_DIR``, else the bundled data."""
-    env = os.environ.get(ENV_CATALOG_DIR)
-    if env:
-        return Path(env)
-    return Path(__file__).resolve().parent / "data"
+def catalog_root() -> str:
+    """The catalog directory: ``DEGEN_CATALOG_DIR`` as set, else the bundled data."""
+    return os.environ.get(ENV_CATALOG_DIR) or os.path.join(
+        os.path.dirname(os.path.realpath(__file__)), "data"
+    )
 
 
 def open_catalog() -> Catalog:

@@ -17,10 +17,9 @@ import os
 import sys
 from fractions import Fraction
 from functools import cache
-from pathlib import Path
 from typing import Any, Callable
 
-from .catalog import Catalog, CatalogError, open_catalog
+from .catalog import CatalogError, open_catalog
 from .complexes import ComplexError, PlanarComplex, json_text
 from .enumerator import EnumeratorError, embed, enumerate_maps
 from .fpgroup import DEFAULT_MAX_COSETS, EnumerationError
@@ -224,9 +223,7 @@ def _analyze_file(path: str, args: argparse.Namespace) -> dict[str, Any]:
         raise ComplexError(f"{path} is not UTF-8 JSON: {exc}") from exc
     try:  # every refusal, from the file's shape to its verdict, names the file
         complex_ = PlanarComplex.from_json(data)
-        report = complex_.validate()
-        if not report.ok:
-            raise ComplexError("; ".join(report.errors + report.violations))
+        complex_.check_embedded()
         report = _analysis_body(path, complex_, complex_, args)
     except _ERRORS as exc:
         raise ComplexError(f"{path}: {exc}") from exc
@@ -383,7 +380,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return EXIT_ERROR
         os.makedirs(args.out_dir, exist_ok=True)  # a file at the path fails here
-        held = len(list(Path(args.out_dir).glob("map-*.json")))
+        held = sum(n.startswith("map-") and n.endswith(".json") for n in os.listdir(args.out_dir))
         if held:
             print(f"degen: error: {args.out_dir} already holds {held} map-*.json files;"
                   " pass an empty or new directory", file=sys.stderr)

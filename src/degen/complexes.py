@@ -12,17 +12,16 @@ The interchange JSON format ``degen-complex/1`` stores vertices as
 ``[plane, [v1, v2, v3]]``, and lines as ``[index, [v1, v2]]``.
 
 A complex's shape, incidence and topology are refused where it is built: the
-constructor and `from_json` share one step, `_incidence`, that names a plane
-off the vertex table, an edge in three planes, an interior edge with no line,
-a vertex in no plane, an Euler characteristic other than 1, planes that do
-not orient alike around one boundary cycle and more, then builds the base
-tables, the dual graph, the oriented disk and the singular points among
-them, which no later query can fail on; `validate` certifies only the
-geometry.  `from_json` first names any table or entry that is not a list of
-``[int, [int, ...]]`` entries; the constructor takes ids, plane corners and
-line endpoints only as ``int``, each vertex only as a pair of coordinates,
-and each coordinate only as an ``int`` or a ``Fraction``, whose numerator and
-denominator it reads as written.
+constructor and `from_json` share one step, `_incidence`, that refuses
+anything but a triangulated disk with numbered interior edges, naming the
+first fault in the order its docstring lists, then builds the base tables,
+the dual graph, the oriented disk and the singular points among them, which
+no later query can fail on; `validate` certifies only the geometry, and
+`check_embedded` raises its faults as one refusal.  `from_json` first names
+any table or entry that is not a list of ``[int, [int, ...]]`` entries; the
+constructor takes ids, plane corners and line endpoints only as ``int``, each
+vertex only as a pair of coordinates, and each coordinate only as an ``int``
+or a ``Fraction``, whose numerator and denominator it reads as written.
 
 An edge is keyed by its ordered vertex pair ``(min, max)``, so a lookup
 builds no set; error texts print an edge as the list ``[a, b]``.  The edge →
@@ -475,6 +474,12 @@ class PlanarComplex:
             for c, d in edges[i + 1 :]
             if segments_conflict(lat[a], lat[b], lat[c], lat[d])
         ))
+
+    def check_embedded(self) -> None:
+        """Raise `ComplexError` with `validate`'s faults joined by ``"; "``, if any."""
+        report = self.validate()
+        if not report.ok:
+            raise ComplexError("; ".join(report.errors + report.violations))
 
     def classify_vertices(self) -> tuple[SingularPoint, ...]:
         """One ``SingularPoint`` per vertex met by a line (built with the complex)."""

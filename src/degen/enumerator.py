@@ -218,11 +218,8 @@ def _grow(map_: CombinatorialMap) -> Iterator[tuple[tuple[int, int, int], _Candi
     y takes y into its ring right after its successor on the walk: its ring
     passes the outer face from its successor to its predecessor, and every
     new neighbour comes from the outer face.  No ring is ever reversed, so a
-    candidate keeps the seed's winding and is wound like
-    `CombinatorialMap.from_triangles` of its own triangles: that map has the
-    same rings and walk, up to where each starts, which no canonical form
-    sees; `_as_built` starts a kept candidate's walk like that map's.  A
-    candidate is only the rings and walk, all that a canonical form reads.
+    candidate keeps the seed's winding, which the module docstring shows is
+    that of `CombinatorialMap.from_triangles` of its own triangles.
     """
     rot = map_.rotation_dict
     b = map_.boundary
@@ -257,7 +254,7 @@ def _as_built(
 ) -> CombinatorialMap:
     """`candidate`, whose sorted triangles are `triangles`, as a map: its rings
     sorted by vertex and its walk started at its least vertex, as
-    `from_triangles(triangles)` has them; it is wound like that map already."""
+    `from_triangles(triangles)` has them."""
     rot, walk = candidate
     i = walk.index(min(walk))
     return CombinatorialMap(
@@ -275,13 +272,8 @@ def enumerate_maps(
     """One representative per isomorphism class with the given triangle count.
 
     Each representative is the map derived for the first triangle set of its
-    class that growth reaches, wound like `CombinatorialMap.from_triangles`
-    of its own triangles: it has that map's boundary walk and triangles, byte
-    for byte, and its rings are that map's cyclic orders, possibly started
-    elsewhere.  A candidate is its rings and walk until its class is new; a
-    duplicate never gets a map.  A candidate whose triangle set the level has
-    already reached gets no canonical form either: it would have the form of
-    that set's first copy.
+    class that growth reaches; the module docstring says how it is wound and
+    which candidates get no map or no canonical form.
 
     `guard` bounds the requested size (resource guard; raise it consciously
     for bigger runs).
@@ -338,9 +330,9 @@ def embed(map_: CombinatorialMap) -> PlanarComplex:
     the neighbor-average equations exactly, a convex-combination map and so
     injective (Floater, Math. Comp. 72, 2003).  Edges in two planes are
     numbered 1..L in sorted order.
-    Any refusal by the constructor or by `validate` is a real bug in the
-    generated map and is raised, never swallowed, its faults joined by
-    ``"; "``.  The class check reads the fans and walk the constructor built.
+    Any refusal by the constructor or by `check_embedded` is a real bug in
+    the generated map and is raised, never swallowed.  The class check reads
+    the fans and walk the constructor built.
     """
     rot = map_.rotation_dict
     boundary = list(map_.boundary)
@@ -360,12 +352,9 @@ def embed(map_: CombinatorialMap) -> PlanarComplex:
     numbering = dict(enumerate(interior_edges, 1))
     try:
         complex_ = PlanarComplex(coords, triangles, numbering)
+        complex_.check_embedded()
     except ComplexError as exc:
         raise EnumeratorError(f"synthesized embedding failed validation: {exc}") from exc
-    report = complex_.validate()
-    if not report.ok:
-        faults = "; ".join(report.errors + report.violations)
-        raise EnumeratorError(f"synthesized embedding failed validation: {faults}")
     embedded = _Candidate(complex_._fans, _map_walk(complex_._disk[1]))
     if canonical_form(embedded) != canonical_form(map_):
         raise EnumeratorError("embedding changed the isomorphism class")

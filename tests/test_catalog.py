@@ -60,6 +60,70 @@ def test_listed_aliases_never_register(catalog_copy):
     assert catalog.load("U_6").name == catalog.load("u-6").name == "U_6"
 
 
+def test_a_file_stem_that_no_manifest_name_has_finds_its_case(catalog_copy, capsys):
+    """Lookup falls back to the case file's stem: `U_6` renamed to `hexa.json`,
+    its manifest entry pointed there (the bytes, so the checksum, unchanged),
+    is found as `hexa`, which looks up no manifest name."""
+    (catalog_copy / "cases" / "u-6.json").rename(catalog_copy / "cases" / "hexa.json")
+    manifest_path = catalog_copy / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    [entry] = [e for e in manifest["cases"] if e["file"] == "cases/u-6.json"]
+    entry["file"] = "cases/hexa.json"
+    manifest_path.write_text(json.dumps(manifest, ensure_ascii=False))
+    for command in ("analyze", "export"):
+        assert main([command, "hexa", "--format", "json"]) == 0
+        by_stem = capsys.readouterr()
+        assert main([command, "U_6", "--format", "json"]) == 0
+        assert by_stem == capsys.readouterr()
+        assert by_stem.out and not by_stem.err
+
+
+def test_a_relative_catalog_directory_is_read_and_printed_as_set(
+    catalog_copy, capsys, monkeypatch
+):
+    monkeypatch.chdir(catalog_copy.parent)
+    monkeypatch.setenv("DEGEN_CATALOG_DIR", "catalog")
+    assert main(["analyze", "U_6"]) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("DEGEN_CATALOG_DIR", "missing")
+    assert main(["list"]) == 1
+    assert capsys.readouterr() == ("", "degen: error: no manifest.json under missing\n")
+    monkeypatch.setenv("DEGEN_CATALOG_DIR", "catalog")
+    (catalog_copy / "manifest.json").write_bytes(b"[]")
+    assert main(["list"]) == 1
+    assert capsys.readouterr() == (
+        "", "degen: error: manifest catalog/manifest.json is not a JSON object\n"
+    )
+
+
+def test_a_catalog_directory_with_a_trailing_slash_is_read(catalog_copy, capsys, monkeypatch):
+    """A case refusal prints only the file's name, and a manifest refusal the
+    root joined to ``manifest.json``, with no second slash."""
+    monkeypatch.setenv("DEGEN_CATALOG_DIR", f"{catalog_copy}/")
+    assert main(["analyze", "U_6"]) == 0
+    capsys.readouterr()
+    _unmake_file(catalog_copy / "cases" / "u-0-4.json", "missing")
+    assert main(["analyze", "U_{0,4}"]) == 1
+    assert capsys.readouterr() == (
+        "", "degen: error: missing case file for U_{0,4} (u-0-4.json)\n"
+    )
+    (catalog_copy / "manifest.json").write_bytes(b"[]")
+    assert main(["list"]) == 1
+    assert capsys.readouterr() == (
+        "", f"degen: error: manifest {catalog_copy}/manifest.json is not a JSON object\n"
+    )
+
+
+@pytest.mark.parametrize("root", ["./missing/", "missing/"])
+def test_a_catalog_root_is_printed_as_set(catalog_copy, capsys, monkeypatch, root):
+    """`DEGEN_CATALOG_DIR` is printed as the user set it: a trailing ``/`` and a
+    ``./`` prefix stay in the refusal."""
+    monkeypatch.chdir(catalog_copy)
+    monkeypatch.setenv("DEGEN_CATALOG_DIR", root)
+    assert main(["list"]) == 1
+    assert capsys.readouterr() == ("", f"degen: error: no manifest.json under {root}\n")
+
+
 def test_unknown_name_raises():
     with pytest.raises(CatalogError, match="no case named"):
         load_case("no-such-case")

@@ -731,6 +731,27 @@ def test_enumerate_writes_the_same_files_under_any_hash_seed(tmp_path):
     assert written[0] == written[1]
 
 
+def test_enumerate_reads_an_out_dir_name_that_holds_pattern_characters_as_it_stands(
+    capsys, tmp_path
+):
+    """`[1]` and `*` in --out-dir are part of its name, not a pattern: a sibling
+    that the name would match as a glob is not counted, and every map-*.json
+    name under the directory is, a subdirectory among them."""
+    out_dir = tmp_path / "maps[1]*"
+    (tmp_path / "maps1").mkdir()
+    (tmp_path / "maps1" / "map-01.json").write_text("{}\n", encoding="utf-8")
+    rc, out, err = run(capsys, "enumerate", "--triangles", "4", "--out-dir", str(out_dir))
+    assert (rc, out, err) == (0, f"wrote 5 complexes to {out_dir}\n", "")
+    (out_dir / "map-dir.json").mkdir()
+    (out_dir / "maps.json").write_text("{}\n", encoding="utf-8")
+    rc, out, err = run(capsys, "enumerate", "--triangles", "4", "--out-dir", str(out_dir))
+    assert (rc, out) == (1, "")
+    assert err == (
+        f"degen: error: {out_dir} already holds 6 map-*.json files;"
+        " pass an empty or new directory\n"
+    )
+
+
 @pytest.mark.parametrize("under", ["", "maps"], ids=["a-file", "under-a-file"])
 def test_enumerate_refuses_an_out_dir_it_cannot_make_before_enumerating(
     capsys, tmp_path, monkeypatch, under

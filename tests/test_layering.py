@@ -86,3 +86,11 @@ def test_import_loads_no_resource_loader_and_no_dataclasses():
     loaded = loaded_modules("degen.cli", "-S")
     assert "degen.cli" in loaded
     assert not loaded & {"dataclasses", "inspect"}
+
+
+def test_cli_import_loads_no_pathlib():
+    """degen keeps paths as `os.path` strings, so no command pays for `pathlib`
+    and the `urllib.parse` and `ipaddress` it pulls in."""
+    loaded = loaded_modules("degen.cli", "-S")
+    assert "degen.cli" in loaded
+    assert not loaded & {"pathlib", "urllib.parse", "ipaddress"}
