@@ -17,16 +17,18 @@ anything but a triangulated disk with numbered interior edges, naming the
 first fault in the order its docstring lists, then builds the base tables,
 the dual graph, the oriented disk and the singular points among them, which
 no later query can fail on; `validate` certifies only the geometry, and
-`check_embedded` raises its faults as one refusal.  `from_json` first names
-any table or entry that is not a list of ``[int, [int, ...]]`` entries; the
-constructor takes ids, plane corners and line endpoints only as ``int``, each
+`check_embedded` raises its faults as one refusal.  On valid data each table
+is read by one loop that both checks it and builds from it, and a refusal is
+worded only once its fault is seen.  `from_json` first names any table or
+entry that is not a list of ``[int, [int, ...]]`` entries, in the order its
+docstring lists; the constructor takes ids, plane corners and line endpoints only as ``int``, each
 vertex only as a pair of coordinates, and each coordinate only as an ``int``
 or a ``Fraction``, whose numerator and denominator it reads as written.
 
 An edge is keyed by its ordered vertex pair ``(min, max)``, so a lookup
-builds no set; error texts print an edge as the list ``[a, b]``.  The edge →
-line table is filled by the loop that checks the lines, with each line's edge
-both ways round, so a fan's spoke ``(v, w)`` is looked up as it stands.
+builds no set; error texts print an edge as the list ``[a, b]``.  The loop
+that checks the lines files each line under both its ends, keyed by the
+other, so a fan's spokes around ``v`` are looked up in ``v``'s own table.
 
 `json_text` writes every JSON degen prints or stores, byte for byte as
 ``json.dumps(obj, indent=2)``, whose indent forces the pure-Python encoder.
@@ -135,6 +137,8 @@ def orient_disk(
                 n_boundary += 1
                 continue
             for q in sharing:
+                if q == p:
+                    continue
                 t = oriented.get(q)
                 if t is None:
                     z, e, f = planes[q]  # z becomes the corner off the edge
@@ -142,7 +146,7 @@ def orient_disk(
                         z = f if e == x or e == y else e
                     oriented[q] = (y, x, z)
                     queue.append(q)
-                elif q != p and not (  # t runs the edge y -> x
+                elif not (  # t runs the edge y -> x
                     y == t[0] and x == t[1] or y == t[1] and x == t[2] or y == t[2] and x == t[0]
                 ):
                     raise ComplexError(
@@ -231,6 +235,34 @@ def _refuse_non_ints(name: str, ids: Iterable) -> None:
             raise ComplexError(f"{name} holds {x!r}, which is not an int")
 
 
+def _json_table(key: str, name: str, entries: list) -> dict[int, list[int]]:
+    """The JSON table ``key`` of ``[id, [int, ...]]`` entries as a dict, built
+    in one pass that words the first faulty entry in `PlanarComplex.from_json`'s
+    order; its ids are ``name``s, and a vertex's ints are ``[px, py, qx, qy]``."""
+    table = {}
+    for entry in entries:
+        if type(entry) is not list or len(entry) != 2 or type(entry[1]) is not list:
+            fault = "is not of the form [int, [int, ...]]"
+        else:
+            k, values = entry
+            for x in values if type(k) is int else (k,):  # int() would truncate 0.5
+                if type(x) is not int:
+                    fault = f"holds {json.dumps(x)}, which is not an integer"
+                    break
+            else:
+                if key == "vertices" and len(values) != 4:
+                    fault = f"holds {len(values)} values, expected 4"
+                elif key == "vertices" and (values[2] == 0 or values[3] == 0):
+                    fault = "has denominator 0"
+                elif k in table:
+                    fault = f"repeats {name} {k}"
+                else:
+                    table[k] = values
+                    continue
+        raise ComplexError(f"malformed complex JSON: {key} entry {json.dumps(entry)} {fault}")
+    return table
+
+
 class PlanarComplex:
     """An immutable planar triangle complex with numbered interior edges.
 
@@ -284,9 +316,16 @@ class PlanarComplex:
         numbered, and build the base tables, the dual graph, the oriented
         disk, each vertex's fan and the singular points among them.
 
-        The loop that checks the lines fills the edge → line table, each edge
-        both ways round, and the fans are chained once from the planes just
-        oriented and their walk; the singular points read both.
+        One pass over each table checks it and builds from it: the loop that
+        copies the planes checks them, the loop that copies the lines checks
+        their endpoints, and the loop over the lines fills each vertex's lines
+        keyed by their other ends, each line's two planes and each plane's
+        lines.  The fans are chained once from the planes just oriented and
+        their walk, and the singular points read both.  A refusal is worded
+        only once its fault is seen, and a fault that an earlier check in the
+        order below would name is waited for: a repeated vertex is named after
+        the lines' checks, and an edge in over two planes, which only the
+        count below finds, before any line's fault.
 
         Refuses, naming the first fault in this order: no planes; a plane that
         is not three listed vertices; a line that is not two; line indices
@@ -294,9 +333,14 @@ class PlanarComplex:
         planes; a line on one vertex, off the interior edges or on another
         line's edge; an interior edge with no line; a vertex in no plane; an
         Euler characteristic other than 1; then whatever `orient_disk` names.
-        Each check is one pass over the ids in ascending order that words the
-        first fault it finds; only an unnumbered interior edge is counted
-        first.
+        Each is the first fault of its kind in ascending id order.
+
+        No edge lies in over two planes and every interior edge has a line
+        exactly when the lines number distinct interior edges and there are
+        ``3 * planes - edges`` of them: the planes have ``3 * planes`` sides,
+        one per plane on each of its edges, so ``3 * planes - edges`` counts
+        each edge once less than its planes, which is the interior edges only
+        when none lies in three.
 
         What passes is a disk, so no pinch needs a check of its own.  Split
         each pinched vertex into one vertex per fan: the surface left is
@@ -311,74 +355,89 @@ class PlanarComplex:
         one plane.  A ring read backwards, when the first plane turns
         clockwise, is the reversed planes' ring up to where a cycle starts.
         """
-        # the lcm of all denominators as written
-        scale = self._scale = lcm(*(q for c in coords.values() for q in c[2:]))
+        scale = 1  # the lcm of all denominators as written
+        for _, _, qx, qy in coords.values():
+            scale = lcm(scale, qx, qy)
+        self._scale = scale
         known = self._lattice = {
             v: (px * (scale // qx), py * (scale // qy)) for v, (px, py, qx, qy) in coords.items()
         }
-        tris = self.triangles = {p: tuple(triangles[p]) for p in sorted(triangles)}
-        lines = self.line_numbering = {i: tuple(line_numbering[i]) for i in sorted(line_numbering)}
-        if not tris:
+        if not triangles:
             raise ComplexError("no triangles")
-        for plane, tri in tris.items():
+        tris = self.triangles = {}
+        repeat = None  # the first plane that repeats a vertex, named after the lines
+        for plane in sorted(triangles):
+            tri = tris[plane] = tuple(triangles[plane])
             if len(tri) != 3:
                 raise ComplexError(f"plane {plane} has {len(tri)} vertices, expected 3")
-            if tri[0] not in known or tri[1] not in known or tri[2] not in known:
+            a, b, c = tri
+            if a not in known or b not in known or c not in known:
                 missing = [v for v in tri if v not in known]
                 raise ComplexError(f"plane {plane} references unknown vertices {missing}")
-        for i, pair in lines.items():
+            if (a == b or b == c or a == c) and repeat is None:
+                repeat = plane
+        lines = self.line_numbering = {}
+        for i in sorted(line_numbering):
+            pair = lines[i] = tuple(line_numbering[i])
             if len(pair) != 2 or pair[0] not in known or pair[1] not in known:
                 raise ComplexError(f"line {i} has bad endpoints {pair}")
         if lines and (min(lines) != 1 or max(lines) != len(lines)):  # L distinct ints
             raise ComplexError(f"line indices are not 1..L: {list(lines)}")
-        for plane, (a, b, c) in tris.items():
-            if a == b or b == c or a == c:
-                raise ComplexError(f"plane {plane} repeats a vertex: {(a, b, c)}")
+        if repeat is not None:
+            raise ComplexError(f"plane {repeat} repeats a vertex: {tris[repeat]}")
 
         ep = self.edge_planes()
-        for e in sorted(ep):
-            if len(ep[e]) > 2:
-                raise ComplexError(f"edge {list(e)} lies in {len(ep[e])} planes: {ep[e]}")
-        line_of: dict[tuple[int, int], int] = {}  # each line's edge, both ways round
+        line_at: dict[int, dict[int, int]] = {v: {} for v in known}  # lines by end, by other end
         line_planes = self._line_planes = {}
+        sides: dict[int, list[int]] = {p: [] for p in tris}
+        bad_line = None
         for i, (a, b) in lines.items():
-            if a == b:
-                raise ComplexError(f"line {i} has bad endpoints {(a, b)}")
-            if len(ps := ep.get((a, b) if a < b else (b, a), ())) != 2:
-                raise ComplexError(f"line {i} {(a, b)} is not an interior edge")
-            if (j := line_of.get((a, b))) is not None:
-                raise ComplexError(f"lines {j} and {i} number the same edge")
-            line_of[a, b] = line_of[b, a] = i
-            line_planes[i] = tuple(ps)
-        # the lines number distinct interior edges, of which there are 3 * planes - edges
-        if len(ep) + len(lines) != 3 * len(tris):
-            for e, ps in sorted(ep.items()):
-                if len(ps) == 2 and e not in line_of:
-                    raise ComplexError(f"interior edge {list(e)} has no line number")
-        if len(corners := {v for t in tris.values() for v in t}) != len(known):
+            ps = ep.get((a, b) if a < b else (b, a))  # no plane repeats a vertex: no (a, a)
+            if ps is None or len(ps) != 2 or b in line_at[a]:
+                bad_line = i
+                break
+            line_at[a][b] = line_at[b][a] = i
+            p, q = line_planes[i] = tuple(ps)
+            sides[p].append(i)
+            sides[q].append(i)
+        if bad_line is not None or len(ep) + len(lines) != 3 * len(tris):
+            for e in sorted(ep):  # named first, though only the count finds it
+                if len(ep[e]) > 2:
+                    raise ComplexError(f"edge {list(e)} lies in {len(ep[e])} planes: {ep[e]}")
+            if bad_line is not None:
+                a, b = lines[bad_line]
+                if a == b:
+                    raise ComplexError(f"line {bad_line} has bad endpoints {(a, b)}")
+                if len(ep.get((a, b) if a < b else (b, a), ())) != 2:
+                    raise ComplexError(f"line {bad_line} {(a, b)} is not an interior edge")
+                raise ComplexError(f"lines {line_at[a][b]} and {bad_line} number the same edge")
+            for (a, b), ps in sorted(ep.items()):
+                if len(ps) == 2 and b not in line_at[a]:
+                    raise ComplexError(f"interior edge {[a, b]} has no line number")
+        if len(corners := set(chain.from_iterable(tris.values()))) != len(known):
             raise ComplexError(f"vertex {min(known.keys() - corners)} lies in no plane")
         if (euler := len(known) - len(ep) + len(tris)) != 1:
             raise ComplexError(f"Euler characteristic {euler} != 1 (support is not a disk)")
+        self._plane_lines = {p: tuple(ls) for p, ls in sides.items()}
         oriented, walk = self._disk = orient_disk(tris, ep)
         fans = self._fans = vertex_fans(oriented.values(), walk)
-        turn = -1 if orient(*(known[v] for v in oriented[min(tris)])) < 0 else 1
+        a, b, c = oriented[next(iter(tris))]
+        turn = -1 if orient(known[a], known[b], known[c]) < 0 else 1
         on_boundary = set(walk)
         points: list[SingularPoint] = []
-        for v, ring in sorted(fans.items()):
-            ring = ring[::turn]
-            if v not in on_boundary:
-                around = [line_of[v, w] for w in ring]
+        for v in sorted(fans):
+            ring = fans[v]
+            if v in on_boundary:
+                if len(ring) > 2:  # the spokes between its two boundary edges
+                    spokes = ring[1:-1] if turn > 0 else ring[-2:0:-1]
+                    fan = tuple(map(line_at[v].__getitem__, spokes))
+                    points.append(SingularPoint(v, "outer", len(fan), fan))
+            else:
+                around = list(map(line_at[v].__getitem__, ring[::turn]))
                 start = around.index(min(around))
-                cyc = around[start:] + around[:start]
-                points.append(SingularPoint(v, "inner", len(cyc), tuple(cyc)))
-            elif fan := [line_of[v, w] for w in ring[1:-1]]:
-                points.append(SingularPoint(v, "outer", len(fan), tuple(fan)))
+                cyc = tuple(around[start:] + around[:start])
+                points.append(SingularPoint(v, "inner", len(cyc), cyc))
         self._points = tuple(points)
-        sides: dict[int, list[int]] = {p: [] for p in tris}
-        for index, (p, q) in line_planes.items():  # one line per edge, in line order
-            sides[p].append(index)
-            sides[q].append(index)
-        self._plane_lines = {p: tuple(ls) for p, ls in sides.items()}
 
     # -- derived incidence data -------------------------------------------------
 
@@ -505,13 +564,26 @@ class PlanarComplex:
 
     @classmethod
     def from_json(cls, data: dict) -> "PlanarComplex":
+        """Build a complex from its ``degen-complex/1`` object, as `to_json` writes it.
+
+        Refuses, naming the first fault in this order: data that is not an
+        object; a ``format`` other than ``degen-complex/1``; then for
+        ``vertices``, ``triangles`` and ``line_numbering`` in turn, a table
+        that is missing or not a list, and entry by entry, one that is not
+        ``[int, [int, ...]]`` shaped, one holding a value that is no integer,
+        a vertex without four values or with a denominator 0, and an id that
+        an earlier entry holds; then whatever `_incidence` names.
+
+        Each table is checked by the one pass that builds it, `_json_table`,
+        which words an entry only once it is seen to be at fault.
+        """
         if not isinstance(data, dict) or data.get("format") != FORMAT:
             raise ComplexError(
                 f"unknown format {data.get('format')!r}; expected {FORMAT!r}"
                 if isinstance(data, dict)
                 else "complex JSON must be an object"
             )
-        tables: dict[str, dict[int, list]] = {}
+        tables = []
         for key, name in (
             ("vertices", "vertex id"), ("triangles", "plane id"), ("line_numbering", "line index")
         ):
@@ -519,35 +591,9 @@ class PlanarComplex:
             if type(entries) is not list:
                 fault = f"{key} is not a list" if key in data else f"missing key {key!r}"
                 raise ComplexError(f"malformed complex JSON: {fault}")
-            table = tables[key] = {}
-            for entry in entries:  # [id, [int, ...]]; a vertex's ints are [px, py, qx, qy]
-                if type(entry) is not list or len(entry) != 2 or type(entry[1]) is not list:
-                    raise ComplexError(
-                        f"malformed complex JSON: {key} entry {json.dumps(entry)}"
-                        " is not of the form [int, [int, ...]]"
-                    )
-                k, values = entry
-                for x in chain((k,), values):  # int() would truncate 0.5
-                    if type(x) is not int:
-                        raise ComplexError(
-                            f"malformed complex JSON: {key} entry {json.dumps(entry)}"
-                            f" holds {json.dumps(x)}, which is not an integer"
-                        )
-                if key == "vertices" and (len(values) != 4 or values[2] == 0 or values[3] == 0):
-                    fault = "has denominator 0"
-                    if len(values) != 4:
-                        fault = f"holds {len(values)} values, expected 4"
-                    raise ComplexError(
-                        f"malformed complex JSON: vertices entry {json.dumps(entry)} {fault}"
-                    )
-                if k in table:
-                    raise ComplexError(
-                        f"malformed complex JSON: {key} entry {json.dumps(entry)}"
-                        f" repeats {name} {k}"
-                    )
-                table[k] = values
+            tables.append(_json_table(key, name, entries))
         complex_ = cls.__new__(cls)
-        complex_._incidence(*tables.values())  # vertices, triangles, line_numbering
+        complex_._incidence(*tables)  # vertices, triangles, line_numbering
         return complex_
 
     @classmethod
