@@ -194,10 +194,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _looks_like_path(selector: str) -> bool:
+    """A selector names a complex file by its spelling alone: it holds a path
+    separator or ends ``.json``; anything else is a catalog lookup, whatever
+    the working directory holds."""
     return (
         os.sep in selector
+        or bool(os.altsep) and os.altsep in selector
         or selector.endswith(".json")
-        or os.path.exists(selector)
     )
 
 

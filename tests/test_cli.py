@@ -655,6 +655,25 @@ def test_analyze_missing_file_fails_cleanly(capsys, tmp_path):
     assert "error" in err
 
 
+def test_a_case_name_is_looked_up_whatever_the_working_directory_holds(
+    capsys, tmp_path, monkeypatch
+):
+    """Only a path separator or a ``.json`` suffix makes a selector a file: a
+    directory named like a case shadows no case, and an extension-less file
+    is named as ``./disk``."""
+    rc, expected, _ = run(capsys, "analyze", "U_6", "--format", "json")
+    assert rc == 0
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "U_6").mkdir()
+    rc, out, err = run(capsys, "analyze", "U_6", "--format", "json")
+    assert (rc, out, err) == (0, expected, "")
+    (tmp_path / "disk").write_text(embed(enumerate_maps(6)[0]).dumps(), encoding="utf-8")
+    rc, out, _ = run(capsys, "analyze", "./disk", "--format", "json")
+    assert rc == 0 and json.loads(out)["name"] == "./disk"
+    rc, _, err = run(capsys, "analyze", "disk")
+    assert rc == 1 and "disk" in err
+
+
 def test_table_matches_catalog(capsys):
     rc, out, _ = run(capsys, "table")
     assert rc == 0
