@@ -328,8 +328,8 @@ def embed(map_: CombinatorialMap) -> PlanarComplex:
 
     Boundary vertices go on a circle in walk order; interior vertices solve
     the neighbor-average equations exactly, a convex-combination map and so
-    injective (Floater, Math. Comp. 72, 2003).  Edges in two planes are
-    numbered 1..L in sorted order.
+    injective (Floater, Math. Comp. 72, 2003).  The interior edges, the
+    rings' edges off the walk, are numbered 1..L in sorted relabelled order.
     Any refusal by the constructor or by `check_embedded` is a real bug in
     the generated map and is raised, never swallowed.  The class check reads
     the fans and walk the constructor built.
@@ -348,7 +348,13 @@ def embed(map_: CombinatorialMap) -> PlanarComplex:
     triangles = {
         i + 1: tuple(relabel[v] for v in t) for i, t in enumerate(map_.triangles)
     }
-    interior_edges = [e for e, ps in sorted(planes_by_edge(triangles).items()) if len(ps) == 2]
+    walk_edges = set(zip(boundary, boundary[1:] + boundary[:1]))
+    interior_edges = sorted(
+        (relabel[v], relabel[w])
+        for v, ring in rot.items()
+        for w in ring
+        if relabel[v] < relabel[w] and (v, w) not in walk_edges and (w, v) not in walk_edges
+    )
     numbering = dict(enumerate(interior_edges, 1))
     try:
         complex_ = PlanarComplex(coords, triangles, numbering)
