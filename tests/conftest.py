@@ -1,7 +1,12 @@
+import hashlib
+import json
+import shutil
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import degen.catalog
 import degen.complexes
 from degen.catalog import open_catalog
 from degen.enumerator import embed, enumerate_maps
@@ -15,6 +20,36 @@ def records():
 @pytest.fixture(scope="session")
 def by_name(records):
     return {rec.name: rec for rec in records}
+
+
+@pytest.fixture
+def edited_catalog(tmp_path, monkeypatch):
+    """`edited_catalog(stem, edit)` copies the shipped catalog to
+    ``tmp_path/catalog`` unless a copy is there, rewrites case `stem` in it,
+    re-hashes that file in the manifest, points ``DEGEN_CATALOG_DIR`` at the
+    copy and returns the copy's directory.  `edit` is either the file's new
+    bytes or a function that edits the case's JSON object in place."""
+    root = tmp_path / "catalog"
+
+    def edit_case(stem, edit):
+        if not root.exists():
+            shutil.copytree(Path(degen.catalog.__file__).parent / "data", root)
+        case = root / "cases" / f"{stem}.json"
+        if callable(edit):
+            data = json.loads(case.read_text(encoding="utf-8"))
+            edit(data)
+            edit = json.dumps(data, ensure_ascii=False).encode("utf-8")
+        case.write_bytes(edit)
+        manifest_path = root / "manifest.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        for entry in manifest["cases"]:
+            if entry["file"].endswith(f"/{stem}.json"):
+                entry["sha256"] = hashlib.sha256(edit).hexdigest()
+        manifest_path.write_text(json.dumps(manifest, ensure_ascii=False), encoding="utf-8")
+        monkeypatch.setenv(degen.catalog.ENV_CATALOG_DIR, str(root))
+        return root
+
+    return edit_case
 
 
 @pytest.fixture(scope="session")

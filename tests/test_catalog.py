@@ -1,4 +1,3 @@
-import hashlib
 import json
 import shutil
 from pathlib import Path
@@ -46,11 +45,9 @@ def test_lookup_is_case_insensitive_on_short_names():
     assert load_case("U_6").name == "U_6"
 
 
-def test_listed_aliases_never_register(catalog_copy):
+def test_listed_aliases_never_register(edited_catalog):
     """Lookup is by name or file stem, whether or not the case was read."""
-    data = json.loads((catalog_copy / "cases" / "u-6.json").read_text())
-    data["aliases"].append("hexa")
-    rewrite_case(catalog_copy, json.dumps(data, ensure_ascii=False).encode(), stem="u-6")
+    edited_catalog("u-6", lambda data: data["aliases"].append("hexa"))
     catalog = open_catalog()
     with pytest.raises(CatalogError, match="no case named"):
         catalog.load("hexa")
@@ -148,28 +145,12 @@ def test_tampered_case_file_fails_checksum(catalog_copy):
     assert "U_{0,4}" in report.problems[0]
 
 
-def rewrite_case(catalog_dir, blob, stem="u-0-4"):
-    """Replace `stem`.json with `blob` and re-hash it in the manifest."""
-    victim = catalog_dir / "cases" / f"{stem}.json"
-    victim.write_bytes(blob)
-    manifest_path = catalog_dir / "manifest.json"
-    manifest = json.loads(manifest_path.read_text())
-    for entry in manifest["cases"]:
-        if entry["file"].endswith(f"/{stem}.json"):
-            entry["sha256"] = hashlib.sha256(blob).hexdigest()
-    manifest_path.write_text(json.dumps(manifest, ensure_ascii=False))
+def drop_rho(data):
+    del data["expected"]["rho"]
 
 
-def drop_expected_key(catalog_dir, key):
-    data = json.loads((catalog_dir / "cases" / "u-0-4.json").read_text())
-    del data["expected"][key]
-    rewrite_case(catalog_dir, json.dumps(data, ensure_ascii=False).encode())
-
-
-def test_record_must_carry_its_manifest_name(catalog_copy, capsys):
-    data = json.loads((catalog_copy / "cases" / "u-0-4.json").read_text())
-    data["name"] = "U_{9,9}"
-    rewrite_case(catalog_copy, json.dumps(data, ensure_ascii=False).encode())
+def test_record_must_carry_its_manifest_name(edited_catalog, capsys):
+    edited_catalog("u-0-4", lambda data: data.update(name="U_{9,9}"))
     refusal = "degen: error: malformed case U_{0,4} (u-0-4.json): its file names it U_{9,9}\n"
     for argv in (["list"], ["analyze", "U_{0,4}"]):
         assert main(argv) == 1
@@ -192,8 +173,8 @@ def test_manifest_refuses_two_entries_that_look_up_alike(catalog_copy):
     )
 
 
-def test_case_missing_a_key_is_a_named_error(catalog_copy, capsys):
-    drop_expected_key(catalog_copy, "rho")
+def test_case_missing_a_key_is_a_named_error(edited_catalog, capsys):
+    edited_catalog("u-0-4", drop_rho)
     assert main(["analyze", "U_{0,4}"]) == 1
     err_lines = capsys.readouterr().err.splitlines()
     assert len(err_lines) == 1
@@ -201,20 +182,21 @@ def test_case_missing_a_key_is_a_named_error(catalog_copy, capsys):
     assert "u-0-4.json" in err_lines[0]
 
 
-def test_verify_names_the_case_missing_a_key(catalog_copy):
-    drop_expected_key(catalog_copy, "rho")
-    report = verify_catalog(catalog_copy)
+def test_verify_names_the_case_missing_a_key(edited_catalog):
+    report = verify_catalog(edited_catalog("u-0-4", drop_rho))
     assert len(report.problems) == 1
     assert report.problems[0].startswith("U_{0,4}:")
 
 
-def test_case_whose_vertices_share_a_point_is_refused_by_name(catalog_copy, capsys):
+def test_case_whose_vertices_share_a_point_is_refused_by_name(edited_catalog, capsys):
     """A record is certified as an embedded disk where it is read."""
-    data = json.loads((catalog_copy / "cases" / "u-0-4.json").read_text())
-    vertices = dict(data["complex"]["vertices"])
-    vertices[2] = vertices[1]
-    data["complex"]["vertices"] = [[v, c] for v, c in sorted(vertices.items())]
-    rewrite_case(catalog_copy, json.dumps(data, ensure_ascii=False).encode())
+
+    def move_vertex_two_onto_one(data):
+        vertices = dict(data["complex"]["vertices"])
+        vertices[2] = vertices[1]
+        data["complex"]["vertices"] = [[v, c] for v, c in sorted(vertices.items())]
+
+    edited_catalog("u-0-4", move_vertex_two_onto_one)
     assert main(["analyze", "U_{0,4}"]) == 1
     assert capsys.readouterr().err == (
         "degen: error: malformed case U_{0,4} (u-0-4.json): vertices 1 and 2 share"
@@ -223,17 +205,17 @@ def test_case_whose_vertices_share_a_point_is_refused_by_name(catalog_copy, caps
     )
 
 
-def test_undecodable_case_file_is_a_named_error(catalog_copy):
-    rewrite_case(catalog_copy, b"\xff not utf-8")
+def test_undecodable_case_file_is_a_named_error(edited_catalog):
+    edited_catalog("u-0-4", b"\xff not utf-8")
     with pytest.raises(CatalogError, match=r"u-0-4\.json"):
         load_case("U_{0,4}")
 
 
-def test_utf16_case_file_is_refused_as_not_utf8(catalog_copy):
+def test_utf16_case_file_is_refused_as_not_utf8(edited_catalog):
     """A case file is decoded as UTF-8 only, so a UTF-16 copy of it, with its
     byte order mark, is refused though `json.loads` would read its bytes."""
-    text = (catalog_copy / "cases" / "u-0-4.json").read_text(encoding="utf-8")
-    rewrite_case(catalog_copy, text.encode("utf-16"))
+    text = (DATA_DIR / "cases" / "u-0-4.json").read_text(encoding="utf-8")
+    edited_catalog("u-0-4", text.encode("utf-16"))
     with pytest.raises(CatalogError) as info:
         load_case("U_{0,4}")
     assert str(info.value).startswith(

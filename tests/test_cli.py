@@ -5,7 +5,6 @@ import json
 import os
 import random
 import re
-import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -88,29 +87,8 @@ def test_analyze_without_hints_reports_undecided_not_mismatch(capsys):
     assert all(row["consistent"] for row in rows)
 
 
-def edited_catalog(tmp_path, monkeypatch, stem, edit):
-    """Point DEGEN_CATALOG_DIR at a copy whose case `stem` went through `edit`,
-    and return the copy's directory."""
-    dst = tmp_path / "catalog"
-    shutil.copytree(DATA_DIR, dst)
-    case_path = dst / "cases" / f"{stem}.json"
-    data = json.loads(case_path.read_text())
-    edit(data)
-    case_path.write_text(json.dumps(data, ensure_ascii=False, indent=1))
-    manifest_path = dst / "manifest.json"
-    manifest = json.loads(manifest_path.read_text())
-    for entry in manifest["cases"]:
-        if entry["file"].endswith(f"/{stem}.json"):
-            entry["sha256"] = hashlib.sha256(case_path.read_bytes()).hexdigest()
-    manifest_path.write_text(json.dumps(manifest, ensure_ascii=False))
-    monkeypatch.setenv("DEGEN_CATALOG_DIR", str(dst))
-    return dst
-
-
-def test_analyze_flags_tampered_expectation(capsys, tmp_path, monkeypatch):
-    edited_catalog(
-        tmp_path, monkeypatch, "u-0-4", lambda d: d["expected"].update(pi1="nontrivial")
-    )
+def test_analyze_flags_tampered_expectation(capsys, edited_catalog):
+    edited_catalog("u-0-4", lambda d: d["expected"].update(pi1="nontrivial"))
     rc, out, _ = run(capsys, "analyze", "U_{0,4}", "--format", "json")
     assert rc == 2
     assert json.loads(out)["consistent"] is False
@@ -118,10 +96,10 @@ def test_analyze_flags_tampered_expectation(capsys, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("command", ["analyze", "export"])
 def test_catalog_relator_on_a_generator_that_is_no_line_is_refused(
-    capsys, tmp_path, monkeypatch, command
+    capsys, edited_catalog, command
 ):
     edited_catalog(
-        tmp_path, monkeypatch, "u-6",
+        "u-6",
         lambda d: d["extra_inner_relators"].append([[99, 1], [99, 1]]),
     )
     rc, out, err = run(capsys, command, "U_6")
@@ -145,9 +123,9 @@ MISNUMBERED_U04 = (
 
 
 def test_catalog_lines_not_numbered_contiguously_are_a_named_error(
-    capsys, tmp_path, monkeypatch
+    capsys, edited_catalog
 ):
-    root = edited_catalog(tmp_path, monkeypatch, "u-0-4", renumber_line_five_as_seven)
+    root = edited_catalog("u-0-4", renumber_line_five_as_seven)
     for command in ("analyze", "export"):
         rc, out, err = run(capsys, command, "U_{0,4}")
         assert (rc, out, err) == (1, "", f"degen: error: {MISNUMBERED_U04}\n"), command
@@ -165,11 +143,11 @@ def number_line_one_again_as_six(data):
     [["analyze", "U_{0,6,2}"], ["analyze", "--all"], ["export", "U_{0,6,2}"], ["table"]],
     ids=["analyze", "analyze-all", "export", "table"],
 )
-def test_catalog_line_on_a_numbered_edge_is_refused(capsys, tmp_path, monkeypatch, argv):
+def test_catalog_line_on_a_numbered_edge_is_refused(capsys, edited_catalog, argv):
     """A sixth index on line 1's edge keeps the indices 1..L; reading the case
     builds its line → planes table, which refuses the repeat before a fork or a
     node count can read it, and the error names the case."""
-    edited_catalog(tmp_path, monkeypatch, "u-0-6-2", number_line_one_again_as_six)
+    edited_catalog("u-0-6-2", number_line_one_again_as_six)
     rc, out, err = run(capsys, *argv)
     assert (rc, out, err) == (
         1,
@@ -188,10 +166,10 @@ def drop_the_third_corner_of_plane_one(data):
 @pytest.mark.parametrize(
     "argv", [["analyze", "U_{0,4}"], ["table"], ["list"]], ids=["analyze", "table", "list"]
 )
-def test_catalog_plane_without_three_corners_is_refused(capsys, tmp_path, monkeypatch, argv):
+def test_catalog_plane_without_three_corners_is_refused(capsys, edited_catalog, argv):
     """Reading the case refuses the plane where its complex is built, before
     its edges are read, and the error names the case and the plane."""
-    edited_catalog(tmp_path, monkeypatch, "u-0-4", drop_the_third_corner_of_plane_one)
+    edited_catalog("u-0-4", drop_the_third_corner_of_plane_one)
     rc, out, err = run(capsys, *argv)
     assert (rc, out, err) == (
         1,
@@ -207,10 +185,10 @@ def drop_vertex_eight(data):
 @pytest.mark.parametrize(
     "argv", [["analyze", "U_{0,4}"], ["table"], ["list"]], ids=["analyze", "table", "list"]
 )
-def test_catalog_plane_on_an_unlisted_vertex_is_refused(capsys, tmp_path, monkeypatch, argv):
+def test_catalog_plane_on_an_unlisted_vertex_is_refused(capsys, edited_catalog, argv):
     """Planes 5 and 6 of U_{0,4} name vertex 8; without it in the vertices
     table the case is refused in `validate`'s words, naming the first plane."""
-    edited_catalog(tmp_path, monkeypatch, "u-0-4", drop_vertex_eight)
+    edited_catalog("u-0-4", drop_vertex_eight)
     rc, out, err = run(capsys, *argv)
     assert (rc, out, err) == (
         1,
@@ -241,10 +219,10 @@ def drop_the_hints(data):
     ],
     ids=["fractional-coordinate", "no-hints"],
 )
-def test_catalog_refusals_print_no_python_repr(capsys, tmp_path, monkeypatch, stem, edit, fault):
+def test_catalog_refusals_print_no_python_repr(capsys, edited_catalog, stem, edit, fault):
     """A malformed record is refused in words: a `ComplexError` by its text and
     a missing key by its name, never as ``ComplexError(...)`` or ``KeyError(...)``."""
-    edited_catalog(tmp_path, monkeypatch, stem, edit)
+    edited_catalog(stem, edit)
     rc, out, err = run(capsys, "table")
     assert (rc, out, err) == (1, "", f"degen: error: malformed case {fault}\n")
 
@@ -324,7 +302,7 @@ def test_catalog_refusals_print_no_python_repr(capsys, tmp_path, monkeypatch, st
     ],
 )
 def test_catalog_record_fields_are_checked_not_coerced(
-    capsys, tmp_path, monkeypatch, stem, path, value, fault
+    capsys, edited_catalog, stem, path, value, fault
 ):
     """A record field of the wrong JSON type is refused by its name: no raw
     Python text, no ``str(None)`` verdict to mismatch, and no ``int()`` that
@@ -336,7 +314,7 @@ def test_catalog_record_fields_are_checked_not_coerced(
             data = data[step]
         data[key] = value
 
-    edited_catalog(tmp_path, monkeypatch, stem, edit)
+    edited_catalog(stem, edit)
     name = fault.split(" (")[0]
     rc, out, err = run(capsys, "analyze", name)
     assert (rc, out, err) == (1, "", f"degen: error: malformed case {fault}\n")

@@ -12,10 +12,8 @@ test, and so does an entry that runs again.
 """
 
 import ast
-import hashlib
 import json
 import re
-import shutil
 import sys
 from pathlib import Path
 
@@ -93,25 +91,7 @@ def run_main(argv: list[str]) -> int:
         return exc.code
 
 
-def stale_hint_catalog(tmp_path: Path) -> Path:
-    """A catalog copy where `U_{0,6,2}` carries a hint on a line it lacks."""
-    root = tmp_path / "catalog"
-    shutil.copytree(PACKAGE / "data", root)
-    case = root / "cases" / "u-0-6-2.json"
-    data = json.loads(case.read_text(encoding="utf-8"))
-    data["hints"].append({"line": 1, "preconditions": [99], "citation": "15-vert3"})
-    blob = json.dumps(data, ensure_ascii=False).encode("utf-8")
-    case.write_bytes(blob)
-    manifest_path = root / "manifest.json"
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    for entry in manifest["cases"]:
-        if entry["file"].endswith("/u-0-6-2.json"):
-            entry["sha256"] = hashlib.sha256(blob).hexdigest()
-    manifest_path.write_text(json.dumps(manifest, ensure_ascii=False), encoding="utf-8")
-    return root
-
-
-def exercise(tmp_path: Path, monkeypatch) -> None:
+def exercise(tmp_path: Path, edited_catalog) -> None:
     paths = {None: tmp_path / "maps", SHARED: tmp_path / "shared-point.json"}
     paths[SHARED].write_text(json.dumps(SHARED_POINT), encoding="utf-8")
     for argv, code in COMMANDS:
@@ -130,11 +110,17 @@ def exercise(tmp_path: Path, monkeypatch) -> None:
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     (example,) = re.findall(r"```python\n(.*?)```", readme, re.S)
     exec(compile(example, "README.md", "exec"), {})
-    monkeypatch.setenv(degen.catalog.ENV_CATALOG_DIR, str(stale_hint_catalog(tmp_path)))
+    # `U_{0,6,2}` with a hint on a line it lacks
+    edited_catalog(
+        "u-0-6-2",
+        lambda data: data["hints"].append(
+            {"line": 1, "preconditions": [99], "citation": "15-vert3"}
+        ),
+    )
     assert run_main(["analyze", "U_{0,6,2}", "--format", "json"]) == 0
 
 
-def test_every_function_runs_or_is_a_named_benchmark_entry(tmp_path, monkeypatch, capsys):
+def test_every_function_runs_or_is_a_named_benchmark_entry(tmp_path, edited_catalog, capsys):
     # a cached module-level function would not run again after an earlier test
     for module in [m for name, m in sys.modules.items() if name.startswith("degen.")]:
         for value in vars(module).values():
@@ -149,7 +135,7 @@ def test_every_function_runs_or_is_a_named_benchmark_entry(tmp_path, monkeypatch
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        exercise(tmp_path, monkeypatch)
+        exercise(tmp_path, edited_catalog)
     finally:
         sys.setprofile(previous)
     capsys.readouterr()
