@@ -94,6 +94,36 @@ def test_analyze_flags_tampered_expectation(capsys, edited_catalog):
     assert json.loads(out)["consistent"] is False
 
 
+def set_chi_coeff_of_u04_to_minus_five_thirds(data):
+    data["expected"]["chi_coeff"] = "-5/3"
+
+
+CHI_DIFF = {"name": "U_{0,4}", "field": "chi_coeff", "computed": "-4/3", "catalog": "-5/3"}
+
+
+def test_table_flags_a_tampered_chern_coefficient(capsys, edited_catalog):
+    edited_catalog("u-0-4", set_chi_coeff_of_u04_to_minus_five_thirds)
+    rc, out, err = run(capsys, "table")
+    assert (rc, err) == (2, "")
+    assert out.splitlines()[-1] == "DIFF U_{0,4} chi_coeff: computed -4/3 != catalog -5/3"
+    rc, out, err = run(capsys, "table", "--format", "json")
+    assert (rc, err) == (2, "")
+    assert json.loads(out)["diffs"] == [CHI_DIFF]
+
+
+@pytest.mark.parametrize(
+    "argv, refusal",
+    [
+        (["analyze"], "pass exactly one of a selector or --all"),
+        (["analyze", "--all", "U_6"], "pass exactly one of a selector or --all"),
+        (["enumerate", "--triangles", "6"], "full mode needs --out-dir (or pass --count-only)"),
+    ],
+    ids=["analyze-nothing", "analyze-both", "enumerate-full"],
+)
+def test_usage_refusals_are_worded(capsys, argv, refusal):
+    assert run(capsys, *argv) == (1, "", f"degen: error: {refusal}\n")
+
+
 @pytest.mark.parametrize("command", ["analyze", "export"])
 def test_catalog_relator_on_a_generator_that_is_no_line_is_refused(
     capsys, edited_catalog, command
@@ -927,6 +957,8 @@ GOLDEN_MARKDOWN = {
         "a0a2be4956bac9ec06ed78ea7872be29ca3c6ecbd462eb411d53dbab21072b3e",
     ("table",):
         "c04c6f23438f059b6ab5963f99c8b413d27c94449d0d38f28e58756cd947598e",
+    ("list",):
+        "c8335dc687cf74d45b84ffb53ef2f067a00b8c002ca15bbb7648d56e0894eec2",
 }
 
 
@@ -979,6 +1011,19 @@ def test_export_json_of_every_case_matches_golden_digest(capsys):
         outs.append(out)
     digest = hashlib.sha256("".join(outs).encode()).hexdigest()
     assert digest == GOLDEN_JSON_OTHER["export"]
+
+
+# SHA-256 of `export`'s text form for every case, in catalog order
+GOLDEN_EXPORT_TEXT = "0e90aa9767ef5b439b18c02142804b751aee78dabd25e3d96d6b7fba80c49488"
+
+
+def test_export_text_of_every_case_matches_golden_digest(capsys):
+    outs = []
+    for name in degen.catalog.open_catalog().names():
+        rc, out, _ = run(capsys, "export", name)
+        assert rc == 0
+        outs.append(out)
+    assert hashlib.sha256("".join(outs).encode()).hexdigest() == GOLDEN_EXPORT_TEXT
 
 
 def test_analyze_json_of_embedded_disks_matches_golden_digest(capsys, tmp_path, monkeypatch):
