@@ -48,6 +48,10 @@ _ERRORS = (
 )
 
 
+# the Chern coefficients of n! that `ChernData` and `ExpectedResults` share
+_COEFFS = ("c1_sq_coeff", "c2_coeff", "chi_coeff")
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on bad usage; remap to the operational code."""
 
@@ -147,17 +151,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def cmd_list(args: argparse.Namespace) -> int:
-    catalog = open_catalog()
+    chi = _COEFFS[-1]  # the one coefficient `list` shows
     rows = [
-        {"name": rec.name, "pi1": rec.expected.pi1, "chi_coeff": str(rec.expected.chi_coeff)}
-        for rec in catalog
+        {"name": rec.name, "pi1": rec.expected.pi1, chi: str(getattr(rec.expected, chi))}
+        for rec in open_catalog()
     ]
     if args.format == "json":
         print(json_text(rows))
     else:
-        print(_md_table(("case", "pi1", "chi/6!"), [
-            (r["name"], r["pi1"], r["chi_coeff"]) for r in rows
-        ]))
+        print(_md_table(("case", "pi1", "chi/6!"), rows))
         print(f"\n{len(rows)} cases")
     return EXIT_OK
 
@@ -205,7 +207,7 @@ def _looks_like_path(selector: str) -> bool:
 
 
 def _analyze_record(rec, args: argparse.Namespace) -> dict[str, Any]:
-    report = _analysis_body(rec.name, rec.complex, rec, args)
+    report = _analysis_body(rec.name, rec, args)
     report["expected_pi1"] = rec.expected.pi1
     outcome = report["verdict"]["outcome"]
     if args.no_hints:
@@ -227,7 +229,7 @@ def _analyze_file(path: str, args: argparse.Namespace) -> dict[str, Any]:
     try:  # every refusal, from the file's shape to its verdict, names the file
         complex_ = PlanarComplex.from_json(data)
         complex_.check_embedded()
-        report = _analysis_body(path, complex_, complex_, args)
+        report = _analysis_body(path, complex_, args)
     except _ERRORS as exc:
         raise ComplexError(f"{path}: {exc}") from exc
     report["expected_pi1"] = None
@@ -235,7 +237,8 @@ def _analyze_file(path: str, args: argparse.Namespace) -> dict[str, Any]:
     return report
 
 
-def _analysis_body(name: str, complex_: PlanarComplex, source, args) -> dict[str, Any]:
+def _analysis_body(name: str, source, args) -> dict[str, Any]:
+    complex_ = getattr(source, "complex", source)  # as `decide` reads it
     verdict = decide(
         source,
         use_hints=not args.no_hints,
@@ -265,22 +268,40 @@ def _analysis_body(name: str, complex_: PlanarComplex, source, args) -> dict[str
         "points": points,
         "presentation": counts,
         "verdict": verdict.to_json(),
-        "branch_stats": {
-            "n": stats.n, "m": stats.m, "mu": stats.mu, "d": stats.d, "rho": stats.rho,
-        },
+        "branch_stats": stats._asdict(),
         "chern": {
             "c1_sq": data.c1_sq,
             "c2": data.c2,
             "chi": _json_number(data.chi),
-            "c1_sq_coeff": str(data.c1_sq_coeff),
-            "c2_coeff": str(data.c2_coeff),
-            "chi_coeff": str(data.chi_coeff),
+            **_texts(data),
         },
     }
 
 
 def _json_number(value: Fraction) -> int | str:
     return int(value) if value.denominator == 1 else str(value)
+
+
+def _texts(values) -> dict[str, str]:
+    """The coefficients of a `ChernData` or an `ExpectedResults`, as text."""
+    return {field: str(getattr(values, field)) for field in _COEFFS}
+
+
+def _diffs(rec, computed: dict[str, str]) -> list[dict[str, str]]:
+    """`table`'s diff entries for catalog record `rec`: each coefficient whose
+    text in `computed` is not the catalog's.  A `Fraction` prints in lowest
+    terms, so two texts differ exactly when the values do."""
+    expected = _texts(rec.expected)
+    return [
+        {"name": rec.name, "field": field, "computed": computed[field], "catalog": expected[field]}
+        for field in _COEFFS
+        if computed[field] != expected[field]
+    ]
+
+
+def _diff_text(diff: dict[str, str]) -> str:
+    return (f"DIFF {diff['name']} {diff['field']}:"
+            f" computed {diff['computed']} != catalog {diff['catalog']}")
 
 
 def _render_analysis(report: dict[str, Any], *, verbose: bool) -> str:
@@ -296,9 +317,7 @@ def _render_analysis(report: dict[str, Any], *, verbose: bool) -> str:
         status = "consistent" if report["consistent"] else "MISMATCH"
         lines.append(f"- catalog expectation: {report['expected_pi1']} -> {status}")
     bs = report["branch_stats"]
-    lines.append(
-        f"- branch stats: m={bs['m']} mu={bs['mu']} d={bs['d']} rho={bs['rho']}"
-    )
+    lines.append("- branch stats: " + " ".join(f"{k}={v}" for k, v in bs.items() if k != "n"))
     ch = report["chern"]
     fact = f"{bs['n']}!"
     lines.append(
@@ -310,10 +329,7 @@ def _render_analysis(report: dict[str, Any], *, verbose: bool) -> str:
     text = "none" if counts is None else ", ".join(f"{kind} {n}" for kind, n in counts.items())
     lines.append(f"- presentation: {text}")
     lines.append("")
-    lines.append(_md_table(("vertex", "kind", "k", "lines"), [
-        (p["vertex"], p["kind"], p["multiplicity"], " ".join(map(str, p["lines"])))
-        for p in report["points"]
-    ]))
+    lines.append(_md_table(("vertex", "kind", "k", "lines"), report["points"]))
     if verbose:
         lines.append("")
         lines.append("derivation steps:")
@@ -330,43 +346,20 @@ def _render_analysis(report: dict[str, Any], *, verbose: bool) -> str:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    catalog = open_catalog()
     rows = []
     diffs = []
-    for rec in catalog:
-        data = chern(branch_stats(rec.complex))
-        row = {
-            "name": rec.name,
-            "c1_sq_coeff": str(data.c1_sq_coeff),
-            "c2_coeff": str(data.c2_coeff),
-            "chi_coeff": str(data.chi_coeff),
-            "pi1": rec.expected.pi1,
-        }
-        rows.append(row)
-        for field, computed, expected in (
-            ("c1_sq_coeff", data.c1_sq_coeff, rec.expected.c1_sq_coeff),
-            ("c2_coeff", data.c2_coeff, rec.expected.c2_coeff),
-            ("chi_coeff", data.chi_coeff, rec.expected.chi_coeff),
-        ):
-            if computed != expected:
-                diffs.append(
-                    {"name": rec.name, "field": field,
-                     "computed": str(computed), "catalog": str(expected)}
-                )
+    for rec in open_catalog():
+        computed = _texts(chern(branch_stats(rec.complex)))
+        rows.append({"name": rec.name, **computed, "pi1": rec.expected.pi1})
+        diffs += _diffs(rec, computed)
     if args.format == "json":
         print(json_text({"rows": rows, "diffs": diffs}))
     else:
-        print(_md_table(
-            ("case", "c1^2/6!", "c2/6!", "chi/6!", "pi1"),
-            [(r["name"], r["c1_sq_coeff"], r["c2_coeff"], r["chi_coeff"], r["pi1"])
-             for r in rows],
-        ))
+        print(_md_table(("case", "c1^2/6!", "c2/6!", "chi/6!", "pi1"), rows))
         print()
-        if diffs:
-            for d in diffs:
-                print(f"DIFF {d['name']} {d['field']}:"
-                      f" computed {d['computed']} != catalog {d['catalog']}")
-        else:
+        for d in diffs:
+            print(_diff_text(d))
+        if not diffs:
             print("diffs against catalog: none")
     return EXIT_MISMATCH if diffs else EXIT_OK
 
@@ -418,11 +411,13 @@ def cmd_export(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _md_table(headers: tuple[str, ...], rows: list[tuple]) -> str:
+def _md_table(headers: tuple[str, ...], rows: list[dict[str, Any]]) -> str:
+    """Each row's values in key order; a list cell is its items joined by spaces."""
     out = ["| " + " | ".join(headers) + " |",
            "| " + " | ".join("---" for _ in headers) + " |"]
     for row in rows:
-        out.append("| " + " | ".join(str(c) for c in row) + " |")
+        cells = (" ".join(map(str, c)) if isinstance(c, list) else str(c) for c in row.values())
+        out.append("| " + " | ".join(cells) + " |")
     return "\n".join(out)
 
 

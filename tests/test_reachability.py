@@ -1,8 +1,9 @@
 """Every function in `src/degen` runs under the commands a user types.
 
 A fixed list of `degen` commands, `analyze` on a catalog disk written to a
-file, the README's library example and a stale catalog hint run in process
-under `sys.setprofile`, which records the code object of every Python call.
+file, the README's library example, a stale catalog hint and a catalog Chern
+coefficient that the computation contradicts run in process under
+`sys.setprofile`, which records the code object of every Python call.
 Each `def` in the package, nested ones too, is keyed by its file and first
 line (the first decorator's line for a decorated one), so the check needs no
 `co_qualname`, which Python 3.10 lacks.  The functions that never ran must
@@ -118,6 +119,9 @@ def exercise(tmp_path: Path, edited_catalog) -> None:
         ),
     )
     assert run_main(["analyze", "U_{0,6,2}", "--format", "json"]) == 0
+    # `U_{0,4}` with a Chern coefficient the computation does not give
+    edited_catalog("u-0-4", lambda data: data["expected"].update(chi_coeff="-5/3"))
+    assert run_main(["table"]) == 2
 
 
 def test_every_function_runs_or_is_a_named_benchmark_entry(tmp_path, edited_catalog, capsys):
