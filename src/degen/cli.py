@@ -210,13 +210,15 @@ def _analyze_record(rec, args: argparse.Namespace) -> dict[str, Any]:
     report = _analysis_body(rec.name, rec, args)
     report["expected_pi1"] = rec.expected.pi1
     outcome = report["verdict"]["outcome"]
-    if args.no_hints:
-        # lemmas-only runs may lose hint-dependent completions; only a
-        # decided-versus-decided disagreement counts as a contradiction
-        decided = "undecided" not in (outcome, rec.expected.pi1)
-        report["consistent"] = (not decided) or outcome == rec.expected.pi1
-    else:
-        report["consistent"] = outcome == rec.expected.pi1
+    # lemmas-only runs may lose hint-dependent completions; only a
+    # decided-versus-decided disagreement counts as a contradiction
+    agrees = outcome == rec.expected.pi1 or (
+        args.no_hints and "undecided" in (outcome, rec.expected.pi1)
+    )
+    diffs = _diffs(rec, report["chern"])  # hints never move a Chern number
+    report["consistent"] = agrees and not diffs
+    if diffs:
+        report["diffs"] = diffs
     return report
 
 
@@ -316,6 +318,7 @@ def _render_analysis(report: dict[str, Any], *, verbose: bool) -> str:
     if report["expected_pi1"] is not None:
         status = "consistent" if report["consistent"] else "MISMATCH"
         lines.append(f"- catalog expectation: {report['expected_pi1']} -> {status}")
+        lines.extend(f"- {_diff_text(d)}" for d in report.get("diffs", ()))
     bs = report["branch_stats"]
     lines.append("- branch stats: " + " ".join(f"{k}={v}" for k, v in bs.items() if k != "n"))
     ch = report["chern"]

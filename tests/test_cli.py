@@ -111,6 +111,25 @@ def test_table_flags_a_tampered_chern_coefficient(capsys, edited_catalog):
     assert json.loads(out)["diffs"] == [CHI_DIFF]
 
 
+@pytest.mark.parametrize("hints", [[], ["--no-hints"]], ids=["hints", "no-hints"])
+def test_analyze_flags_a_tampered_chern_coefficient(capsys, edited_catalog, hints):
+    """The π₁ verdict agrees, yet a catalog coefficient that the computation
+    contradicts makes the record inconsistent, whether or not hints are read."""
+    edited_catalog("u-0-4", set_chi_coeff_of_u04_to_minus_five_thirds)
+    rc, out, err = run(capsys, "analyze", "U_{0,4}", *hints)
+    assert (rc, err) == (2, "")
+    lines = out.splitlines()
+    at = lines.index("- catalog expectation: trivial -> MISMATCH")
+    assert lines[at + 1] == "- DIFF U_{0,4} chi_coeff: computed -4/3 != catalog -5/3"
+    assert lines[-1] == "consistent with catalog: 0/1"
+    rc, out, err = run(capsys, "analyze", "U_{0,4}", *hints, "--format", "json")
+    assert (rc, err) == (2, "")
+    report = json.loads(out)
+    assert report["verdict"]["outcome"] == report["expected_pi1"] == "trivial"
+    assert report["consistent"] is False
+    assert report["diffs"] == [CHI_DIFF]
+
+
 @pytest.mark.parametrize(
     "argv, refusal",
     [

@@ -121,7 +121,7 @@ def exercise(tmp_path: Path, edited_catalog) -> None:
     assert run_main(["analyze", "U_{0,6,2}", "--format", "json"]) == 0
     # `U_{0,4}` with a Chern coefficient the computation does not give
     edited_catalog("u-0-4", lambda data: data["expected"].update(chi_coeff="-5/3"))
-    assert run_main(["table"]) == 2
+    assert run_main(["table"]) == run_main(["analyze", "U_{0,4}"]) == 2
 
 
 def test_every_function_runs_or_is_a_named_benchmark_entry(tmp_path, edited_catalog, capsys):
