@@ -81,9 +81,8 @@ def segments_conflict(a: Point, b: Point, c: Point, d: Point) -> bool:
 
     A shared endpoint is the only contact allowed between distinct edges of a
     planar complex; crossings, T-contacts, and collinear overlaps all count as
-    conflicts.  Segments whose bounding boxes are apart are rejected first;
-    then an endpoint of one segment strictly on one side of the other's line,
-    with its partner strictly on the same side, rules contact out.  What
+    conflicts.  An endpoint of one segment strictly on one side of the other's
+    line, with its partner strictly on the same side, rules contact out.  What
     remains is a proper crossing, when no endpoint is on the other's line, or
     else a contact exactly when an endpoint lies on the other segment short of
     its ends: for ``p`` on the line of ``uv``, when ``(p - u) . (p - v) < 0``.
@@ -98,13 +97,6 @@ def segments_conflict(a: Point, b: Point, c: Point, d: Point) -> bool:
     bx, by = b
     cx, cy = c
     dx, dy = d
-    if (
-        (cx > ax < dx and cx > bx < dx)
-        or (cx < ax > dx and cx < bx > dx)
-        or (cy > ay < dy and cy > by < dy)
-        or (cy < ay > dy and cy < by > dy)
-    ):
-        return False
     ux, uy = bx - ax, by - ay
     o1 = ux * (cy - ay) - uy * (cx - ax)
     o2 = ux * (dy - ay) - uy * (dx - ax)
