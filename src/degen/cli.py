@@ -100,7 +100,7 @@ def _build_parser() -> _Parser:
     p_an.add_argument(
         "--no-hints",
         action="store_true",
-        help="lemmas only; consistency check relaxes to non-contradiction",
+        help="lemmas only; the pi1 check relaxes to non-contradiction",
     )
     p_an.add_argument(
         "--verbose", "-v", action="store_true", help="include derivation steps"
