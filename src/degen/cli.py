@@ -22,7 +22,7 @@ from typing import Any, Callable
 from .catalog import CatalogError, open_catalog
 from .complexes import ComplexError, PlanarComplex, json_text
 from .enumerator import EnumeratorError, embed, enumerate_maps
-from .fpgroup import DEFAULT_MAX_COSETS, EnumerationError
+from .fpgroup import EnumerationError
 from .invariants import InvariantError, branch_stats, chern
 from .pipeline import PipelineError, decide
 from .relations import (
@@ -91,13 +91,6 @@ def _build_parser() -> _Parser:
     p_an.add_argument("--all", action="store_true", help="analyze every catalog case")
     add_format(p_an)
     p_an.add_argument(
-        "--max-cosets",
-        type=_positive_int,
-        default=DEFAULT_MAX_COSETS,
-        help="budget of cosets the enumeration over the line-chain subgroup"
-        f" may define (default: {DEFAULT_MAX_COSETS})",
-    )
-    p_an.add_argument(
         "--no-hints",
         action="store_true",
         help="lemmas only; the pi1 check relaxes to non-contradiction",
@@ -111,11 +104,10 @@ def _build_parser() -> _Parser:
 
     p_enum = sub.add_parser("enumerate", help="classify maps by triangle count")
     p_enum.add_argument("--triangles", type=_positive_int, required=True, metavar="N")
-    mode = p_enum.add_mutually_exclusive_group()
-    mode.add_argument("--count-only", action="store_true", help="emit just the class count")
-    mode.add_argument(
+    p_enum.add_argument(
         "--out-dir",
-        help="directory for degen-complex/1 files (full mode); it must hold no map-*.json",
+        help="directory for degen-complex/1 files; it must hold no map-*.json"
+        " (without it, just the class count is printed)",
     )
 
     p_exp = sub.add_parser("export", help="write a case's group presentation")
@@ -215,7 +207,8 @@ def _analyze_record(rec, args: argparse.Namespace) -> dict[str, Any]:
     agrees = outcome == rec.expected.pi1 or (
         args.no_hints and "undecided" in (outcome, rec.expected.pi1)
     )
-    diffs = _diffs(rec, report["chern"])  # hints never move a Chern number
+    # hints move neither a branch number nor a Chern number
+    diffs = _diffs(rec, {**report["branch_stats"], **report["chern"]})
     report["consistent"] = agrees and not diffs
     if diffs:
         report["diffs"] = diffs
@@ -241,11 +234,7 @@ def _analyze_file(path: str, args: argparse.Namespace) -> dict[str, Any]:
 
 def _analysis_body(name: str, source, args) -> dict[str, Any]:
     complex_ = getattr(source, "complex", source)  # as `decide` reads it
-    verdict = decide(
-        source,
-        use_hints=not args.no_hints,
-        max_cosets=args.max_cosets,
-    )
+    verdict = decide(source, use_hints=not args.no_hints)
     stats = branch_stats(complex_)
     data = chern(stats)
     points = [
@@ -285,19 +274,19 @@ def _json_number(value: Fraction) -> int | str:
 
 
 def _texts(values) -> dict[str, str]:
-    """The coefficients of a `ChernData` or an `ExpectedResults`, as text."""
+    """The coefficients of a `ChernData`, as text."""
     return {field: str(getattr(values, field)) for field in _COEFFS}
 
 
-def _diffs(rec, computed: dict[str, str]) -> list[dict[str, str]]:
-    """`table`'s diff entries for catalog record `rec`: each coefficient whose
-    text in `computed` is not the catalog's.  A `Fraction` prints in lowest
+def _diffs(rec, computed: dict[str, Any]) -> list[dict[str, str]]:
+    """The diff entries for catalog record `rec`: each field of its
+    expectations that `computed` also holds, in the record's field order,
+    whose text there is not the catalog's.  A `Fraction` prints in lowest
     terms, so two texts differ exactly when the values do."""
-    expected = _texts(rec.expected)
     return [
-        {"name": rec.name, "field": field, "computed": computed[field], "catalog": expected[field]}
-        for field in _COEFFS
-        if computed[field] != expected[field]
+        {"name": rec.name, "field": field, "computed": text, "catalog": str(value)}
+        for field, value in rec.expected._asdict().items()
+        if field in computed and (text := str(computed[field])) != str(value)
     ]
 
 
@@ -352,9 +341,10 @@ def cmd_table(args: argparse.Namespace) -> int:
     rows = []
     diffs = []
     for rec in open_catalog():
-        computed = _texts(chern(branch_stats(rec.complex)))
-        rows.append({"name": rec.name, **computed, "pi1": rec.expected.pi1})
-        diffs += _diffs(rec, computed)
+        stats = branch_stats(rec.complex)
+        coeffs = _texts(chern(stats))
+        rows.append({"name": rec.name, **coeffs, "pi1": rec.expected.pi1})
+        diffs += _diffs(rec, {**stats._asdict(), **coeffs})
     if args.format == "json":
         print(json_text({"rows": rows, "diffs": diffs}))
     else:
@@ -373,11 +363,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    if not args.count_only:  # refuse before the enumeration, not after
-        if not args.out_dir:
-            print("degen: error: full mode needs --out-dir (or pass --count-only)",
-                  file=sys.stderr)
-            return EXIT_ERROR
+    if args.out_dir is not None:  # refuse before the enumeration, not after
         os.makedirs(args.out_dir, exist_ok=True)  # a file at the path fails here
         held = sum(n.startswith("map-") and n.endswith(".json") for n in os.listdir(args.out_dir))
         if held:
@@ -386,7 +372,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             return EXIT_ERROR
     # the explicit request is the conscious choice the library's guard asks for
     maps = enumerate_maps(args.triangles, guard=args.triangles)
-    if args.count_only:
+    if args.out_dir is None:
         print(len(maps))
         return EXIT_OK
     width = max(2, len(str(len(maps))))

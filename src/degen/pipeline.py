@@ -13,8 +13,8 @@ The verdict combines three ingredients, applied strictly in this order:
    chain of k lines that obey the Coxeter relations of type A_k, which has
    order (k+1)!: the group order is the index times (k+1)!.  Order n! means
    the group is the symmetric group and the cover's fundamental group is
-   trivial; a larger order certifies nontriviality; running out of cosets
-   leaves the case undecided.
+   trivial; a larger order certifies nontriviality; running out of the
+   `fpgroup.DEFAULT_MAX_COSETS` budget leaves the case undecided.
 """
 
 from __future__ import annotations
@@ -23,12 +23,7 @@ import math
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from .complexes import PlanarComplex, SingularPoint
-from .fpgroup import (
-    DEFAULT_MAX_COSETS,
-    EnumerationStats,
-    first_broken_relator,
-    todd_coxeter,
-)
+from .fpgroup import EnumerationStats, first_broken_relator, todd_coxeter
 from .relations import (
     Presentation,
     UnsupportedCaseError,
@@ -208,7 +203,8 @@ class Verdict(NamedTuple):
 
     `subgroup` is the line chain whose cosets were enumerated, and
     `presentation` the presentation they were enumerated in, which a report
-    reads its relator counts from; neither is part of `to_json`.
+    reads its relator counts from; `to_json` writes `subgroup` as
+    `enumeration.subgroup` and leaves `presentation` out.
     """
 
     outcome: str
@@ -316,12 +312,7 @@ def _coxeter_chain(line_planes: Mapping[int, tuple[int, int]]) -> tuple[int, ...
     return best
 
 
-def decide(
-    source,
-    *,
-    use_hints: bool = True,
-    max_cosets: int = DEFAULT_MAX_COSETS,
-) -> Verdict:
+def decide(source, *, use_hints: bool = True) -> Verdict:
     """Run the full pipeline on a complex or a catalog record.
 
     `source` is either a `PlanarComplex` or any object carrying `.complex`,
@@ -398,7 +389,7 @@ def decide(
             f" at vertex {vertex}: it is not the identity in S_{n}"
         )
     chain = _coxeter_chain(line_planes)
-    stats = todd_coxeter(pres, [word(l) for l in chain], max_cosets=max_cosets)
+    stats = todd_coxeter(pres, [word(l) for l in chain])
     return enumeration_verdict(
         stats, math.factorial(n), engine_mode=engine_mode, equalities=facts,
         subgroup=chain,

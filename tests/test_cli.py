@@ -1,3 +1,4 @@
+import argparse
 import copy
 import hashlib
 import io
@@ -130,14 +131,59 @@ def test_analyze_flags_a_tampered_chern_coefficient(capsys, edited_catalog, hint
     assert report["diffs"] == [CHI_DIFF]
 
 
+def raise_m_by_two_and_mu_by_one_in_u04(data):
+    data["expected"]["m"] += 2
+    data["expected"]["mu"] += 1
+
+
+BRANCH_DIFFS = [
+    {"name": "U_{0,4}", "field": "m", "computed": "10", "catalog": "12"},
+    {"name": "U_{0,4}", "field": "mu", "computed": "6", "catalog": "7"},
+]
+BRANCH_DIFF_LINES = [
+    "DIFF U_{0,4} m: computed 10 != catalog 12",
+    "DIFF U_{0,4} mu: computed 6 != catalog 7",
+]
+
+
+def test_table_flags_tampered_branch_data(capsys, edited_catalog):
+    """The branch numbers m, mu, d and rho are compared too, in the record's
+    field order."""
+    edited_catalog("u-0-4", raise_m_by_two_and_mu_by_one_in_u04)
+    rc, out, err = run(capsys, "table")
+    assert (rc, err) == (2, "")
+    assert out.splitlines()[-2:] == BRANCH_DIFF_LINES
+    rc, out, err = run(capsys, "table", "--format", "json")
+    assert (rc, err) == (2, "")
+    assert json.loads(out)["diffs"] == BRANCH_DIFFS
+
+
+@pytest.mark.parametrize("hints", [[], ["--no-hints"]], ids=["hints", "no-hints"])
+def test_analyze_flags_tampered_branch_data(capsys, edited_catalog, hints):
+    edited_catalog("u-0-4", raise_m_by_two_and_mu_by_one_in_u04)
+    rc, out, err = run(capsys, "analyze", "U_{0,4}", *hints)
+    assert (rc, err) == (2, "")
+    lines = out.splitlines()
+    at = lines.index("- catalog expectation: trivial -> MISMATCH")
+    assert lines[at + 1:at + 4] == [f"- {line}" for line in BRANCH_DIFF_LINES] + [
+        "- branch stats: m=10 mu=6 d=24 rho=12"
+    ]
+    assert lines[-1] == "consistent with catalog: 0/1"
+    rc, out, err = run(capsys, "analyze", "U_{0,4}", *hints, "--format", "json")
+    assert (rc, err) == (2, "")
+    report = json.loads(out)
+    assert report["verdict"]["outcome"] == report["expected_pi1"] == "trivial"
+    assert report["consistent"] is False
+    assert report["diffs"] == BRANCH_DIFFS
+
+
 @pytest.mark.parametrize(
     "argv, refusal",
     [
         (["analyze"], "pass exactly one of a selector or --all"),
         (["analyze", "--all", "U_6"], "pass exactly one of a selector or --all"),
-        (["enumerate", "--triangles", "6"], "full mode needs --out-dir (or pass --count-only)"),
     ],
-    ids=["analyze-nothing", "analyze-both", "enumerate-full"],
+    ids=["analyze-nothing", "analyze-both"],
 )
 def test_usage_refusals_are_worded(capsys, argv, refusal):
     assert run(capsys, *argv) == (1, "", f"degen: error: {refusal}\n")
@@ -381,45 +427,28 @@ def test_analyze_accepts_complex_file(capsys, tmp_path):
     assert "expected_pi1" not in data or data["expected_pi1"] is None
 
 
-def test_analyze_refuses_a_complex_file_with_a_fractional_coordinate(capsys, tmp_path):
+@pytest.mark.parametrize(
+    "index, edit, fault",
+    [
+        (0, lambda xs: [0.5, *xs[1:]], "holds 0.5, which is not an integer"),
+        (2, lambda xs: [*xs[:3], 0], "has denominator 0"),
+        (0, lambda xs: [*xs, 1], "holds 5 values, expected 4"),
+    ],
+    ids=["fractional-coordinate", "zero-denominator", "vertex-of-five-values"],
+)
+def test_analyze_refuses_a_complex_file_with_a_malformed_vertex(
+    capsys, tmp_path, index, edit, fault
+):
     data = json.loads((DATA_DIR / "cases" / "u-0-4.json").read_text())["complex"]
-    data["vertices"][0][1][0] = 0.5
-    target = tmp_path / "half.json"
+    vertex = data["vertices"][index]
+    vertex[1] = edit(vertex[1])
+    target = tmp_path / "vertex.json"
     target.write_text(json.dumps(data))
     rc, out, err = run(capsys, "analyze", str(target))
-    entry = json.dumps(data["vertices"][0])
     assert (rc, out) == (1, "")
     assert err == (
-        f"degen: error: {target}: malformed complex JSON: vertices entry {entry} holds 0.5,"
-        " which is not an integer\n"
-    )
-
-
-def test_analyze_refuses_a_complex_file_with_a_zero_denominator(capsys, tmp_path):
-    data = json.loads((DATA_DIR / "cases" / "u-0-4.json").read_text())["complex"]
-    data["vertices"][2][1][3] = 0
-    target = tmp_path / "zero.json"
-    target.write_text(json.dumps(data))
-    rc, out, err = run(capsys, "analyze", str(target))
-    entry = json.dumps(data["vertices"][2])
-    assert (rc, out) == (1, "")
-    assert err == (
-        f"degen: error: {target}: malformed complex JSON: vertices entry {entry}"
-        " has denominator 0\n"
-    )
-
-
-def test_analyze_refuses_a_complex_file_with_a_vertex_of_five_values(capsys, tmp_path):
-    data = json.loads((DATA_DIR / "cases" / "u-0-4.json").read_text())["complex"]
-    data["vertices"][0][1].append(1)
-    target = tmp_path / "five.json"
-    target.write_text(json.dumps(data))
-    rc, out, err = run(capsys, "analyze", str(target))
-    entry = json.dumps(data["vertices"][0])
-    assert (rc, out) == (1, "")
-    assert err == (
-        f"degen: error: {target}: malformed complex JSON: vertices entry {entry} holds 5 values,"
-        " expected 4\n"
+        f"degen: error: {target}: malformed complex JSON:"
+        f" vertices entry {json.dumps(vertex)} {fault}\n"
     )
 
 
@@ -717,15 +746,14 @@ def test_table_json_carries_exact_fractions(capsys):
 
 
 def test_enumerate_count_only(capsys):
-    rc, out, _ = run(capsys, "enumerate", "--triangles", "6", "--count-only")
-    assert rc == 0
-    assert out.strip() == "28"
+    """Without --out-dir, `enumerate` prints the class count alone."""
+    assert run(capsys, "enumerate", "--triangles", "6") == (0, "28\n", "")
 
 
 def test_enumerate_above_the_library_guard(capsys):
     # asking for 9 triangles on the command line is the conscious choice
     # that the library's guard of 8 asks for
-    rc, out, err = run(capsys, "enumerate", "--triangles", "9", "--count-only")
+    rc, out, err = run(capsys, "enumerate", "--triangles", "9")
     assert rc == 0, err
     assert out.strip() == "782"
 
@@ -817,19 +845,6 @@ def test_enumerate_refuses_an_out_dir_it_cannot_make_before_enumerating(
     assert blocker.read_text(encoding="utf-8") == "kept\n"
 
 
-def test_enumerate_refuses_count_only_with_out_dir(capsys, tmp_path):
-    out_dir = tmp_path / "x4"
-    with pytest.raises(SystemExit) as info:
-        main(["enumerate", "--triangles", "4", "--count-only", "--out-dir", str(out_dir)])
-    assert info.value.code == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.endswith(
-        "degen: error: argument --out-dir: not allowed with argument --count-only\n"
-    )
-    assert not out_dir.exists()
-
-
 @pytest.mark.parametrize("count", ["0", "-2"])
 def test_enumerate_refuses_a_triangle_count_below_one_before_making_out_dir(
     capsys, tmp_path, count
@@ -844,12 +859,6 @@ def test_enumerate_refuses_a_triangle_count_below_one_before_making_out_dir(
         f"degen: error: argument --triangles: expected a positive integer, got '{count}'\n"
     )
     assert not out_dir.exists()
-
-
-def test_enumerate_without_out_dir_fails(capsys):
-    rc, _, err = run(capsys, "enumerate", "--triangles", "4")
-    assert rc == 1
-    assert "out-dir" in err
 
 
 def test_export_text_presentation(capsys):
@@ -886,7 +895,7 @@ def test_bad_flag_exits_one():
 
 def test_one_parser_serves_a_usage_error_then_an_analysis(capsys):
     for argv in (
-        ["analyze", "U_{0,4}", "--max-cosets", "0"],
+        ["analyze", "U_{0,4}", "--format", "yaml"],
         ["analyze", "U_{0,4}", "--format", "json"],
     ):
         alone = subprocess.run(
@@ -906,6 +915,25 @@ def test_one_parser_serves_a_usage_error_then_an_analysis(capsys):
             alone.stderr,
         )
     assert degen.cli._build_parser() is degen.cli._build_parser()
+
+
+def test_each_subcommand_takes_only_the_values_a_caller_sets():
+    """The settable values of each subcommand, a positional by its name and an
+    option by its first spelling: a new one shows here."""
+    (sub,) = (a for a in degen.cli._build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction))
+    census = {
+        command: [a.option_strings[0] if a.option_strings else a.dest
+                  for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+        for command, parser in sub.choices.items()
+    }
+    assert census == {
+        "list": ["--format"],
+        "analyze": ["selector", "--all", "--format", "--no-hints", "--verbose"],
+        "table": ["--format"],
+        "enumerate": ["--triangles", "--out-dir"],
+        "export": ["case", "--format"],
+    }
 
 
 def test_module_entry_point():
@@ -944,17 +972,6 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert len(json.loads(proc.stdout)) == 29
-
-
-@pytest.mark.parametrize("case, budget", [("U_{0,4}", "0"), ("U_{0,5,1}", "-3")])
-def test_non_positive_coset_budget_is_rejected_before_analysis(capsys, case, budget):
-    with pytest.raises(SystemExit) as info:
-        main(["analyze", case, "--max-cosets", budget])
-    assert info.value.code == 1
-    errors = [l for l in capsys.readouterr().err.splitlines() if "error" in l]
-    assert errors == [
-        f"degen: error: argument --max-cosets: expected a positive integer, got '{budget}'"
-    ]
 
 
 @pytest.mark.parametrize("blob", [b"\xff", b"{"], ids=["not-utf8", "malformed"])

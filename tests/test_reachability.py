@@ -50,17 +50,14 @@ COMMANDS = [
     (["analyze", "--all"], 0),
     (["analyze", "--all", "--format", "json"], 0),
     (["analyze", "--all", "--no-hints", "--verbose"], 0),
-    (["analyze", "U_6", "--max-cosets", "1"], 2),
     (["export", "u-0-6-1"], 0),
     (["export", "U_6", "--format", "json"], 0),
-    (["enumerate", "--triangles", "6"], 1),
-    (["enumerate", "--triangles", "6", "--count-only"], 0),
+    (["enumerate", "--triangles", "6"], 0),
     (["enumerate", "--triangles", "6", "--out-dir", None], 0),
     (["enumerate", "--triangles", "6", "--out-dir", SHARED], 1),
     (["analyze", SHARED], 1),
     (["analyze", "--all", "U_6"], 1),
     (["analyze", "no-such-case"], 1),
-    (["analyze", "--all", "--max-cosets", "0"], 1),
     (["no-such-command"], 1),
 ]
 
