@@ -750,6 +750,13 @@ def test_enumerate_count_only(capsys):
     assert run(capsys, "enumerate", "--triangles", "6") == (0, "28\n", "")
 
 
+def test_enumerate_without_out_dir_writes_no_file(capsys, tmp_path, monkeypatch):
+    """Counting alone leaves the working directory as it found it."""
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "enumerate", "--triangles", "4") == (0, "5\n", "")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_enumerate_above_the_library_guard(capsys):
     # asking for 9 triangles on the command line is the conscious choice
     # that the library's guard of 8 asks for
