@@ -14,10 +14,12 @@ import hashlib
 import json
 import os
 from fractions import Fraction
-from typing import Iterator, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Iterator, Literal, Mapping, NamedTuple, get_args
 
 from .complexes import PlanarComplex
-from .relations import Word, word_from_json
+
+if TYPE_CHECKING:
+    from .relations import Word
 
 ENV_CATALOG_DIR = "DEGEN_CATALOG_DIR"
 
@@ -31,23 +33,30 @@ class CatalogError(ValueError):
 
 _KINDS = {int: "an integer", str: "a string", bool: "true or false", list: "a list",
           dict: "an object", Fraction: "a fraction in a string"}
-_PI1 = ("trivial", "nontrivial", "undecided")
 
 
 def _json(field, value, shape):
-    """``value``, its lists made tuples, if it has ``shape``; else a refusal
-    that names ``field``.  A type matches exactly, so ``true`` is no integer;
-    `Fraction` matches a string it reads, such as ``"-4/3"``; ``[s]`` is a list
-    of entries of shape ``s``, and a tuple of shapes a list of one entry each.
-    A field inside another is the pair (that field, its key or index), so its
-    path, such as ``expected.points[2][3]``, is worded only on refusal."""
+    """``value``, its lists and objects made tuples, if it has ``shape``; else
+    a refusal that names ``field``.  A type matches exactly, so ``true`` is no
+    integer; `Fraction` matches a string it reads, such as ``"-4/3"``; ``[s]``
+    is a list of entries of shape ``s``, a tuple of shapes a list of one entry
+    each, and a dict of shapes an object whose fields are read in that order
+    (a missing one raises `KeyError`); ``Literal[a, b]`` is one of the values
+    listed, of its JSON type.  A field inside another is the pair (that field,
+    its key or index), so its path, such as ``expected.points[2][3]``, is
+    worded only on refusal."""
     if type(shape) is list:  # one entry shape for every entry
         kinds, s = type(value) is list and {*map(type, value)}, shape[0]
         if kinds and type(s) is type and kinds <= {s}:  # a column of one type, checked at once
             return tuple(value)
-        if kinds == {list} and type(s) is list and {type(x) for v in value for x in v} <= {s[0]}:
-            return tuple(map(tuple, value))  # and a table of one cell type
+        if (kinds == {list} and type(s) is tuple and s == (int,) * len(s)
+                and {*map(len, value)} == {len(s)} and {type(x) for v in value for x in v} <= {int}):
+            return tuple(map(tuple, value))  # and a table of integers, each row as wide as s
         shape = (s,) * len(value) if type(value) is list else list
+    elif type(shape) is dict:  # an object, field by field
+        if type(value) is dict:
+            return tuple([_json((field, key), value[key], s) for key, s in shape.items()])
+        shape = dict
     if shape is Fraction and type(value) is str:
         try:
             return Fraction(value)
@@ -58,7 +67,10 @@ def _json(field, value, shape):
     elif type(shape) is tuple and type(value) is list and len(value) == len(shape):
         return tuple([x if type(x) is s else _json((field, i), x, s)
                       for i, (x, s) in enumerate(zip(value, shape))])
-    what = f"a list of {len(shape)} entries" if type(shape) is tuple else _KINDS[shape]
+    elif any(type(v) is type(value) and v == value for v in get_args(shape)):  # a Literal's value
+        return value
+    what = (f"a list of {len(shape)} entries" if type(shape) is tuple
+            else _KINDS.get(shape) or f"one of {', '.join(map(str, get_args(shape)))}")
     path = ""
     while type(field) is tuple:
         field, at = field
@@ -66,13 +78,16 @@ def _json(field, value, shape):
     raise CatalogError(f"{field}{path} is {json.dumps(value)}, not {what}")
 
 
-_EXPECTED = {  # the shape of each field of a case's "expected" object but pi1
+_EXPECTED = {  # the shape of each field of a case's "expected" object, in reading order
+    "pi1": Literal["trivial", "nontrivial", "undecided"],
     "m": int, "mu": int, "d": int, "rho": int, "forks_complete": bool,
     "c1_sq_coeff": Fraction, "c2_coeff": Fraction, "chi_coeff": Fraction,
-    "points": [(int, str, int, [int])], "parasitic": [[int]], "triples": [[int]],
-    "commutators": [[int]], "inner_relators": [([int], [int])], "forks": [[int]],
+    "points": [(int, str, int, [int])], "parasitic": [(int, int)], "triples": [(int, int)],
+    "commutators": [(int, int)], "inner_relators": [([int], [int])], "forks": [(int, int, int)],
 }
 _NULLABLE = {"triples", "commutators", "inner_relators", "forks"}  # a case may leave open
+_HINT = {"line": int, "preconditions": [int], "citation": str}  # the fields of each hint
+_WORD = [(int, Literal[1, -1])]  # a relator word's (generator, exponent) letters
 
 
 class ExpectedResults(NamedTuple):
@@ -96,10 +111,8 @@ class ExpectedResults(NamedTuple):
 
     @classmethod
     def from_json(cls, data: Mapping) -> "ExpectedResults":
-        if _json("expected", data, dict)["pi1"] not in _PI1:
-            pi1 = json.dumps(data["pi1"])
-            raise CatalogError(f"expected.pi1 is {pi1}, not one of {', '.join(_PI1)}")
-        return cls(pi1=data["pi1"], **{
+        _json("expected", data, dict)
+        return cls(**{
             key: None if data[key] is None and key in _NULLABLE
             else _json(("expected", key), data[key], shape)
             for key, shape in _EXPECTED.items()
@@ -116,14 +129,6 @@ class CaseHint(NamedTuple):
     line: int
     preconditions: frozenset[int]
     citation: str
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "CaseHint":
-        return cls(
-            line=_json("hint.line", _json("hint", data, dict)["line"], int),
-            preconditions=frozenset(_json("hint.preconditions", data["preconditions"], [int])),
-            citation=_json("hint.citation", data["citation"], str),
-        )
 
     def to_json(self) -> dict:
         return {
@@ -147,17 +152,17 @@ class CaseRecord(NamedTuple):
 
     @classmethod
     def from_json(cls, data: Mapping) -> "CaseRecord":
-        """Read a case file's object, refusing by name a field of the wrong JSON type."""
+        """Read a case file's object, refusing by its path a field of the wrong JSON type."""
         if _json("case", data, dict).get("format") != CASE_FORMAT:
             raise CatalogError(f"unsupported case format {data.get('format')!r}")
-        words = _json("extra_inner_relators", data["extra_inner_relators"], list)
         return cls(
             name=_json("name", data["name"], str),
             aliases=_json("aliases", data["aliases"], [str]),
             external_result=_json("external_result", data["external_result"], bool),
             complex=PlanarComplex.from_json(data["complex"]),
-            hints=tuple(map(CaseHint.from_json, _json("hints", data["hints"], list))),
-            extra_inner_relators=tuple(map(word_from_json, words)),
+            hints=tuple(CaseHint(line, frozenset(pre), citation)
+                        for line, pre, citation in _json("hints", data["hints"], [_HINT])),
+            extra_inner_relators=_json("extra_inner_relators", data["extra_inner_relators"], [_WORD]),
             expected=ExpectedResults.from_json(data["expected"]),
             notes=_json("notes", data["notes"], [str]),
         )

@@ -29,7 +29,6 @@ Eick & O'Brien, Handbook of Computational Group Theory, 2005, 5.1).
 
 from __future__ import annotations
 
-import json
 from itertools import combinations
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -201,13 +200,3 @@ def presentation_json(p: Presentation) -> dict:
             for rel, tag in zip(p.relators, p.annotations)
         ],
     }
-
-
-def word_from_json(data: Sequence[Sequence[int]]) -> Word:
-    """The word JSON ``[[g, e], ...]`` spells: each entry two integers, ``e`` +1 or -1."""
-    if type(data) is not list or not all(
-        type(p) is list and len(p) == 2 and type(p[0]) is type(p[1]) is int and p[1] in (1, -1)
-        for p in data
-    ):
-        raise ValueError(f"word {json.dumps(data)} is not a list of [generator, +1 or -1] pairs")
-    return tuple((g, e) for g, e in data)

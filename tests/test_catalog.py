@@ -6,7 +6,7 @@ import pytest
 
 import degen.catalog
 from catalog_oracle import verify_catalog
-from degen.catalog import CatalogError, load_case, open_catalog
+from degen.catalog import CaseRecord, CatalogError, load_case, open_catalog
 from degen.cli import main
 
 DATA_DIR = Path(degen.catalog.__file__).parent / "data"
@@ -203,6 +203,36 @@ def test_case_whose_vertices_share_a_point_is_refused_by_name(edited_catalog, ca
         " coordinates (0, 0); plane 1 is degenerate (collinear):"
         " (1, 2, 6)\n"
     )
+
+
+def json_leaves(node, path=()):
+    """The path of every value in `node` that holds no other value."""
+    if node and type(node) in (dict, list):
+        for key, value in node.items() if type(node) is dict else enumerate(node):
+            yield from json_leaves(value, (*path, key))
+    else:
+        yield path
+
+
+@pytest.mark.parametrize("case", sorted((DATA_DIR / "cases").glob("*.json")), ids=lambda p: p.stem)
+def test_any_record_field_of_the_wrong_type_is_refused_by_its_path(case):
+    """Every leaf outside ``complex`` and ``format`` (a scalar or an empty
+    list), replaced by ``{}``, is refused by a text that starts with its path,
+    such as ``expected.points[2][1] is {}``, whichever table holds it."""
+    data = json.loads(case.read_text(encoding="utf-8"))
+    for path in json_leaves(data):
+        if path[0] in ("complex", "format"):
+            continue
+        *parents, key = path
+        node = data
+        for step in parents:
+            node = node[step]
+        node[key], kept = {}, node[key]
+        text = "".join(f".{k}" if type(k) is str else f"[{k}]" for k in path)[1:]
+        with pytest.raises(CatalogError) as refusal:
+            CaseRecord.from_json(data)
+        assert str(refusal.value).startswith(f"{text} is {{}}"), (case.stem, text)
+        node[key] = kept
 
 
 def test_undecodable_case_file_is_a_named_error(edited_catalog):

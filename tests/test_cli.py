@@ -344,7 +344,14 @@ def test_catalog_refusals_print_no_python_repr(capsys, edited_catalog, stem, edi
             "u-0-6-2",
             ("hints", 0, "line"),
             1.9,
-            "U_{0,6,2} (u-0-6-2.json): hint.line is 1.9, not an integer",
+            "U_{0,6,2} (u-0-6-2.json): hints[0].line is 1.9, not an integer",
+        ),
+        ("u-0-6-2", ("hints", 0), 5, "U_{0,6,2} (u-0-6-2.json): hints[0] is 5, not an object"),
+        (
+            "u-0-6-2",
+            ("hints", 0, "preconditions", 1),
+            "2",
+            'U_{0,6,2} (u-0-6-2.json): hints[0].preconditions[1] is "2", not an integer',
         ),
         *(
             ("u-0-5-1", ("expected", "m"), m, f"U_{{0,5,1}} (u-0-5-1.json): expected.m is {text},"
@@ -385,15 +392,40 @@ def test_catalog_refusals_print_no_python_repr(capsys, edited_catalog, stem, edi
             "u-6",
             ("extra_inner_relators", 0, 1),
             [2, 2],
-            "U_6 (u-6.json): word [[1, 1], [2, 2], [3, 1], [4, 1], [5, 1], [6, 1], [5, 1],"
-            " [4, 1], [3, 1], [2, 1]] is not a list of [generator, +1 or -1] pairs",
+            "U_6 (u-6.json): extra_inner_relators[0][1][1] is 2, not one of 1, -1",
+        ),
+        (
+            "u-6",
+            ("extra_inner_relators", 0, 1, 1),
+            True,
+            "U_6 (u-6.json): extra_inner_relators[0][1][1] is true, not one of 1, -1",
+        ),
+        (
+            "u-6",
+            ("extra_inner_relators", 0, 1),
+            [1],
+            "U_6 (u-6.json): extra_inner_relators[0][1] is [1], not a list of 2 entries",
+        ),
+        (
+            "u-0-5-1",
+            ("expected", "parasitic", 0),
+            [1, 3, 5],
+            "U_{0,5,1} (u-0-5-1.json): expected.parasitic[0] is [1, 3, 5], not a list of 2 entries",
+        ),
+        (
+            "u-3-2",
+            ("expected", "forks", 0),
+            [1, 2],
+            "U_{3,2} (u-3-2.json): expected.forks[0] is [1, 2], not a list of 3 entries",
         ),
     ],
     ids=[
         "hints-null", "points-null", "notes-an-int", "pi1-null", "hint-line-fractional",
+        "hint-not-an-object", "hint-precondition-a-string",
         "m-a-string", "m-fractional", "m-a-bool", "chi-a-float", "chi-over-zero",
         "parasitic-pair-a-string", "point-kind-an-int", "inner-relator-letter-fractional",
-        "word-exponent-two",
+        "word-exponent-two", "word-exponent-true", "word-letter-of-one-entry",
+        "parasitic-pair-of-three", "fork-of-two",
     ],
 )
 def test_catalog_record_fields_are_checked_not_coerced(

@@ -26,7 +26,10 @@ def loaded_modules(module: str, *flags: str) -> set[str]:
     "module, absent",
     [
         ("degen.enumerator", {"degen.catalog", "degen.pipeline"}),
-        ("degen.catalog", {"degen.pipeline", "degen.fpgroup", "degen.invariants"}),
+        (
+            "degen.catalog",
+            {"degen.relations", "degen.pipeline", "degen.fpgroup", "degen.invariants"},
+        ),
         (
             "degen.complexes",
             {

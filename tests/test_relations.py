@@ -13,7 +13,6 @@ from degen.relations import (
     reduced_presentation,
     tangent_pairs,
     word,
-    word_from_json,
     word_text,
 )
 from rotation_oracles import concurrency_fork_triples, rotation_tangent_pairs
@@ -175,7 +174,7 @@ def test_presentation_json_round_trip(by_name):
         pres = reduced_presentation(by_name[name].complex)
         data = presentation_json(pres)
         assert data["format"] == "degen-presentation/1"
-        relators = [(word_from_json(r["word"]), r["annotation"]) for r in data["relators"]]
+        relators = [(tuple(map(tuple, r["word"])), r["annotation"]) for r in data["relators"]]
         back = Presentation(
             generators=tuple(data["generators"]),
             tangent=tuple((w[0][0], w[1][0]) for w, tag in relators if tag == "triple"),
